@@ -58,7 +58,6 @@ from repro.model import (
 )
 from repro.analysis import DesignReport, analyze_design, render_report
 from repro.engine import (
-    BatchEvaluator,
     CacheStats,
     CompiledSpec,
     EvaluatedDesign,
@@ -82,7 +81,6 @@ __all__ = [
     "AdHocStrategy",
     "Application",
     "Architecture",
-    "BatchEvaluator",
     "Budget",
     "BusSchedule",
     "CacheStats",

@@ -31,7 +31,7 @@ from repro.search.budget import Budget
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``jobs``, ``use_delta``, ``cache_store``/
+    ``use_cache``, ``use_delta``, ``cache_store``/
     ``cache_path`` and ``budget`` exist so every strategy shares one
     construction signature (the experiment runner passes them
     uniformly); AH performs a single evaluation, so none of them
@@ -39,7 +39,6 @@ class AdHocStrategy:
     """
 
     use_cache: bool = True
-    jobs: int = 1
     use_delta: bool = True
     engine_core: str = "array"
     cache_store: str = "memory"

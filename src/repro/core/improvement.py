@@ -74,10 +74,9 @@ def best_improving_move(
     The whole neighbourhood is scored in one :meth:`evaluate_moves`
     batch against the shared parent ``best`` -- cached outcomes are
     served directly, the remainder is rescheduled incrementally from
-    the parent's checkpoints (or cold with ``--no-delta``), in
-    parallel when the evaluator runs with ``jobs > 1``.  The winner
-    scan walks the results in move order, so serial, cached, delta and
-    parallel runs pick the identical move.
+    the parent's checkpoints (or cold with ``--no-delta``).  The winner
+    scan walks the results in move order, so cached, uncached and
+    delta runs pick the identical move.
     """
     if not moves:
         return None

@@ -68,9 +68,6 @@ class MappingHeuristic:
     use_cache:
         Memoize candidate evaluations in the engine (neighbourhoods of
         consecutive descent iterations overlap heavily).
-    jobs:
-        Worker processes for batch-evaluating each neighbourhood;
-        ``1`` stays serial.  Results are identical for any value.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
     use_delta:
@@ -89,7 +86,6 @@ class MappingHeuristic:
     min_improvement: float = 1e-9
     use_message_moves: bool = True
     use_cache: bool = True
-    jobs: int = 1
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     use_delta: bool = True
     engine_core: str = "array"
@@ -108,7 +104,6 @@ class MappingHeuristic:
         with DesignEvaluator(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=self.max_cache_entries,
             use_delta=self.use_delta,
             engine_core=self.engine_core,

@@ -86,10 +86,6 @@ class SimulatedAnnealing:
     use_cache:
         Memoize candidate evaluations in the engine; annealing revisits
         rejected design points constantly, so hit rates are high.
-    jobs:
-        Worker processes for the polish phase's neighbourhood batches;
-        the Metropolis walk itself is inherently sequential.  Results
-        are identical for any value.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
     use_delta:
@@ -113,7 +109,6 @@ class SimulatedAnnealing:
     seed: SeedLike = 0
     polish: bool = True
     use_cache: bool = True
-    jobs: int = 1
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     use_delta: bool = True
     engine_core: str = "array"
@@ -133,7 +128,6 @@ class SimulatedAnnealing:
         with DesignEvaluator(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=self.max_cache_entries,
             use_delta=self.use_delta,
             engine_core=self.engine_core,

@@ -14,7 +14,7 @@ result with the slide-14 objective.  Invalid candidates (deadline miss,
 unpackable message) evaluate to ``None`` and are rejected by every
 strategy, which enforces the paper's requirement (a) throughout the
 search.  The heavy lifting -- problem compilation, memoization and
-parallel batch scoring -- lives in :mod:`repro.engine`; the evaluator
+incremental scoring -- lives in :mod:`repro.engine`; the evaluator
 here is the strategy-facing facade over one
 :class:`repro.engine.engine.EvaluationEngine`.
 """
@@ -105,8 +105,7 @@ class DesignResult:
     delta_hits: int = 0
     delta_fallbacks: int = 0
     #: Stage-time buckets of the evaluation pipeline (scheduling pass,
-    #: metric pricing, schedule decode), in wall nanoseconds summed
-    #: across the engine process and every pool worker.
+    #: metric pricing, schedule decode), in wall nanoseconds.
     sched_ns: int = 0
     metrics_ns: int = 0
     decode_ns: int = 0
@@ -172,8 +171,8 @@ class DesignEvaluator:
 
     Since the evaluation-engine refactor this class is a thin facade
     over :class:`repro.engine.engine.EvaluationEngine`: the engine owns
-    the compiled problem, the memo cache and the worker pool, while
-    this class keeps the historical strategy-facing API.
+    the compiled problem, the memo cache and the solver, while this
+    class keeps the historical strategy-facing API.
 
     Parameters
     ----------
@@ -181,12 +180,8 @@ class DesignEvaluator:
         The design problem (compiled once by the engine).
     use_cache:
         Memoize candidate evaluations, including invalid verdicts.
-    jobs:
-        Worker processes for :meth:`evaluate_many`; ``1`` stays serial.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    parallel_threshold:
-        Minimum problem size (expanded jobs) before the pool engages.
     use_delta:
         Enable the incremental (move-aware) evaluation kernel; results
         are bit-identical either way (the ``--no-delta`` escape hatch).
@@ -199,7 +194,7 @@ class DesignEvaluator:
         ``"memory"`` (the default) keeps memoized outcomes in the
         process-local LRU; ``"sqlite"`` backs that LRU with a
         persistent database at ``cache_path`` that survives restarts
-        and is shared read-only with pool workers.
+        and is shared read-only with the shards of a distributed race.
     cache_path:
         Filesystem path of the sqlite result store (required when
         ``cache_store="sqlite"``).
@@ -214,9 +209,7 @@ class DesignEvaluator:
         self,
         spec: DesignSpec,
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        parallel_threshold: Optional[int] = None,
         use_delta: bool = True,
         engine_core: str = "array",
         cache_store: str = "memory",
@@ -227,9 +220,7 @@ class DesignEvaluator:
         self.engine = EvaluationEngine(
             spec,
             use_cache=use_cache,
-            jobs=jobs,
             max_cache_entries=max_cache_entries,
-            parallel_threshold=parallel_threshold,
             use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
@@ -329,7 +320,7 @@ class DesignEvaluator:
         return self.engine.counters()
 
     def close(self) -> None:
-        """Release the engine's worker pool (idempotent)."""
+        """Close the engine and flush its store (idempotent)."""
         self.engine.close()
 
     def __enter__(self) -> "DesignEvaluator":

@@ -1,4 +1,4 @@
-"""Shared evaluation engine: compiled specs, caching, batch evaluation.
+"""Shared evaluation engine: compiled specs, caching, candidate solving.
 
 This package separates problem *construction* from repeated *solving*:
 
@@ -14,8 +14,6 @@ This package separates problem *construction* from repeated *solving*:
 * :mod:`~repro.engine.store` -- :class:`ResultStore` backends: the
   in-memory LRU and the persistent sqlite store that serves results
   across processes and runs;
-* :mod:`~repro.engine.batch` -- :class:`BatchEvaluator`, process-pool
-  scoring of candidate batches with deterministic ordering;
 * :mod:`~repro.engine.delta` -- :class:`DeltaEvaluator`, the move-aware
   incremental kernel: reschedule a one-move child from its parent's
   trace checkpoints, bit-identical to a cold evaluation;
@@ -26,7 +24,6 @@ See DESIGN.md at the repository root for the layer diagram and the
 engine contracts.
 """
 
-from repro.engine.batch import BatchEvaluator
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator, DeltaStats
@@ -41,7 +38,6 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "BatchEvaluator",
     "CacheStats",
     "CompiledSpec",
     "DeltaEvaluator",

@@ -21,10 +21,9 @@ results solved by earlier runs and other processes.  The backend owns
 storage, recency and eviction; the cache owns the counters, so the
 counter contract is identical over every backend.
 
-Accounting and LRU recency are atomic by construction: every hit goes
-through :meth:`lookup`, which counts it and refreshes recency in one
-step (``in`` is the accounting-free peek for callers that only plan
-work).
+Accounting and LRU recency are atomic by construction: every probe
+goes through :meth:`lookup`, which counts the hit or miss and refreshes
+recency in one step.
 """
 
 from __future__ import annotations
@@ -99,14 +98,6 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         return len(self.backend)
-
-    def __contains__(self, signature: Signature) -> bool:
-        """Pure membership peek: no counters, no recency update.
-
-        Lets the engine plan a batch (which signatures need solving)
-        without perturbing the accounting that :meth:`lookup` owns.
-        """
-        return signature in self.backend
 
     def lookup(self, signature: Signature) -> Tuple[bool, Optional[object]]:
         """Return ``(found, outcome)``; counts the hit or miss.

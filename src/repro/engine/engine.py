@@ -1,4 +1,4 @@
-"""The evaluation engine: compiled problem + cache + batch execution.
+"""The evaluation engine: compiled problem + cache + candidate solving.
 
 :class:`EvaluationEngine` is the one inner loop every strategy shares.
 It owns
@@ -7,8 +7,14 @@ It owns
   construction, done once),
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
   solving), and
-* a :class:`~repro.engine.batch.BatchEvaluator` (parallel solving of
-  candidate batches).
+* the solver itself: a list scheduler, the optional
+  :class:`~repro.engine.delta.DeltaEvaluator` (incremental solving of
+  one-move children) and the :class:`StageTimings` sink.
+
+Every candidate is solved in this process, one at a time, in input
+order.  Process-level parallelism lives one layer up: the sharded
+portfolio race (:mod:`repro.search.distributed`) runs one engine per
+shard.
 
 ``core.strategy.DesignEvaluator`` is a thin facade over this class, so
 existing strategy code keeps its historical API while all performance
@@ -19,12 +25,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
 
-from repro.engine.batch import BatchEvaluator
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
-from repro.engine.compiled_spec import CompiledSpec, Signature
-from repro.engine.delta import DeltaStats
-from repro.engine.evaluation import EvaluatedDesign
+from repro.engine.compiled_spec import CompiledSpec
+from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.engine.evaluation import (
+    EvaluatedDesign,
+    StageTimings,
+    evaluate_candidate,
+)
 from repro.engine.store import SqliteResultStore, StoreStats, make_store
+from repro.sched.list_scheduler import ListScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics import DesignMetrics
@@ -43,8 +53,7 @@ class EngineCounters(NamedTuple):
     engine work to a window of activity.
 
     The ``*_ns`` fields are the stage-time buckets of the evaluation
-    pipeline (scheduling pass, metric pricing, schedule decode),
-    summed across the engine process and every pool worker.  They
+    pipeline (scheduling pass, metric pricing, schedule decode).  They
     feed reporting only, never a decision.
 
     The ``store_*`` fields are the persistent result store's
@@ -76,7 +85,7 @@ class EngineCounters(NamedTuple):
 
 
 class EvaluationEngine:
-    """Fast, cached, parallelizable evaluation of candidate designs.
+    """Fast, cached evaluation of candidate designs.
 
     Parameters
     ----------
@@ -84,15 +93,10 @@ class EvaluationEngine:
         The design problem; compiled once at construction.
     use_cache:
         Memoize evaluation outcomes (including invalid verdicts).
-    jobs:
-        Worker processes for batch evaluation; ``1`` stays serial.
     max_cache_entries:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    parallel_threshold:
-        Forwarded to :class:`BatchEvaluator`; minimum problem size (in
-        expanded jobs) for the process pool to engage.
     use_delta:
         Enable the incremental (move-aware) evaluation kernel: cold
         evaluations record scheduling traces, and the ``evaluate_move``
@@ -125,9 +129,7 @@ class EvaluationEngine:
         self,
         spec: "DesignSpec",
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        parallel_threshold: Optional[int] = None,
         use_delta: bool = True,
         engine_core: str = "object",
         cache_store: str = "memory",
@@ -137,8 +139,6 @@ class EvaluationEngine:
         self.spec = spec
         self.compiled = CompiledSpec(spec, engine_core=engine_core)
         self.cache: Optional[EvaluationCache] = None
-        store_path: Optional[str] = None
-        store_scenario: Optional[str] = None
         if use_cache:
             backend = make_store(
                 cache_store,
@@ -148,21 +148,60 @@ class EvaluationEngine:
                 read_only=store_read_only,
             )
             self.cache = EvaluationCache(max_cache_entries, store=backend)
-            if isinstance(backend, SqliteResultStore) and backend.persistent:
-                # Workers read through the same database (read-only);
-                # the single read-write connection stays here.
-                store_path = backend.path
-                store_scenario = backend.scenario
-        self.batch = BatchEvaluator(
-            self.compiled,
-            jobs=jobs,
-            parallel_threshold=parallel_threshold,
-            use_delta=use_delta,
-            store_path=store_path,
-            store_scenario=store_scenario,
+        self._scheduler = ListScheduler(self.compiled.architecture)
+        self.timings = StageTimings()
+        self.delta: Optional[DeltaEvaluator] = (
+            DeltaEvaluator(self.compiled, self._scheduler, self.timings)
+            if use_delta
+            else None
         )
         self.use_delta = use_delta
         self.evaluations = 0
+        self.delta_hits = 0
+        self.delta_fallbacks = 0
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # solving (no cache, no accounting beyond the delta counters)
+    # ------------------------------------------------------------------
+    def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
+        """Full evaluation of one candidate.
+
+        In delta mode the outcome carries its scheduling trace and
+        metric memo so it can parent later incremental evaluations.
+        """
+        return evaluate_candidate(
+            self.spec,
+            self.compiled,
+            self._scheduler,
+            design,
+            record_trace=self.delta is not None,
+            timings=self.timings,
+        )
+
+    def _solve_move(
+        self,
+        parent: EvaluatedDesign,
+        move: "Transformation",
+        child: "CandidateDesign",
+    ) -> Optional[EvaluatedDesign]:
+        """Evaluation of one move (the delta hot path).
+
+        Falls back to :meth:`_solve` -- counting a delta fallback --
+        when the incremental path cannot run.
+        """
+        delta = self.delta
+        if delta is None:
+            return self._solve(child)
+        if parent.trace is None:
+            self.delta_fallbacks += 1
+            return self._solve(child)
+        outcome, used = delta.evaluate_move(parent, move, child)
+        if used:
+            self.delta_hits += 1
+        else:
+            self.delta_fallbacks += 1
+        return outcome
 
     # ------------------------------------------------------------------
     # evaluation
@@ -179,12 +218,12 @@ class EvaluationEngine:
         self._ensure_open()
         self.evaluations += 1
         if self.cache is None:
-            return self.batch.evaluate_one(design)
+            return self._solve(design)
         signature = self.compiled.signature(design)
         found, outcome = self.cache.lookup(signature)
         if found:
             return outcome
-        outcome = self.batch.evaluate_one(design)
+        outcome = self._solve(design)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -194,72 +233,47 @@ class EvaluationEngine:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score a batch of candidates, preserving input order.
 
-        Cached outcomes are served without scheduling; the remaining
-        misses (deduplicated within the batch) go through the batch
-        evaluator -- in parallel when the problem and batch are large
-        enough.
+        Cached outcomes (including earlier candidates of the same
+        batch) are served without scheduling; cache accounting is
+        exactly that of a sequence of single :meth:`evaluate` calls.
         """
         self._ensure_open()
         designs = list(designs)
         self.evaluations += len(designs)
         if self.cache is None:
-            return self.batch.evaluate_batch(designs)
+            return [self._solve(design) for design in designs]
         return self._cached_batch(
-            [self.compiled.signature(d) for d in designs],
-            solve_fresh=lambda indices: self.batch.evaluate_batch(
-                [designs[i] for i in indices]
-            ),
-            solve_one=lambda i: self.batch.evaluate_one(designs[i]),
+            self.cache, designs, lambda i: self._solve(designs[i])
         )
 
     def _cached_batch(
         self,
-        signatures: List[Signature],
-        solve_fresh: Callable[[List[int]], List[Optional[EvaluatedDesign]]],
-        solve_one: Callable[[int], Optional[EvaluatedDesign]],
+        cache: EvaluationCache,
+        designs: List["CandidateDesign"],
+        solve: Callable[[int], Optional[EvaluatedDesign]],
     ) -> List[Optional[EvaluatedDesign]]:
-        """Cache plan/commit shared by :meth:`evaluate_many` and
+        """Cache loop shared by :meth:`evaluate_many` and
         :meth:`evaluate_moves`.
 
-        Plan with a pure peek which signatures need solving
-        (deduplicated within the batch), solve them through
-        ``solve_fresh(indices)``, then commit in batch order so cache
-        accounting *and* LRU recency are exactly those of a sequence of
-        single evaluations: first occurrence of a fresh signature =
-        miss + store, every later use = hit + move-to-end.  An entry
-        evicted between its store and a later use (cache bound smaller
-        than the batch's working set) is re-solved serially via
-        ``solve_one(i)``, exactly as single calls would.  The batch
-        ends at the store commit boundary: buffered backend writes are
-        flushed as one batch.
+        One ordered lookup -> solve -> store pass, so cache accounting
+        *and* LRU recency are exactly those of a sequence of single
+        evaluations: the first occurrence of a fresh signature is a
+        miss + store, every later use a hit + move-to-end, and an entry
+        evicted before a later use (cache bound smaller than the
+        batch's working set) misses and is solved again through
+        ``solve(i)``.  The batch ends at the store commit boundary:
+        buffered backend writes are flushed once, as one batch.
         """
-        fresh_indices: List[int] = []
-        fresh_signatures: set = set()
-        for i, signature in enumerate(signatures):
-            if signature not in fresh_signatures and signature not in self.cache:
-                fresh_signatures.add(signature)
-                fresh_indices.append(i)
-        outcome_by_signature: dict = {}
-        if fresh_indices:
-            outcomes = solve_fresh(fresh_indices)
-            outcome_by_signature = {
-                signatures[i]: outcome
-                for i, outcome in zip(fresh_indices, outcomes)
-            }
-
-        results: List[Optional[EvaluatedDesign]] = [None] * len(signatures)
-        for i, signature in enumerate(signatures):
-            found, outcome = self.cache.lookup(signature)
-            if found:
-                results[i] = outcome
-                continue
-            if signature in outcome_by_signature:
-                outcome = outcome_by_signature[signature]
-            else:
-                outcome = solve_one(i)
-            self.cache.store(signature, outcome)
-            results[i] = outcome
-        self.cache.commit()
+        signature_of = self.compiled.signature
+        results: List[Optional[EvaluatedDesign]] = []
+        for i, design in enumerate(designs):
+            signature = signature_of(design)
+            found, outcome = cache.lookup(signature)
+            if not found:
+                outcome = solve(i)
+                cache.store(signature, outcome)
+            results.append(outcome)
+        cache.commit()
         return results
 
     def evaluate_move(
@@ -283,12 +297,12 @@ class EvaluationEngine:
         self.evaluations += 1
         child = move.apply(parent.design)
         if self.cache is None:
-            return self.batch.evaluate_move_one(parent, move, child)
+            return self._solve_move(parent, move, child)
         signature = self.compiled.signature(child)
         found, outcome = self.cache.lookup(signature)
         if found:
             return outcome
-        outcome = self.batch.evaluate_move_one(parent, move, child)
+        outcome = self._solve_move(parent, move, child)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -301,29 +315,24 @@ class EvaluationEngine:
         """Score one parent's whole move neighbourhood, in input order.
 
         The move-aware sibling of :meth:`evaluate_many`: cached
-        outcomes are served without scheduling, and the remaining
-        misses (deduplicated within the batch) are rescheduled from the
-        parent's checkpoints -- in parallel when the problem and batch
-        are large enough, shipping ``(parent signature, move)`` per
-        candidate on the wire.  Cache accounting is exactly that of a
-        sequence of single :meth:`evaluate_move` calls.
+        outcomes are served without scheduling, and the misses are
+        rescheduled from the parent's checkpoints.  Cache accounting
+        is exactly that of a sequence of single :meth:`evaluate_move`
+        calls.
         """
         self._ensure_open()
         moves = list(moves)
         self.evaluations += len(moves)
         children = [move.apply(parent.design) for move in moves]
         if self.cache is None:
-            return self.batch.evaluate_moves(parent, moves, children)
+            return [
+                self._solve_move(parent, move, child)
+                for move, child in zip(moves, children)
+            ]
         return self._cached_batch(
-            [self.compiled.signature(child) for child in children],
-            solve_fresh=lambda indices: self.batch.evaluate_moves(
-                parent,
-                [moves[i] for i in indices],
-                [children[i] for i in indices],
-            ),
-            solve_one=lambda i: self.batch.evaluate_move_one(
-                parent, moves[i], children[i]
-            ),
+            self.cache,
+            children,
+            lambda i: self._solve_move(parent, moves[i], children[i]),
         )
 
     def price(self, schedule: "SystemSchedule") -> "DesignMetrics":
@@ -355,26 +364,10 @@ class EvaluationEngine:
         return self.cache.stats()
 
     def store_stats(self) -> StoreStats:
-        """Persistent-store accounting (all zeros on the memory backend).
-
-        Worker read-through hits (pool workers probing the store for
-        payloads the parent dispatched) are folded into ``hits``;
-        misses are attributed by the parent's own lookups only, so one
-        cold evaluation never counts twice.
-        """
+        """Persistent-store accounting (all zeros on the memory backend)."""
         if self.cache is None:
-            base = StoreStats()
-        else:
-            base = self.cache.store_stats()
-        if self.batch.store_hits:
-            base = StoreStats(
-                hits=base.hits + self.batch.store_hits,
-                misses=base.misses,
-                writes=base.writes,
-                open_ns=base.open_ns,
-                commit_ns=base.commit_ns,
-            )
-        return base
+            return StoreStats()
+        return self.cache.store_stats()
 
     @property
     def store_hits(self) -> int:
@@ -396,32 +389,24 @@ class EvaluationEngine:
     def store_commit_ns(self) -> int:
         return self.store_stats().commit_ns
 
-    @property
-    def delta_hits(self) -> int:
-        return self.batch.delta_hits
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self.batch.delta_fallbacks
-
     def delta_stats(self) -> DeltaStats:
         """Delta hit/fallback accounting (zeros when delta is off)."""
-        return DeltaStats(self.batch.delta_hits, self.batch.delta_fallbacks)
+        return DeltaStats(self.delta_hits, self.delta_fallbacks)
 
     @property
     def sched_ns(self) -> int:
         """Wall nanoseconds spent in scheduling passes."""
-        return self.batch.timings.sched_ns
+        return self.timings.sched_ns
 
     @property
     def metrics_ns(self) -> int:
         """Wall nanoseconds spent pricing metrics."""
-        return self.batch.timings.metrics_ns
+        return self.timings.metrics_ns
 
     @property
     def decode_ns(self) -> int:
         """Wall nanoseconds spent decoding object schedules."""
-        return self.batch.timings.decode_ns
+        return self.timings.decode_ns
 
     def drain_store_rows(self) -> List[tuple]:
         """Hand over encoded result rows a read-only shard view buffered.
@@ -472,26 +457,26 @@ class EvaluationEngine:
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
-        return self.batch.closed
+        return self._closed
 
     def _ensure_open(self) -> None:
-        if self.batch.closed:
+        if self._closed:
             raise RuntimeError(
                 "EvaluationEngine is closed; build a fresh engine instead "
                 "of evaluating through a closed one"
             )
 
     def close(self) -> None:
-        """Release the worker pool and retire the engine (idempotent).
+        """Retire the engine (idempotent).
 
-        A closed engine refuses further ``evaluate``/``evaluate_many``
-        calls (``RuntimeError``) instead of silently recreating worker
-        processes; accounting accessors stay readable so strategies can
-        record statistics after the search finished or failed.  The
-        cache backend is flushed and released with the pool, so every
-        memoized outcome of a completed run is durable.
+        Closing is sticky: a closed engine refuses every later
+        ``evaluate*`` call (``RuntimeError``), so misuse is loud;
+        accounting accessors stay readable so strategies can record
+        statistics after the search finished or failed.  The cache
+        backend is flushed and released, so every memoized outcome of
+        a completed run is durable.
         """
-        self.batch.close()
+        self._closed = True
         if self.cache is not None:
             self.cache.close()
 

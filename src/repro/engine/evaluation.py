@@ -3,9 +3,9 @@
 ``evaluate_candidate`` is the pure function at the bottom of the whole
 optimization stack: schedule one :class:`CandidateDesign` with the
 compiled problem and price the result with the slide-14 objective.  The
-serial engine path, the cache-miss path and the process-pool workers
-all call exactly this function, which is what makes cached, serial and
-parallel runs bit-identical.
+uncached path, the cache-miss path and every shard's engine call
+exactly this function, which is what makes cached, uncached and
+sharded runs bit-identical.
 
 Under the array core the hot path never leaves the flat representation:
 the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState`, the
@@ -25,7 +25,7 @@ module scope would be circular.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.sched.arrays import ArrayRunState, ArraySpec
 from repro.sched.schedule import SystemSchedule
@@ -45,11 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StageTimings:
     """Nanosecond wall-time buckets of the evaluation pipeline.
 
-    One mutable sink per engine (and per pool worker): scheduling,
-    metric pricing and schedule decode accumulate separately, so the
-    per-stage Amdahl split of a search run is visible in the engine
-    statistics without a profiler.  Time recorded here feeds reporting
-    only -- never a scheduling decision.
+    One mutable sink per engine: scheduling, metric pricing and
+    schedule decode accumulate separately, so the per-stage Amdahl
+    split of a search run is visible in the engine statistics without
+    a profiler.  Time recorded here feeds reporting only -- never a
+    scheduling decision.
     """
 
     __slots__ = ("sched_ns", "metrics_ns", "decode_ns")
@@ -60,24 +60,6 @@ class StageTimings:
         self.sched_ns = sched_ns
         self.metrics_ns = metrics_ns
         self.decode_ns = decode_ns
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        """Current bucket values (for windowed attribution)."""
-        return (self.sched_ns, self.metrics_ns, self.decode_ns)
-
-    def since(self, snapshot: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Bucket deltas accumulated after ``snapshot`` was taken."""
-        return (
-            self.sched_ns - snapshot[0],
-            self.metrics_ns - snapshot[1],
-            self.decode_ns - snapshot[2],
-        )
-
-    def add(self, delta: Tuple[int, int, int]) -> None:
-        """Merge another sink's deltas (worker results into the engine)."""
-        self.sched_ns += delta[0]
-        self.metrics_ns += delta[1]
-        self.decode_ns += delta[2]
 
 
 class EvaluatedDesign:
@@ -168,8 +150,8 @@ class EvaluatedDesign:
                 schedule = self._rederive(self._compiled)
             else:
                 raise ValueError(
-                    "EvaluatedDesign lost its decode substrate (array "
-                    "state shipped without re-attaching the ArraySpec)"
+                    "EvaluatedDesign has no decode substrate (neither an "
+                    "array state with its ArraySpec nor a compiled spec)"
                 )
             self._schedule = schedule
             timings = self._timings
@@ -218,24 +200,6 @@ class EvaluatedDesign:
     def priorities(self) -> "PriorityMap":
         return self.design.priorities
 
-    # ------------------------------------------------------------------
-    # pickling (process-pool wire format): the compiled ArraySpec, the
-    # compiled spec and the timing sink stay process-local;
-    # BatchEvaluator re-attaches them when results return to the engine.
-    def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_arrays", "_timings", "_compiled")
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._arrays = None
-        self._timings = None
-        self._compiled = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         decoded = "decoded" if self._schedule is not None else "lazy"
         return (
@@ -255,10 +219,10 @@ def evaluate_candidate(
     """Schedule and price one candidate; ``None`` when it is invalid.
 
     Deterministic: equal ``(spec, design)`` always produce the same
-    outcome, which both the evaluation cache and the batch evaluator
-    rely on.  With ``record_trace`` the outcome additionally carries
-    the pass trace and metric memo, making it usable as the parent of
-    delta evaluations; the metric *values* are identical either way.
+    outcome, which the evaluation cache and the result store rely on.
+    With ``record_trace`` the outcome additionally carries the pass
+    trace and metric memo, making it usable as the parent of delta
+    evaluations; the metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
     """
     from repro.core.metrics import evaluate_design_delta

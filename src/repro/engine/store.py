@@ -22,10 +22,12 @@ over both.  Across runs the sqlite backend turns cold evaluations into
 store hits: a warm restart of the same scenario re-prices nothing.
 
 **Single-writer rule.**  Exactly one read-write store may own a
-database path at a time (the engine in the parent process); pool
-workers and concurrent readers open ``read_only`` instances.  All
-writes funnel through the parent's commit boundary, so determinism
-across ``--jobs`` is untouched.
+database path at a time (the engine of the coordinating process);
+shard engines of a distributed race and concurrent readers open
+``read_only`` instances, and shards ship their new rows to the
+coordinator, which persists them through its one connection.  All
+writes funnel through that commit boundary, so determinism across
+shard counts is untouched.
 
 **Degradation.**  Corruption, permission and schema-version problems
 never take the run down: the store warns (``RuntimeWarning``) and
@@ -114,16 +116,13 @@ class ResultStore(Protocol):
 
     The cache owns hit/miss *accounting*; a store owns *storage*:
     recency, eviction, persistence.  ``get`` refreshes recency (the
-    cache's ``lookup`` path), ``__contains__`` is the accounting-free
-    peek (the cache's batch-planning path), and ``None`` is a
-    first-class stored outcome (a memoized invalid verdict).
+    cache's ``lookup`` path), and ``None`` is a first-class stored
+    outcome (a memoized invalid verdict).
     """
 
     max_entries: Optional[int]
 
     def __len__(self) -> int: ...
-
-    def __contains__(self, signature: object) -> bool: ...
 
     @property
     def entries(self) -> "OrderedDict[Signature, object]": ...
@@ -165,10 +164,6 @@ class MemoryResultStore:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, signature: object) -> bool:
-        """Pure membership peek: no recency update."""
-        return signature in self.entries
 
     def get(self, signature: Signature) -> Tuple[bool, Optional[object]]:
         """Return ``(found, outcome)``; a find refreshes LRU recency."""
@@ -244,8 +239,9 @@ class SqliteResultStore:
         :func:`repro.serialize.store_key.spec_store_key` of the
         compiled spec (empty string without one).
     read_only:
-        Open the database read-only (pool workers).  Writes then stay
-        in the resident tier and :meth:`commit` is a no-op.
+        Open the database read-only (shard engines, concurrent
+        readers).  Writes then stay in the resident tier and
+        :meth:`commit` is a no-op.
     export_rows:
         Read-only variant for shard engines in a distributed race:
         new results are additionally buffered in their encoded wire
@@ -397,25 +393,6 @@ class SqliteResultStore:
         """Resident entries only (the cache-visible working set)."""
         return len(self.memory)
 
-    def __contains__(self, signature: object) -> bool:
-        """Accounting-free peek across both tiers."""
-        if signature in self.memory:
-            return True
-        key = self._signature_key(signature)
-        if key in self._pending:
-            return True
-        if self._conn is None:
-            return False
-        try:
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE scenario = ? AND signature = ?",
-                (self.scenario, key),
-            ).fetchone()
-        except sqlite3.Error as exc:
-            self._degrade(f"{type(exc).__name__}: {exc}")
-            return False
-        return row is not None
-
     def get(self, signature: Signature) -> Tuple[bool, Optional[object]]:
         """Two-tier lookup; database finds are decoded and promoted."""
         found, outcome = self.memory.get(signature)
@@ -504,7 +481,7 @@ class SqliteResultStore:
         """Flush buffered rows in one ``executemany`` batch.
 
         The engine calls this at the end of every public evaluation
-        API -- the store commit boundary -- so readers (workers, other
+        API -- the store commit boundary -- so readers (shards, other
         runs) only ever observe batch-consistent state.
         """
         if self._conn is None or self.read_only:

@@ -52,6 +52,7 @@ from repro.experiments.runner import (
     strategy_for_family,
 )
 from repro.gen import families
+from repro.utils.errors import ReproError
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -67,8 +68,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.no_delta:
         overrides["use_delta"] = False
     if getattr(args, "engine_core", None):
@@ -232,7 +231,7 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             name,
             args.seed,
             not args.no_cache,
-            args.jobs,
+            1,
             args.sa_iterations,
             not args.no_delta,
             budget=budget,
@@ -320,7 +319,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         return 2
 
     def race(
-        jobs: int,
         use_delta: bool,
         engine_core: Optional[str] = None,
         shards: Optional[int] = None,
@@ -333,7 +331,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            jobs=jobs,
             use_delta=use_delta,
             engine_core=engine_core or args.engine_core,
             cache_store=args.cache_store,
@@ -342,7 +339,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             elastic=args.elastic if elastic is None else elastic,
         )
 
-    result = race(args.jobs, not args.no_delta)
+    result = race(not args.no_delta)
     rows = []
     for member in result.members:
         r = member.result
@@ -417,13 +414,9 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         reference = _portfolio_identity(result)
         other_core = "object" if args.engine_core == "array" else "array"
         checks = [
-            ("repeat", lambda: race(args.jobs, not args.no_delta)),
-            ("jobs=2", lambda: race(2, not args.no_delta)),
-            ("delta off", lambda: race(args.jobs, False)),
-            (
-                f"{other_core} core",
-                lambda: race(args.jobs, not args.no_delta, other_core),
-            ),
+            ("repeat", lambda: race(not args.no_delta)),
+            ("delta off", lambda: race(False)),
+            (f"{other_core} core", lambda: race(not args.no_delta, other_core)),
         ]
         shard_axis = args.budget_seconds is None
         if shard_axis:
@@ -433,9 +426,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             # runs for deterministic budgets.
             checks.append((
                 "shards=2",
-                lambda: race(
-                    args.jobs, not args.no_delta, shards=2, elastic=False
-                ),
+                lambda: race(not args.no_delta, shards=2, elastic=False),
             ))
         failures = []
         for label, runner in checks:
@@ -452,7 +443,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 sa_iterations=args.sa_iterations,
                 member_budget=member_budget,
                 shared_budget=None,
-                jobs=args.jobs,
                 use_delta=not args.no_delta,
                 engine_core=args.engine_core,
             )
@@ -464,7 +454,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = f"repeat, jobs=2, delta off, {other_core} core"
+        passed = f"repeat, delta off, {other_core} core"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -479,7 +469,6 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         preset=args.preset,
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
-        jobs=args.jobs,
         sa_iterations=args.sa_iterations,
         use_delta=not args.no_delta,
         engine_core=args.engine_core,
@@ -633,10 +622,6 @@ def _add_scenarios_parser(subparsers) -> None:
         help="strategies to run",
     )
     run.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="evaluation-engine worker processes",
-    )
-    run.add_argument(
         "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
@@ -686,10 +671,6 @@ def _add_scenarios_parser(subparsers) -> None:
     portfolio.add_argument(
         "--strategies", nargs="+", default=["MH", "SA"],
         help="racing members, in racing (= tie-breaking) order",
-    )
-    portfolio.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="shared-engine worker processes",
     )
     portfolio.add_argument(
         "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
@@ -749,7 +730,7 @@ def _add_scenarios_parser(subparsers) -> None:
         "--check-determinism",
         action="store_true",
         help=(
-            "re-race with jobs=2, delta off, the other scheduler core, "
+            "re-race with delta off, the other scheduler core, "
             "shards=2, and (without a shared budget) reversed member "
             "order; fail unless the winning design is byte-identical "
             "(the CI smoke gate)"
@@ -772,10 +753,6 @@ def _add_scenarios_parser(subparsers) -> None:
     sweep.add_argument(
         "--strategies", nargs="+", default=["AH", "MH", "SA"],
         help="strategies to run",
-    )
-    sweep.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="evaluation-engine worker processes",
     )
     sweep.add_argument(
         "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
@@ -873,14 +850,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--sa-iterations", type=int, help="simulated-annealing iterations"
     )
     figure_options.add_argument(
-        "--jobs",
-        type=_positive_int,
-        help=(
-            "worker processes per strategy run (evaluation-engine batch "
-            "parallelism; results are identical to a serial run)"
-        ),
-    )
-    figure_options.add_argument(
         "--no-delta",
         action="store_true",
         help=(
@@ -924,6 +893,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_scenarios_parser(subparsers)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # Bad input (unknown family or preset, unschedulable scenario):
+        # one line naming the cause, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns the process exit code."""
     if args.command == "scenarios":
         return _handle_scenarios(args)
 

@@ -45,9 +45,6 @@ class ExperimentConfig:
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Worker processes per strategy run (the evaluation engine's batch
-    #: evaluator); ``1`` stays serial.  Results are identical either way.
-    jobs: int = 1
     #: Incremental (move-aware) evaluation; the CLI's ``--no-delta``
     #: escape hatch sets this False.  Results are identical either way.
     use_delta: bool = True
@@ -198,7 +195,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             "SA",
             iterations=config.sa_iterations,
             seed=seed * 7919 + 13,
-            jobs=config.jobs,
             use_delta=config.use_delta,
             engine_core=config.engine_core,
             cache_store=config.cache_store,
@@ -207,7 +203,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
         )
     return make_strategy(
         name,
-        jobs=config.jobs,
         use_delta=config.use_delta,
         engine_core=config.engine_core,
         cache_store=config.cache_store,
@@ -369,8 +364,8 @@ class FamilySmokeResult:
 
     ``failures`` is empty when the family passed: the scenario
     round-trips through the JSON codec byte-identically, and every
-    strategy finds a valid design that is identical with the cache on,
-    off, and with two evaluation workers.
+    strategy finds a valid design that is identical with the cache on
+    and off, with incremental evaluation off and on the object core.
     """
 
     family: str
@@ -432,12 +427,22 @@ def strategy_for_family(
 ):
     """Instantiate a strategy for a family run (shared with the CLI).
 
+    ``jobs`` must be 1: every engine evaluates in-process (the one
+    process-level mechanism is the sharded race, see
+    :func:`run_portfolio`).  The positional slot stays so existing
+    callers keep their argument order.
+
     ``SA@k`` (k >= 1) names a portfolio variant of SA: the same
     configuration on a distinct seeded RNG stream (seed offset
     ``k * 101``), so portfolio races can field several independent
     SA members.  Only SA has variants -- the other strategies are
     deterministic, so extra copies would race identical walks.
     """
+    if jobs != 1:
+        raise ValueError(
+            f"jobs must be 1 (candidates are evaluated in-process; race "
+            f"shards for parallelism), got {jobs!r}"
+        )
     base, _, suffix = name.partition("@")
     variant = 0
     if suffix:
@@ -452,7 +457,6 @@ def strategy_for_family(
             iterations=sa_iterations,
             seed=seed * 7919 + 13 + variant * 101,
             use_cache=use_cache,
-            jobs=jobs,
             use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
@@ -465,7 +469,6 @@ def strategy_for_family(
     return make_strategy(
         name,
         use_cache=use_cache,
-        jobs=jobs,
         use_delta=use_delta,
         engine_core=engine_core,
         cache_store=cache_store,
@@ -510,7 +513,6 @@ def run_portfolio(
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
     use_cache: bool = True,
-    jobs: int = 1,
     use_delta: bool = True,
     engine_core: str = "array",
     cache_store: str = "memory",
@@ -523,7 +525,8 @@ def run_portfolio(
     The deterministic lockstep race of
     :class:`repro.search.PortfolioRunner`: member order is the racing
     and tie-breaking order, ``shared_budget`` is contended for by all
-    members, and the winner is byte-identical for any ``jobs`` value.
+    members, and the winner is byte-identical for any cache, delta or
+    core setting.
     With ``cache_store="sqlite"`` the race shares one persistent store
     at ``cache_path`` (and is served warm by earlier races against it).
 
@@ -546,7 +549,6 @@ def run_portfolio(
             shards=shards,
             mode="elastic" if elastic else "replay",
             use_cache=use_cache,
-            jobs=jobs,
             use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
@@ -556,7 +558,6 @@ def run_portfolio(
         members,
         budget=shared_budget,
         use_cache=use_cache,
-        jobs=jobs,
         use_delta=use_delta,
         engine_core=engine_core,
         cache_store=cache_store,
@@ -571,7 +572,6 @@ def run_family_matrix(
     seeds: Sequence[int] = (1,),
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
-    jobs: int = 1,
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     use_delta: bool = True,
     engine_core: str = "array",
@@ -593,9 +593,9 @@ def run_family_matrix(
     seeds:
         Scenario seeds; each (family, seed) cell is generated once and
         shared by all strategy/cache runs.
-    strategies, cache_modes, jobs, sa_iterations:
+    strategies, cache_modes, sa_iterations:
         The strategy grid.  Results are deterministic for any cache
-        mode and job count by the evaluation-engine contract.
+        mode by the evaluation-engine contract.
     """
     if family_names is None:
         family_names = families_module.family_names()
@@ -620,7 +620,7 @@ def run_family_matrix(
                         strategy_name,
                         seed,
                         use_cache,
-                        jobs,
+                        1,
                         sa_iterations,
                         use_delta,
                         budget=budget,
@@ -663,10 +663,9 @@ def run_family_smoke(
     Per family: (1) the scenario round-trips through the JSON codec
     byte-identically; (2) every strategy finds a *valid* design;
     (3) each strategy's design is identical with the cache on, with the
-    cache off, with ``jobs=2``, with incremental evaluation off
-    (``--no-delta``) and with the pinned object scheduler core
-    (``--engine-core object``) -- the determinism contract new families
-    must not break.
+    cache off, with incremental evaluation off (``--no-delta``) and
+    with the pinned object scheduler core (``--engine-core object``)
+    -- the determinism contract new families must not break.
 
     ``cache_store``/``cache_path`` apply to the *baseline* run of each
     strategy only (the comparison variants stay memory-backed: they
@@ -714,17 +713,16 @@ def run_family_smoke(
             smoke.objectives[strategy_name] = baseline.objective
             smoke.fingerprints[strategy_name] = design_fingerprint(baseline)
             reference = design_identity(baseline)
-            for label, use_cache, jobs, use_delta, engine_core in (
-                ("cache off", False, 1, True, "array"),
-                ("jobs=2", True, 2, True, "array"),
-                ("delta off", True, 1, False, "array"),
-                ("object core", True, 1, True, "object"),
+            for label, use_cache, use_delta, engine_core in (
+                ("cache off", False, True, "array"),
+                ("delta off", True, False, "array"),
+                ("object core", True, True, "object"),
             ):
                 other = strategy_for_family(
                     strategy_name,
                     seed,
                     use_cache,
-                    jobs,
+                    1,
                     sa_iterations,
                     use_delta,
                     engine_core=engine_core,

@@ -1,8 +1,8 @@
 """Static analysis of the repository's byte-identity invariants.
 
 Every guarantee the reproduction makes -- seeded runs byte-identical
-across cache on/off, ``--jobs N``, delta on/off and
-``--engine-core array|object`` -- is otherwise enforced only
+across cache on/off, delta on/off, ``--engine-core array|object`` and
+``--shards N`` -- is otherwise enforced only
 dynamically, by golden-design tests.  This package proves the
 underlying source-level invariants statically, on every commit:
 

@@ -1,7 +1,7 @@
 """Determinism rules DET001..DET006 (kernel layers only).
 
 The byte-identity contract -- seeded runs identical across cache
-on/off, ``--jobs N``, delta on/off and both engine cores -- survives
+on/off, delta on/off, both engine cores and any shard count -- survives
 only if the kernel layers (``model``, ``tdma``, ``sched``, ``engine``,
 ``search``, ``core``) never consult ambient state.  Each rule below
 bans one ambient channel at the source level.
@@ -402,7 +402,7 @@ class HashBuiltinRule(Rule):
     id = "DET004"
     description = (
         "hash() call in a kernel layer: str/bytes hashes vary with "
-        "PYTHONHASHSEED across the BatchEvaluator worker pool"
+        "PYTHONHASHSEED from one process run to the next"
     )
     hint = (
         "derive signatures/ordering keys from the value itself (tuples,"

@@ -114,9 +114,8 @@ class ArrayRunState:
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
     argument bundle play for the object core: a successful state is
     stored on :class:`~repro.engine.evaluation.EvaluatedDesign.trace`
-    and parents later delta evaluations.  All fields are plain lists /
-    ints (numpy views are cached lazily by :meth:`as_numpy`), so
-    states pickle cheaply across the batch-evaluator pool.
+    and parents later delta evaluations.  Trace fields are plain lists
+    / ints; numpy views of them are cached lazily by :meth:`as_numpy`.
     """
 
     __slots__ = (
@@ -143,19 +142,6 @@ class ArrayRunState:
         self.success = False
         self.failure_reason: Optional[str] = None
         self._np: Optional[dict] = None
-
-    def __getstate__(self):
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_np" and name != "rank_np"
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._np = None
-        self.rank_np = None
 
     def as_numpy(self) -> dict:
         """Cached numpy views of the trace columns (the resume substrate)."""

@@ -153,7 +153,6 @@ def _shard_main(
     evaluator = DesignEvaluator(
         spec,
         use_cache=cfg["use_cache"],
-        jobs=1,
         max_cache_entries=cfg["max_cache_entries"],
         use_delta=cfg["use_delta"],
         engine_core=cfg["engine_core"],
@@ -415,7 +414,6 @@ class DistributedPortfolioRunner:
         shards: int = 2,
         mode: str = "replay",
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
         engine_core: str = "array",
@@ -460,7 +458,6 @@ class DistributedPortfolioRunner:
         self.shards = shards
         self.mode = mode
         self.use_cache = use_cache
-        self.jobs = jobs  # accepted for signature parity; shards are the parallelism
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
         self.engine_core = engine_core

@@ -18,7 +18,7 @@ the same program can be driven standalone against one evaluator
 programs over one shared engine by the
 :class:`~repro.search.portfolio.PortfolioRunner` -- deterministic
 lockstep racing without threads, so seeded results are byte-identical
-for any ``--jobs`` value and any racing order.
+for any racing order.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ deterministic lockstep over one shared :class:`DesignEvaluator`:
 
 * **one engine** -- all members share the compiled problem, the
   evaluation cache (a design priced for member A is a cache hit for
-  member B), the delta kernel and the ``--jobs`` batch pool;
+  member B) and the delta kernel;
 * **lockstep rounds** -- each round serves at most one evaluation
   request per still-running member, in configured member order.  The
   interleaving is a pure function of the configuration, never of
   thread timing, so seeded portfolio results are byte-identical for
-  any ``--jobs`` value and any racing order;
+  any racing order;
 * **shared budget** -- an optional portfolio-level
   :class:`~repro.search.budget.Budget` (evaluations / wall-clock) is
   charged as requests are served; a member whose next neighbourhood no
@@ -120,8 +120,8 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, jobs, max_cache_entries, use_delta, engine_core,
-    cache_store, cache_path:
+    use_cache, max_cache_entries, use_delta, engine_core, cache_store,
+    cache_path:
         Shared-engine knobs, exactly as on
         :class:`~repro.core.strategy.DesignEvaluator`.  With
         ``cache_store="sqlite"`` the whole race shares one persistent
@@ -134,7 +134,6 @@ class PortfolioRunner:
         members: Sequence,
         budget: Optional[Budget] = None,
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
         engine_core: str = "array",
@@ -146,7 +145,6 @@ class PortfolioRunner:
         self.members = list(members)
         self.budget = budget
         self.use_cache = use_cache
-        self.jobs = jobs
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
         self.engine_core = engine_core
@@ -168,7 +166,6 @@ class PortfolioRunner:
         with DesignEvaluator(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=max_entries,
             use_delta=self.use_delta,
             engine_core=self.engine_core,

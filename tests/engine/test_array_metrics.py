@@ -6,16 +6,15 @@ to the pinned object kernel pricing the decoded schedule -- every
 metric value, the objective, and failure reporting match across all
 registered scenario families, through chained delta generations (memo
 reuse), under every binpack policy, with the cache on or off and with
-``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
-an object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
-(also after a pickle round trip and for columnless states), and
-:meth:`ArraySpec.decode_schedule` refuses columnless states loudly.
+delta off.  Plus the lazy-decode boundary: the hot path never builds an
+object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
+(also for columnless states), and :meth:`ArraySpec.decode_schedule`
+refuses columnless states loudly.
 """
 
 from __future__ import annotations
 
 import functools
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -250,7 +249,7 @@ def test_clean_mask_reuse_matches_cold_pricing():
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism: cache on/off, jobs, cores
+# engine-level determinism: cache on/off, delta on/off, cores
 # ----------------------------------------------------------------------
 def _engine_metrics(spec, design, moves, **kwargs):
     with EvaluationEngine(spec, **kwargs) as engine:
@@ -260,7 +259,8 @@ def _engine_metrics(spec, design, moves, **kwargs):
 
 
 def test_engine_variants_price_identically():
-    """Cache on/off, jobs=2 and both cores return equal metric lists."""
+    """Cache on/off, delta on/off and both cores return equal metric
+    lists."""
     spec, compiled_obj, compiled_arr, scheduler, design = _cell(
         "uniform-baseline"
     )
@@ -270,7 +270,6 @@ def test_engine_variants_price_identically():
     for kwargs in (
         {"engine_core": "array"},
         {"engine_core": "array", "use_cache": False},
-        {"engine_core": "array", "jobs": 2, "parallel_threshold": 0},
         {"engine_core": "array", "use_delta": False},
     ):
         assert _engine_metrics(spec, design, moves, **kwargs) == reference
@@ -288,11 +287,8 @@ class TestSeededStrategyByteIdentity:
         reference = design_identity(
             MappingHeuristic(engine_core="object").design(spec)
         )
-        for variant in (
-            MappingHeuristic(engine_core="array"),
-            MappingHeuristic(engine_core="array", jobs=2),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        array = MappingHeuristic(engine_core="array")
+        assert design_identity(array.design(spec)) == reference
 
     def test_sa(self):
         from repro.experiments.runner import design_identity
@@ -400,16 +396,6 @@ class TestLazyDecode:
         assert outcome._state.columns
         schedule = outcome.schedule
         assert schedule is outcome._schedule  # decoded and cached
-
-    def test_pickle_round_trip_drops_and_regains_substrate(self):
-        _, _, compiled_arr, _, _, outcome = self._outcome()
-        clone = pickle.loads(pickle.dumps(outcome))
-        assert clone._arrays is None and clone._timings is None
-        with pytest.raises(ValueError, match="decode substrate"):
-            clone.schedule
-        clone._arrays = compiled_arr.arrays
-        assert clone.schedule is not None
-        assert clone.metrics == outcome.metrics
 
     def test_decode_schedule_refuses_columnless_states(self):
         spec, _, compiled_arr, scheduler, design, _ = self._outcome()

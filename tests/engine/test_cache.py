@@ -1,9 +1,9 @@
 """Tests for evaluation memoization: accounting, verdicts, equivalence.
 
 The unit suite runs over *both* result-store backends (memory and
-sqlite): the PR's counter/LRU contract -- every hit through ``lookup``,
-``__contains__`` accounting-free, batch commits in order -- must hold
-byte-for-byte whichever store sits underneath the cache.
+sqlite): the counter/LRU contract -- every probe through ``lookup``,
+batch commits in order -- must hold byte-for-byte whichever store sits
+underneath the cache.
 """
 
 import pytest
@@ -76,20 +76,6 @@ class TestEvaluationCache:
     def test_bad_max_entries_rejected(self, make_cache):
         with pytest.raises(ValueError):
             make_cache(max_entries=0)
-
-    def test_contains_is_accounting_free(self, make_cache):
-        """The membership peek must not perturb counters or recency."""
-        cache = make_cache(max_entries=2)
-        cache.store(("a",), 1)
-        cache.store(("b",), 2)
-        assert ("a",) in cache
-        assert ("missing",) not in cache
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 0)
-        # "a" was peeked but not used: it is still the LRU entry.
-        cache.store(("c",), 3)
-        assert not cache.lookup(("a",))[0]
-        assert cache.lookup(("b",))[0]
 
 
 @pytest.fixture(params=["memory", "sqlite"])

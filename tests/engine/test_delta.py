@@ -5,8 +5,7 @@ evaluating the child through the delta path produces an outcome
 **bit-identical** to a cold evaluation -- schedule occupancy, metrics,
 validity verdicts, failure reasons, and even the recorded trace (so
 children chain as parents).  Plus: move footprints, engine/cache
-integration, pool-path determinism, and seeded strategy equivalence
-with delta on/off.
+integration, and seeded strategy equivalence with delta on/off.
 """
 
 from __future__ import annotations
@@ -282,27 +281,6 @@ class TestEngineMoveAPI:
             assert a.cache_stats().hits == b.cache_stats().hits
             assert a.cache_stats().misses == b.cache_stats().misses
 
-    def test_pool_path_matches_serial_and_stats(self, spec):
-        scheduler = ListScheduler(spec.architecture)
-        with EvaluationEngine(spec, use_cache=False) as serial, EvaluationEngine(
-            spec, use_cache=False, jobs=2, parallel_threshold=0
-        ) as pooled:
-            parent_s = im_parent(spec, serial.compiled, scheduler)
-            parent_p = im_parent(
-                spec, pooled.compiled, ListScheduler(spec.architecture)
-            )
-            moves = systematic_moves(spec, parent_s)
-            res_s = serial.evaluate_moves(parent_s, moves)
-            res_p = pooled.evaluate_moves(parent_p, moves)
-            for x, y in zip(res_s, res_p):
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert x.metrics == y.metrics
-                    assert occupancy(x.schedule) == occupancy(y.schedule)
-                    # pooled outcomes carry the delta attachments too
-                    assert y.trace is not None and y.memo is not None
-            assert serial.delta_stats() == pooled.delta_stats()
-
     def test_closed_engine_refuses_move_evaluation(self, spec):
         engine = EvaluationEngine(spec)
         parent = im_parent(
@@ -332,7 +310,7 @@ class TestEngineMoveAPI:
 
 
 class TestSteepestDescentDelta:
-    def test_descent_identical_with_delta_off_and_pool(self, spec):
+    def test_descent_identical_with_delta_and_cache_off(self, spec):
         def run(**kwargs):
             with DesignEvaluator(spec, **kwargs) as evaluator:
                 parent = im_parent(
@@ -351,8 +329,7 @@ class TestSteepestDescentDelta:
         reference = run()
         assert run(use_delta=False) == reference
         assert run(use_cache=False) == reference
-        assert run(jobs=2, parallel_threshold=0) == reference
-        assert run(jobs=3, parallel_threshold=0, use_cache=False) == reference
+        assert run(use_delta=False, use_cache=False) == reference
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +412,7 @@ def test_delta_equals_cold_property(family_name, data):
 
 
 # ----------------------------------------------------------------------
-# seeded strategy runs: byte-identical with delta on/off and any jobs
+# seeded strategy runs: byte-identical with delta on/off and cache off
 # ----------------------------------------------------------------------
 class TestSeededStrategyEquivalence:
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
@@ -449,9 +426,6 @@ class TestSeededStrategyEquivalence:
             design_identity(MappingHeuristic(use_delta=False).design(spec))
             == reference
         )
-        assert (
-            design_identity(MappingHeuristic(jobs=2).design(spec)) == reference
-        )
 
     def test_sa_identical_delta_on_off(self, spec):
         from repro.experiments.runner import design_identity
@@ -461,6 +435,5 @@ class TestSeededStrategyEquivalence:
         for variant in (
             SimulatedAnnealing(iterations=120, seed=3, use_delta=False),
             SimulatedAnnealing(iterations=120, seed=3, use_cache=False),
-            SimulatedAnnealing(iterations=120, seed=3, jobs=2),
         ):
             assert design_identity(variant.design(spec)) == reference

@@ -1,12 +1,39 @@
 """Tests for the EvaluationEngine facade and strategy integration."""
 
+import pytest
 
 from repro.core.adhoc import AdHocStrategy
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator
-from repro.core.transformations import CandidateDesign
+from repro.core.strategy import DesignEvaluator, make_strategy
+from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
 from repro.engine import EvaluationEngine
 from repro.sched.priorities import hcp_priorities
+
+
+@pytest.fixture(scope="module")
+def neighbourhood(spec):
+    """A batch of candidate designs around the IM starting point."""
+    mapper = InitialMapper(spec.architecture)
+    mapping, _ = mapper.try_map_and_schedule(
+        spec.current, base=spec.base_schedule
+    )
+    start = CandidateDesign(
+        mapping, hcp_priorities(spec.current, spec.architecture.bus)
+    )
+    designs = [start]
+    processes = spec.current.processes
+    for proc in processes[:4]:
+        for node in proc.allowed_nodes:
+            if node != mapping.node_of(proc.id):
+                designs.append(RemapProcess(proc.id, node).apply(start))
+    designs.append(
+        SwapPriorities(processes[0].id, processes[-1].id).apply(start)
+    )
+    return start, designs
+
+
+def _outcomes(results):
+    return [None if r is None else r.objective for r in results]
 
 
 class TestEvaluationEngine:
@@ -51,10 +78,83 @@ class TestEvaluationEngine:
             assert evaluator.compiled.total_jobs > 0
 
 
+class TestEngineLifecycle:
+    def test_close_is_sticky_and_idempotent(self, spec, neighbourhood):
+        _, designs = neighbourhood
+        engine = EvaluationEngine(spec)
+        engine.evaluate_many(designs[:3])
+        engine.close()
+        engine.close()
+        assert engine.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.evaluate_many(designs[:3])
+
+    def test_closed_engine_refuses_evaluation(self, spec, neighbourhood):
+        _, designs = neighbourhood
+        evaluator = DesignEvaluator(spec)
+        evaluator.evaluate(designs[0])
+        evaluator.close()
+        assert evaluator.engine.closed
+        # A closed engine refuses every call -- even would-be cache
+        # hits -- instead of quietly serving or recomputing.
+        with pytest.raises(RuntimeError):
+            evaluator.evaluate(designs[0])
+        with pytest.raises(RuntimeError):
+            evaluator.evaluate_many(designs)
+        # Accounting stays readable after close (strategies record
+        # statistics once the search has finished or failed).
+        assert evaluator.evaluations == 1
+
+    def test_engine_closed_when_strategy_raises_mid_search(
+        self, spec, monkeypatch
+    ):
+        """A strategy failing mid-search must still close its engine."""
+        import repro.core.mapping_heuristic as mh_module
+
+        captured = {}
+        original = DesignEvaluator
+
+        class CapturingEvaluator(original):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                captured["evaluator"] = self
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("mid-search failure")
+
+        monkeypatch.setattr(mh_module, "DesignEvaluator", CapturingEvaluator)
+        monkeypatch.setattr(mh_module, "descent_loop", boom)
+        strategy = make_strategy("MH")
+        with pytest.raises(RuntimeError, match="mid-search failure"):
+            strategy.design(spec)
+        assert captured["evaluator"].engine.closed
+
+
+class TestEvaluateMany:
+    def test_order_preserved_and_cached(self, spec, neighbourhood):
+        _, designs = neighbourhood
+        with DesignEvaluator(spec) as evaluator:
+            batch = evaluator.evaluate_many(designs)
+            singles = [evaluator.evaluate(d) for d in designs]
+        assert _outcomes(batch) == _outcomes(singles)
+
+    def test_duplicates_within_batch_scheduled_once(self, spec, neighbourhood):
+        start, _ = neighbourhood
+        with DesignEvaluator(spec) as evaluator:
+            results = evaluator.evaluate_many([start, start.copy(), start])
+            assert evaluator.evaluations == 3
+            # One real scheduling pass; the duplicates count as hits so
+            # evaluations == hits + misses stays an invariant.
+            assert evaluator.cache_misses == 1
+            assert evaluator.cache_hits == 2
+            assert _outcomes(results)[0] is not None
+            assert len(set(_outcomes(results))) == 1
+
+
 class TestAdHocOnEngine:
     def test_ah_unchanged_by_engine_knobs(self, spec):
         plain = AdHocStrategy().design(spec)
-        tuned = AdHocStrategy(use_cache=False, jobs=4).design(spec)
+        tuned = AdHocStrategy(use_cache=False, use_delta=False).design(spec)
         assert plain.valid and tuned.valid
         assert plain.objective == tuned.objective
         assert plain.mapping.as_dict() == tuned.mapping.as_dict()

@@ -1,23 +1,23 @@
 """Tests for the persistent result store: round trips, degradation,
-the not-found vs cached-invalid distinction, and worker read-through."""
+the not-found vs cached-invalid distinction, and engine integration."""
 
 import json
 import sqlite3
-import warnings
 
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import CandidateDesign
-from repro.engine import batch as batch_module
 from repro.engine.compiled_spec import CompiledSpec
+from repro.engine.evaluation import evaluate_candidate
 from repro.engine.store import (
     SCHEMA_VERSION,
     MemoryResultStore,
     SqliteResultStore,
     make_store,
 )
+from repro.sched.list_scheduler import ListScheduler
 from repro.sched.priorities import hcp_priorities
 from repro.serialize import schedule_to_dict
 
@@ -51,9 +51,8 @@ class TestSqliteStore:
         path = tmp_path / "store.sqlite"
         signature = compiled.signature(im_design)
         writer = SqliteResultStore(path, compiled=compiled)
-        cold = batch_module.evaluate_candidate(
-            spec, compiled, batch_module.ListScheduler(spec.architecture),
-            im_design,
+        cold = evaluate_candidate(
+            spec, compiled, ListScheduler(spec.architecture), im_design
         )
         assert cold is not None
         writer.put(signature, cold)
@@ -289,39 +288,6 @@ class TestEngineStoreIntegration:
             assert evaluator.cache_misses == 1
             assert evaluator.cache_hits == 1
 
-    def test_workers_read_through_warm_store(self, spec, im_design, tmp_path):
-        path = str(tmp_path / "store.sqlite")
-        designs = [im_design]
-        for proc in spec.current.processes[:4]:
-            for node in proc.allowed_nodes:
-                if node != im_design.mapping.node_of(proc.id):
-                    from repro.core.transformations import RemapProcess
-
-                    designs.append(
-                        RemapProcess(proc.id, node).apply(im_design)
-                    )
-        with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
-        ) as primer:
-            baseline = primer.evaluate_many(designs)
-        with DesignEvaluator(
-            spec,
-            jobs=2,
-            parallel_threshold=0,
-            cache_store="sqlite",
-            cache_path=path,
-        ) as pooled:
-            # Distinct cache: every candidate misses the resident tiers
-            # and is either served by a worker's read-only store view or
-            # by the parent store's own probe.
-            warm = pooled.evaluate_many(designs)
-            assert pooled.store_hits == len(designs)
-            assert pooled.store_misses == 0
-        for a, b in zip(baseline, warm):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.metrics == b.metrics
-
 
 @pytest.fixture(params=["memory", "sqlite"])
 def store_kwargs_local(request, tmp_path):
@@ -331,35 +297,3 @@ def store_kwargs_local(request, tmp_path):
         "cache_store": "sqlite",
         "cache_path": str(tmp_path / "engine.sqlite"),
     }
-
-
-class TestResidentParentSentinel:
-    def test_invalid_parent_cold_built_once(self, spec, monkeypatch):
-        """Regression: a resident parent whose verdict is ``None``
-        (invalid) must not be rebuilt on every chunk naming it."""
-        batch_module._init_worker(spec, True, "array")
-        try:
-            calls = {"n": 0}
-
-            def counting_none(*args, **kwargs):
-                calls["n"] += 1
-                return None
-
-            monkeypatch.setattr(
-                batch_module, "evaluate_candidate", counting_none
-            )
-            mapper = InitialMapper(spec.architecture)
-            mapping, _ = mapper.try_map_and_schedule(
-                spec.current, base=spec.base_schedule
-            )
-            design = CandidateDesign(
-                mapping, hcp_priorities(spec.current, spec.architecture.bus)
-            )
-            compiled = batch_module._WORKER_STATE[1]
-            signature = compiled.signature(design)
-            payload = batch_module._to_payload(design)
-            assert batch_module._resident_parent(signature, payload) is None
-            assert batch_module._resident_parent(signature, payload) is None
-            assert calls["n"] == 1
-        finally:
-            batch_module._WORKER_STATE = None

@@ -106,10 +106,39 @@ class TestScenariosCli:
         assert "tiny" in out
 
     def test_describe_unknown_family_raises(self):
+        from repro.experiments.cli import _scenarios_describe
         from repro.utils.errors import InvalidModelError
 
         with pytest.raises(InvalidModelError):
-            main(["scenarios", "describe", "no-such-family"])
+            _scenarios_describe("no-such-family")
+
+    @pytest.mark.parametrize(
+        "argv,cause",
+        [
+            (
+                ["scenarios", "describe", "no-such-family"],
+                "unknown scenario family 'no-such-family'",
+            ),
+            (
+                ["scenarios", "run", "no-such-family"],
+                "unknown scenario family 'no-such-family'",
+            ),
+            (
+                ["scenarios", "run", "hetero-mixed", "--preset", "medium"],
+                "has no preset 'medium'",
+            ),
+        ],
+    )
+    def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
+        """Library errors reach the user as one ``error:`` line on
+        stderr and exit code 2, never as a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert cause in lines[0]
+        assert "Traceback" not in captured.err
 
     def test_run_family(self, capsys):
         code = main(

@@ -12,7 +12,6 @@ cores are rejected, and a missing numpy degrades ``array`` to
 from __future__ import annotations
 
 import functools
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -328,7 +327,6 @@ class TestSeededStrategyEquivalence:
         )
         for variant in (
             MappingHeuristic(engine_core="array"),
-            MappingHeuristic(engine_core="array", jobs=2),
             MappingHeuristic(engine_core="array", use_delta=False),
         ):
             assert design_identity(variant.design(spec)) == reference
@@ -341,35 +339,6 @@ class TestSeededStrategyEquivalence:
                 iterations=120, seed=3, engine_core="object"
             ).design(spec)
         )
-        for variant in (
-            SimulatedAnnealing(iterations=120, seed=3, engine_core="array"),
-            SimulatedAnnealing(
-                iterations=120, seed=3, engine_core="array", jobs=2
-            ),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        array = SimulatedAnnealing(iterations=120, seed=3, engine_core="array")
+        assert design_identity(array.design(spec)) == reference
 
-
-# ----------------------------------------------------------------------
-# run states cross process boundaries (the --jobs pool ships them)
-# ----------------------------------------------------------------------
-class TestRunStatePickling:
-    def test_round_trip_preserves_columns_and_resumability(self, spec):
-        compiled = CompiledSpec(spec, engine_core="array")
-        arr = compiled.arrays
-        design = im_design(spec, compiled)
-        state = arr.schedule_design(design, record=True)
-        assert state.success
-        clone = pickle.loads(pickle.dumps(state))
-        for name in (
-            "ev_job", "ev_node", "ev_start", "ev_end", "ev_mptr",
-            "mv_edge", "mv_round", "mv_arrival", "ready_at", "pop",
-            "urg", "rank_of_job", "job_of_rank",
-        ):
-            assert getattr(clone, name) == getattr(state, name), name
-        assert clone.rank_np is None  # dropped; rebuilt lazily from lists
-        # The clone decodes to the same schedule and parents a resume.
-        assert occupancy(arr.decode_schedule(clone)) == occupancy(
-            arr.decode_schedule(state)
-        )
-        assert clone.as_numpy()["ev_job"].tolist() == state.ev_job

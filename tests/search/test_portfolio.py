@@ -73,13 +73,6 @@ class TestDeterminism:
         assert design_identity(again.best) == design_identity(race.best)
         assert again.evaluations == race.evaluations
 
-    def test_jobs_do_not_change_the_race(self, spec, race):
-        parallel = run_portfolio(
-            spec, ("AH", "MH", "SA"), seed=1, sa_iterations=SA_ITERS, jobs=2
-        )
-        assert design_identity(parallel.best) == design_identity(race.best)
-        assert parallel.evaluations == race.evaluations
-
     def test_delta_off_does_not_change_the_race(self, spec, race):
         cold = run_portfolio(
             spec,
