@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.engine.compiled_spec import Signature
 from repro.engine.store import (
     DEFAULT_MAX_ENTRIES,
     MemoryResultStore,
@@ -41,6 +40,8 @@ from repro.engine.store import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections import OrderedDict
+
+    from repro.core.transformations import CandidateDesign
 
 
 @dataclass(frozen=True)
@@ -92,30 +93,34 @@ class EvaluationCache:
         self.misses = 0
 
     @property
-    def _store(self) -> "OrderedDict[Signature, object]":
+    def _store(self) -> "OrderedDict[bytes, object]":
         """The resident tier's ordered entries (tests, diagnostics)."""
         return self.backend.entries
 
     def __len__(self) -> int:
         return len(self.backend)
 
-    def lookup(self, signature: Signature) -> Tuple[bool, Optional[object]]:
+    def lookup(
+        self, signature: bytes, design: Optional["CandidateDesign"] = None
+    ) -> Tuple[bool, Optional[object]]:
         """Return ``(found, outcome)``; counts the hit or miss.
 
         ``outcome`` is the memoized evaluation result -- possibly
         ``None`` for a cached invalid verdict -- and only meaningful
         when ``found`` is True.  Callers must branch on ``found``, not
         on the outcome's truthiness: treating a cached invalid as "not
-        found" silently re-evaluates it every time.
+        found" silently re-evaluates it every time.  ``design`` is the
+        candidate ``signature`` was packed from; a persistent backend
+        serves a database row with it (see :meth:`ResultStore.get`).
         """
-        found, outcome = self.backend.get(signature)
+        found, outcome = self.backend.get(signature, design)
         if not found:
             self.misses += 1
             return False, None
         self.hits += 1
         return True, outcome
 
-    def store(self, signature: Signature, outcome: Optional[object]) -> None:
+    def store(self, signature: bytes, outcome: Optional[object]) -> None:
         """Memoize one outcome (``None`` records an invalid candidate)."""
         self.backend.put(signature, outcome)
 

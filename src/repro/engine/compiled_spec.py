@@ -18,13 +18,14 @@ separating problem *construction* from repeated *solving*:
 * the frozen base schedule is kept as a template; per-candidate
   evaluation only pays one ``copy()`` of it;
 * candidate signatures -- the memoization key of the evaluation cache
-  and the result store -- are derived here, so every cache tier
-  agrees on identity.
+  and the result store -- are packed here, by one ``struct`` layout
+  compiled per spec, so every cache tier agrees on identity.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+import struct
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sched.arrays import ArraySpec, resolve_engine_core
 from repro.sched.jobs import JobTable, expand_jobs
@@ -37,14 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign
     from repro.model.application import Application
     from repro.model.architecture import Architecture
-
-#: Hashable identity of one candidate design; see :func:`CompiledSpec.signature`.
-Signature = Tuple[
-    Tuple[Tuple[str, str], ...],
-    Tuple[Tuple[str, float], ...],
-    Tuple[Tuple[str, int], ...],
-]
-
 
 class CompiledSpec:
     """Precomputed, reusable form of one :class:`DesignSpec`.
@@ -76,6 +69,7 @@ class CompiledSpec:
             spec.current, spec.architecture.bus
         )
         self._base_template: Optional[SystemSchedule] = spec.base_schedule
+        self._compile_signature()
 
     def _validate_architecture(self) -> None:
         """Guard the spec against architecture/application mismatches.
@@ -189,15 +183,60 @@ class CompiledSpec:
             return self._base_template.copy()
         return SystemSchedule(self.spec.architecture, self.horizon)
 
-    def signature(self, design: "CandidateDesign") -> Signature:
-        """Hashable identity of ``design`` for memoization.
+    def _compile_signature(self) -> None:
+        """The fixed layout :meth:`signature` packs every candidate into.
+
+        Per process, in sorted-id order: its node's index in
+        architecture order (int32) and its priority (float64).  Then
+        per message, in sorted-id order: its delay (int64).  All
+        little-endian, so the key is portable across machines.
+        """
+        pids = sorted(p.id for p in self.spec.current.processes)
+        mids = sorted(m.id for m in self.spec.current.messages)
+        self._key_pids = pids
+        self._key_node = {
+            nid: i for i, nid in enumerate(self.spec.architecture.node_ids)
+        }
+        split = 2 * len(pids)
+        self._key_split = split
+        self._key_delay_slot = {mid: split + i for i, mid in enumerate(mids)}
+        self._key_zeros: List[float] = [0] * (split + len(mids))
+        self._key_struct = struct.Struct(
+            "<" + "id" * len(pids) + f"{len(mids)}q"
+        )
+
+    def signature(self, design: "CandidateDesign") -> bytes:
+        """Identity of ``design`` for memoization: one packed ``bytes``.
 
         Two candidates with equal mapping, priorities and message
         delays produce byte-identical schedules (the list scheduler is
-        deterministic), so this triple is a sound cache key.
+        deterministic), so their packed form is a sound cache key.  A
+        priority or delay the design leaves out packs as the 0 both
+        schedulers default it to; ids the spec does not have are
+        ignored, as the schedulers ignore them.  Priorities compare as
+        float64 bits, so ``-0.0`` and ``0.0`` give different keys (a
+        spurious miss, never a wrong hit).
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            If the mapping leaves a process unmapped.
         """
-        return (
-            tuple(sorted(design.mapping.as_dict().items())),
-            tuple(sorted(design.priorities.items())),
-            tuple(sorted(design.message_delays.items())),
-        )
+        assignment = design.mapping.as_dict()
+        priorities = design.priorities
+        node = self._key_node
+        pids = self._key_pids
+        split = self._key_split
+        values = self._key_zeros.copy()
+        try:
+            values[0:split:2] = [node[assignment[pid]] for pid in pids]
+        except KeyError:
+            design.mapping.validate_complete()
+            raise
+        values[1:split:2] = [priorities.get(pid, 0.0) for pid in pids]
+        slot = self._key_delay_slot
+        for mid, delay in design.message_delays.items():
+            index = slot.get(mid)
+            if index is not None:
+                values[index] = delay
+        return self._key_struct.pack(*values)

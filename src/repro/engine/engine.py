@@ -220,7 +220,7 @@ class EvaluationEngine:
         if self.cache is None:
             return self._solve(design)
         signature = self.compiled.signature(design)
-        found, outcome = self.cache.lookup(signature)
+        found, outcome = self.cache.lookup(signature, design)
         if found:
             return outcome
         outcome = self._solve(design)
@@ -268,7 +268,7 @@ class EvaluationEngine:
         results: List[Optional[EvaluatedDesign]] = []
         for i, design in enumerate(designs):
             signature = signature_of(design)
-            found, outcome = cache.lookup(signature)
+            found, outcome = cache.lookup(signature, design)
             if not found:
                 outcome = solve(i)
                 cache.store(signature, outcome)
@@ -299,7 +299,7 @@ class EvaluationEngine:
         if self.cache is None:
             return self._solve_move(parent, move, child)
         signature = self.compiled.signature(child)
-        found, outcome = self.cache.lookup(signature)
+        found, outcome = self.cache.lookup(signature, child)
         if found:
             return outcome
         outcome = self._solve_move(parent, move, child)
@@ -416,7 +416,7 @@ class EvaluationEngine:
         :meth:`SqliteResultStore.drain_rows`.
         """
         backend = self.cache.backend if self.cache is not None else None
-        if isinstance(backend, SqliteResultStore) and backend.export_rows:
+        if isinstance(backend, SqliteResultStore):
             return backend.drain_rows()
         return []
 

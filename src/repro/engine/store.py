@@ -13,7 +13,10 @@ into a :class:`ResultStore` protocol with two backends:
   ``(scenario, signature)``.  Misses in the resident tier probe the
   database and promote hits; writes are buffered and flushed as one
   ``executemany`` batch per :meth:`~SqliteResultStore.commit` (the
-  engine commits at the end of every public evaluation call).
+  engine commits at the end of every public evaluation call).  Keys
+  are the packed ``bytes`` of :meth:`CompiledSpec.signature`, bound
+  as they are; a valid design's row is one fixed binary metrics
+  record, and a hit is served with the caller's own design.
 
 Within one run the two backends behave identically -- the resident
 tier is authoritative, and LRU evictions / ``clear()`` are mirrored to
@@ -24,15 +27,15 @@ store hits: a warm restart of the same scenario re-prices nothing.
 **Single-writer rule.**  Exactly one read-write store may own a
 database path at a time (the engine of the coordinating process);
 shard engines of a distributed race and concurrent readers open
-``read_only`` instances, and shards ship their new rows to the
-coordinator, which persists them through its one connection.  All
-writes funnel through that commit boundary, so determinism across
-shard counts is untouched.
+``read_only`` instances, which buffer their new rows; shards ship
+those to the coordinator, which persists them through its one
+connection.  All writes funnel through that commit boundary, so
+determinism across shard counts is untouched.
 
-**Degradation.**  Corruption, permission and schema-version problems
-never take the run down: the store warns (``RuntimeWarning``) and
-continues memory-only, i.e. with exactly the semantics of
-:class:`MemoryResultStore`.  Loud, not fatal.
+**Degradation.**  Corruption (of the file or of a single row),
+permission and schema-version problems never take the run down: the
+store warns (``RuntimeWarning``) and continues memory-only, i.e. with
+exactly the semantics of :class:`MemoryResultStore`.  Loud, not fatal.
 
 Layering: this module sits in ``engine`` and therefore imports the
 ``serialize`` codecs (a later layer) lazily, inside functions -- the
@@ -42,8 +45,6 @@ imports.
 
 from __future__ import annotations
 
-import json
-import pickle
 import sqlite3
 import time
 import warnings
@@ -60,16 +61,17 @@ from typing import (
     Union,
 )
 
-from repro.engine.compiled_spec import Signature
 from repro.engine.evaluation import EvaluatedDesign
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.transformations import CandidateDesign
     from repro.engine.compiled_spec import CompiledSpec
 
-#: Layout/encoding version of the sqlite schema.  A database written by
-#: a different version degrades loudly to memory-only instead of being
+#: Layout/encoding version of the sqlite schema, of the signature's
+#: packed layout and of the metrics record.  A database written by a
+#: different version degrades loudly to memory-only instead of being
 #: misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "not stored" from a stored invalid verdict
 #: (``None`` is a first-class stored value).
@@ -117,7 +119,9 @@ class ResultStore(Protocol):
     The cache owns hit/miss *accounting*; a store owns *storage*:
     recency, eviction, persistence.  ``get`` refreshes recency (the
     cache's ``lookup`` path), and ``None`` is a first-class stored
-    outcome (a memoized invalid verdict).
+    outcome (a memoized invalid verdict).  ``design`` is the candidate
+    the key was packed from: a persistent backend stores metrics only
+    and serves a database row as an outcome for that design.
     """
 
     max_entries: Optional[int]
@@ -125,13 +129,15 @@ class ResultStore(Protocol):
     def __len__(self) -> int: ...
 
     @property
-    def entries(self) -> "OrderedDict[Signature, object]": ...
+    def entries(self) -> "OrderedDict[bytes, object]": ...
 
-    def get(self, signature: Signature) -> Tuple[bool, Optional[object]]: ...
+    def get(
+        self, signature: bytes, design: Optional["CandidateDesign"] = None
+    ) -> Tuple[bool, Optional[object]]: ...
 
     def put(
-        self, signature: Signature, outcome: Optional[object]
-    ) -> Optional[Signature]: ...
+        self, signature: bytes, outcome: Optional[object]
+    ) -> Optional[bytes]: ...
 
     def clear(self) -> None: ...
 
@@ -160,12 +166,14 @@ class MemoryResultStore:
             )
         self.max_entries = max_entries
         #: Insertion-ordered storage; the front is the eviction end.
-        self.entries: "OrderedDict[Signature, object]" = OrderedDict()
+        self.entries: "OrderedDict[bytes, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def get(self, signature: Signature) -> Tuple[bool, Optional[object]]:
+    def get(
+        self, signature: bytes, design: Optional["CandidateDesign"] = None
+    ) -> Tuple[bool, Optional[object]]:
         """Return ``(found, outcome)``; a find refreshes LRU recency."""
         value = self.entries.get(signature, _MISSING)
         if value is _MISSING:
@@ -174,8 +182,8 @@ class MemoryResultStore:
         return True, value
 
     def put(
-        self, signature: Signature, outcome: Optional[object]
-    ) -> Optional[Signature]:
+        self, signature: bytes, outcome: Optional[object]
+    ) -> Optional[bytes]:
         """Store one outcome; returns the evicted signature, if any.
 
         The eviction report is what lets a layered store (sqlite) keep
@@ -210,17 +218,22 @@ class SqliteResultStore:
 
     * ``meta(key TEXT PRIMARY KEY, value TEXT)`` -- holds
       ``schema_version``;
-    * ``results(scenario TEXT, signature TEXT, payload BLOB,
-      PRIMARY KEY (scenario, signature))`` -- one row per evaluated
-      candidate, scenario-scoped so unrelated problems share a file.
+    * ``results(scenario TEXT, signature BLOB, payload BLOB,
+      PRIMARY KEY (scenario, signature)) WITHOUT ROWID`` -- one row per
+      evaluated candidate, scenario-scoped so unrelated problems share
+      a file; one b-tree serves both the probe and the write.
+      ``signature`` is the packed key of
+      :meth:`~repro.engine.compiled_spec.CompiledSpec.signature`.
 
-    Payload encoding, by prefix byte: ``b"I"`` = memoized invalid
-    verdict (``None``); ``b"E"`` + canonical JSON = a valid design's
-    :class:`~repro.core.metrics.DesignMetrics` (the design itself is
-    rebuilt from the signature, the schedule re-derived lazily on first
-    access -- storing full schedules would force the decode the lazy
-    array path exists to avoid); ``b"P"`` + pickle = anything else
-    (diagnostic/test payloads).
+    A row holds one of the engine's two outcomes, by prefix byte:
+    ``b"I"`` alone = memoized invalid verdict (``None``); ``b"E"`` +
+    the 56-byte :func:`~repro.serialize.store_key.metrics_record` = a
+    valid design's :class:`~repro.core.metrics.DesignMetrics` (a hit
+    pairs them with the caller's design, and the schedule is
+    re-derived lazily on first access -- storing full schedules would
+    force the decode the lazy array path exists to avoid).  Storing
+    any other outcome raises ``TypeError``; a row that does not decode
+    degrades the store (see :meth:`get`).
 
     Parameters
     ----------
@@ -228,10 +241,10 @@ class SqliteResultStore:
         Database file.  Created (with schema) when missing, unless
         ``read_only``.
     compiled:
-        The compiled problem store rows belong to; required to decode
-        ``b"E"`` rows back into :class:`EvaluatedDesign` objects and to
-        derive the scenario key.  ``None`` restricts the store to
-        pickle/invalid payloads.
+        The compiled problem store rows belong to; required to serve
+        ``b"E"`` rows as :class:`EvaluatedDesign` objects (it re-derives
+        their schedules) and to derive the scenario key.  ``None``
+        restricts the store to invalid verdicts.
     max_entries:
         Resident-tier LRU bound (same meaning as the memory store's).
     scenario:
@@ -239,16 +252,12 @@ class SqliteResultStore:
         :func:`repro.serialize.store_key.spec_store_key` of the
         compiled spec (empty string without one).
     read_only:
-        Open the database read-only (shard engines, concurrent
-        readers).  Writes then stay in the resident tier and
-        :meth:`commit` is a no-op.
-    export_rows:
-        Read-only variant for shard engines in a distributed race:
-        new results are additionally buffered in their encoded wire
-        form and survive :meth:`commit`, so the parent process (the
-        single writer) can :meth:`drain_rows` them over IPC and
-        persist them through its own read-write connection.  Requires
-        ``read_only``.
+        Open the database read-only (shard engines of a distributed
+        race, concurrent readers).  New results stay in the resident
+        tier and are additionally buffered in their encoded row form,
+        surviving :meth:`commit`, so the process owning the single
+        read-write store can :meth:`drain_rows` them (over IPC, for a
+        shard) and persist them with :meth:`absorb_rows`.
     """
 
     def __init__(
@@ -258,19 +267,12 @@ class SqliteResultStore:
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         scenario: Optional[str] = None,
         read_only: bool = False,
-        export_rows: bool = False,
     ):
-        if export_rows and not read_only:
-            raise ValueError(
-                "export_rows is the read-only shard view's contract; "
-                "a read-write store persists its own rows"
-            )
         self.memory = MemoryResultStore(max_entries)
         self.max_entries = self.memory.max_entries
         self.path = str(path)
         self.compiled = compiled
         self.read_only = read_only
-        self.export_rows = export_rows
         self.scenario = (
             scenario if scenario is not None else self._derive_scenario(compiled)
         )
@@ -279,8 +281,9 @@ class SqliteResultStore:
         self.writes = 0
         self.open_ns = 0
         self.commit_ns = 0
-        #: Encoded rows awaiting the next commit, in insertion order.
-        self._pending: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Encoded rows awaiting the next commit (read-write) or the
+        #: next drain (read-only), in insertion order.
+        self._pending: "OrderedDict[bytes, bytes]" = OrderedDict()
         #: Uncommitted (but already executed) deletes exist.
         self._dirty = False
         # Set before _connect(): a failed first open degrades through
@@ -338,9 +341,9 @@ class SqliteResultStore:
                     )
                     conn.execute(
                         "CREATE TABLE IF NOT EXISTS results ("
-                        "scenario TEXT NOT NULL, signature TEXT NOT NULL, "
+                        "scenario TEXT NOT NULL, signature BLOB NOT NULL, "
                         "payload BLOB NOT NULL, "
-                        "PRIMARY KEY (scenario, signature))"
+                        "PRIMARY KEY (scenario, signature)) WITHOUT ROWID"
                     )
                     conn.execute(
                         "INSERT OR REPLACE INTO meta (key, value) "
@@ -385,7 +388,7 @@ class SqliteResultStore:
     # ResultStore surface
     # ------------------------------------------------------------------
     @property
-    def entries(self) -> "OrderedDict[Signature, object]":
+    def entries(self) -> "OrderedDict[bytes, object]":
         """The resident tier's ordered entries (diagnostic access)."""
         return self.memory.entries
 
@@ -393,71 +396,76 @@ class SqliteResultStore:
         """Resident entries only (the cache-visible working set)."""
         return len(self.memory)
 
-    def get(self, signature: Signature) -> Tuple[bool, Optional[object]]:
-        """Two-tier lookup; database finds are decoded and promoted."""
+    def get(
+        self, signature: bytes, design: Optional["CandidateDesign"] = None
+    ) -> Tuple[bool, Optional[object]]:
+        """Two-tier lookup; database finds are decoded and promoted.
+
+        A ``b"E"`` row becomes an :class:`EvaluatedDesign` of
+        ``design``, which must then be given.  A row that does not
+        decode -- unknown kind, wrong record length -- degrades the
+        store loudly and counts as a miss, so the caller solves the
+        candidate again.
+        """
         found, outcome = self.memory.get(signature)
         if found:
             return True, outcome
-        if self._conn is None and not self._pending:
+        if self._conn is None:
             return False, None
-        key = self._signature_key(signature)
-        blob = self._pending.get(key)
-        if blob is None and self._conn is not None:
-            try:
-                row = self._conn.execute(
-                    "SELECT payload FROM results "
-                    "WHERE scenario = ? AND signature = ?",
-                    (self.scenario, key),
-                ).fetchone()
-            except sqlite3.Error as exc:
-                self._degrade(f"{type(exc).__name__}: {exc}")
-                row = None
-            if row is not None:
-                blob = bytes(row[0])
-        if blob is None:
+        try:
+            row = self._conn.execute(
+                "SELECT payload FROM results "
+                "WHERE scenario = ? AND signature = ?",
+                (self.scenario, signature),
+            ).fetchone()
+        except sqlite3.Error as exc:
+            self._degrade(f"{type(exc).__name__}: {exc}")
+            row = None
+        if row is None:
+            self.misses += 1
+            return False, None
+        try:
+            outcome = self._decode(row[0], design)
+        except ValueError as exc:
+            self._degrade(f"corrupt row: {exc}")
             self.misses += 1
             return False, None
         self.hits += 1
-        outcome = self._decode(signature, blob)
         self._mirror_evict(self.memory.put(signature, outcome))
         return True, outcome
 
     def put(
-        self, signature: Signature, outcome: Optional[object]
-    ) -> Optional[Signature]:
+        self, signature: bytes, outcome: Optional[object]
+    ) -> Optional[bytes]:
         """Store in the resident tier and buffer the database row."""
+        row = self._encode(outcome)
         evicted = self.memory.put(signature, outcome)
-        buffer_row = (
-            self.export_rows
-            if self.read_only
-            else (self._conn is not None or self._pending)
-        )
-        if buffer_row:
-            key = self._signature_key(signature)
-            self._pending[key] = self._encode(outcome)
-            self._pending.move_to_end(key)
+        if self.read_only or self._conn is not None:
+            self._pending[signature] = row
+            self._pending.move_to_end(signature)
         self._mirror_evict(evicted)
         return evicted
 
-    def _mirror_evict(self, evicted: Optional[Signature]) -> None:
+    def _mirror_evict(self, evicted: Optional[bytes]) -> None:
         """Keep the database in lockstep with resident LRU evictions.
 
         An entry the resident LRU dropped must *miss* on its next
         lookup -- exactly as it does on the memory backend -- so the
         cache contract stays byte-identical across backends.  The
         delete executes immediately (visible to this connection's own
-        probes) and is made durable by the next :meth:`commit`.
+        probes) and is made durable by the next :meth:`commit`.  A
+        read-only view deletes nothing and keeps the evicted row in
+        its export buffer.
         """
         if evicted is None or self.read_only:
             return
-        key = self._signature_key(evicted)
-        self._pending.pop(key, None)
+        self._pending.pop(evicted, None)
         if self._conn is None:
             return
         try:
             self._conn.execute(
                 "DELETE FROM results WHERE scenario = ? AND signature = ?",
-                (self.scenario, key),
+                (self.scenario, evicted),
             )
             self._dirty = True
         except sqlite3.Error as exc:
@@ -482,24 +490,26 @@ class SqliteResultStore:
 
         The engine calls this at the end of every public evaluation
         API -- the store commit boundary -- so readers (shards, other
-        runs) only ever observe batch-consistent state.
+        runs) only ever observe batch-consistent state.  A read-only
+        view keeps its buffer: it is drained explicitly
+        (:meth:`drain_rows`) at the shard's report.
         """
-        if self._conn is None or self.read_only:
-            if not self.export_rows:
-                self._pending.clear()
-            # Export buffers survive commits: they are drained
-            # explicitly (drain_rows) at the shard's final report.
+        if self.read_only:
+            return
+        if self._conn is None:
+            self._pending.clear()
             return
         if not self._pending and not self._dirty:
             return
         start = time.perf_counter_ns()
         try:
             if self._pending:
+                scenario = self.scenario
                 self._conn.executemany(
                     "INSERT OR REPLACE INTO results "
                     "(scenario, signature, payload) VALUES (?, ?, ?)",
                     [
-                        (self.scenario, key, blob)
+                        (scenario, key, blob)
                         for key, blob in self._pending.items()
                     ],
                 )
@@ -513,22 +523,22 @@ class SqliteResultStore:
         finally:
             self.commit_ns += time.perf_counter_ns() - start
 
-    def drain_rows(self) -> List[Tuple[str, bytes]]:
-        """Hand over the buffered export rows (and forget them).
+    def drain_rows(self) -> List[Tuple[bytes, bytes]]:
+        """Hand over the buffered rows (and forget them).
 
         The shard side of the distributed race's single-writer rule:
-        a read-only ``export_rows`` view accumulates its newly priced
-        results here, and the parent ships them home with
-        :meth:`absorb_rows` through its one read-write connection.
-        Rows are ``(signature_key, payload)`` pairs in first-write
-        order; draining is destructive so repeated finals do not
-        double-ship.
+        a read-only view accumulates its newly priced results here,
+        and the parent ships them home with :meth:`absorb_rows`
+        through its one read-write connection.  Rows are
+        ``(signature, payload)`` pairs in first-write order; draining
+        is destructive so repeated finals do not double-ship.  A
+        read-write store has nothing buffered after a commit.
         """
         rows = list(self._pending.items())
         self._pending.clear()
         return rows
 
-    def absorb_rows(self, rows: Iterable[Tuple[str, bytes]]) -> None:
+    def absorb_rows(self, rows: Iterable[Tuple[bytes, bytes]]) -> None:
         """Persist rows drained from a shard's read-only view.
 
         Only meaningful on the read-write store (the parent); encoded
@@ -566,62 +576,46 @@ class SqliteResultStore:
     # encoding
     # ------------------------------------------------------------------
     @staticmethod
-    def _signature_key(signature: Signature) -> str:
-        from repro.serialize.store_key import signature_key
-
-        try:
-            return signature_key(signature)
-        except TypeError:
-            # Non-JSON key (diagnostic/test payloads): keep it usable
-            # within the process; such keys are not meant to persist.
-            return repr(signature)
-
-    @staticmethod
     def _encode(outcome: Optional[object]) -> bytes:
         if outcome is None:
             return b"I"
         if isinstance(outcome, EvaluatedDesign):
-            from repro.serialize.codec import metrics_to_dict
+            from repro.serialize.store_key import metrics_record
 
-            payload = json.dumps(
-                metrics_to_dict(outcome.metrics),
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            return b"E" + payload.encode("utf-8")
-        return b"P" + pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+            return b"E" + metrics_record(outcome.metrics)
+        raise TypeError(
+            "a result store row holds an EvaluatedDesign or None, not "
+            f"{type(outcome).__name__}"
+        )
 
-    def _decode(self, signature: Signature, blob: bytes) -> Optional[object]:
-        kind, body = blob[:1], blob[1:]
-        if kind == b"I":
+    def _decode(
+        self, blob: object, design: Optional["CandidateDesign"]
+    ) -> Optional[EvaluatedDesign]:
+        """The outcome one payload stores.
+
+        Raises ``ValueError`` when the payload does not decode (the
+        row is corrupt) and ``TypeError`` when a valid design's row
+        cannot be served: without the caller's ``design``, or on a
+        store opened without a compiled spec.
+        """
+        if blob == b"I":
             return None
-        if kind == b"P":
-            return pickle.loads(body)
-        if kind != b"E":
+        if not isinstance(blob, bytes):
+            raise ValueError(f"payload of type {type(blob).__name__}")
+        if blob[:1] != b"E":
             raise ValueError(
-                f"result store {self.path!r} holds a payload of unknown "
-                f"kind {kind!r}"
+                f"undecodable payload: kind {blob[:1]!r}, {len(blob)} bytes"
             )
-        if self.compiled is None:
-            raise ValueError(
-                "result store row holds an evaluated design, but this "
-                "store was opened without a compiled spec to rebuild it "
-                "against"
-            )
-        from repro.core.transformations import CandidateDesign
-        from repro.model.mapping import Mapping
-        from repro.serialize.codec import metrics_from_dict
+        from repro.serialize.store_key import record_metrics
 
-        spec = self.compiled.spec
-        design = CandidateDesign(
-            Mapping(spec.current, spec.architecture, dict(signature[0])),
-            dict(signature[1]),
-            dict(signature[2]),
-        )
-        metrics = metrics_from_dict(json.loads(body.decode("utf-8")))
-        return EvaluatedDesign(
-            design, None, metrics, compiled=self.compiled
-        )
+        metrics = record_metrics(blob[1:])
+        if design is None or self.compiled is None:
+            raise TypeError(
+                "a stored design's row is served as an outcome of the "
+                "caller's design, re-derivable against the store's "
+                "compiled spec; both are required"
+            )
+        return EvaluatedDesign(design, None, metrics, compiled=self.compiled)
 
 
 def make_store(
@@ -651,7 +645,6 @@ def make_store(
             compiled=compiled,
             max_entries=max_entries,
             read_only=read_only,
-            export_rows=read_only,
         )
     raise ValueError(
         f"unknown cache_store {cache_store!r}; choose 'memory' or 'sqlite'"

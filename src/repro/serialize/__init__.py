@@ -36,7 +36,7 @@ from repro.serialize.codec import (
     schedule_to_dict,
     to_dict,
 )
-from repro.serialize.store_key import signature_key, spec_store_key
+from repro.serialize.store_key import spec_store_key
 
 __all__ = [
     "application_to_dict",
@@ -51,7 +51,6 @@ __all__ = [
     "metrics_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
-    "signature_key",
     "spec_store_key",
     "to_dict",
     "from_dict",

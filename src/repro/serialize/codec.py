@@ -217,10 +217,10 @@ def future_from_dict(payload: Dict[str, Any]) -> FutureCharacterization:
 def metrics_to_dict(metrics: DesignMetrics) -> Dict[str, Any]:
     """Serialize the four metric values plus the combined objective.
 
-    The payload is the persistent result store's value format: seven
-    plain numbers, round-tripping exactly (JSON floats serialize via
-    ``repr``, which is lossless for IEEE doubles), so a design priced
-    from a store row is byte-identical to one priced fresh.
+    Seven plain numbers, round-tripping exactly (JSON floats serialize
+    via ``repr``, which is lossless for IEEE doubles).  The persistent
+    result store keeps the same seven fields in a binary record
+    instead (:func:`repro.serialize.store_key.metrics_record`).
     """
     return {
         "kind": "metrics",

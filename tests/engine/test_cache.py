@@ -45,32 +45,34 @@ def make_cache(request, tmp_path):
 
 
 class TestEvaluationCache:
-    def test_miss_then_hit(self, make_cache):
+    def test_miss_then_hit(self, make_cache, spec, im_design):
+        with DesignEvaluator(spec, use_cache=False) as evaluator:
+            priced = evaluator.evaluate(im_design)
         cache = make_cache()
-        found, _ = cache.lookup(("a",))
+        found, _ = cache.lookup(b"a")
         assert not found
-        cache.store(("a",), "outcome")
-        found, outcome = cache.lookup(("a",))
-        assert found and outcome == "outcome"
+        cache.store(b"a", priced)
+        found, outcome = cache.lookup(b"a")
+        assert found and outcome is priced
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
         assert stats.hit_rate == 0.5
 
     def test_invalid_verdict_is_cached(self, make_cache):
         cache = make_cache()
-        cache.store(("bad",), None)
-        found, outcome = cache.lookup(("bad",))
+        cache.store(b"bad", None)
+        found, outcome = cache.lookup(b"bad")
         assert found and outcome is None
 
     def test_lru_eviction(self, make_cache):
         cache = make_cache(max_entries=2)
-        cache.store(("a",), 1)
-        cache.store(("b",), 2)
-        cache.lookup(("a",))  # refresh "a"; "b" becomes LRU
-        cache.store(("c",), 3)
-        assert cache.lookup(("a",))[0]
-        assert not cache.lookup(("b",))[0]
-        assert cache.lookup(("c",))[0]
+        cache.store(b"a", None)
+        cache.store(b"b", None)
+        cache.lookup(b"a")  # refresh "a"; "b" becomes LRU
+        cache.store(b"c", None)
+        assert cache.lookup(b"a")[0]
+        assert not cache.lookup(b"b")[0]
+        assert cache.lookup(b"c")[0]
         assert len(cache) == 2
 
     def test_bad_max_entries_rejected(self, make_cache):

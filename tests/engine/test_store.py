@@ -3,11 +3,12 @@ the not-found vs cached-invalid distinction, and engine integration."""
 
 import json
 import sqlite3
+import warnings
 
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator
+from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.evaluation import evaluate_candidate
@@ -59,18 +60,18 @@ class TestSqliteStore:
         writer.close()
 
         reader = SqliteResultStore(path, compiled=compiled)
-        found, warm = reader.get(signature)
+        found, warm = reader.get(signature, im_design)
         assert found
         assert warm.metrics == cold.metrics
-        assert warm.design.mapping.as_dict() == im_design.mapping.as_dict()
-        assert dict(warm.design.priorities) == dict(im_design.priorities)
+        # A hit is served with the caller's own design.
+        assert warm.design is im_design
         # The lazily re-derived schedule equals the cold one exactly.
         assert _schedule_json(warm) == _schedule_json(cold)
         assert reader.stats().hits == 1
         reader.close()
 
     def test_invalid_verdict_distinct_from_not_found(
-        self, compiled, im_design, tmp_path
+        self, spec, compiled, im_design, tmp_path
     ):
         """``None`` is a first-class stored outcome: a warm open must
         report it as *found*, never as a miss to re-evaluate."""
@@ -83,31 +84,35 @@ class TestSqliteStore:
         reader = SqliteResultStore(path, compiled=compiled)
         found, outcome = reader.get(signature)
         assert found and outcome is None
-        missing = (signature[0], signature[1], (("ghost", 1),))
-        assert reader.get(missing) == (False, None)
+        delayed = CandidateDesign(
+            im_design.mapping,
+            im_design.priorities,
+            {spec.current.messages[0].id: 1},
+        )
+        assert reader.get(compiled.signature(delayed)) == (False, None)
         assert reader.stats().hits == 1
         assert reader.stats().misses == 1
         reader.close()
 
-    def test_pickle_payloads_round_trip(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        writer = SqliteResultStore(path)
-        writer.put(("k",), {"value": 42})
-        writer.close()
-        reader = SqliteResultStore(path)
-        assert reader.get(("k",)) == (True, {"value": 42})
-        reader.close()
+    def test_only_engine_outcomes_are_stored(self, tmp_path):
+        """A row holds an EvaluatedDesign or the invalid verdict; any
+        other outcome is refused before it reaches either tier."""
+        store = SqliteResultStore(tmp_path / "store.sqlite")
+        with pytest.raises(TypeError, match="EvaluatedDesign or None"):
+            store.put(b"k", {"value": 42})
+        assert store.get(b"k") == (False, None)
+        store.close()
 
     def test_scenarios_are_isolated(self, tmp_path):
         path = tmp_path / "store.sqlite"
         a = SqliteResultStore(path, scenario="scenario-a")
         b = SqliteResultStore(path, scenario="scenario-b", read_only=False)
-        a.put(("k",), "from-a")
+        a.put(b"k", None)
         a.close()
-        assert b.get(("k",)) == (False, None)
+        assert b.get(b"k") == (False, None)
         b.close()
         again = SqliteResultStore(path, scenario="scenario-a")
-        assert again.get(("k",)) == (True, "from-a")
+        assert again.get(b"k") == (True, None)
         again.close()
 
     def test_commit_is_the_visibility_boundary(self, tmp_path):
@@ -115,15 +120,15 @@ class TestSqliteStore:
         connections) only at commit, in one batch."""
         path = tmp_path / "store.sqlite"
         writer = SqliteResultStore(path)
-        writer.put(("a",), 1)
-        writer.put(("b",), 2)
+        writer.put(b"a", None)
+        writer.put(b"b", None)
         assert writer.stats().writes == 0
         reader = SqliteResultStore(path, read_only=True)
-        assert reader.get(("a",)) == (False, None)
+        assert reader.get(b"a") == (False, None)
         writer.commit()
         assert writer.stats().writes == 2
-        assert reader.get(("a",)) == (True, 1)
-        assert reader.get(("b",)) == (True, 2)
+        assert reader.get(b"a") == (True, None)
+        assert reader.get(b"b") == (True, None)
         reader.close()
         writer.close()
 
@@ -132,30 +137,30 @@ class TestSqliteStore:
         too -- within-run and across-run views stay consistent."""
         path = tmp_path / "store.sqlite"
         store = SqliteResultStore(path, max_entries=1)
-        store.put(("a",), 1)
-        store.put(("b",), 2)  # evicts "a" from both tiers
+        store.put(b"a", None)
+        store.put(b"b", None)  # evicts "a" from both tiers
         store.close()
         reopened = SqliteResultStore(path)
-        assert reopened.get(("a",)) == (False, None)
-        assert reopened.get(("b",)) == (True, 2)
+        assert reopened.get(b"a") == (False, None)
+        assert reopened.get(b"b") == (True, None)
         reopened.close()
 
     def test_clear_scopes_to_scenario(self, tmp_path):
         path = tmp_path / "store.sqlite"
         mine = SqliteResultStore(path, scenario="mine")
         other = SqliteResultStore(path, scenario="other", read_only=False)
-        mine.put(("k",), 1)
+        mine.put(b"k", None)
         mine.commit()
-        other.put(("k",), 2)
+        other.put(b"k", None)
         other.commit()
         other.close()
         mine.clear()
         mine.close()
-        assert SqliteResultStore(path, scenario="mine").get(("k",)) == (
+        assert SqliteResultStore(path, scenario="mine").get(b"k") == (
             False, None,
         )
-        assert SqliteResultStore(path, scenario="other").get(("k",)) == (
-            True, 2,
+        assert SqliteResultStore(path, scenario="other").get(b"k") == (
+            True, None,
         )
 
     def test_corrupt_file_degrades_loudly_to_memory(self, tmp_path):
@@ -165,8 +170,8 @@ class TestSqliteStore:
             store = SqliteResultStore(path)
         assert not store.persistent
         # Memory-only semantics keep working.
-        store.put(("k",), 7)
-        assert store.get(("k",)) == (True, 7)
+        store.put(b"k", None)
+        assert store.get(b"k") == (True, None)
         store.commit()
         store.close()
         assert store.stats().writes == 0
@@ -197,17 +202,39 @@ class TestSqliteStore:
     def test_read_only_never_writes(self, tmp_path):
         path = tmp_path / "store.sqlite"
         writer = SqliteResultStore(path)
-        writer.put(("a",), 1)
+        writer.put(b"a", None)
         writer.close()
         reader = SqliteResultStore(path, read_only=True)
-        assert reader.get(("a",)) == (True, 1)
-        reader.put(("b",), 2)  # resident tier only
+        assert reader.get(b"a") == (True, None)
+        reader.put(b"b", None)  # resident tier only
         reader.commit()
         assert reader.stats().writes == 0
         reader.close()
         fresh = SqliteResultStore(path)
-        assert fresh.get(("b",)) == (False, None)
+        assert fresh.get(b"b") == (False, None)
         fresh.close()
+
+    def test_read_only_view_buffers_rows_for_drain(self, tmp_path):
+        """Every read-only view keeps its new rows across commits until
+        drained; the read-write store persists what it absorbs."""
+        path = tmp_path / "store.sqlite"
+        SqliteResultStore(path).close()
+        view = SqliteResultStore(path, read_only=True)
+        view.put(b"a", None)
+        view.put(b"b", None)
+        view.commit()
+        rows = view.drain_rows()
+        assert rows == [(b"a", b"I"), (b"b", b"I")]
+        assert view.drain_rows() == []
+        view.close()
+        writer = SqliteResultStore(path)
+        writer.absorb_rows(rows)
+        assert writer.stats().writes == 2
+        writer.close()
+        reader = SqliteResultStore(path)
+        assert reader.get(b"a") == (True, None)
+        assert reader.get(b"b") == (True, None)
+        reader.close()
 
     def test_make_store_validation(self, compiled, tmp_path):
         assert isinstance(make_store("memory", None, compiled), MemoryResultStore)
@@ -297,3 +324,69 @@ def store_kwargs_local(request, tmp_path):
         "cache_store": "sqlite",
         "cache_path": str(tmp_path / "engine.sqlite"),
     }
+
+
+def _design_with_warnings(spec, **store):
+    """An MH run plus every ``RuntimeWarning`` it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = make_strategy("MH", **store).design(spec)
+    return result, [w for w in caught if w.category is RuntimeWarning]
+
+
+class TestDegradedRuns:
+    """A store that cannot serve its file degrades once, loudly, and the
+    run still returns the design a cold run returns."""
+
+    @pytest.mark.parametrize(
+        "payload", [b"Egarbage", b"X" + bytes(56), b"I\x00"],
+        ids=["short-record", "unknown-kind", "long-invalid"],
+    )
+    def test_corrupt_rows_degrade_and_resolve(self, spec, tmp_path, payload):
+        path = str(tmp_path / "store.sqlite")
+        store = {"cache_store": "sqlite", "cache_path": path}
+        cold, cold_warnings = _design_with_warnings(spec, **store)
+        assert cold.valid and not cold_warnings
+        conn = sqlite3.connect(path)
+        keys = conn.execute(
+            "SELECT signature FROM results ORDER BY signature LIMIT 3"
+        ).fetchall()
+        assert len(keys) == 3
+        conn.executemany(
+            "UPDATE results SET payload = ? WHERE signature = ?",
+            [(payload, key) for (key,) in keys],
+        )
+        conn.commit()
+        conn.close()
+        warm, warm_warnings = _design_with_warnings(spec, **store)
+        assert len(warm_warnings) == 1
+        assert "corrupt row" in str(warm_warnings[0].message)
+        assert warm.design_identity() == cold.design_identity()
+        assert warm.evaluations == cold.evaluations
+        # The corrupt probe counted as a miss and was solved again.
+        assert warm.store_misses == 1
+
+    def test_v1_file_degrades_with_schema_warning(self, spec, tmp_path):
+        """A file from the JSON-row layout (schema version 1) is never
+        misread: the run warns once and designs from scratch."""
+        path = str(tmp_path / "store.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        conn.execute(
+            "CREATE TABLE results (scenario TEXT NOT NULL, signature TEXT "
+            "NOT NULL, payload BLOB NOT NULL, "
+            "PRIMARY KEY (scenario, signature))"
+        )
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        conn.commit()
+        conn.close()
+        cold = make_strategy("MH").design(spec)
+        warm, caught = _design_with_warnings(
+            spec, cache_store="sqlite", cache_path=path
+        )
+        assert len(caught) == 1
+        assert "schema version 1" in str(caught[0].message)
+        assert warm.design_identity() == cold.design_identity()
+        assert warm.store_hits == warm.store_writes == 0
