@@ -1,14 +1,18 @@
 """Benchmarks pinning the incremental (delta) evaluation speedup.
 
+The delta kernel is off the production path: the engine solves every
+candidate cold.  These benchmarks keep exercising it until the
+benchmark of record stops tracing it.
+
 Per scenario family (medium preset), one MH-style neighbourhood of the
 Initial-Mapping design is evaluated three ways:
 
 * **delta** -- through :class:`repro.engine.delta.DeltaEvaluator`:
   each child is rescheduled from the parent's trace checkpoints and
   its metrics reuse every clean resource;
-* **cold** -- the engine's optimized full evaluation (what
-  ``--no-delta`` runs): compiled scheduling plus the memoized metric
-  core, evaluated from scratch per candidate;
+* **cold** -- the engine's optimized full evaluation (what every
+  search runs): compiled scheduling plus the memoized metric core,
+  evaluated from scratch per candidate;
 * **scratch** -- the pre-kernel evaluation shape: compiled scheduling
   plus the original from-scratch component metrics
   (``metric_c1p``/``metric_c1m``/``metric_c2p``/``metric_c2m``), i.e.

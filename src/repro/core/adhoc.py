@@ -31,15 +31,13 @@ from repro.search.budget import Budget
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``use_delta``, ``cache_store``/
-    ``cache_path`` and ``budget`` exist so every strategy shares one
-    construction signature (the experiment runner passes them
-    uniformly); AH performs a single evaluation, so none of them
-    changes its behavior.
+    ``use_cache``, ``cache_store``/``cache_path`` and ``budget``
+    exist so every strategy shares one construction signature (the
+    experiment runner passes them uniformly); AH performs a single
+    evaluation, so none of them changes its behavior.
     """
 
     use_cache: bool = True
-    use_delta: bool = True
     engine_core: str = "array"
     cache_store: str = "memory"
     cache_path: Optional[str] = None
@@ -54,8 +52,7 @@ class AdHocStrategy:
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
         with DesignEvaluator(
-            spec, use_cache=False, use_delta=False,
-            engine_core=self.engine_core,
+            spec, use_cache=False, engine_core=self.engine_core,
         ) as evaluator:
             return self._design(spec, evaluator.compiled)
 

@@ -71,16 +71,15 @@ def best_improving_move(
 ) -> Optional[EvaluatedDesign]:
     """Exactly evaluate every move; return the steepest improvement.
 
-    The whole neighbourhood is scored in one :meth:`evaluate_moves`
-    batch against the shared parent ``best`` -- cached outcomes are
-    served directly, the remainder is rescheduled incrementally from
-    the parent's checkpoints (or cold with ``--no-delta``).  The winner
-    scan walks the results in move order, so cached, uncached and
-    delta runs pick the identical move.
+    The whole neighbourhood of ``best`` is scored in one
+    :meth:`evaluate_many` batch -- cached outcomes are served directly,
+    the remainder is scheduled cold.  The winner scan walks the results
+    in move order, so cached and uncached runs pick the identical move.
     """
     if not moves:
         return None
-    results = evaluator.evaluate_moves(best, moves)
+    children = [move.apply(best.design) for move in moves]
+    results = evaluator.evaluate_many(children)
     return GreedyAcceptor(min_improvement).decide(best, moves, results, None)
 
 

@@ -70,10 +70,6 @@ class MappingHeuristic:
         consecutive descent iterations overlap heavily).
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    use_delta:
-        Evaluate each neighbourhood through the incremental kernel
-        (children rescheduled from the current design's checkpoints).
-        Results are identical with it off.
     budget:
         Optional external search budget, combined (``&``) with the
         ``max_iterations`` step cap -- the tighter limit wins on every
@@ -87,7 +83,6 @@ class MappingHeuristic:
     use_message_moves: bool = True
     use_cache: bool = True
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    use_delta: bool = True
     engine_core: str = "array"
     cache_store: str = "memory"
     cache_path: Optional[str] = None
@@ -105,7 +100,6 @@ class MappingHeuristic:
             spec,
             use_cache=self.use_cache,
             max_cache_entries=self.max_cache_entries,
-            use_delta=self.use_delta,
             engine_core=self.engine_core,
             cache_store=self.cache_store,
             cache_path=self.cache_path,

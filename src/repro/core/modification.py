@@ -108,7 +108,6 @@ def design_with_modifications(
     strategy: str = "MH",
     horizon: Optional[int] = None,
     max_modified: Optional[int] = None,
-    use_delta: bool = True,
     engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -139,12 +138,6 @@ def design_with_modifications(
     max_modified:
         Upper bound on how many existing applications may be modified
         (``None`` = all of them, i.e. full redesign as last resort).
-    use_delta:
-        Incremental (move-aware) evaluation inside each subset
-        attempt's strategy run; the movable application only grows
-        with ``k``, so the delta kernel's checkpoint resumes pay off
-        more the deeper the greedy search goes.  Results are identical
-        with it off.
     engine_core:
         Scheduler core (``"array"`` or ``"object"``) of every subset
         attempt's evaluation engine; results are byte-identical.
@@ -179,7 +172,6 @@ def design_with_modifications(
         horizon = hyperperiod(periods)
     if max_modified is None:
         max_modified = len(existing)
-    strategy_kwargs.setdefault("use_delta", use_delta)
     strategy_kwargs.setdefault("engine_core", engine_core)
     strategy_kwargs.setdefault("cache_store", cache_store)
     strategy_kwargs.setdefault("cache_path", cache_path)

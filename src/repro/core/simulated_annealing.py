@@ -88,11 +88,6 @@ class SimulatedAnnealing:
         rejected design points constantly, so hit rates are high.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    use_delta:
-        Serve each proposed move through the incremental evaluation
-        kernel (reschedule from the current state's checkpoints); the
-        walk threads the accepted state as the parent of the next
-        proposal.  Results are identical with it off.
     budget:
         Optional external search budget, combined (``&``) into *each*
         phase's own cap (probe, walk, each polish descent) -- e.g.
@@ -110,7 +105,6 @@ class SimulatedAnnealing:
     polish: bool = True
     use_cache: bool = True
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    use_delta: bool = True
     engine_core: str = "array"
     cache_store: str = "memory"
     cache_path: Optional[str] = None
@@ -129,7 +123,6 @@ class SimulatedAnnealing:
             spec,
             use_cache=self.use_cache,
             max_cache_entries=self.max_cache_entries,
-            use_delta=self.use_delta,
             engine_core=self.engine_core,
             cache_store=self.cache_store,
             cache_path=self.cache_path,

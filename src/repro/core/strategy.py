@@ -14,8 +14,8 @@ result with the slide-14 objective.  Invalid candidates (deadline miss,
 unpackable message) evaluate to ``None`` and are rejected by every
 strategy, which enforces the paper's requirement (a) throughout the
 search.  The heavy lifting -- problem compilation, memoization and
-incremental scoring -- lives in :mod:`repro.engine`; the evaluator
-here is the strategy-facing facade over one
+scoring -- lives in :mod:`repro.engine`; the evaluator here is the
+strategy-facing facade over one
 :class:`repro.engine.engine.EvaluationEngine`.
 """
 
@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import DesignMetrics, ObjectiveWeights
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats
-from repro.engine.delta import DeltaStats
 from repro.engine.engine import EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.engine.store import StoreStats
@@ -42,6 +41,7 @@ from repro.model.mapping import Mapping
 from repro.core.transformations import CandidateDesign
 from repro.sched.priorities import PriorityMap
 from repro.sched.schedule import SystemSchedule
+from repro.utils.errors import ConfigError
 
 
 @dataclass
@@ -102,8 +102,6 @@ class DesignResult:
     evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    delta_hits: int = 0
-    delta_fallbacks: int = 0
     #: Stage-time buckets of the evaluation pipeline (scheduling pass,
     #: metric pricing, schedule decode), in wall nanoseconds.
     sched_ns: int = 0
@@ -134,8 +132,6 @@ class DesignResult:
         self.evaluations = evaluator.evaluations
         self.cache_hits = evaluator.cache_hits
         self.cache_misses = evaluator.cache_misses
-        self.delta_hits = evaluator.delta_hits
-        self.delta_fallbacks = evaluator.delta_fallbacks
         self.sched_ns = evaluator.sched_ns
         self.metrics_ns = evaluator.metrics_ns
         self.decode_ns = evaluator.decode_ns
@@ -182,9 +178,6 @@ class DesignEvaluator:
         Memoize candidate evaluations, including invalid verdicts.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    use_delta:
-        Enable the incremental (move-aware) evaluation kernel; results
-        are bit-identical either way (the ``--no-delta`` escape hatch).
     engine_core:
         ``"array"`` (the default here) runs the structure-of-arrays
         scheduler kernel; ``"object"`` the pinned object-graph
@@ -210,7 +203,6 @@ class DesignEvaluator:
         spec: DesignSpec,
         use_cache: bool = True,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        use_delta: bool = True,
         engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
@@ -221,7 +213,6 @@ class DesignEvaluator:
             spec,
             use_cache=use_cache,
             max_cache_entries=max_cache_entries,
-            use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
@@ -237,16 +228,6 @@ class DesignEvaluator:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score a batch of candidates, preserving input order."""
         return self.engine.evaluate_many(designs)
-
-    def evaluate_move(self, parent: EvaluatedDesign, move) -> Optional[EvaluatedDesign]:
-        """Score the child one ``move`` away from ``parent`` (delta path)."""
-        return self.engine.evaluate_move(parent, move)
-
-    def evaluate_moves(
-        self, parent: EvaluatedDesign, moves: Sequence
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Score a parent's move neighbourhood, preserving input order."""
-        return self.engine.evaluate_moves(parent, moves)
 
     @property
     def compiled(self):
@@ -264,14 +245,6 @@ class DesignEvaluator:
     @property
     def cache_misses(self) -> int:
         return self.engine.cache_misses
-
-    @property
-    def delta_hits(self) -> int:
-        return self.engine.delta_hits
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self.engine.delta_fallbacks
 
     @property
     def sched_ns(self) -> int:
@@ -312,9 +285,6 @@ class DesignEvaluator:
     def cache_stats(self) -> CacheStats:
         return self.engine.cache_stats()
 
-    def delta_stats(self) -> DeltaStats:
-        return self.engine.delta_stats()
-
     def counters(self) -> EngineCounters:
         """Snapshot of every engine counter (per-search attribution)."""
         return self.engine.counters()
@@ -346,7 +316,7 @@ def make_strategy(name: str, **kwargs):
     }
     key = name.upper()
     if key not in registry:
-        raise ValueError(
+        raise ConfigError(
             f"unknown strategy {name!r}; choose from {sorted(registry)}"
         )
     return registry[key](**kwargs)

@@ -29,9 +29,9 @@ one base design.
 Every transformation also declares its **footprint**: the dirty set of
 processes, nodes and messages whose scheduling decisions the move can
 affect directly.  The incremental evaluation kernel
-(:mod:`repro.engine.delta`) turns a footprint into the earliest point
-where a child schedule can diverge from its parent, and reschedules
-only from there.  Footprints are *direct* dirty sets -- ripple effects
+(:mod:`repro.engine.delta`, off the production path) turns a footprint
+into the earliest point where a child schedule can diverge from its
+parent, and reschedules only from there.  Footprints are *direct* dirty sets -- ripple effects
 (a displaced process freeing a gap another process then takes) are
 handled by the divergence/resume machinery, not declared here.
 """

@@ -16,7 +16,9 @@ This package separates problem *construction* from repeated *solving*:
   across processes and runs;
 * :mod:`~repro.engine.delta` -- :class:`DeltaEvaluator`, the move-aware
   incremental kernel: reschedule a one-move child from its parent's
-  trace checkpoints, bit-identical to a cold evaluation;
+  trace checkpoints, bit-identical to a cold evaluation.  Off the
+  production path (the engine solves every miss cold); kept until the
+  benchmark of record stops tracing it;
 * :mod:`~repro.engine.engine` -- :class:`EvaluationEngine`, the facade
   composing the above; every strategy's inner loop.
 
@@ -26,7 +28,7 @@ engine contracts.
 
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
-from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.engine.delta import DeltaEvaluator
 from repro.engine.engine import EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign, evaluate_candidate
 from repro.engine.store import (
@@ -41,7 +43,6 @@ __all__ = [
     "CacheStats",
     "CompiledSpec",
     "DeltaEvaluator",
-    "DeltaStats",
     "EngineCounters",
     "EvaluatedDesign",
     "EvaluationCache",

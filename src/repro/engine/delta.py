@@ -1,5 +1,14 @@
 """Move-aware incremental (delta) evaluation of candidate designs.
 
+**Off the production path.**  No strategy, search loop or engine calls
+this module: :class:`~repro.engine.engine.EvaluationEngine` solves every
+cache miss cold, which measured faster end to end than resuming from
+a parent's checkpoints.  The module stays, with its direct
+delta-equals-cold tests, only because the benchmark of record
+(``perfbench/spans.py``) still wraps :meth:`DeltaEvaluator.evaluate_move`
+and the array resume primitives it calls; it goes once a benchmark
+change retires those spans.
+
 Every candidate a search strategy proposes differs from its *parent* by
 one transformation -- a remap, a priority swap, or a message delay.  A
 cold evaluation nevertheless rebuilds the entire system schedule from
@@ -45,7 +54,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.engine.evaluation import (
@@ -66,33 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from repro.engine.compiled_spec import CompiledSpec
     from repro.sched.jobs import JobKey
-
-
-@dataclass(frozen=True)
-class DeltaStats:
-    """Delta-path accounting of one engine over its lifetime.
-
-    ``hits`` counts move evaluations served by the incremental path;
-    ``fallbacks`` counts moves that were requested through the delta
-    API but fell back to a full evaluation (no usable trace, unknown
-    move type, or divergence at event 0).  Mirrors
-    :class:`repro.engine.cache.CacheStats` so the experiment reports
-    render both the same way.
-    """
-
-    hits: int
-    fallbacks: int
-
-    @property
-    def attempts(self) -> int:
-        return self.hits + self.fallbacks
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of delta attempts served incrementally (0.0 unused)."""
-        if self.attempts == 0:
-            return 0.0
-        return self.hits / self.attempts
 
 
 class DeltaEvaluator:

@@ -7,12 +7,11 @@ It owns
   construction, done once),
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
   solving), and
-* the solver itself: a list scheduler, the optional
-  :class:`~repro.engine.delta.DeltaEvaluator` (incremental solving of
-  one-move children) and the :class:`StageTimings` sink.
+* the solver itself: a list scheduler and the :class:`StageTimings`
+  sink.
 
-Every candidate is solved in this process, one at a time, in input
-order.  Process-level parallelism lives one layer up: the sharded
+Every cache miss is solved cold, in this process, one at a time, in
+input order.  Process-level parallelism lives one layer up: the sharded
 portfolio race (:mod:`repro.search.distributed`) runs one engine per
 shard.
 
@@ -23,11 +22,10 @@ work happens here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
-from repro.engine.delta import DeltaEvaluator, DeltaStats
 from repro.engine.evaluation import (
     EvaluatedDesign,
     StageTimings,
@@ -39,18 +37,17 @@ from repro.sched.list_scheduler import ListScheduler
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics import DesignMetrics
     from repro.core.strategy import DesignSpec
-    from repro.core.transformations import CandidateDesign, Transformation
+    from repro.core.transformations import CandidateDesign
     from repro.sched.schedule import SystemSchedule
 
 
 class EngineCounters(NamedTuple):
     """A point-in-time snapshot of every engine counter.
 
-    The counter-level sibling of :class:`CacheStats` /
-    :class:`DeltaStats`: one read returns all counters together
-    (the portfolio runner records them as its race-level accounting),
-    and two snapshots subtract (``after - before``) to attribute
-    engine work to a window of activity.
+    The counter-level sibling of :class:`CacheStats`: one read returns
+    all counters together (the portfolio runner records them as its
+    race-level accounting), and two snapshots subtract (``after -
+    before``) to attribute engine work to a window of activity.
 
     The ``*_ns`` fields are the stage-time buckets of the evaluation
     pipeline (scheduling pass, metric pricing, schedule decode).  They
@@ -65,8 +62,6 @@ class EngineCounters(NamedTuple):
     evaluations: int
     cache_hits: int
     cache_misses: int
-    delta_hits: int
-    delta_fallbacks: int
     sched_ns: int = 0
     metrics_ns: int = 0
     decode_ns: int = 0
@@ -97,12 +92,6 @@ class EvaluationEngine:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    use_delta:
-        Enable the incremental (move-aware) evaluation kernel: cold
-        evaluations record scheduling traces, and the ``evaluate_move``
-        / ``evaluate_moves`` APIs reschedule children from their
-        parent's checkpoints.  Results are bit-identical either way;
-        this is the CLI's ``--no-delta`` escape hatch.
     engine_core:
         ``"array"`` runs the structure-of-arrays scheduler kernel
         (:mod:`repro.sched.arrays`); ``"object"`` runs the pinned
@@ -130,7 +119,6 @@ class EvaluationEngine:
         spec: "DesignSpec",
         use_cache: bool = True,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        use_delta: bool = True,
         engine_core: str = "object",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
@@ -150,58 +138,21 @@ class EvaluationEngine:
             self.cache = EvaluationCache(max_cache_entries, store=backend)
         self._scheduler = ListScheduler(self.compiled.architecture)
         self.timings = StageTimings()
-        self.delta: Optional[DeltaEvaluator] = (
-            DeltaEvaluator(self.compiled, self._scheduler, self.timings)
-            if use_delta
-            else None
-        )
-        self.use_delta = use_delta
         self.evaluations = 0
-        self.delta_hits = 0
-        self.delta_fallbacks = 0
         self._closed = False
 
     # ------------------------------------------------------------------
-    # solving (no cache, no accounting beyond the delta counters)
+    # solving (no cache, no accounting)
     # ------------------------------------------------------------------
     def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
-        """Full evaluation of one candidate.
-
-        In delta mode the outcome carries its scheduling trace and
-        metric memo so it can parent later incremental evaluations.
-        """
+        """Cold evaluation of one candidate, without trace or memo."""
         return evaluate_candidate(
             self.spec,
             self.compiled,
             self._scheduler,
             design,
-            record_trace=self.delta is not None,
             timings=self.timings,
         )
-
-    def _solve_move(
-        self,
-        parent: EvaluatedDesign,
-        move: "Transformation",
-        child: "CandidateDesign",
-    ) -> Optional[EvaluatedDesign]:
-        """Evaluation of one move (the delta hot path).
-
-        Falls back to :meth:`_solve` -- counting a delta fallback --
-        when the incremental path cannot run.
-        """
-        delta = self.delta
-        if delta is None:
-            return self._solve(child)
-        if parent.trace is None:
-            self.delta_fallbacks += 1
-            return self._solve(child)
-        outcome, used = delta.evaluate_move(parent, move, child)
-        if used:
-            self.delta_hits += 1
-        else:
-            self.delta_fallbacks += 1
-        return outcome
 
     # ------------------------------------------------------------------
     # evaluation
@@ -233,107 +184,32 @@ class EvaluationEngine:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score a batch of candidates, preserving input order.
 
-        Cached outcomes (including earlier candidates of the same
-        batch) are served without scheduling; cache accounting is
-        exactly that of a sequence of single :meth:`evaluate` calls.
+        One ordered lookup -> solve -> store pass, so cache accounting
+        *and* LRU recency are exactly those of a sequence of single
+        :meth:`evaluate` calls: the first occurrence of a fresh
+        signature is a miss + store, every later use (including later
+        candidates of the same batch) a hit + move-to-end, and an
+        entry evicted before a later use misses and is solved again.
+        The batch ends at the store commit boundary: buffered backend
+        writes are flushed once, as one batch.
         """
         self._ensure_open()
         designs = list(designs)
         self.evaluations += len(designs)
-        if self.cache is None:
+        cache = self.cache
+        if cache is None:
             return [self._solve(design) for design in designs]
-        return self._cached_batch(
-            self.cache, designs, lambda i: self._solve(designs[i])
-        )
-
-    def _cached_batch(
-        self,
-        cache: EvaluationCache,
-        designs: List["CandidateDesign"],
-        solve: Callable[[int], Optional[EvaluatedDesign]],
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Cache loop shared by :meth:`evaluate_many` and
-        :meth:`evaluate_moves`.
-
-        One ordered lookup -> solve -> store pass, so cache accounting
-        *and* LRU recency are exactly those of a sequence of single
-        evaluations: the first occurrence of a fresh signature is a
-        miss + store, every later use a hit + move-to-end, and an entry
-        evicted before a later use (cache bound smaller than the
-        batch's working set) misses and is solved again through
-        ``solve(i)``.  The batch ends at the store commit boundary:
-        buffered backend writes are flushed once, as one batch.
-        """
         signature_of = self.compiled.signature
         results: List[Optional[EvaluatedDesign]] = []
-        for i, design in enumerate(designs):
+        for design in designs:
             signature = signature_of(design)
             found, outcome = cache.lookup(signature, design)
             if not found:
-                outcome = solve(i)
+                outcome = self._solve(design)
                 cache.store(signature, outcome)
             results.append(outcome)
         cache.commit()
         return results
-
-    def evaluate_move(
-        self, parent: EvaluatedDesign, move: "Transformation"
-    ) -> Optional[EvaluatedDesign]:
-        """Schedule and price the child of ``(parent, move)``.
-
-        Exactly :meth:`evaluate` of ``move.apply(parent.design)`` --
-        same outcome, same cache accounting -- but served through the
-        incremental kernel when the engine runs in delta mode: the
-        child is rescheduled from the parent's earliest dirty event
-        instead of from scratch.  A parent without a trace (delta off,
-        or from a non-traced source) falls back to a cold evaluation.
-
-        Raises
-        ------
-        RuntimeError
-            If the engine has been closed.
-        """
-        self._ensure_open()
-        self.evaluations += 1
-        child = move.apply(parent.design)
-        if self.cache is None:
-            return self._solve_move(parent, move, child)
-        signature = self.compiled.signature(child)
-        found, outcome = self.cache.lookup(signature, child)
-        if found:
-            return outcome
-        outcome = self._solve_move(parent, move, child)
-        self.cache.store(signature, outcome)
-        self.cache.commit()
-        return outcome
-
-    def evaluate_moves(
-        self,
-        parent: EvaluatedDesign,
-        moves: Sequence["Transformation"],
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Score one parent's whole move neighbourhood, in input order.
-
-        The move-aware sibling of :meth:`evaluate_many`: cached
-        outcomes are served without scheduling, and the misses are
-        rescheduled from the parent's checkpoints.  Cache accounting
-        is exactly that of a sequence of single :meth:`evaluate_move`
-        calls.
-        """
-        self._ensure_open()
-        moves = list(moves)
-        self.evaluations += len(moves)
-        children = [move.apply(parent.design) for move in moves]
-        if self.cache is None:
-            return [
-                self._solve_move(parent, move, child)
-                for move, child in zip(moves, children)
-            ]
-        return self._cached_batch(
-            self.cache,
-            children,
-            lambda i: self._solve_move(parent, moves[i], children[i]),
-        )
 
     def price(self, schedule: "SystemSchedule") -> "DesignMetrics":
         """Metric evaluation of an already-built schedule.
@@ -389,10 +265,6 @@ class EvaluationEngine:
     def store_commit_ns(self) -> int:
         return self.store_stats().commit_ns
 
-    def delta_stats(self) -> DeltaStats:
-        """Delta hit/fallback accounting (zeros when delta is off)."""
-        return DeltaStats(self.delta_hits, self.delta_fallbacks)
-
     @property
     def sched_ns(self) -> int:
         """Wall nanoseconds spent in scheduling passes."""
@@ -439,8 +311,6 @@ class EvaluationEngine:
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
-            delta_hits=self.delta_hits,
-            delta_fallbacks=self.delta_fallbacks,
             sched_ns=self.sched_ns,
             metrics_ns=self.metrics_ns,
             decode_ns=self.decode_ns,

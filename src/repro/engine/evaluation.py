@@ -65,11 +65,13 @@ class StageTimings:
 class EvaluatedDesign:
     """A valid candidate design with its metric values.
 
-    ``trace`` and ``memo`` are the incremental-evaluation attachments
-    (present only when the engine runs in delta mode): the scheduling
-    decision sequence and the per-resource metric inputs that let a
-    *child* design -- one move away -- be evaluated from this design's
-    checkpoints instead of from scratch.  ``trace`` is duck-typed by
+    ``trace`` and ``memo`` are the incremental-evaluation attachments,
+    present only on outcomes built with ``record_trace`` (the delta
+    kernel's direct callers; the engine evaluates every candidate
+    cold and never records them): the scheduling decision sequence
+    and the per-resource metric inputs that let a *child* design --
+    one move away -- be evaluated from this design's checkpoints
+    instead of from scratch.  ``trace`` is duck-typed by
     engine core: a :class:`ScheduleTrace` under the object core, an
     :class:`~repro.sched.arrays.ArrayRunState` under the array core;
     the delta evaluator dispatches on the type and treats a mismatch
@@ -221,8 +223,9 @@ def evaluate_candidate(
     Deterministic: equal ``(spec, design)`` always produce the same
     outcome, which the evaluation cache and the result store rely on.
     With ``record_trace`` the outcome additionally carries the pass
-    trace and metric memo, making it usable as the parent of delta
-    evaluations; the metric *values* are identical either way.
+    trace and metric memo, making it usable as the parent of
+    :class:`~repro.engine.delta.DeltaEvaluator` evaluations; the
+    metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
     """
     from repro.core.metrics import evaluate_design_delta

@@ -40,11 +40,11 @@ from repro.experiments.runner import (
     DEFAULT_FAMILY_SA_ITERATIONS,
     ExperimentConfig,
     cache_statistics,
-    delta_statistics,
     stage_statistics,
     store_statistics,
     design_identity,
     make_budget,
+    parse_strategy_name,
     run_comparison,
     run_family_matrix,
     run_family_smoke,
@@ -52,7 +52,7 @@ from repro.experiments.runner import (
     strategy_for_family,
 )
 from repro.gen import families
-from repro.utils.errors import ReproError
+from repro.utils.errors import ConfigError, ReproError
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -68,8 +68,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if args.no_delta:
-        overrides["use_delta"] = False
     if getattr(args, "engine_core", None):
         overrides["engine_core"] = args.engine_core
     if getattr(args, "cache_store", None):
@@ -101,10 +99,6 @@ def _rate_cell(numerator: int, denominator: int) -> str:
 
 def render_cache_statistics(records) -> str:
     """The per-run evaluation-engine statistics table."""
-    delta_rows = {
-        name: (hits, fallbacks)
-        for name, hits, fallbacks, _rate in delta_statistics(records)
-    }
     store_rows = {
         name: (hits, misses, writes)
         for name, hits, misses, writes, _rate in store_statistics(records)
@@ -120,9 +114,6 @@ def render_cache_statistics(records) -> str:
             hits,
             misses,
             _rate_cell(hits, hits + misses),
-            delta_rows[name][0],
-            delta_rows[name][1],
-            _rate_cell(delta_rows[name][0], sum(delta_rows[name])),
             store_rows[name][0],
             store_rows[name][2],
             _rate_cell(
@@ -137,8 +128,7 @@ def render_cache_statistics(records) -> str:
     return format_table(
         [
             "strategy", "evaluations", "cache hits", "cache misses",
-            "hit rate", "delta hits", "delta fallbacks", "delta rate",
-            "store hits", "store writes", "store rate",
+            "hit rate", "store hits", "store writes", "store rate",
             "sched ms", "metrics ms", "decode ms",
         ],
         rows,
@@ -162,6 +152,24 @@ def _nonnegative_int(value: str) -> int:
             f"expected a non-negative integer, got {value!r}"
         )
     return parsed
+
+
+def _nonnegative_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed >= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number, got {value!r}"
+        )
+    return parsed
+
+
+def _strategy_name(value: str) -> str:
+    """A strategy name ``strategy_for_family`` accepts (``SA@k`` too)."""
+    try:
+        parse_strategy_name(value)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
@@ -233,7 +241,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             not args.no_cache,
             1,
             args.sa_iterations,
-            not args.no_delta,
             budget=budget,
             engine_core=args.engine_core,
             cache_store=args.cache_store,
@@ -263,8 +270,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
                 result.evaluations,
                 result.cache_hits,
                 result.cache_misses,
-                result.delta_hits,
-                result.delta_fallbacks,
                 result.store_hits,
                 _rate_cell(
                     result.store_hits,
@@ -280,8 +285,7 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             [
                 "strategy", "valid", "objective", "runtime s",
                 "evaluations", "cache hits", "cache misses",
-                "delta hits", "delta fallbacks", "store hits", "store rate",
-                "steps", "evals to best",
+                "store hits", "store rate", "steps", "evals to best",
             ],
             rows,
             title=(
@@ -319,7 +323,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         return 2
 
     def race(
-        use_delta: bool,
         engine_core: Optional[str] = None,
         shards: Optional[int] = None,
         elastic: Optional[bool] = None,
@@ -331,7 +334,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            use_delta=use_delta,
             engine_core=engine_core or args.engine_core,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
@@ -339,7 +341,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             elastic=args.elastic if elastic is None else elastic,
         )
 
-    result = race(not args.no_delta)
+    result = race()
     rows = []
     for member in result.members:
         r = member.result
@@ -380,8 +382,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     print(
         f"{fleet}: {result.evaluations} evaluations, "
         f"{result.cache_hits} cache hits, {result.cache_misses} misses, "
-        f"{result.delta_hits} delta hits, {result.delta_fallbacks} "
-        f"fallbacks, {result.runtime_seconds:.2f}s wall"
+        f"{result.runtime_seconds:.2f}s wall"
     )
     if getattr(result, "shards", 0) and args.verbose:
         for sid, counters, busy in zip(
@@ -390,9 +391,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             print(
                 f"  shard {sid}: {counters.evaluations} evaluations, "
                 f"{counters.cache_hits} cache hits, "
-                f"{counters.cache_misses} misses, "
-                f"{counters.delta_hits} delta hits, "
-                f"{counters.delta_fallbacks} fallbacks, {busy:.2f}s busy"
+                f"{counters.cache_misses} misses, {busy:.2f}s busy"
             )
         steals = sum(1 for e in result.events if e.kind == "steal")
         checkpoints = sum(1 for e in result.events if e.kind == "checkpoint")
@@ -414,9 +413,8 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         reference = _portfolio_identity(result)
         other_core = "object" if args.engine_core == "array" else "array"
         checks = [
-            ("repeat", lambda: race(not args.no_delta)),
-            ("delta off", lambda: race(False)),
-            (f"{other_core} core", lambda: race(not args.no_delta, other_core)),
+            ("repeat", race),
+            (f"{other_core} core", lambda: race(other_core)),
         ]
         shard_axis = args.budget_seconds is None
         if shard_axis:
@@ -426,7 +424,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             # runs for deterministic budgets.
             checks.append((
                 "shards=2",
-                lambda: race(not args.no_delta, shards=2, elastic=False),
+                lambda: race(shards=2, elastic=False),
             ))
         failures = []
         for label, runner in checks:
@@ -443,7 +441,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 sa_iterations=args.sa_iterations,
                 member_budget=member_budget,
                 shared_budget=None,
-                use_delta=not args.no_delta,
                 engine_core=args.engine_core,
             )
             if (
@@ -454,7 +451,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = f"repeat, delta off, {other_core} core"
+        passed = f"repeat, {other_core} core"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -470,7 +467,6 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
         sa_iterations=args.sa_iterations,
-        use_delta=not args.no_delta,
         engine_core=args.engine_core,
         cache_store=args.cache_store,
         cache_path=args.cache_path,
@@ -618,20 +614,16 @@ def _add_scenarios_parser(subparsers) -> None:
     run.add_argument("--preset", help="preset name (default: smallest)")
     run.add_argument("--seed", type=int, default=1, help="scenario seed")
     run.add_argument(
-        "--strategies", nargs="+", default=["AH", "MH", "SA"],
-        help="strategies to run",
+        "--strategies", nargs="+", type=_strategy_name,
+        default=["AH", "MH", "SA"], help="strategies to run",
     )
     run.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     run.add_argument(
         "--no-cache", action="store_true", help="disable evaluation caching"
-    )
-    run.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
     )
     run.add_argument(
         "--engine-core", choices=["array", "object"], default="array",
@@ -648,7 +640,7 @@ def _add_scenarios_parser(subparsers) -> None:
         ),
     )
     run.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_nonnegative_float,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     run.add_argument(
@@ -669,11 +661,13 @@ def _add_scenarios_parser(subparsers) -> None:
     portfolio.add_argument("--preset", help="preset name (default: smallest)")
     portfolio.add_argument("--seed", type=int, default=1, help="scenario seed")
     portfolio.add_argument(
-        "--strategies", nargs="+", default=["MH", "SA"],
+        "--strategies", nargs="+", type=_strategy_name,
+        default=["MH", "SA"],
         help="racing members, in racing (= tie-breaking) order",
     )
     portfolio.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     portfolio.add_argument(
@@ -681,7 +675,7 @@ def _add_scenarios_parser(subparsers) -> None:
         help="shared racing budget in engine evaluations (all members)",
     )
     portfolio.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_nonnegative_float,
         help="shared racing wall-clock budget (machine-dependent)",
     )
     portfolio.add_argument(
@@ -691,11 +685,6 @@ def _add_scenarios_parser(subparsers) -> None:
     portfolio.add_argument(
         "--patience", type=_positive_int,
         help="per-member patience (steps without improvement)",
-    )
-    portfolio.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
     )
     portfolio.add_argument(
         "--engine-core", choices=["array", "object"], default="array",
@@ -730,8 +719,8 @@ def _add_scenarios_parser(subparsers) -> None:
         "--check-determinism",
         action="store_true",
         help=(
-            "re-race with delta off, the other scheduler core, "
-            "shards=2, and (without a shared budget) reversed member "
+            "re-race as a repeat, on the other scheduler core, with "
+            "shards=2, and (without a shared budget) in reversed member "
             "order; fail unless the winning design is byte-identical "
             "(the CI smoke gate)"
         ),
@@ -751,17 +740,13 @@ def _add_scenarios_parser(subparsers) -> None:
         help="number of scenario seeds per family",
     )
     sweep.add_argument(
-        "--strategies", nargs="+", default=["AH", "MH", "SA"],
-        help="strategies to run",
+        "--strategies", nargs="+", type=_strategy_name,
+        default=["AH", "MH", "SA"], help="strategies to run",
     )
     sweep.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
-    )
-    sweep.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
     )
     sweep.add_argument(
         "--engine-core", choices=["array", "object"], default="array",
@@ -778,7 +763,7 @@ def _add_scenarios_parser(subparsers) -> None:
         ),
     )
     sweep.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_nonnegative_float,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     sweep.add_argument(
@@ -802,7 +787,8 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     smoke.add_argument("--seed", type=int, default=1, help="scenario seed")
     smoke.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     smoke.add_argument(
@@ -818,8 +804,9 @@ def _add_scenarios_parser(subparsers) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments, run the requested experiment(s), print tables."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``repro-experiments`` argument parser (figures and
+    ``scenarios``); :func:`main` parses with it."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -847,15 +834,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--existing", type=int, help="existing-application size"
     )
     figure_options.add_argument(
-        "--sa-iterations", type=int, help="simulated-annealing iterations"
-    )
-    figure_options.add_argument(
-        "--no-delta",
-        action="store_true",
-        help=(
-            "disable incremental (move-aware) evaluation; every candidate "
-            "is rescheduled from scratch (results are identical)"
-        ),
+        "--sa-iterations", type=_nonnegative_int,
+        help="simulated-annealing iterations",
     )
     figure_options.add_argument(
         "--engine-core", choices=["array", "object"], default="array",
@@ -873,7 +853,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     figure_options.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_nonnegative_float,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     figure_options.add_argument(
@@ -891,8 +871,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     _add_scenarios_parser(subparsers)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Parse arguments, run the requested experiment(s), print tables."""
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ReproError as exc:

@@ -23,13 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.metrics import ObjectiveWeights
 from repro.core.strategy import DesignResult, make_strategy
 from repro.engine.cache import CacheStats
-from repro.engine.delta import DeltaStats
 from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
 from repro.gen import families as families_module
 from repro.search.budget import Budget
 from repro.search.portfolio import PortfolioResult, PortfolioRunner
 from repro.serialize.scenario_codec import scenario_from_dict, scenario_to_dict
-from repro.utils.errors import MappingError
+from repro.utils.errors import ConfigError, MappingError
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class ExperimentConfig:
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Incremental (move-aware) evaluation; the CLI's ``--no-delta``
-    #: escape hatch sets this False.  Results are identical either way.
-    use_delta: bool = True
     #: Scheduler core: ``"array"`` (structure-of-arrays kernel, the
     #: default) or ``"object"`` (the pinned object-graph reference).
     #: The CLI's ``--engine-core`` switch.  Results are byte-identical.
@@ -195,7 +191,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             "SA",
             iterations=config.sa_iterations,
             seed=seed * 7919 + 13,
-            use_delta=config.use_delta,
             engine_core=config.engine_core,
             cache_store=config.cache_store,
             cache_path=config.cache_path,
@@ -203,7 +198,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
         )
     return make_strategy(
         name,
-        use_delta=config.use_delta,
         engine_core=config.engine_core,
         cache_store=config.cache_store,
         cache_path=config.cache_path,
@@ -237,33 +231,6 @@ def cache_statistics(
         misses = sum(r.cache_misses for r in results)
         rate = CacheStats(hits, misses, 0).hit_rate
         rows.append((name, evaluations, hits, misses, rate))
-    return rows
-
-
-def delta_statistics(
-    records: Sequence[ComparisonRecord],
-    strategies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, int, int, float]]:
-    """Per-strategy incremental-evaluation totals across all runs.
-
-    Returns ``(strategy, delta_hits, delta_fallbacks, hit_rate)`` rows,
-    the delta counterpart of :func:`cache_statistics`; all zeros for a
-    strategy when the runs used ``--no-delta``.
-    """
-    if strategies is None:
-        seen: List[str] = []
-        for record in records:
-            for name in record.results:
-                if name not in seen:
-                    seen.append(name)
-        strategies = seen
-    rows: List[Tuple[str, int, int, float]] = []
-    for name in strategies:
-        results = [r.results[name] for r in records if name in r.results]
-        hits = sum(r.delta_hits for r in results)
-        fallbacks = sum(r.delta_fallbacks for r in results)
-        stats = DeltaStats(hits, fallbacks)
-        rows.append((name, hits, fallbacks, stats.hit_rate))
     return rows
 
 
@@ -365,7 +332,7 @@ class FamilySmokeResult:
     ``failures`` is empty when the family passed: the scenario
     round-trips through the JSON codec byte-identically, and every
     strategy finds a valid design that is identical with the cache on
-    and off, with incremental evaluation off and on the object core.
+    and off and on the object core.
     """
 
     family: str
@@ -413,13 +380,31 @@ def design_fingerprint(result: DesignResult) -> str:
     return hashlib.sha256(identity).hexdigest()[:16]
 
 
+def parse_strategy_name(name: str) -> Tuple[str, int]:
+    """Split a strategy name into its base acronym and ``SA@k`` variant.
+
+    ``AH``, ``MH`` and ``SA`` (any case) are variant 0; ``SA@k`` with
+    an integer ``k >= 1`` is SA variant ``k``.  Anything else raises
+    :class:`~repro.utils.errors.ConfigError` naming the bad value.
+    """
+    base, _, suffix = name.partition("@")
+    if base.upper() not in ("AH", "MH", "SA"):
+        raise ConfigError(
+            f"unknown strategy {name!r}; choose from AH, MH, SA or SA@k"
+        )
+    if not suffix:
+        return base, 0
+    if base.upper() != "SA" or not suffix.isdigit() or int(suffix) < 1:
+        raise ConfigError(f"only SA@k (k >= 1) variants exist, got {name!r}")
+    return base, int(suffix)
+
+
 def strategy_for_family(
     name: str,
     seed: int,
     use_cache: bool,
     jobs: int,
     sa_iterations: int,
-    use_delta: bool = True,
     budget: Optional[Budget] = None,
     engine_core: str = "array",
     cache_store: str = "memory",
@@ -439,25 +424,17 @@ def strategy_for_family(
     deterministic, so extra copies would race identical walks.
     """
     if jobs != 1:
-        raise ValueError(
+        raise ConfigError(
             f"jobs must be 1 (candidates are evaluated in-process; race "
             f"shards for parallelism), got {jobs!r}"
         )
-    base, _, suffix = name.partition("@")
-    variant = 0
-    if suffix:
-        variant = int(suffix)
-        if base.upper() != "SA" or variant < 1:
-            raise ValueError(
-                f"only SA@k (k >= 1) variants exist, got {name!r}"
-            )
+    base, variant = parse_strategy_name(name)
     if base.upper() == "SA":
         strategy = make_strategy(
             "SA",
             iterations=sa_iterations,
             seed=seed * 7919 + 13 + variant * 101,
             use_cache=use_cache,
-            use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
@@ -469,7 +446,6 @@ def strategy_for_family(
     return make_strategy(
         name,
         use_cache=use_cache,
-        use_delta=use_delta,
         engine_core=engine_core,
         cache_store=cache_store,
         cache_path=cache_path,
@@ -513,7 +489,6 @@ def run_portfolio(
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
     use_cache: bool = True,
-    use_delta: bool = True,
     engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -525,8 +500,8 @@ def run_portfolio(
     The deterministic lockstep race of
     :class:`repro.search.PortfolioRunner`: member order is the racing
     and tie-breaking order, ``shared_budget`` is contended for by all
-    members, and the winner is byte-identical for any cache, delta or
-    core setting.
+    members, and the winner is byte-identical for any cache or core
+    setting.
     With ``cache_store="sqlite"`` the race shares one persistent store
     at ``cache_path`` (and is served warm by earlier races against it).
 
@@ -549,7 +524,6 @@ def run_portfolio(
             shards=shards,
             mode="elastic" if elastic else "replay",
             use_cache=use_cache,
-            use_delta=use_delta,
             engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
@@ -558,7 +532,6 @@ def run_portfolio(
         members,
         budget=shared_budget,
         use_cache=use_cache,
-        use_delta=use_delta,
         engine_core=engine_core,
         cache_store=cache_store,
         cache_path=cache_path,
@@ -573,7 +546,6 @@ def run_family_matrix(
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    use_delta: bool = True,
     engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -622,7 +594,6 @@ def run_family_matrix(
                         use_cache,
                         1,
                         sa_iterations,
-                        use_delta,
                         budget=budget,
                         engine_core=engine_core,
                         cache_store=cache_store if use_cache else "memory",
@@ -663,9 +634,9 @@ def run_family_smoke(
     Per family: (1) the scenario round-trips through the JSON codec
     byte-identically; (2) every strategy finds a *valid* design;
     (3) each strategy's design is identical with the cache on, with the
-    cache off, with incremental evaluation off (``--no-delta``) and
-    with the pinned object scheduler core (``--engine-core object``)
-    -- the determinism contract new families must not break.
+    cache off and with the pinned object scheduler core
+    (``--engine-core object``) -- the determinism contract new
+    families must not break.
 
     ``cache_store``/``cache_path`` apply to the *baseline* run of each
     strategy only (the comparison variants stay memory-backed: they
@@ -713,10 +684,9 @@ def run_family_smoke(
             smoke.objectives[strategy_name] = baseline.objective
             smoke.fingerprints[strategy_name] = design_fingerprint(baseline)
             reference = design_identity(baseline)
-            for label, use_cache, use_delta, engine_core in (
-                ("cache off", False, True, "array"),
-                ("delta off", True, False, "array"),
-                ("object core", True, True, "object"),
+            for label, use_cache, engine_core in (
+                ("cache off", False, "array"),
+                ("object core", True, "object"),
             ):
                 other = strategy_for_family(
                     strategy_name,
@@ -724,7 +694,6 @@ def run_family_smoke(
                     use_cache,
                     1,
                     sa_iterations,
-                    use_delta,
                     engine_core=engine_core,
                 ).design(spec)
                 if design_identity(other) != reference:

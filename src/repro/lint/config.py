@@ -83,7 +83,6 @@ DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "run_pass",
     "resume_state",
     "evaluate_move",
-    "evaluate_moves",
     "_divergence",
 )
 

@@ -112,9 +112,11 @@ class ArrayRunState:
     """Loop state and column trace of one array-kernel pass.
 
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
-    argument bundle play for the object core: a successful state is
-    stored on :class:`~repro.engine.evaluation.EvaluatedDesign.trace`
-    and parents later delta evaluations.  Trace fields are plain lists
+    argument bundle play for the object core: a successful recorded
+    state is stored on
+    :class:`~repro.engine.evaluation.EvaluatedDesign.trace` and parents
+    later delta evaluations (off the production path: the engine's
+    cold passes record nothing).  Trace fields are plain lists
     / ints; numpy views of them are cached lazily by :meth:`as_numpy`.
     """
 
@@ -131,7 +133,7 @@ class ArrayRunState:
         "columns",
         "ev_job", "ev_node", "ev_start", "ev_end", "ev_mptr",
         "mv_edge", "mv_round", "mv_arrival",
-        # checkpoint bookkeeping (recorded only in delta mode)
+        # checkpoint bookkeeping (recorded only for the delta kernel)
         "record", "ready_at", "pop",
         # outcome
         "success", "failure_reason",
@@ -932,16 +934,6 @@ class ArraySpec:
             for n in range(len(self.node_ids))
         ]
         return mask, bool(np.array_equal(child.bus_used, parent.bus_used))
-
-    def clean_resources(
-        self, child: ArrayRunState, parent: ArrayRunState
-    ) -> Tuple[set, bool]:
-        """:meth:`clean_mask` with nodes as an id set (object-memo form)."""
-        mask, bus_clean = self.clean_mask(child, parent)
-        return (
-            {nid for n, nid in enumerate(self.node_ids) if mask[n]},
-            bus_clean,
-        )
 
     # ------------------------------------------------------------------
     # decode boundary

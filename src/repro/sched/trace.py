@@ -24,8 +24,9 @@ ways:
   the divergence are structurally shared from the parent schedule
   instead of being replayed at all.
 
-Traces are recorded only when the caller asks for them (the evaluation
-engine's delta mode); plain scheduling pays nothing.
+Traces are recorded only when the caller asks for them
+(``record_trace``, which only the delta kernel's callers pass; that
+kernel is off the production path); plain scheduling pays nothing.
 """
 
 from __future__ import annotations

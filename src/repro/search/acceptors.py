@@ -64,7 +64,7 @@ class GreedyAcceptor:
 
     Walks the results in move order and keeps the steepest improvement
     over the current objective (by more than ``min_improvement``), so
-    cached, uncached and delta runs pick the identical move.
+    cached and uncached runs pick the identical move.
     """
 
     terminal_on_reject = True

@@ -11,10 +11,9 @@ the budget progress counters and the accumulated stats.
 Everything is JSON-serializable: a budgeted search can be cut, shipped
 to another process or host, and resumed against a freshly built
 evaluation engine.  The resumed loop re-evaluates the two stored
-designs to rebuild their schedules and delta-evaluation attachments
-(evaluation is deterministic, so the rebuilt parents are bit-identical
-to the originals); the incumbent trajectory of *cut + resume* equals
-the uninterrupted run's.
+designs to rebuild their outcomes (evaluation is deterministic, so the
+rebuilt outcomes are bit-identical to the originals); the incumbent
+trajectory of *cut + resume* equals the uninterrupted run's.
 """
 
 from __future__ import annotations

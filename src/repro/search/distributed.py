@@ -5,7 +5,7 @@ members in deterministic lockstep on one engine -- pinned, simple, and
 single-core.  This module shards the same race across N worker
 processes: each shard drives a subset of the members' search programs
 against its own :class:`~repro.core.strategy.DesignEvaluator` (array
-core, delta kernel, read-only view of the shared sqlite result store),
+core, read-only view of the shared sqlite result store),
 while the parent coordinator owns the shared racing budget, the steal
 protocol and the single read-write store connection.
 
@@ -129,7 +129,7 @@ class DistributedPortfolioResult(PortfolioResult):
 
 
 def _zero_counters() -> EngineCounters:
-    return EngineCounters(0, 0, 0, 0, 0)
+    return EngineCounters(0, 0, 0)
 
 
 # ======================================================================
@@ -154,7 +154,6 @@ def _shard_main(
         spec,
         use_cache=cfg["use_cache"],
         max_cache_entries=cfg["max_cache_entries"],
-        use_delta=cfg["use_delta"],
         engine_core=cfg["engine_core"],
         cache_store=cfg["cache_store"],
         cache_path=cfg["cache_path"],
@@ -415,7 +414,6 @@ class DistributedPortfolioRunner:
         mode: str = "replay",
         use_cache: bool = True,
         max_cache_entries: Optional[int] = -1,
-        use_delta: bool = True,
         engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
@@ -459,7 +457,6 @@ class DistributedPortfolioRunner:
         self.mode = mode
         self.use_cache = use_cache
         self.max_cache_entries = max_cache_entries
-        self.use_delta = use_delta
         self.engine_core = engine_core
         self.cache_store = cache_store
         self.cache_path = cache_path
@@ -529,7 +526,6 @@ class _Coordinator:
         return {
             "use_cache": runner.use_cache,
             "max_cache_entries": max_entries,
-            "use_delta": runner.use_delta,
             "engine_core": runner.engine_core,
             "cache_store": runner.cache_store,
             "cache_path": runner.cache_path,
@@ -841,7 +837,6 @@ class _Coordinator:
                 use_cache=True,
                 cache_store="sqlite",
                 cache_path=runner.cache_path,
-                use_delta=False,
             )
 
         try:
@@ -874,8 +869,6 @@ class _Coordinator:
             evaluations=totals.evaluations,
             cache_hits=totals.cache_hits,
             cache_misses=totals.cache_misses,
-            delta_hits=totals.delta_hits,
-            delta_fallbacks=totals.delta_fallbacks,
             store_hits=totals.store_hits,
             store_misses=totals.store_misses,
             store_writes=totals.store_writes,

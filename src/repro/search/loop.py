@@ -4,10 +4,9 @@ Every optimization in the repository -- the Mapping Heuristic's
 steepest descent, Simulated Annealing's Metropolis walk and calibration
 probe, SA's polish phase, and any portfolio member -- is one
 :class:`SearchLoop`: a :class:`~repro.search.proposers.Proposer`
-generates moves, the evaluation engine prices them (cached, batched,
-delta-incremental), an :class:`~repro.search.acceptors.Acceptor`
-decides where the walk goes, and a :class:`~repro.search.budget.Budget`
-says when to stop.  The loop tracks the best design seen (the
+generates moves, the evaluation engine prices them (cached, batched),
+an :class:`~repro.search.acceptors.Acceptor` decides where the walk
+goes, and a :class:`~repro.search.budget.Budget` says when to stop.  The loop tracks the best design seen (the
 *incumbent*) and returns it with full :class:`SearchStats` accounting
 and a resumable :class:`SearchCheckpoint`.
 
@@ -66,9 +65,11 @@ class EvalRequest:
 
     Exactly one of the two forms is populated:
 
-    * ``designs`` -- cold candidate evaluations, and
-    * ``parent`` + ``moves`` -- a move neighbourhood of one parent
-      (served through the delta kernel when enabled).
+    * ``designs`` -- candidate evaluations, and
+    * ``parent`` + ``moves`` -- a move neighbourhood of one parent,
+      served as the evaluations of ``move.apply(parent.design)``.
+      Search steps ask in this form because it is where the
+      distributed race cuts a member for a steal.
 
     The response is the list of outcomes in input order (``None`` per
     invalid candidate).
@@ -100,15 +101,21 @@ def execute_request(
 ) -> List[Optional[EvaluatedDesign]]:
     """Serve one :class:`EvalRequest` through an evaluator.
 
-    Single-item requests use the singular engine APIs and batches the
-    plural ones, so a program driven here produces exactly the engine
-    accounting of the hand-rolled loops it replaced.
+    A moves request is served as its children, each move applied to
+    the parent's design.  Single-item requests use the singular engine
+    API and batches the plural one, so a program driven here produces
+    exactly the engine accounting of the hand-rolled loops it replaced.
     """
-    if request.moves is not None:
-        if len(request.moves) == 1:
-            return [evaluator.evaluate_move(request.parent, request.moves[0])]
-        return evaluator.evaluate_moves(request.parent, request.moves)
-    designs = list(request.designs or ())
+    moves = request.moves
+    if moves is None:
+        designs = list(request.designs or ())
+    else:
+        parent = request.parent
+        assert parent is not None  # the moves form always carries one
+        if len(moves) == 1:
+            # SA's walk asks one move per step: skip the list.
+            return [evaluator.evaluate(moves[0].apply(parent.design))]
+        designs = [move.apply(parent.design) for move in moves]
     if len(designs) == 1:
         return [evaluator.evaluate(designs[0])]
     return evaluator.evaluate_many(designs)

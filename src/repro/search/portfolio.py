@@ -7,9 +7,9 @@ the best incumbent any of them finds wins.  The
 form every kernel-backed strategy exposes via ``search_program``) in
 deterministic lockstep over one shared :class:`DesignEvaluator`:
 
-* **one engine** -- all members share the compiled problem, the
+* **one engine** -- all members share the compiled problem and the
   evaluation cache (a design priced for member A is a cache hit for
-  member B) and the delta kernel;
+  member B);
 * **lockstep rounds** -- each round serves at most one evaluation
   request per still-running member, in configured member order.  The
   interleaving is a pure function of the configuration, never of
@@ -30,7 +30,7 @@ deterministic lockstep over one shared :class:`DesignEvaluator`:
 
 Per-member engine attribution: each member's ``DesignResult`` reports
 the evaluations served on its behalf and its own ``SearchStats``;
-cache/delta counters are portfolio-level (the whole point of sharing is
+cache counters are portfolio-level (the whole point of sharing is
 that members hit each other's entries) and live on the
 :class:`PortfolioResult`.
 """
@@ -77,8 +77,6 @@ class PortfolioResult:
     evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    delta_hits: int = 0
-    delta_fallbacks: int = 0
     store_hits: int = 0
     store_misses: int = 0
     store_writes: int = 0
@@ -120,8 +118,7 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, max_cache_entries, use_delta, engine_core, cache_store,
-    cache_path:
+    use_cache, max_cache_entries, engine_core, cache_store, cache_path:
         Shared-engine knobs, exactly as on
         :class:`~repro.core.strategy.DesignEvaluator`.  With
         ``cache_store="sqlite"`` the whole race shares one persistent
@@ -135,7 +132,6 @@ class PortfolioRunner:
         budget: Optional[Budget] = None,
         use_cache: bool = True,
         max_cache_entries: Optional[int] = -1,
-        use_delta: bool = True,
         engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
@@ -146,7 +142,6 @@ class PortfolioRunner:
         self.budget = budget
         self.use_cache = use_cache
         self.max_cache_entries = max_cache_entries
-        self.use_delta = use_delta
         self.engine_core = engine_core
         self.cache_store = cache_store
         self.cache_path = cache_path
@@ -167,7 +162,6 @@ class PortfolioRunner:
             spec,
             use_cache=self.use_cache,
             max_cache_entries=max_entries,
-            use_delta=self.use_delta,
             engine_core=self.engine_core,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
@@ -179,8 +173,6 @@ class PortfolioRunner:
                 evaluations=counters.evaluations,
                 cache_hits=counters.cache_hits,
                 cache_misses=counters.cache_misses,
-                delta_hits=counters.delta_hits,
-                delta_fallbacks=counters.delta_fallbacks,
                 store_hits=counters.store_hits,
                 store_misses=counters.store_misses,
                 store_writes=counters.store_writes,

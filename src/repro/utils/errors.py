@@ -13,6 +13,15 @@ class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration value is invalid.
+
+    Examples: an unknown strategy name, a malformed ``SA@k`` portfolio
+    variant, a ``jobs`` value other than 1.  Also a :class:`ValueError`,
+    so callers that catch the built-in keep working.
+    """
+
+
 class InvalidModelError(ReproError):
     """An application or architecture model violates a structural rule.
 

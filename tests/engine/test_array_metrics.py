@@ -5,8 +5,8 @@ finished :class:`~repro.sched.arrays.ArrayRunState` **byte-identically**
 to the pinned object kernel pricing the decoded schedule -- every
 metric value, the objective, and failure reporting match across all
 registered scenario families, through chained delta generations (memo
-reuse), under every binpack policy, with the cache on or off and with
-delta off.  Plus the lazy-decode boundary: the hot path never builds an
+reuse), under every binpack policy and with the cache on or off.  Plus
+the lazy-decode boundary: the hot path never builds an
 object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
 (also for columnless states), and :meth:`ArraySpec.decode_schedule`
 refuses columnless states loudly.
@@ -249,18 +249,18 @@ def test_clean_mask_reuse_matches_cold_pricing():
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism: cache on/off, delta on/off, cores
+# engine-level determinism: cache on/off, cores
 # ----------------------------------------------------------------------
 def _engine_metrics(spec, design, moves, **kwargs):
     with EvaluationEngine(spec, **kwargs) as engine:
         parent = engine.evaluate(design)
-        outcomes = engine.evaluate_moves(parent, moves)
+        children = [move.apply(parent.design) for move in moves]
+        outcomes = engine.evaluate_many(children)
         return [o.metrics if o is not None else None for o in outcomes]
 
 
 def test_engine_variants_price_identically():
-    """Cache on/off, delta on/off and both cores return equal metric
-    lists."""
+    """Cache on/off and both cores return equal metric lists."""
     spec, compiled_obj, compiled_arr, scheduler, design = _cell(
         "uniform-baseline"
     )
@@ -270,7 +270,6 @@ def test_engine_variants_price_identically():
     for kwargs in (
         {"engine_core": "array"},
         {"engine_core": "array", "use_cache": False},
-        {"engine_core": "array", "use_delta": False},
     ):
         assert _engine_metrics(spec, design, moves, **kwargs) == reference
 

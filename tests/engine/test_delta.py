@@ -1,11 +1,15 @@
 """Tests for the incremental (delta) evaluation kernel.
 
-The contract under test: for any parent design and any transformation,
-evaluating the child through the delta path produces an outcome
-**bit-identical** to a cold evaluation -- schedule occupancy, metrics,
-validity verdicts, failure reasons, and even the recorded trace (so
-children chain as parents).  Plus: move footprints, engine/cache
-integration, and seeded strategy equivalence with delta on/off.
+The kernel is off the production path (the engine solves every
+candidate cold); it stays, with these direct tests, until the benchmark
+of record stops tracing it.  The contract under test: for any parent
+design and any transformation, evaluating the child through the delta
+path produces an outcome **bit-identical** to a cold evaluation --
+schedule occupancy, metrics, validity verdicts, failure reasons, and
+even the recorded trace (so children chain as parents).  Plus: move
+footprints, and seeded searches served through the kernel (the
+engine's former delta mode) landing on the production cold path's
+designs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.improvement import DescentParams, steepest_descent
+from repro.core.improvement import DescentParams, descent_loop, steepest_descent
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
@@ -28,9 +32,9 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
-from repro.engine import EvaluationEngine, evaluate_candidate
+from repro.engine import evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
-from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
 
@@ -96,6 +100,40 @@ def systematic_moves(spec, parent, limit_delays: int = 8):
         for delta in (+1, -1)
     )
     return moves
+
+
+def drive_through_delta(program, compiled, scheduler):
+    """Run a search program with every moves request served by the delta
+    kernel (each child resumed from its traced parent) and every designs
+    request by a traced cold evaluation.
+
+    Returns the program's result and how many moves actually resumed.
+    """
+    delta = DeltaEvaluator(compiled, scheduler)
+    used = 0
+
+    def serve(request):
+        nonlocal used
+        if request.moves is None:
+            return [
+                evaluate_candidate(
+                    compiled.spec, compiled, scheduler, design, record_trace=True
+                )
+                for design in request.designs
+            ]
+        results = []
+        for move in request.moves:
+            outcome, via_delta = delta.evaluate_move(request.parent, move)
+            used += via_delta
+            results.append(outcome)
+        return results
+
+    try:
+        request = next(program)
+        while True:
+            request = program.send(serve(request))
+    except StopIteration as stop:
+        return stop.value, used
 
 
 @pytest.fixture(scope="module")
@@ -239,78 +277,16 @@ class TestDeltaEqualsCold:
         assert checked > 0, "scenario produced no invalid children to compare"
 
 
-class TestEngineMoveAPI:
-    def test_evaluate_move_matches_evaluate(self, spec):
-        with EvaluationEngine(spec) as delta_on, EvaluationEngine(
-            spec, use_delta=False
-        ) as delta_off:
-            parent_on = im_parent(spec, delta_on.compiled, ListScheduler(spec.architecture))
-            moves = systematic_moves(spec, parent_on)
-            for move in moves:
-                a = delta_on.evaluate_move(parent_on, move)
-                b = delta_off.evaluate(move.apply(parent_on.design))
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.metrics == b.metrics
-            # identical cache accounting on both engines
-            assert delta_on.cache_stats().lookups == delta_off.cache_stats().lookups
-            assert delta_on.cache_stats().hits == delta_off.cache_stats().hits
-            # every cache miss went through the delta path; hits never do
-            assert (
-                delta_on.delta_stats().attempts
-                == delta_on.cache_stats().misses
-            )
-            assert delta_on.delta_stats().hits > 0
-            assert delta_off.delta_stats() == DeltaStats(0, 0)
-
-    def test_evaluate_moves_matches_evaluate_many(self, spec):
-        scheduler = ListScheduler(spec.architecture)
-        with EvaluationEngine(spec) as a, EvaluationEngine(
-            spec, use_delta=False
-        ) as b:
-            parent = im_parent(spec, a.compiled, scheduler)
-            moves = systematic_moves(spec, parent)
-            moves = moves + moves[:5]  # duplicates exercise the dedup plan
-            res_a = a.evaluate_moves(parent, moves)
-            res_b = b.evaluate_many([m.apply(parent.design) for m in moves])
-            assert len(res_a) == len(res_b) == len(moves)
-            for x, y in zip(res_a, res_b):
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert x.metrics == y.metrics
-            assert a.cache_stats().hits == b.cache_stats().hits
-            assert a.cache_stats().misses == b.cache_stats().misses
-
-    def test_closed_engine_refuses_move_evaluation(self, spec):
-        engine = EvaluationEngine(spec)
-        parent = im_parent(
-            spec, engine.compiled, ListScheduler(spec.architecture)
-        )
-        move = systematic_moves(spec, parent)[0]
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.evaluate_move(parent, move)
-        with pytest.raises(RuntimeError):
-            engine.evaluate_moves(parent, [move])
-
-    def test_traceless_parent_falls_back(self, spec):
-        with EvaluationEngine(spec, use_cache=False) as engine:
-            parent = im_parent(
-                spec, engine.compiled, ListScheduler(spec.architecture)
-            )
-            parent.trace = None
-            move = systematic_moves(spec, parent)[0]
-            out = engine.evaluate_move(parent, move)
-            cold = engine.evaluate(move.apply(parent.design))
-            assert (out is None) == (cold is None)
-            if out is not None:
-                assert out.metrics == cold.metrics
-            assert engine.delta_stats().hits == 0
-            assert engine.delta_stats().fallbacks >= 1
-
-
 class TestSteepestDescentDelta:
     def test_descent_identical_with_delta_and_cache_off(self, spec):
+        def identity(best):
+            return (
+                tuple(sorted(best.design.mapping.as_dict().items())),
+                tuple(sorted(best.design.priorities.items())),
+                tuple(sorted(best.design.message_delays.items())),
+                best.objective,
+            )
+
         def run(**kwargs):
             with DesignEvaluator(spec, **kwargs) as evaluator:
                 parent = im_parent(
@@ -319,17 +295,18 @@ class TestSteepestDescentDelta:
                 best = steepest_descent(
                     spec, evaluator, parent, DescentParams(max_iterations=6)
                 )
-                return (
-                    tuple(sorted(best.design.mapping.as_dict().items())),
-                    tuple(sorted(best.design.priorities.items())),
-                    tuple(sorted(best.design.message_delays.items())),
-                    best.objective,
-                )
+                return identity(best)
 
         reference = run()
-        assert run(use_delta=False) == reference
         assert run(use_cache=False) == reference
-        assert run(use_delta=False, use_cache=False) == reference
+        compiled = CompiledSpec(spec, engine_core="array")
+        scheduler = ListScheduler(spec.architecture)
+        program = descent_loop(DescentParams(max_iterations=6)).program(
+            spec, start=im_parent(spec, compiled, scheduler)
+        )
+        outcome, used = drive_through_delta(program, compiled, scheduler)
+        assert used > 0
+        assert identity(outcome.incumbent) == reference
 
 
 # ----------------------------------------------------------------------
@@ -412,8 +389,17 @@ def test_delta_equals_cold_property(family_name, data):
 
 
 # ----------------------------------------------------------------------
-# seeded strategy runs: byte-identical with delta on/off and cache off
+# seeded strategy runs: the kernel lands on the cold path's designs
 # ----------------------------------------------------------------------
+def _through_delta(strategy, spec):
+    compiled = CompiledSpec(spec, engine_core="array")
+    return drive_through_delta(
+        strategy.search_program(spec, compiled),
+        compiled,
+        ListScheduler(spec.architecture),
+    )
+
+
 class TestSeededStrategyEquivalence:
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
     def test_mh_identical_delta_on_off(self, family_name):
@@ -422,18 +408,20 @@ class TestSeededStrategyEquivalence:
         family = families.get_family(family_name)
         spec = family.build(family.smallest_preset, seed=1).spec()
         reference = design_identity(MappingHeuristic().design(spec))
-        assert (
-            design_identity(MappingHeuristic(use_delta=False).design(spec))
-            == reference
-        )
+        result, used = _through_delta(MappingHeuristic(), spec)
+        assert used > 0
+        assert design_identity(result) == reference
 
     def test_sa_identical_delta_on_off(self, spec):
         from repro.experiments.runner import design_identity
 
-        base = SimulatedAnnealing(iterations=120, seed=3)
-        reference = design_identity(base.design(spec))
-        for variant in (
-            SimulatedAnnealing(iterations=120, seed=3, use_delta=False),
-            SimulatedAnnealing(iterations=120, seed=3, use_cache=False),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        reference = design_identity(
+            SimulatedAnnealing(iterations=120, seed=3).design(spec)
+        )
+        uncached = SimulatedAnnealing(iterations=120, seed=3, use_cache=False)
+        assert design_identity(uncached.design(spec)) == reference
+        result, used = _through_delta(
+            SimulatedAnnealing(iterations=120, seed=3), spec
+        )
+        assert used > 0
+        assert design_identity(result) == reference

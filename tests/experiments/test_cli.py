@@ -1,8 +1,27 @@
 """Tests for the experiments CLI."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.cli import _nonnegative_int, _rate_cell, main
+from repro.experiments.cli import _nonnegative_int, _rate_cell, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
+COMMAND = "python -m repro.experiments"
+DOCS = ("README.md", "EXPERIMENTS.md")
+
+
+def documented_commands(doc):
+    """Every ``python -m repro.experiments`` argv in one doc file, with
+    backslash continuations joined and shell comments dropped."""
+    text = (ROOT / doc).read_text().replace("\\\n", " ")
+    commands = []
+    for line in text.splitlines():
+        _, found, rest = line.partition(COMMAND)
+        if found:
+            commands.append(shlex.split(rest.split("`")[0], comments=True))
+    return commands
 
 
 class TestRateCell:
@@ -139,6 +158,50 @@ class TestScenariosCli:
         assert lines[0].startswith("error: ")
         assert cause in lines[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["scenarios", "run", "uniform-baseline", "--strategies", "XX"],
+             "XX"),
+            (["scenarios", "run", "uniform-baseline", "--strategies", "SA@0"],
+             "SA@0"),
+            (["scenarios", "run", "uniform-baseline", "--strategies", "SA@x"],
+             "SA@x"),
+            (["scenarios", "run", "uniform-baseline", "--sa-iterations", "-5"],
+             "-5"),
+            (["scenarios", "run", "uniform-baseline", "--budget-seconds", "-1"],
+             "-1"),
+            (["scenarios", "portfolio", "uniform-baseline",
+              "--strategies", "MH", "XX"], "XX"),
+            (["scenarios", "sweep", "--strategies", "QQ"], "QQ"),
+        ],
+    )
+    def test_bad_value_is_rejected_before_running(self, capsys, argv, bad):
+        """Bad option values stop at argument parsing: exit code 2, no
+        traceback, nothing run, and an ``error:`` line naming the value."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = captured.err.strip().splitlines()[-1]
+        assert "error:" in error
+        assert repr(bad) in error
+
+    @pytest.mark.parametrize("name", ["XX", "SA@0", "SA@x", "MH@2"])
+    def test_library_rejects_bad_strategy_names(self, name):
+        """Library callers get a ``ValueError`` that is also a
+        ``ReproError`` (the CLI's one-line error class)."""
+        from repro.experiments.runner import strategy_for_family
+        from repro.utils.errors import ConfigError, ReproError
+
+        with pytest.raises(ConfigError) as exc:
+            strategy_for_family(name, 1, True, 1, 10)
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, ReproError)
+        assert repr(name) in str(exc.value)
 
     def test_run_family(self, capsys):
         code = main(
@@ -298,3 +361,23 @@ class TestStoreCli:
         )
         assert code == 2
         assert "requires --cache-path" in capsys.readouterr().err
+
+
+class TestDocumentedCommands:
+    """The docs' example commands must stay runnable: each one parses
+    against the current argument parser (no run)."""
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_doc_has_commands(self, doc):
+        assert documented_commands(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(argv, id=f"{doc}:{' '.join(argv)}")
+            for doc in DOCS
+            for argv in documented_commands(doc)
+        ],
+    )
+    def test_documented_command_parses(self, argv):
+        build_parser().parse_args(argv)

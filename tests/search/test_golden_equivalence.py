@@ -9,7 +9,7 @@ full design identity -- mapping, priorities, message delays, objective
 reproduce every cell exactly; any intentional change to search
 behavior must regenerate the goldens and say so in the diff.
 
-The delta-on/off equivalence for every family is covered by
+The cache-on/off equivalence for every family is covered by
 ``run_family_smoke`` (the CI `scenarios smoke` gate); here one family
 re-checks that axis against the golden record itself so the tier-1
 suite alone pins the full contract end-to-end.
@@ -30,7 +30,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 STRATEGIES = ("AH", "MH", "SA")
 
 #: The family whose golden cell is additionally re-checked with the
-#: delta kernel off and with two evaluation workers.
+#: evaluation cache off.
 CROSS_MODE_FAMILY = "uniform-baseline"
 
 
@@ -79,19 +79,16 @@ def test_matches_pre_refactor_design(specs, family_name, strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize(
-    "label,jobs,use_delta", [("delta-off", 1, False)]
+    "use_cache", [pytest.param(False, id="cache-off")]
 )
-def test_golden_holds_across_engine_modes(
-    specs, strategy, label, jobs, use_delta
-):
+def test_golden_holds_across_engine_modes(specs, strategy, use_cache):
     _, cell = golden_cell(CROSS_MODE_FAMILY)
     result = strategy_for_family(
         strategy,
         GOLDEN["seed"],
-        True,
-        jobs,
+        use_cache,
+        1,
         GOLDEN["sa_iterations"],
-        use_delta,
     ).design(specs[CROSS_MODE_FAMILY])
     assert result.valid
     assert observed_identity(result) == cell[strategy]

@@ -13,6 +13,7 @@ yields a worse incumbent (monotonicity, hypothesis-tested).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from repro.search.acceptors import (
     MetropolisAcceptor,
 )
 from repro.search.budget import Budget
-from repro.search.loop import SearchLoop
+from repro.search.loop import EvalRequest, SearchLoop, execute_request
 from repro.search.proposers import (
     NeighbourhoodProposer,
     RandomMoveProposer,
@@ -51,7 +52,8 @@ def legacy_steepest_descent(
     for _ in range(max_iterations):
         moves = generate_moves(spec, best, pool_size, use_message_moves)
         winner = None
-        for evaluated in evaluator.evaluate_moves(best, moves):
+        children = [move.apply(best.design) for move in moves]
+        for evaluated in evaluator.evaluate_many(children):
             if evaluated is None:
                 continue
             target = winner.objective if winner is not None else best.objective
@@ -93,7 +95,7 @@ def legacy_sa_walk(
         move = random_move(spec, probe_current, rng)
         if move is None:
             break
-        proposal = evaluator.evaluate_move(probe_current, move)
+        proposal = evaluator.evaluate(move.apply(probe_current.design))
         if proposal is None:
             continue
         deltas.append(abs(proposal.objective - probe_current.objective))
@@ -107,7 +109,7 @@ def legacy_sa_walk(
         move = random_move(spec, current, rng)
         if move is None:
             break
-        proposal = evaluator.evaluate_move(current, move)
+        proposal = evaluator.evaluate(move.apply(current.design))
         if proposal is not None and _legacy_accept(
             proposal.objective - current.objective, temperature, rng
         ):
@@ -155,6 +157,42 @@ def kernel_sa_walk(
         acceptor.temperature,
         rng.bit_generator.state,
     )
+
+
+# ----------------------------------------------------------------------
+# serving requests
+# ----------------------------------------------------------------------
+class TestExecuteRequest:
+    """A moves request is served as its children: the outcomes and the
+    engine accounting of evaluating the applied moves directly."""
+
+    def test_moves_request_matches_applied_children(self):
+        spec = small_scenario(seed=3).spec()
+        with DesignEvaluator(spec) as served, DesignEvaluator(spec) as direct:
+            parent = start_of(spec, served)
+            start_of(spec, direct)
+            moves = generate_moves(spec, parent, 8, True)
+            moves = moves + moves[:3]  # in-batch repeats are cache hits
+            got = execute_request(
+                served, EvalRequest(parent=parent, moves=moves)
+            ) + execute_request(
+                served, EvalRequest(parent=parent, moves=moves[:1])
+            )
+            children = [move.apply(parent.design) for move in moves]
+            want = direct.evaluate_many(children) + [
+                direct.evaluate(children[0])
+            ]
+            assert [o and o.metrics for o in got] == [
+                o and o.metrics for o in want
+            ]
+            for engine in (served, direct):
+                assert engine.evaluations == 2 + len(moves)
+            assert (served.cache_hits, served.cache_misses) == (
+                direct.cache_hits,
+                direct.cache_misses,
+            )
+        with pytest.raises(RuntimeError):
+            execute_request(served, EvalRequest(parent=parent, moves=moves))
 
 
 # ----------------------------------------------------------------------

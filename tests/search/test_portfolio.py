@@ -73,15 +73,17 @@ class TestDeterminism:
         assert design_identity(again.best) == design_identity(race.best)
         assert again.evaluations == race.evaluations
 
-    def test_delta_off_does_not_change_the_race(self, spec, race):
-        cold = run_portfolio(
+    def test_cache_off_does_not_change_the_race(self, spec, race):
+        uncached = run_portfolio(
             spec,
             ("AH", "MH", "SA"),
             seed=1,
             sa_iterations=SA_ITERS,
-            use_delta=False,
+            use_cache=False,
         )
-        assert design_identity(cold.best) == design_identity(race.best)
+        assert design_identity(uncached.best) == design_identity(race.best)
+        assert uncached.evaluations == race.evaluations
+        assert uncached.cache_hits == uncached.cache_misses == 0
 
     def test_racing_order_does_not_change_the_winning_design(self, spec, race):
         reversed_race = run_portfolio(
