@@ -77,7 +77,7 @@ def _context(family_name: str):
     )
     scenario = family.build(preset, seed=1)
     spec = scenario.spec()
-    compiled = CompiledSpec(spec)
+    compiled = CompiledSpec(spec, engine_core="object")
     scheduler = ListScheduler(spec.architecture)
     delta = DeltaEvaluator(compiled, scheduler)
     mapper = InitialMapper(spec.architecture)

@@ -8,11 +8,11 @@ search loop pays -- three ways:
 * **array** -- :func:`repro.engine.evaluation.evaluate_candidate` under
   the array core: columnless structure-of-arrays pass, metrics priced
   directly on the state's columns (:mod:`repro.core.array_metrics`),
-  **no** object-schedule decode (what ``--engine-core array`` runs per
-  candidate since the array-native metric kernel);
+  **no** object-schedule decode (what every engine runs per candidate
+  since the array-native metric kernel);
 * **object** -- the same function under the pinned object core:
-  ``ListScheduler.try_schedule`` plus the object metric kernel (what
-  ``--engine-core object`` runs per candidate);
+  ``ListScheduler.try_schedule`` plus the object metric kernel (the
+  reference the tests compare against);
 * **decode-always** -- the pre-array-metrics shape of the array core:
   the array pass with trace columns, an object-schedule decode per
   candidate, and the object metric kernel over the decoded schedule.

@@ -22,7 +22,7 @@ from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
 from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import CandidateDesign
-from repro.engine import CompiledSpec
+from repro.engine import CompiledSpec, EngineConfig
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.priorities import hcp_priorities
 
@@ -68,7 +68,7 @@ def test_compiled_list_scheduling(benchmark, prepared):
     and re-deriving priorities that :class:`CompiledSpec` eliminates.
     """
     scenario, mapping, priorities, _ = prepared
-    compiled = CompiledSpec(scenario.spec())
+    compiled = CompiledSpec(scenario.spec(), engine_core="object")
     scheduler = ListScheduler(scenario.architecture)
 
     result = benchmark(
@@ -85,7 +85,7 @@ def test_compiled_list_scheduling(benchmark, prepared):
 def test_engine_first_evaluation(benchmark, prepared, candidate):
     """One cold engine evaluation (schedule + metrics, cache miss)."""
     scenario, _, _, _ = prepared
-    evaluator = DesignEvaluator(scenario.spec(), use_cache=False)
+    evaluator = DesignEvaluator(scenario.spec(), EngineConfig(use_cache=False))
 
     out = benchmark(lambda: evaluator.evaluate(candidate))
     assert out is not None
@@ -99,7 +99,7 @@ def test_engine_cached_reevaluation(benchmark, prepared, candidate):
     search loops.
     """
     scenario, _, _, _ = prepared
-    evaluator = DesignEvaluator(scenario.spec(), use_cache=True)
+    evaluator = DesignEvaluator(scenario.spec())
     assert evaluator.evaluate(candidate) is not None  # warm the cache
 
     out = benchmark(lambda: evaluator.evaluate(candidate))

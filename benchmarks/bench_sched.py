@@ -7,10 +7,10 @@ both cores and would dilute the comparison (Amdahl):
 
 * **array** -- :meth:`repro.sched.arrays.ArraySpec.schedule_design`:
   the structure-of-arrays kernel with integer heap keys and column
-  traces (what ``--engine-core array`` runs per candidate);
+  traces (the runtime's core);
 * **object** -- ``ListScheduler.try_schedule`` against the compiled
-  spec with trace recording (what ``--engine-core object`` runs per
-  candidate);
+  spec with trace recording (the pinned reference core the tests
+  compare against);
 * **scratch** -- ``try_schedule`` without a compiled spec: the
   job-table and base-template compilation repeated per candidate (the
   pre-``CompiledSpec`` evaluation shape).
@@ -58,7 +58,7 @@ def _context(preset: str):
     family = families.get_family("uniform-baseline")
     scenario = family.build(preset, seed=1)
     spec = scenario.spec()
-    compiled = CompiledSpec(spec)
+    compiled = CompiledSpec(spec, engine_core="object")
     arrays = compiled.arrays
     scheduler = ListScheduler(spec.architecture)
     mapper = InitialMapper(spec.architecture)

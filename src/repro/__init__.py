@@ -60,6 +60,7 @@ from repro.analysis import DesignReport, analyze_design, render_report
 from repro.engine import (
     CacheStats,
     CompiledSpec,
+    EngineConfig,
     EvaluatedDesign,
     EvaluationCache,
     EvaluationEngine,
@@ -85,6 +86,7 @@ __all__ = [
     "BusSchedule",
     "CacheStats",
     "CompiledSpec",
+    "EngineConfig",
     "EvaluatedDesign",
     "EvaluationCache",
     "EvaluationEngine",

@@ -19,28 +19,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
+from repro.engine import CompiledSpec, EngineConfig
 from repro.search.budget import Budget
 
 @dataclass
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``cache_store``/``cache_path`` and ``budget``
-    exist so every strategy shares one construction signature (the
-    experiment runner passes them uniformly); AH performs a single
-    evaluation, so none of them changes its behavior.
+    ``engine`` and ``budget`` exist so every strategy shares one
+    construction signature (the experiment runner passes them
+    uniformly); AH performs a single evaluation and opens no engine,
+    so neither changes its behavior.
     """
 
-    use_cache: bool = True
-    engine_core: str = "array"
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    engine: EngineConfig = EngineConfig()
     budget: Optional[Budget] = None
 
     name = "AH"
@@ -51,10 +44,7 @@ class AdHocStrategy:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
-        with DesignEvaluator(
-            spec, use_cache=False, engine_core=self.engine_core,
-        ) as evaluator:
-            return self._design(spec, evaluator.compiled)
+        return self._design(spec, CompiledSpec(spec))
 
     def _design(self, spec: DesignSpec, compiled) -> DesignResult:
         from repro.core.metrics import evaluate_design

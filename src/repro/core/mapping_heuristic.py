@@ -43,7 +43,7 @@ from repro.core.strategy import (
     timed,
 )
 from repro.core.transformations import CandidateDesign
-from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.engine import EngineConfig
 from repro.search.budget import Budget
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, drive
@@ -65,11 +65,10 @@ class MappingHeuristic:
         A move must lower the objective by more than this to be taken.
     use_message_moves:
         Whether bus-slack (message-delay) moves are generated.
-    use_cache:
-        Memoize candidate evaluations in the engine (neighbourhoods of
-        consecutive descent iterations overlap heavily).
-    max_cache_entries:
-        LRU bound of the engine's cache (``None`` = unbounded).
+    engine:
+        The evaluation engine's settings; the cache pays off because
+        the neighbourhoods of consecutive descent iterations overlap
+        heavily.
     budget:
         Optional external search budget, combined (``&``) with the
         ``max_iterations`` step cap -- the tighter limit wins on every
@@ -81,11 +80,7 @@ class MappingHeuristic:
     max_iterations: int = 64
     min_improvement: float = 1e-9
     use_message_moves: bool = True
-    use_cache: bool = True
-    max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    engine_core: str = "array"
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    engine: EngineConfig = EngineConfig()
     budget: Optional[Budget] = None
 
     name = "MH"
@@ -96,14 +91,7 @@ class MappingHeuristic:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM, then steepest-descent improvement of the objective."""
-        with DesignEvaluator(
-            spec,
-            use_cache=self.use_cache,
-            max_cache_entries=self.max_cache_entries,
-            engine_core=self.engine_core,
-            cache_store=self.cache_store,
-            cache_path=self.cache_path,
-        ) as evaluator:
+        with DesignEvaluator(spec, self.engine) as evaluator:
             result = drive(
                 self.search_program(spec, evaluator.compiled), evaluator
             )

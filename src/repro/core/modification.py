@@ -33,6 +33,7 @@ from repro.core.future import FutureCharacterization
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import ObjectiveWeights
 from repro.core.strategy import DesignResult, DesignSpec, make_strategy
+from repro.engine import EngineConfig
 from repro.model.application import Application, merge_applications
 from repro.model.architecture import Architecture
 from repro.sched.schedule import SystemSchedule
@@ -108,9 +109,7 @@ def design_with_modifications(
     strategy: str = "MH",
     horizon: Optional[int] = None,
     max_modified: Optional[int] = None,
-    engine_core: str = "array",
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     budget: Optional[Budget] = None,
     attempt_budget: Optional[Budget] = None,
     **strategy_kwargs,
@@ -138,14 +137,10 @@ def design_with_modifications(
     max_modified:
         Upper bound on how many existing applications may be modified
         (``None`` = all of them, i.e. full redesign as last resort).
-    engine_core:
-        Scheduler core (``"array"`` or ``"object"``) of every subset
-        attempt's evaluation engine; results are byte-identical.
-    cache_store / cache_path:
-        Result-store backend of every subset attempt's evaluation
-        engine (``"memory"`` or ``"sqlite"`` at ``cache_path``); the
-        attempts share one database, so a re-run of the scan is served
-        warm.
+    engine:
+        Settings of every subset attempt's evaluation engine; with a
+        sqlite store the attempts share one database, so a re-run of
+        the scan is served warm.
     budget:
         Per-strategy search budget, forwarded to every subset
         attempt's strategy run (see the strategies' ``budget`` field).
@@ -172,9 +167,7 @@ def design_with_modifications(
         horizon = hyperperiod(periods)
     if max_modified is None:
         max_modified = len(existing)
-    strategy_kwargs.setdefault("engine_core", engine_core)
-    strategy_kwargs.setdefault("cache_store", cache_store)
-    strategy_kwargs.setdefault("cache_path", cache_path)
+    strategy_kwargs.setdefault("engine", engine)
     if budget is not None:
         strategy_kwargs.setdefault("budget", budget)
 

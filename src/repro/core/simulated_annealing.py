@@ -40,7 +40,7 @@ from repro.core.strategy import (
     timed,
 )
 from repro.core.transformations import CandidateDesign
-from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.engine import EngineConfig
 from repro.search.acceptors import AcceptAny, MetropolisAcceptor
 from repro.search.budget import Budget
 from repro.search.checkpoint import (
@@ -83,11 +83,9 @@ class SimulatedAnnealing:
         :mod:`repro.core.improvement`, walking to the bottom of the
         basin SA found.  This keeps the reference "near optimal" even
         with moderate iteration budgets.
-    use_cache:
-        Memoize candidate evaluations in the engine; annealing revisits
-        rejected design points constantly, so hit rates are high.
-    max_cache_entries:
-        LRU bound of the engine's cache (``None`` = unbounded).
+    engine:
+        The evaluation engine's settings; annealing revisits rejected
+        design points constantly, so cache hit rates are high.
     budget:
         Optional external search budget, combined (``&``) into *each*
         phase's own cap (probe, walk, each polish descent) -- e.g.
@@ -103,11 +101,7 @@ class SimulatedAnnealing:
     probe_moves: int = 24
     seed: SeedLike = 0
     polish: bool = True
-    use_cache: bool = True
-    max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    engine_core: str = "array"
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    engine: EngineConfig = EngineConfig()
     budget: Optional[Budget] = None
 
     name = "SA"
@@ -119,14 +113,7 @@ class SimulatedAnnealing:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Anneal from the Initial Mapping and return the best design seen."""
-        with DesignEvaluator(
-            spec,
-            use_cache=self.use_cache,
-            max_cache_entries=self.max_cache_entries,
-            engine_core=self.engine_core,
-            cache_store=self.cache_store,
-            cache_path=self.cache_path,
-        ) as evaluator:
+        with DesignEvaluator(spec, self.engine) as evaluator:
             result = drive(
                 self.search_program(spec, evaluator.compiled), evaluator
             )

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import DesignMetrics, ObjectiveWeights
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats
-from repro.engine.engine import EngineCounters, EvaluationEngine
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.engine.store import StoreStats
 from repro.model.application import Application
@@ -174,23 +174,12 @@ class DesignEvaluator:
     ----------
     spec:
         The design problem (compiled once by the engine).
-    use_cache:
-        Memoize candidate evaluations, including invalid verdicts.
+    config:
+        The user-set engine values: cache on/off and the result store
+        (a sqlite store survives restarts and is shared read-only with
+        the shards of a distributed race).
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    engine_core:
-        ``"array"`` (the default here) runs the structure-of-arrays
-        scheduler kernel; ``"object"`` the pinned object-graph
-        reference.  Byte-identical results; the CLI's
-        ``--engine-core`` switch.
-    cache_store:
-        ``"memory"`` (the default) keeps memoized outcomes in the
-        process-local LRU; ``"sqlite"`` backs that LRU with a
-        persistent database at ``cache_path`` that survives restarts
-        and is shared read-only with the shards of a distributed race.
-    cache_path:
-        Filesystem path of the sqlite result store (required when
-        ``cache_store="sqlite"``).
     store_read_only:
         Open the sqlite store as a read-only shard view (the
         distributed race's per-shard engines): warm reads, no rw lock;
@@ -201,22 +190,13 @@ class DesignEvaluator:
     def __init__(
         self,
         spec: DesignSpec,
-        use_cache: bool = True,
+        config: EngineConfig = EngineConfig(),
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        engine_core: str = "array",
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
         store_read_only: bool = False,
     ):
         self.spec = spec
         self.engine = EvaluationEngine(
-            spec,
-            use_cache=use_cache,
-            max_cache_entries=max_cache_entries,
-            engine_core=engine_core,
-            cache_store=cache_store,
-            cache_path=cache_path,
-            store_read_only=store_read_only,
+            spec, config, max_cache_entries, store_read_only
         )
 
     def evaluate(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:

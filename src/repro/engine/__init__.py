@@ -20,7 +20,8 @@ This package separates problem *construction* from repeated *solving*:
   production path (the engine solves every miss cold); kept until the
   benchmark of record stops tracing it;
 * :mod:`~repro.engine.engine` -- :class:`EvaluationEngine`, the facade
-  composing the above; every strategy's inner loop.
+  composing the above; every strategy's inner loop.  Its user-set
+  values travel as one frozen :class:`EngineConfig`.
 
 See DESIGN.md at the repository root for the layer diagram and the
 engine contracts.
@@ -29,7 +30,7 @@ engine contracts.
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
-from repro.engine.engine import EngineCounters, EvaluationEngine
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign, evaluate_candidate
 from repro.engine.store import (
     MemoryResultStore,
@@ -43,6 +44,7 @@ __all__ = [
     "CacheStats",
     "CompiledSpec",
     "DeltaEvaluator",
+    "EngineConfig",
     "EngineCounters",
     "EvaluatedDesign",
     "EvaluationCache",

@@ -48,12 +48,11 @@ class CompiledSpec:
     compiles its own).
     """
 
-    def __init__(self, spec: "DesignSpec", engine_core: str = "object"):
+    def __init__(self, spec: "DesignSpec", engine_core: str = "array"):
         self.spec = spec
-        # "object" here, not the strategy layer's "array" default: the
-        # compiled spec is also built directly by low-level callers
-        # (tests, tools) that expect the pinned reference semantics
-        # unless they opt in.
+        # The runtime only ever compiles for the array kernel; tests and
+        # microbenchmarks pass "object" to reach the pinned object
+        # scheduler they compare it against.
         self.engine_core = resolve_engine_core(engine_core)
         self._arrays: Optional[ArraySpec] = None
         self.horizon = spec.effective_horizon()
@@ -126,9 +125,8 @@ class CompiledSpec:
     def arrays(self) -> ArraySpec:
         """The structure-of-arrays lowering, built lazily exactly once.
 
-        Available regardless of :attr:`engine_core` (as long as numpy
-        is importable) so tests can compare both kernels over one
-        compilation.
+        Available regardless of :attr:`engine_core`, so tests can
+        compare both kernels over one compilation.
         """
         if self._arrays is None:
             self._arrays = ArraySpec(self)

@@ -236,8 +236,8 @@ class DeltaEvaluator:
         """Array-core checkpoint resume; see :meth:`try_resume`.
 
         Returns ``None`` when the incremental path cannot run (parent
-        without a recorded array state -- including object-core traces
-        after an engine-core switch -- unknown move type, or divergence
+        without a recorded array state -- including a parent traced by
+        the object core -- unknown move type, or divergence
         at event 0); otherwise the finished child state plus the
         per-node clean mask (dense node order) and bus-clean flag.
         """

@@ -7,13 +7,18 @@ It owns
   construction, done once),
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
   solving), and
-* the solver itself: a list scheduler and the :class:`StageTimings`
-  sink.
+* the :class:`StageTimings` sink of the array scheduler and metric
+  kernels that solve each miss.
 
 Every cache miss is solved cold, in this process, one at a time, in
 input order.  Process-level parallelism lives one layer up: the sharded
 portfolio race (:mod:`repro.search.distributed`) runs one engine per
 shard.
+
+:class:`EngineConfig` carries the user-set engine values.  It is built
+once at the edge (the CLI, the experiment config, the strategy
+factory) and handed down unchanged; this module is the only reader of
+its fields.
 
 ``core.strategy.DesignEvaluator`` is a thin facade over this class, so
 existing strategy code keeps its historical API while all performance
@@ -22,6 +27,7 @@ work happens here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
@@ -32,13 +38,67 @@ from repro.engine.evaluation import (
     evaluate_candidate,
 )
 from repro.engine.store import SqliteResultStore, StoreStats, make_store
-from repro.sched.list_scheduler import ListScheduler
+from repro.utils.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.metrics import DesignMetrics
     from repro.core.strategy import DesignSpec
     from repro.core.transformations import CandidateDesign
-    from repro.sched.schedule import SystemSchedule
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """The user-set values of every evaluation engine of a run.
+
+    Results are byte-identical under every setting; these values only
+    decide what is remembered and where.
+
+    Attributes
+    ----------
+    use_cache:
+        Memoize evaluation outcomes, including invalid verdicts.
+    cache_store:
+        ``"memory"`` (the process-local LRU) or ``"sqlite"`` (that LRU
+        backed by a database at ``cache_path``, persistent across
+        processes and runs; see :mod:`repro.engine.store`).  The CLI's
+        ``--cache-store``.
+    cache_path:
+        Database file of the sqlite store (``--cache-path``); required
+        with it and refused without it.
+
+    Raises
+    ------
+    repro.utils.errors.ConfigError
+        At construction, for an unknown store, a sqlite store without
+        a path, or a path with the memory store.  ``ConfigError`` is a
+        ``ValueError``.
+    """
+
+    use_cache: bool = True
+    cache_store: str = "memory"
+    cache_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.cache_store not in ("memory", "sqlite"):
+            raise ConfigError(
+                f"unknown cache_store {self.cache_store!r}; choose "
+                f"'memory' or 'sqlite'"
+            )
+        if self.cache_store == "sqlite" and not self.cache_path:
+            raise ConfigError(
+                "cache_store='sqlite' requires a cache_path (the "
+                "database file the results persist to)"
+            )
+        if self.cache_store == "memory" and self.cache_path is not None:
+            raise ConfigError(
+                f"cache_path {self.cache_path!r} needs "
+                f"cache_store='sqlite'; the memory store keeps no file"
+            )
+
+    @property
+    def persistent(self) -> bool:
+        """Whether engines built from this config share a database
+        (the sharded race then opens one parent-side writer for it)."""
+        return self.use_cache and self.cache_store == "sqlite"
 
 
 class EngineCounters(NamedTuple):
@@ -82,30 +142,19 @@ class EngineCounters(NamedTuple):
 class EvaluationEngine:
     """Fast, cached evaluation of candidate designs.
 
+    Every candidate runs the array scheduler and metric kernels
+    (:mod:`repro.sched.arrays`, :mod:`repro.core.array_metrics`).
+
     Parameters
     ----------
     spec:
         The design problem; compiled once at construction.
-    use_cache:
-        Memoize evaluation outcomes (including invalid verdicts).
+    config:
+        The user-set engine values (cache on/off, result store).
     max_cache_entries:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    engine_core:
-        ``"array"`` runs the structure-of-arrays scheduler kernel
-        (:mod:`repro.sched.arrays`); ``"object"`` runs the pinned
-        object-graph reference.  Results are byte-identical; this is
-        the CLI's ``--engine-core`` switch.  Defaults to ``"object"``
-        here (the strategy layer opts into ``"array"``).
-    cache_store:
-        Cache storage backend: ``"memory"`` (the historical in-process
-        LRU) or ``"sqlite"`` (persistent across processes and runs;
-        see :mod:`repro.engine.store`).  Results are byte-identical
-        either way; this is the CLI's ``--cache-store`` switch.
-    cache_path:
-        Database file of the sqlite backend (required with
-        ``cache_store="sqlite"``, ignored otherwise).
     store_read_only:
         Open the sqlite backend as a read-only shard view (distributed
         racing): warm rows are served from the database, new rows stay
@@ -117,26 +166,22 @@ class EvaluationEngine:
     def __init__(
         self,
         spec: "DesignSpec",
-        use_cache: bool = True,
+        config: EngineConfig = EngineConfig(),
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        engine_core: str = "object",
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
         store_read_only: bool = False,
     ):
         self.spec = spec
-        self.compiled = CompiledSpec(spec, engine_core=engine_core)
+        self.compiled = CompiledSpec(spec)
         self.cache: Optional[EvaluationCache] = None
-        if use_cache:
+        if config.use_cache:
             backend = make_store(
-                cache_store,
-                cache_path,
+                config.cache_store,
+                config.cache_path,
                 self.compiled,
                 max_cache_entries,
                 read_only=store_read_only,
             )
             self.cache = EvaluationCache(max_cache_entries, store=backend)
-        self._scheduler = ListScheduler(self.compiled.architecture)
         self.timings = StageTimings()
         self.evaluations = 0
         self._closed = False
@@ -147,11 +192,7 @@ class EvaluationEngine:
     def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
         """Cold evaluation of one candidate, without trace or memo."""
         return evaluate_candidate(
-            self.spec,
-            self.compiled,
-            self._scheduler,
-            design,
-            timings=self.timings,
+            self.spec, self.compiled, None, design, timings=self.timings
         )
 
     # ------------------------------------------------------------------
@@ -210,17 +251,6 @@ class EvaluationEngine:
             results.append(outcome)
         cache.commit()
         return results
-
-    def price(self, schedule: "SystemSchedule") -> "DesignMetrics":
-        """Metric evaluation of an already-built schedule.
-
-        Used by strategies that obtain a schedule outside the candidate
-        loop (AH reports the Initial Mapping's own schedule), so every
-        objective value in the system comes from one code path.
-        """
-        from repro.core.metrics import evaluate_design
-
-        return evaluate_design(schedule, self.spec.future, self.spec.weights)
 
     # ------------------------------------------------------------------
     # accounting

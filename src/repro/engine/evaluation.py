@@ -75,8 +75,8 @@ class EvaluatedDesign:
     engine core: a :class:`ScheduleTrace` under the object core, an
     :class:`~repro.sched.arrays.ArrayRunState` under the array core;
     the delta evaluator dispatches on the type and treats a mismatch
-    (e.g. after an engine-core switch) as "no trace".  ``memo`` follows
-    the same split (``MetricsMemo`` / ``ArrayMetricsMemo``).
+    (a parent evaluated under the other core) as "no trace".  ``memo``
+    follows the same split (``MetricsMemo`` / ``ArrayMetricsMemo``).
 
     Under the array core :attr:`schedule` is **lazy**: the constructor
     receives the finished array state instead of a decoded schedule,
@@ -162,33 +162,15 @@ class EvaluatedDesign:
         return schedule
 
     def _rederive(self, compiled: "CompiledSpec") -> SystemSchedule:
-        """Re-run the (deterministic) pass to rebuild the schedule."""
-        if compiled.use_arrays:
-            arrays = compiled.arrays
-            state = arrays.schedule_design(
-                self.design, record=False, columns=True
-            )
-            if not state.success:
-                raise ValueError(
-                    "stored design no longer schedules; the result "
-                    "store and the compiled spec disagree"
-                )
-            return arrays.decode_schedule(state)
-        from repro.sched.list_scheduler import ListScheduler
-
-        result = ListScheduler(compiled.architecture).try_schedule(
-            compiled.spec.current,
-            self.design.mapping,
-            priorities=self.design.priorities,
-            message_delays=self.design.message_delays,
-            compiled=compiled,
-        )
-        if not result.success:
+        """Re-run the (deterministic) array pass to rebuild the schedule."""
+        arrays = compiled.arrays
+        state = arrays.schedule_design(self.design, record=False, columns=True)
+        if not state.success:
             raise ValueError(
-                "stored design no longer schedules; the result store "
-                "and the compiled spec disagree"
+                "stored design no longer schedules; the result "
+                "store and the compiled spec disagree"
             )
-        return result.schedule
+        return arrays.decode_schedule(state)
 
     @property
     def objective(self) -> float:
@@ -213,12 +195,17 @@ class EvaluatedDesign:
 def evaluate_candidate(
     spec: "DesignSpec",
     compiled: "CompiledSpec",
-    scheduler: "ListScheduler",
+    scheduler: Optional["ListScheduler"],
     design: "CandidateDesign",
     record_trace: bool = False,
     timings: Optional[StageTimings] = None,
 ) -> Optional[EvaluatedDesign]:
     """Schedule and price one candidate; ``None`` when it is invalid.
+
+    ``compiled`` picks the kernel: the array core (every runtime
+    engine) or the pinned object core (a spec compiled for ``"object"``,
+    the reference tests compare against).  Only the object core runs
+    ``scheduler``; array callers pass ``None``.
 
     Deterministic: equal ``(spec, design)`` always produce the same
     outcome, which the evaluation cache and the result store rely on.
@@ -256,6 +243,7 @@ def evaluate_candidate(
             state=state, arrays=arrays, timings=timings,
         )
 
+    assert scheduler is not None, "the object core needs its ListScheduler"
     start = time.perf_counter_ns()
     result = scheduler.try_schedule(
         spec.current,

@@ -625,30 +625,23 @@ def make_store(
     max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     read_only: bool = False,
 ) -> "ResultStore":
-    """Build the backend named by the ``--cache-store`` switch.
+    """Build the backend an :class:`~repro.engine.engine.EngineConfig`
+    names (which validated the pair at construction).
 
     ``read_only`` builds the shard-engine view of a sqlite store: a
     read-only connection (never competing for the single rw lock) that
     buffers its new rows for the parent to drain and persist.  The
     memory backend has no file to protect and ignores the flag.
     """
-    if cache_store == "memory":
-        return MemoryResultStore(max_entries)
     if cache_store == "sqlite":
-        if cache_path is None:
-            raise ValueError(
-                "cache_store='sqlite' requires a cache_path (the "
-                "database file the results persist to)"
-            )
+        assert cache_path is not None, "EngineConfig requires a sqlite path"
         return SqliteResultStore(
             cache_path,
             compiled=compiled,
             max_entries=max_entries,
             read_only=read_only,
         )
-    raise ValueError(
-        f"unknown cache_store {cache_store!r}; choose 'memory' or 'sqlite'"
-    )
+    return MemoryResultStore(max_entries)
 
 
 __all__ = [

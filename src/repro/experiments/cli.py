@@ -43,23 +43,34 @@ from repro.experiments.runner import (
     stage_statistics,
     store_statistics,
     design_identity,
+    family_strategy,
     make_budget,
     parse_strategy_name,
     run_comparison,
     run_family_matrix,
     run_family_smoke,
     run_portfolio,
-    strategy_for_family,
 )
+from repro.engine import EngineConfig
 from repro.gen import families
 from repro.utils.errors import ConfigError, ReproError
+
+
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The engine settings of a run-like command, built (and validated:
+    a bad combination raises ``ConfigError``) once, before any work."""
+    return EngineConfig(
+        use_cache=not getattr(args, "no_cache", False),
+        cache_store=args.cache_store,
+        cache_path=args.cache_path,
+    )
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = (
         ExperimentConfig.paper() if args.paper_scale else ExperimentConfig()
     )
-    overrides = {}
+    overrides = {"engine": _engine_config(args)}
     if args.sizes:
         overrides["current_sizes"] = tuple(args.sizes)
     if args.seeds:
@@ -68,21 +79,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if getattr(args, "engine_core", None):
-        overrides["engine_core"] = args.engine_core
-    if getattr(args, "cache_store", None):
-        overrides["cache_store"] = args.cache_store
-    if getattr(args, "cache_path", None):
-        overrides["cache_path"] = args.cache_path
     if args.budget_evals is not None:
         overrides["budget_evaluations"] = args.budget_evals
     if args.budget_seconds is not None:
         overrides["budget_seconds"] = args.budget_seconds
     if args.patience is not None:
         overrides["budget_patience"] = args.patience
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    return replace(config, **overrides)
 
 
 def _rate_cell(numerator: int, denominator: int) -> str:
@@ -164,7 +167,7 @@ def _nonnegative_float(value: str) -> float:
 
 
 def _strategy_name(value: str) -> str:
-    """A strategy name ``strategy_for_family`` accepts (``SA@k`` too)."""
+    """A strategy name ``family_strategy`` accepts (``SA@k`` too)."""
     try:
         parse_strategy_name(value)
     except ConfigError as exc:
@@ -223,6 +226,7 @@ def _scenarios_describe(name: str) -> str:
 
 
 def _scenarios_run(args: argparse.Namespace) -> int:
+    engine = _engine_config(args)
     family = families.get_family(args.family)
     scenario = family.build(args.preset, seed=args.seed)
     if args.save:
@@ -235,16 +239,8 @@ def _scenarios_run(args: argparse.Namespace) -> int:
     rows = []
     stage_lines = []
     for name in args.strategies:
-        strategy = strategy_for_family(
-            name,
-            args.seed,
-            not args.no_cache,
-            1,
-            args.sa_iterations,
-            budget=budget,
-            engine_core=args.engine_core,
-            cache_store=args.cache_store,
-            cache_path=args.cache_path,
+        strategy = family_strategy(
+            name, args.seed, args.sa_iterations, budget, engine
         )
         result = strategy.design(spec)
         stage_lines.append(
@@ -308,6 +304,7 @@ def _portfolio_identity(result) -> tuple:
 
 
 def _scenarios_portfolio(args: argparse.Namespace) -> int:
+    engine = _engine_config(args)
     family = families.get_family(args.family)
     scenario = family.build(args.preset, seed=args.seed)
     spec = scenario.spec()
@@ -322,11 +319,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         )
         return 2
 
-    def race(
-        engine_core: Optional[str] = None,
-        shards: Optional[int] = None,
-        elastic: Optional[bool] = None,
-    ):
+    def race(shards: Optional[int] = None, elastic: Optional[bool] = None):
         return run_portfolio(
             spec,
             args.strategies,
@@ -334,9 +327,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            engine_core=engine_core or args.engine_core,
-            cache_store=args.cache_store,
-            cache_path=args.cache_path,
+            engine=engine,
             shards=args.shards if shards is None else shards,
             elastic=args.elastic if elastic is None else elastic,
         )
@@ -411,11 +402,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
 
     if args.check_determinism:
         reference = _portfolio_identity(result)
-        other_core = "object" if args.engine_core == "array" else "array"
-        checks = [
-            ("repeat", race),
-            (f"{other_core} core", lambda: race(other_core)),
-        ]
+        checks = [("repeat", race)]
         shard_axis = args.budget_seconds is None
         if shard_axis:
             # The distributed race (replay mode) must produce the same
@@ -441,7 +428,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 sa_iterations=args.sa_iterations,
                 member_budget=member_budget,
                 shared_budget=None,
-                engine_core=args.engine_core,
             )
             if (
                 _portfolio_identity(reversed_result)[1:]
@@ -451,7 +437,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = f"repeat, {other_core} core"
+        passed = "repeat"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -467,9 +453,7 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
         sa_iterations=args.sa_iterations,
-        engine_core=args.engine_core,
-        cache_store=args.cache_store,
-        cache_path=args.cache_path,
+        engine=_engine_config(args),
         budget=make_budget(
             args.budget_evals, args.budget_seconds, args.patience
         ),
@@ -511,8 +495,7 @@ def _scenarios_smoke(args: argparse.Namespace) -> int:
         family_names=args.families,
         seed=args.seed,
         sa_iterations=args.sa_iterations,
-        cache_store=args.cache_store,
-        cache_path=args.cache_path,
+        engine=_engine_config(args),
         verbose=args.verbose,
     )
     rows = []
@@ -566,15 +549,6 @@ def _scenarios_smoke(args: argparse.Namespace) -> int:
 
 
 def _handle_scenarios(args: argparse.Namespace) -> int:
-    if (
-        getattr(args, "cache_store", "memory") == "sqlite"
-        and not getattr(args, "cache_path", None)
-    ):
-        print(
-            "error: --cache-store sqlite requires --cache-path",
-            file=sys.stderr,
-        )
-        return 2
     if args.action == "list":
         print(_scenarios_list())
         return 0
@@ -624,13 +598,6 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     run.add_argument(
         "--no-cache", action="store_true", help="disable evaluation caching"
-    )
-    run.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
     )
     run.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -687,13 +654,6 @@ def _add_scenarios_parser(subparsers) -> None:
         help="per-member patience (steps without improvement)",
     )
     portfolio.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
-    )
-    portfolio.add_argument(
         "--shards", type=_nonnegative_int, default=0,
         help=(
             "race the portfolio across this many worker processes "
@@ -719,10 +679,9 @@ def _add_scenarios_parser(subparsers) -> None:
         "--check-determinism",
         action="store_true",
         help=(
-            "re-race as a repeat, on the other scheduler core, with "
-            "shards=2, and (without a shared budget) in reversed member "
-            "order; fail unless the winning design is byte-identical "
-            "(the CI smoke gate)"
+            "re-race as a repeat, with shards=2, and (without a shared "
+            "budget) in reversed member order; fail unless the winning "
+            "design is byte-identical (the CI smoke gate)"
         ),
     )
     _add_store_options(portfolio)
@@ -747,13 +706,6 @@ def _add_scenarios_parser(subparsers) -> None:
         "--sa-iterations", type=_nonnegative_int,
         default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
-    )
-    sweep.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
     )
     sweep.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -836,13 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure_options.add_argument(
         "--sa-iterations", type=_nonnegative_int,
         help="simulated-annealing iterations",
-    )
-    figure_options.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
     )
     _add_store_options(figure_options)
     figure_options.add_argument(

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import ObjectiveWeights
 from repro.core.strategy import DesignResult, make_strategy
+from repro.engine import EngineConfig
 from repro.engine.cache import CacheStats
 from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
 from repro.gen import families as families_module
@@ -44,17 +45,10 @@ class ExperimentConfig:
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Scheduler core: ``"array"`` (structure-of-arrays kernel, the
-    #: default) or ``"object"`` (the pinned object-graph reference).
-    #: The CLI's ``--engine-core`` switch.  Results are byte-identical.
-    engine_core: str = "array"
-    #: Result-store backend of every strategy's evaluation engine:
-    #: ``"memory"`` (process-local LRU) or ``"sqlite"`` (persistent
-    #: database at ``cache_path``, warm across runs).  The CLI's
-    #: ``--cache-store`` / ``--cache-path`` switches.  Results are
-    #: byte-identical either way.
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    #: Settings of every strategy's evaluation engine (the CLI's
+    #: ``--cache-store`` / ``--cache-path``).  Results are
+    #: byte-identical under every setting.
+    engine: EngineConfig = EngineConfig()
     #: Per-strategy search budget (``None`` on every axis = the
     #: strategies' own caps only).  Evaluation/step/patience budgets
     #: cut seeded runs at exact reproducible points; wall-clock budgets
@@ -191,18 +185,10 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             "SA",
             iterations=config.sa_iterations,
             seed=seed * 7919 + 13,
-            engine_core=config.engine_core,
-            cache_store=config.cache_store,
-            cache_path=config.cache_path,
+            engine=config.engine,
             budget=budget,
         )
-    return make_strategy(
-        name,
-        engine_core=config.engine_core,
-        cache_store=config.cache_store,
-        cache_path=config.cache_path,
-        budget=budget,
-    )
+    return make_strategy(name, engine=config.engine, budget=budget)
 
 
 def cache_statistics(
@@ -332,7 +318,7 @@ class FamilySmokeResult:
     ``failures`` is empty when the family passed: the scenario
     round-trips through the JSON codec byte-identically, and every
     strategy finds a valid design that is identical with the cache on
-    and off and on the object core.
+    and off.
     """
 
     family: str
@@ -399,23 +385,14 @@ def parse_strategy_name(name: str) -> Tuple[str, int]:
     return base, int(suffix)
 
 
-def strategy_for_family(
+def family_strategy(
     name: str,
     seed: int,
-    use_cache: bool,
-    jobs: int,
-    sa_iterations: int,
+    sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     budget: Optional[Budget] = None,
-    engine_core: str = "array",
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
 ):
     """Instantiate a strategy for a family run (shared with the CLI).
-
-    ``jobs`` must be 1: every engine evaluates in-process (the one
-    process-level mechanism is the sharded race, see
-    :func:`run_portfolio`).  The positional slot stays so existing
-    callers keep their argument order.
 
     ``SA@k`` (k >= 1) names a portfolio variant of SA: the same
     configuration on a distinct seeded RNG stream (seed offset
@@ -423,34 +400,47 @@ def strategy_for_family(
     SA members.  Only SA has variants -- the other strategies are
     deterministic, so extra copies would race identical walks.
     """
-    if jobs != 1:
-        raise ConfigError(
-            f"jobs must be 1 (candidates are evaluated in-process; race "
-            f"shards for parallelism), got {jobs!r}"
-        )
     base, variant = parse_strategy_name(name)
     if base.upper() == "SA":
         strategy = make_strategy(
             "SA",
             iterations=sa_iterations,
             seed=seed * 7919 + 13 + variant * 101,
-            use_cache=use_cache,
-            engine_core=engine_core,
-            cache_store=cache_store,
-            cache_path=cache_path,
+            engine=engine,
             budget=budget,
         )
         if variant:
             strategy.name = f"SA@{variant}"
         return strategy
-    return make_strategy(
-        name,
-        use_cache=use_cache,
-        engine_core=engine_core,
-        cache_store=cache_store,
-        cache_path=cache_path,
-        budget=budget,
-    )
+    return make_strategy(name, engine=engine, budget=budget)
+
+
+def strategy_for_family(
+    name: str,
+    seed: int,
+    use_cache: bool,
+    jobs: int,
+    sa_iterations: int,
+    budget: Optional[Budget] = None,
+    cache_store: str = "memory",
+    cache_path: Optional[str] = None,
+):
+    """:func:`family_strategy` with the engine values spelled out.
+
+    The call surface of scripts and of the benchmark of record, which
+    pass ``(name, seed, use_cache, jobs, sa_iterations)`` by position
+    and the store by keyword; the three engine values become one
+    :class:`EngineConfig` here.  ``jobs`` must be 1: every engine
+    evaluates in-process (the one process-level mechanism is the
+    sharded race, see :func:`run_portfolio`).
+    """
+    if jobs != 1:
+        raise ConfigError(
+            f"jobs must be 1 (candidates are evaluated in-process; race "
+            f"shards for parallelism), got {jobs!r}"
+        )
+    engine = EngineConfig(use_cache, cache_store, cache_path)
+    return family_strategy(name, seed, sa_iterations, budget, engine)
 
 
 def portfolio_members(
@@ -458,25 +448,17 @@ def portfolio_members(
     seed: int,
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     budget: Optional[Budget] = None,
-    engine_core: str = "array",
 ) -> List:
     """Configured strategy instances for a portfolio race.
 
     Members are built exactly like single-strategy family runs (same
     SA seed derivation), so a portfolio member's trajectory matches
     the corresponding solo run; ``budget`` here is each member's *own*
-    budget (the racing budget lives on the runner).
+    budget (the racing budget lives on the runner, and so does the
+    engine the members share).
     """
     return [
-        strategy_for_family(
-            name,
-            seed,
-            True,
-            1,
-            sa_iterations,
-            budget=budget,
-            engine_core=engine_core,
-        )
+        family_strategy(name, seed, sa_iterations, budget)
         for name in strategies
     ]
 
@@ -488,10 +470,7 @@ def run_portfolio(
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
-    use_cache: bool = True,
-    engine_core: str = "array",
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     shards: int = 0,
     elastic: bool = False,
 ) -> PortfolioResult:
@@ -500,10 +479,9 @@ def run_portfolio(
     The deterministic lockstep race of
     :class:`repro.search.PortfolioRunner`: member order is the racing
     and tie-breaking order, ``shared_budget`` is contended for by all
-    members, and the winner is byte-identical for any cache or core
-    setting.
-    With ``cache_store="sqlite"`` the race shares one persistent store
-    at ``cache_path`` (and is served warm by earlier races against it).
+    members, and the winner is byte-identical for any ``engine``
+    setting.  With a sqlite store the race shares one persistent store
+    (and is served warm by earlier races against it).
 
     ``shards >= 1`` runs the same race distributed across that many
     worker processes (:class:`repro.search.DistributedPortfolioRunner`)
@@ -512,9 +490,7 @@ def run_portfolio(
     budgets and dynamic work-stealing allowed).  ``shards=0`` (the
     default) stays on the in-process lockstep reference.
     """
-    members = portfolio_members(
-        strategies, seed, sa_iterations, member_budget, engine_core
-    )
+    members = portfolio_members(strategies, seed, sa_iterations, member_budget)
     if shards >= 1:
         from repro.search.distributed import DistributedPortfolioRunner
 
@@ -523,20 +499,9 @@ def run_portfolio(
             budget=shared_budget,
             shards=shards,
             mode="elastic" if elastic else "replay",
-            use_cache=use_cache,
-            engine_core=engine_core,
-            cache_store=cache_store,
-            cache_path=cache_path,
+            engine=engine,
         ).run(spec)
-    runner = PortfolioRunner(
-        members,
-        budget=shared_budget,
-        use_cache=use_cache,
-        engine_core=engine_core,
-        cache_store=cache_store,
-        cache_path=cache_path,
-    )
-    return runner.run(spec)
+    return PortfolioRunner(members, budget=shared_budget, engine=engine).run(spec)
 
 
 def run_family_matrix(
@@ -546,9 +511,7 @@ def run_family_matrix(
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    engine_core: str = "array",
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     budget: Optional[Budget] = None,
     verbose: bool = False,
 ) -> List[FamilyMatrixRecord]:
@@ -568,6 +531,9 @@ def run_family_matrix(
     strategies, cache_modes, sa_iterations:
         The strategy grid.  Results are deterministic for any cache
         mode by the evaluation-engine contract.
+    engine:
+        Engine settings of every cell; each cache mode overrides its
+        ``use_cache``.
     """
     if family_names is None:
         family_names = families_module.family_names()
@@ -588,16 +554,12 @@ def run_family_matrix(
             spec = scenario.spec()
             for strategy_name in strategies:
                 for use_cache in cache_modes:
-                    strategy = strategy_for_family(
+                    strategy = family_strategy(
                         strategy_name,
                         seed,
-                        use_cache,
-                        1,
                         sa_iterations,
-                        budget=budget,
-                        engine_core=engine_core,
-                        cache_store=cache_store if use_cache else "memory",
-                        cache_path=cache_path,
+                        budget,
+                        replace(engine, use_cache=use_cache),
                     )
                     result = strategy.design(spec)
                     records.append(
@@ -625,27 +587,25 @@ def run_family_smoke(
     seed: int = 1,
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     verbose: bool = False,
 ) -> List[FamilySmokeResult]:
     """CI smoke sweep: smallest preset per family, all checks.
 
     Per family: (1) the scenario round-trips through the JSON codec
     byte-identically; (2) every strategy finds a *valid* design;
-    (3) each strategy's design is identical with the cache on, with the
-    cache off and with the pinned object scheduler core
-    (``--engine-core object``) -- the determinism contract new
-    families must not break.
+    (3) each strategy's design is identical with the cache on and off
+    -- the determinism contract new families must not break.  (The
+    same designs under the pinned object scheduler core are checked by
+    the tier-1 oracle test, ``tests/test_object_oracle.py``.)
 
-    ``cache_store``/``cache_path`` apply to the *baseline* run of each
-    strategy only (the comparison variants stay memory-backed: they
-    exist to check determinism, and routing them through the same
-    database would let the store serve results between variants).  Each
-    smoke result reports the baseline designs' fingerprints and the
-    store totals, so a second sweep against the same path can assert
-    warm-hit rate and byte-identical designs (the CI warm-restart
-    gate).
+    ``engine`` applies to the *baseline* run of each strategy only
+    (the cache-off variant has no store: it exists to check
+    determinism, and routing it through the same database would let
+    the store serve results between variants).  Each smoke result
+    reports the baseline designs' fingerprints and the store totals,
+    so a second sweep against the same sqlite path can assert warm-hit
+    rate and byte-identical designs (the CI warm-restart gate).
     """
     if family_names is None:
         family_names = families_module.family_names()
@@ -672,9 +632,8 @@ def run_family_smoke(
 
         spec = scenario.spec()
         for strategy_name in strategies:
-            baseline = strategy_for_family(
-                strategy_name, seed, True, 1, sa_iterations,
-                cache_store=cache_store, cache_path=cache_path,
+            baseline = family_strategy(
+                strategy_name, seed, sa_iterations, engine=engine
             ).design(spec)
             smoke.store_hits += baseline.store_hits
             smoke.store_misses += baseline.store_misses
@@ -683,23 +642,16 @@ def run_family_smoke(
                 continue
             smoke.objectives[strategy_name] = baseline.objective
             smoke.fingerprints[strategy_name] = design_fingerprint(baseline)
-            reference = design_identity(baseline)
-            for label, use_cache, engine_core in (
-                ("cache off", False, "array"),
-                ("object core", True, "object"),
-            ):
-                other = strategy_for_family(
-                    strategy_name,
-                    seed,
-                    use_cache,
-                    1,
-                    sa_iterations,
-                    engine_core=engine_core,
-                ).design(spec)
-                if design_identity(other) != reference:
-                    smoke.failures.append(
-                        f"{strategy_name}: design differs with {label}"
-                    )
+            uncached = family_strategy(
+                strategy_name,
+                seed,
+                sa_iterations,
+                engine=EngineConfig(use_cache=False),
+            ).design(spec)
+            if design_identity(uncached) != design_identity(baseline):
+                smoke.failures.append(
+                    f"{strategy_name}: design differs with cache off"
+                )
         smoke.runtime_seconds = time.perf_counter() - started
         if verbose:
             status = "ok" if smoke.ok else "; ".join(smoke.failures)

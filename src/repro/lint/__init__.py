@@ -1,7 +1,7 @@
 """Static analysis of the repository's byte-identity invariants.
 
 Every guarantee the reproduction makes -- seeded runs byte-identical
-across cache on/off, delta on/off, ``--engine-core array|object`` and
+across cache on/off, the array kernel and its object-core oracle, and
 ``--shards N`` -- is otherwise enforced only
 dynamically, by golden-design tests.  This package proves the
 underlying source-level invariants statically, on every commit:

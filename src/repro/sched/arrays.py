@@ -45,18 +45,15 @@ divergence scan compares ``(urgency, static_rank)`` pairs (isomorphic
 to legacy heap-key comparisons) and checkpoint reconstruction rebuilds
 ``earliest``/``preds`` with two ``np.ufunc.at`` scatters plus a short
 prefix replay of placements -- no object-graph surgery.
-
-numpy is optional: :func:`resolve_engine_core` degrades ``array`` to
-``object`` with a warning when it is missing, so the package works
-(slower) without it.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.sched.jobs import JobKey
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
@@ -64,47 +61,25 @@ from repro.sched.trace import MessageEvent, ScheduleTrace
 from repro.tdma.schedule import SlotOccupancy
 from repro.utils.intervals import IntervalSet
 
-try:  # pragma: no cover - exercised via tests that stub HAVE_NUMPY
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the toolchain
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign, MoveFootprint
     from repro.engine.compiled_spec import CompiledSpec
     from repro.sched.priorities import PriorityMap
 
-#: The selectable scheduler cores (the CLI's ``--engine-core`` values).
+#: The scheduler cores a :class:`CompiledSpec` can run: ``array`` is the
+#: runtime's; ``object`` is the pinned reference that tests and
+#: microbenchmarks compare it against.
 ENGINE_CORES = ("array", "object")
-
-#: Default core of the strategy/experiment layer.  The engine layer
-#: itself defaults to ``object`` (the pinned reference) so low-level
-#: tests keep exercising the legacy path unless they opt in.
-DEFAULT_ENGINE_CORE = "array"
 
 
 def resolve_engine_core(requested: str) -> str:
-    """Validate ``requested`` and degrade ``array`` when numpy is absent.
-
-    Returns the core that will actually run.  The degradation warns --
-    silently falling back would hide a 3x+ performance regression.
-    """
+    """Return ``requested`` if it names a core; raise ``ValueError``
+    otherwise."""
     if requested not in ENGINE_CORES:
         raise ValueError(
             f"unknown engine core {requested!r}; expected one of "
             f"{ENGINE_CORES}"
         )
-    if requested == "array" and not HAVE_NUMPY:
-        warnings.warn(
-            "numpy is not available; the array scheduler core degrades to "
-            "the (slower) object core",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "object"
     return requested
 
 
@@ -310,11 +285,6 @@ class ArraySpec:
     """
 
     def __init__(self, compiled: "CompiledSpec") -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "ArraySpec requires numpy; resolve_engine_core() should "
-                "have degraded to the object core"
-            )
         self.compiled = compiled
         self.horizon = compiled.horizon
         self.architecture = compiled.architecture

@@ -69,7 +69,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.engine import EngineCounters
+from repro.engine.engine import EngineConfig, EngineCounters
 from repro.search.budget import Budget, SharedBudgetExhausted, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, execute_request
@@ -150,15 +150,7 @@ def _shard_main(
     from repro.core.strategy import DesignEvaluator
 
     busy0 = time.process_time()
-    evaluator = DesignEvaluator(
-        spec,
-        use_cache=cfg["use_cache"],
-        max_cache_entries=cfg["max_cache_entries"],
-        engine_core=cfg["engine_core"],
-        cache_store=cfg["cache_store"],
-        cache_path=cfg["cache_path"],
-        store_read_only=cfg["cache_store"] == "sqlite",
-    )
+    evaluator = DesignEvaluator(spec, cfg["engine"], store_read_only=True)
     metered: bool = cfg["metered"]
     ckpt_every: int = cfg["checkpoint_every"]
 
@@ -367,7 +359,7 @@ class DistributedPortfolioRunner:
     """Races a strategy portfolio across sharded worker processes.
 
     Construction mirrors :class:`~repro.search.portfolio.PortfolioRunner`
-    (same members/budget/engine knobs) plus the distribution knobs:
+    (same members, budget and engine config) plus the distribution knobs:
 
     Parameters
     ----------
@@ -412,11 +404,7 @@ class DistributedPortfolioRunner:
         budget: Optional[Budget] = None,
         shards: int = 2,
         mode: str = "replay",
-        use_cache: bool = True,
-        max_cache_entries: Optional[int] = -1,
-        engine_core: str = "array",
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
+        engine: EngineConfig = EngineConfig(),
         steal_schedule: Optional[Sequence[dict]] = None,
         elastic_plan: Optional[Sequence[dict]] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -455,11 +443,7 @@ class DistributedPortfolioRunner:
         self.budget = budget_
         self.shards = shards
         self.mode = mode
-        self.use_cache = use_cache
-        self.max_cache_entries = max_cache_entries
-        self.engine_core = engine_core
-        self.cache_store = cache_store
-        self.cache_path = cache_path
+        self.engine = engine
         self.steal_schedule = [dict(e) for e in (steal_schedule or ())]
         self.elastic_plan = sorted(
             (dict(e) for e in (elastic_plan or ())), key=lambda e: e["after_done"]
@@ -515,20 +499,9 @@ class _Coordinator:
         )
 
     def _worker_cfg(self) -> Dict[str, Any]:
-        from repro.engine.cache import DEFAULT_MAX_ENTRIES
-
         runner = self.runner
-        max_entries = (
-            DEFAULT_MAX_ENTRIES
-            if runner.max_cache_entries == -1
-            else runner.max_cache_entries
-        )
         return {
-            "use_cache": runner.use_cache,
-            "max_cache_entries": max_entries,
-            "engine_core": runner.engine_core,
-            "cache_store": runner.cache_store,
-            "cache_path": runner.cache_path,
+            "engine": runner.engine,
             "metered": runner._metered,
             "checkpoint_every": runner.checkpoint_every,
         }
@@ -829,15 +802,10 @@ class _Coordinator:
             handle = self._spawn(initial[s])
             for index, *_ in initial[s]:
                 self.states[index].owner = handle.id
-        if runner.cache_store == "sqlite":
+        if runner.engine.persistent:
             from repro.core.strategy import DesignEvaluator
 
-            self.evaluator = DesignEvaluator(
-                self.spec,
-                use_cache=True,
-                cache_store="sqlite",
-                cache_path=runner.cache_path,
-            )
+            self.evaluator = DesignEvaluator(self.spec, runner.engine)
 
         try:
             self._loop(mpwait)

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine.engine import EngineConfig
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.loop import EvalRequest, execute_request
 
@@ -118,54 +119,32 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, max_cache_entries, engine_core, cache_store, cache_path:
-        Shared-engine knobs, exactly as on
-        :class:`~repro.core.strategy.DesignEvaluator`.  With
-        ``cache_store="sqlite"`` the whole race shares one persistent
-        result store: any member's priced design is served warm to the
-        others, and to future races against the same path.
+    engine:
+        Settings of the shared engine.  With a sqlite store the whole
+        race shares one persistent result store: any member's priced
+        design is served warm to the others, and to future races
+        against the same path.
     """
 
     def __init__(
         self,
         members: Sequence,
         budget: Optional[Budget] = None,
-        use_cache: bool = True,
-        max_cache_entries: Optional[int] = -1,
-        engine_core: str = "array",
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
+        engine: EngineConfig = EngineConfig(),
     ):
         if not members:
             raise ValueError("a portfolio needs at least one member")
         self.members = list(members)
         self.budget = budget
-        self.use_cache = use_cache
-        self.max_cache_entries = max_cache_entries
-        self.engine_core = engine_core
-        self.cache_store = cache_store
-        self.cache_path = cache_path
+        self.engine = engine
 
     # ------------------------------------------------------------------
     def run(self, spec: "DesignSpec") -> PortfolioResult:
         """Race every member on ``spec``; deterministic winner."""
         from repro.core.strategy import DesignEvaluator
-        from repro.engine.cache import DEFAULT_MAX_ENTRIES
 
-        max_entries = (
-            DEFAULT_MAX_ENTRIES
-            if self.max_cache_entries == -1
-            else self.max_cache_entries
-        )
         started = time.perf_counter()
-        with DesignEvaluator(
-            spec,
-            use_cache=self.use_cache,
-            max_cache_entries=max_entries,
-            engine_core=self.engine_core,
-            cache_store=self.cache_store,
-            cache_path=self.cache_path,
-        ) as evaluator:
+        with DesignEvaluator(spec, self.engine) as evaluator:
             outcomes, budget_cut = self._race(spec, evaluator)
             counters = evaluator.counters()
             result = PortfolioResult(

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracleutil import ObjectOracle, oracle_identity, production_identity
 from repro.core.binpack import best_fit, best_fit_unplaced_total_hist
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
@@ -37,7 +38,7 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
-from repro.engine import evaluate_candidate
+from repro.engine import EngineConfig, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.engine.engine import EvaluationEngine
@@ -249,63 +250,50 @@ def test_clean_mask_reuse_matches_cold_pricing():
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism: cache on/off, cores
+# engine-level determinism: cache on/off against the object core
 # ----------------------------------------------------------------------
-def _engine_metrics(spec, design, moves, **kwargs):
-    with EvaluationEngine(spec, **kwargs) as engine:
-        parent = engine.evaluate(design)
-        children = [move.apply(parent.design) for move in moves]
-        outcomes = engine.evaluate_many(children)
-        return [o.metrics if o is not None else None for o in outcomes]
+def _engine_metrics(spec, design, moves, engine):
+    parent = engine.evaluate(design)
+    children = [move.apply(parent.design) for move in moves]
+    outcomes = engine.evaluate_many(children)
+    return [o.metrics if o is not None else None for o in outcomes]
 
 
 def test_engine_variants_price_identically():
-    """Cache on/off and both cores return equal metric lists."""
+    """The engine with the cache on and off returns the object core's
+    metric lists."""
     spec, compiled_obj, compiled_arr, scheduler, design = _cell(
         "uniform-baseline"
     )
     pids = [p.id for p in spec.current.processes]
     moves = list(remap_moves(design.mapping, pids))[:20]
-    reference = _engine_metrics(spec, design, moves, engine_core="object")
-    for kwargs in (
-        {"engine_core": "array"},
-        {"engine_core": "array", "use_cache": False},
-    ):
-        assert _engine_metrics(spec, design, moves, **kwargs) == reference
+    reference = _engine_metrics(spec, design, moves, ObjectOracle(spec))
+    for config in (EngineConfig(), EngineConfig(use_cache=False)):
+        with EvaluationEngine(spec, config) as engine:
+            assert _engine_metrics(spec, design, moves, engine) == reference
 
 
 class TestSeededStrategyByteIdentity:
-    """Seeded searches land on the same design under either core --
-    i.e. the array metric path never perturbs a single comparison."""
+    """Seeded searches land on the same design, after the same number
+    of evaluations, under either core -- i.e. the array metric path
+    never perturbs a single comparison."""
 
     def test_mh(self):
-        from repro.experiments.runner import design_identity
-
         family = families.get_family("hetero-mixed")
         spec = family.build(family.smallest_preset, seed=2).spec()
-        reference = design_identity(
-            MappingHeuristic(engine_core="object").design(spec)
-        )
-        array = MappingHeuristic(engine_core="array")
-        assert design_identity(array.design(spec)) == reference
+        assert oracle_identity(
+            MappingHeuristic(), spec
+        ) == production_identity(MappingHeuristic(), spec)
 
     def test_sa(self):
-        from repro.experiments.runner import design_identity
-
         family = families.get_family("bursty")
         spec = family.build(family.smallest_preset, seed=1).spec()
-        reference = design_identity(
-            SimulatedAnnealing(
-                iterations=100, seed=7, engine_core="object"
-            ).design(spec)
-        )
-        assert (
-            design_identity(
-                SimulatedAnnealing(
-                    iterations=100, seed=7, engine_core="array"
-                ).design(spec)
-            )
-            == reference
+
+        def strategy():
+            return SimulatedAnnealing(iterations=100, seed=7)
+
+        assert oracle_identity(strategy(), spec) == production_identity(
+            strategy(), spec
         )
 
 

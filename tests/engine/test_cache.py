@@ -6,11 +6,14 @@ batch commits in order -- must hold byte-for-byte whichever store sits
 underneath the cache.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess
+from repro.engine import EngineConfig
 from repro.engine.cache import EvaluationCache
 from repro.engine.store import DEFAULT_MAX_ENTRIES, SqliteResultStore
 from repro.sched.priorities import hcp_priorities
@@ -46,7 +49,7 @@ def make_cache(request, tmp_path):
 
 class TestEvaluationCache:
     def test_miss_then_hit(self, make_cache, spec, im_design):
-        with DesignEvaluator(spec, use_cache=False) as evaluator:
+        with DesignEvaluator(spec, EngineConfig(use_cache=False)) as evaluator:
             priced = evaluator.evaluate(im_design)
         cache = make_cache()
         found, _ = cache.lookup(b"a")
@@ -81,19 +84,18 @@ class TestEvaluationCache:
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def store_kwargs(request, tmp_path):
+def engine_config(request, tmp_path):
     """Engine-level backend selection (the --cache-store switch)."""
     if request.param == "memory":
-        return {"cache_store": "memory"}
-    return {
-        "cache_store": "sqlite",
-        "cache_path": str(tmp_path / "engine.sqlite"),
-    }
+        return EngineConfig()
+    return EngineConfig(
+        cache_store="sqlite", cache_path=str(tmp_path / "engine.sqlite")
+    )
 
 
 class TestEngineCaching:
-    def test_repeat_evaluation_hits(self, spec, im_design, store_kwargs):
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+    def test_repeat_evaluation_hits(self, spec, im_design, engine_config):
+        with DesignEvaluator(spec, engine_config) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design)
             assert first is second
@@ -101,17 +103,17 @@ class TestEngineCaching:
             assert evaluator.cache_hits == 1
             assert evaluator.cache_misses == 1
 
-    def test_copies_share_cache_entry(self, spec, im_design, store_kwargs):
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+    def test_copies_share_cache_entry(self, spec, im_design, engine_config):
+        with DesignEvaluator(spec, engine_config) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design.copy())
             assert first is second
             assert evaluator.cache_hits == 1
 
-    def test_invalid_candidates_cached(self, spec, im_design, store_kwargs):
+    def test_invalid_candidates_cached(self, spec, im_design, engine_config):
         # An overloaded single-node mapping that cannot meet deadlines
         # still gets its (None) verdict memoized.
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+        with DesignEvaluator(spec, engine_config) as evaluator:
             evaluator.evaluate(im_design)
             move = None
             for proc in spec.current.processes:
@@ -130,7 +132,7 @@ class TestEngineCaching:
             assert a is b  # cached, whatever the verdict
 
     def test_batch_duplicate_hits_keep_lru_order(
-        self, spec, im_design, store_kwargs
+        self, spec, im_design, engine_config
     ):
         """Regression: in-batch duplicates must refresh recency, so the
         duplicated entry survives eviction over an older distinct one."""
@@ -147,7 +149,7 @@ class TestEngineCaching:
         assert move is not None
         other = move.apply(im_design)
         with DesignEvaluator(
-            spec, max_cache_entries=2, **store_kwargs
+            spec, engine_config, max_cache_entries=2
         ) as evaluator:
             # Batch: [A, B, A] -> stores A then B, then the duplicate
             # hit on A makes B the least recently used entry.
@@ -160,7 +162,7 @@ class TestEngineCaching:
             assert list(cache._store) == [sig_b, sig_a]
 
     def test_batch_accounting_matches_serial_lru_order(
-        self, spec, im_design, store_kwargs, tmp_path
+        self, spec, im_design, engine_config, tmp_path
     ):
         """[A, A, B] must leave LRU order [A, B] -- exactly what three
         single evaluate() calls produce (A last used before B's store)."""
@@ -177,18 +179,20 @@ class TestEngineCaching:
         assert move is not None
         other = move.apply(im_design)
         with DesignEvaluator(
-            spec, max_cache_entries=2, **store_kwargs
+            spec, engine_config, max_cache_entries=2
         ) as batched:
             batched.evaluate_many([im_design, im_design.copy(), other])
             batch_order = list(batched.engine.cache._store)
             batch_stats = (batched.cache_hits, batched.cache_misses)
-        serial_kwargs = dict(store_kwargs)
-        if serial_kwargs.get("cache_path"):
+        serial_config = engine_config
+        if engine_config.cache_path:
             # A fresh database: the serial run must replay cold, not be
             # served by the batched run's rows.
-            serial_kwargs["cache_path"] = str(tmp_path / "serial.sqlite")
+            serial_config = replace(
+                engine_config, cache_path=str(tmp_path / "serial.sqlite")
+            )
         with DesignEvaluator(
-            spec, max_cache_entries=2, **serial_kwargs
+            spec, serial_config, max_cache_entries=2
         ) as serial:
             for design in (im_design, im_design.copy(), other):
                 serial.evaluate(design)
@@ -198,8 +202,8 @@ class TestEngineCaching:
         assert batch_stats == serial_stats == (1, 2)
 
     def test_objectives_identical_cache_on_vs_off(self, spec):
-        on = make_strategy("MH", use_cache=True).design(spec)
-        off = make_strategy("MH", use_cache=False).design(spec)
+        on = make_strategy("MH").design(spec)
+        off = make_strategy("MH", engine=EngineConfig(use_cache=False)).design(spec)
         assert on.valid and off.valid
         assert on.objective == off.objective
         assert on.mapping.as_dict() == off.mapping.as_dict()
@@ -208,7 +212,7 @@ class TestEngineCaching:
         assert off.cache_hits == 0 and off.cache_misses == 0
 
     def test_result_surfaces_cache_counters(self, spec):
-        result = make_strategy("MH", use_cache=True).design(spec)
+        result = make_strategy("MH").design(spec)
         assert result.cache_misses > 0
         assert result.evaluations >= result.cache_hits + result.cache_misses
 

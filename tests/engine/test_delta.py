@@ -32,7 +32,7 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
-from repro.engine import evaluate_candidate
+from repro.engine import EngineConfig, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
@@ -138,7 +138,7 @@ def drive_through_delta(program, compiled, scheduler):
 
 @pytest.fixture(scope="module")
 def kernel(spec):
-    compiled = CompiledSpec(spec)
+    compiled = CompiledSpec(spec, engine_core="object")
     scheduler = ListScheduler(spec.architecture)
     return compiled, scheduler, DeltaEvaluator(compiled, scheduler)
 
@@ -249,7 +249,7 @@ class TestDeltaEqualsCold:
             seed=4,
         )
         spec = scenario.spec()
-        compiled = CompiledSpec(spec)
+        compiled = CompiledSpec(spec, engine_core="object")
         scheduler = ListScheduler(spec.architecture)
         delta = DeltaEvaluator(compiled, scheduler)
         parent = im_parent(spec, compiled, scheduler)
@@ -287,8 +287,8 @@ class TestSteepestDescentDelta:
                 best.objective,
             )
 
-        def run(**kwargs):
-            with DesignEvaluator(spec, **kwargs) as evaluator:
+        def run(config=EngineConfig()):
+            with DesignEvaluator(spec, config) as evaluator:
                 parent = im_parent(
                     spec, evaluator.compiled, ListScheduler(spec.architecture)
                 )
@@ -298,7 +298,7 @@ class TestSteepestDescentDelta:
                 return identity(best)
 
         reference = run()
-        assert run(use_cache=False) == reference
+        assert run(EngineConfig(use_cache=False)) == reference
         compiled = CompiledSpec(spec, engine_core="array")
         scheduler = ListScheduler(spec.architecture)
         program = descent_loop(DescentParams(max_iterations=6)).program(
@@ -318,7 +318,7 @@ def _family_fixture(family_name: str, seed: int):
     family = families.get_family(family_name)
     scenario = family.build(family.smallest_preset, seed=seed)
     spec = scenario.spec()
-    compiled = CompiledSpec(spec)
+    compiled = CompiledSpec(spec, engine_core="object")
     scheduler = ListScheduler(spec.architecture)
     delta = DeltaEvaluator(compiled, scheduler)
     parent = im_parent(spec, compiled, scheduler)
@@ -418,7 +418,9 @@ class TestSeededStrategyEquivalence:
         reference = design_identity(
             SimulatedAnnealing(iterations=120, seed=3).design(spec)
         )
-        uncached = SimulatedAnnealing(iterations=120, seed=3, use_cache=False)
+        uncached = SimulatedAnnealing(
+            iterations=120, seed=3, engine=EngineConfig(use_cache=False)
+        )
         assert design_identity(uncached.design(spec)) == reference
         result, used = _through_delta(
             SimulatedAnnealing(iterations=120, seed=3), spec

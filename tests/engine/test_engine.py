@@ -2,12 +2,13 @@
 
 import pytest
 
+from oracleutil import design_through_oracle
 from repro.core.adhoc import AdHocStrategy
 from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
-from repro.engine import EvaluationEngine
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.sched.priorities import hcp_priorities
 
 
@@ -91,24 +92,9 @@ class TestEvaluationEngine:
             assert (stats.hits, stats.misses) == (0, 1)
 
     def test_cache_disabled_stats_zero(self, spec):
-        with EvaluationEngine(spec, use_cache=False) as engine:
+        with EvaluationEngine(spec, EngineConfig(use_cache=False)) as engine:
             stats = engine.cache_stats()
             assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
-
-    def test_price_matches_metrics_path(self, spec):
-        from repro.core.metrics import evaluate_design
-
-        mapper = InitialMapper(spec.architecture)
-        outcome = mapper.try_map_and_schedule(
-            spec.current, base=spec.base_schedule
-        )
-        assert outcome is not None
-        _, schedule = outcome
-        with EvaluationEngine(spec) as engine:
-            assert (
-                engine.price(schedule).objective
-                == evaluate_design(schedule, spec.future, spec.weights).objective
-            )
 
     def test_facade_exposes_compiled(self, spec):
         with DesignEvaluator(spec) as evaluator:
@@ -192,11 +178,13 @@ class TestEvaluateMany:
 class TestAdHocOnEngine:
     def test_ah_unchanged_by_engine_knobs(self, spec):
         plain = AdHocStrategy().design(spec)
-        tuned = AdHocStrategy(use_cache=False, engine_core="object").design(spec)
-        assert plain.valid and tuned.valid
-        assert plain.objective == tuned.objective
-        assert plain.mapping.as_dict() == tuned.mapping.as_dict()
-        assert plain.evaluations == tuned.evaluations == 1
+        tuned = AdHocStrategy(engine=EngineConfig(use_cache=False)).design(spec)
+        oracle, served = design_through_oracle(AdHocStrategy(), spec)
+        assert plain.valid and tuned.valid and oracle.valid
+        assert plain.design_identity() == tuned.design_identity()
+        assert plain.design_identity() == oracle.design_identity()
+        assert plain.evaluations == tuned.evaluations == oracle.evaluations == 1
+        assert served.evaluations == 0  # IM is computed inline
 
 
 class TestEngineCounters:

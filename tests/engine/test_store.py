@@ -10,6 +10,7 @@ import pytest
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign
+from repro.engine import EngineConfig
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.evaluation import evaluate_candidate
 from repro.engine.store import (
@@ -21,6 +22,7 @@ from repro.engine.store import (
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.priorities import hcp_priorities
 from repro.serialize import schedule_to_dict
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -236,24 +238,30 @@ class TestSqliteStore:
         assert reader.get(b"b") == (True, None)
         reader.close()
 
-    def test_make_store_validation(self, compiled, tmp_path):
+
+class TestEngineConfig:
+    def test_validation(self, compiled, tmp_path):
+        """The engine settings are checked once, when the config is
+        built; ``make_store`` then builds the backend it names."""
         assert isinstance(make_store("memory", None, compiled), MemoryResultStore)
-        store = make_store(
-            "sqlite", tmp_path / "store.sqlite", compiled
-        )
+        path = str(tmp_path / "store.sqlite")
+        EngineConfig(cache_store="sqlite", cache_path=path)
+        store = make_store("sqlite", path, compiled)
         assert isinstance(store, SqliteResultStore)
         store.close()
-        with pytest.raises(ValueError, match="requires a cache_path"):
-            make_store("sqlite", None, compiled)
+        with pytest.raises(ConfigError, match="requires a cache_path"):
+            EngineConfig(cache_store="sqlite")
         with pytest.raises(ValueError, match="unknown cache_store"):
-            make_store("redis", None, compiled)
+            EngineConfig(cache_store="redis")
+        with pytest.raises(ValueError, match="needs cache_store='sqlite'"):
+            EngineConfig(cache_path=path)
 
 
 class TestEngineStoreIntegration:
     def test_warm_restart_serves_from_store(self, spec, im_design, tmp_path):
         path = str(tmp_path / "store.sqlite")
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as cold_eval:
             cold = cold_eval.evaluate(im_design)
             assert cold_eval.store_hits == 0
@@ -261,7 +269,7 @@ class TestEngineStoreIntegration:
             assert cold_eval.store_writes >= 1
             cold_json = _schedule_json(cold)
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as warm_eval:
             warm = warm_eval.evaluate(im_design)
             assert warm_eval.store_hits == 1
@@ -283,32 +291,32 @@ class TestEngineStoreIntegration:
             for p in spec.current.processes:
                 if node in p.allowed_nodes:
                     candidate.mapping.assign(p.id, node)
-            with DesignEvaluator(spec, use_cache=False) as probe:
+            with DesignEvaluator(spec, EngineConfig(use_cache=False)) as probe:
                 if probe.evaluate(candidate) is None:
                     overloaded = candidate
                     break
         assert overloaded is not None, "no overloaded candidate found"
         path = str(tmp_path / "store.sqlite")
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as cold_eval:
             assert cold_eval.evaluate(overloaded) is None
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as warm_eval:
             assert warm_eval.evaluate(overloaded) is None
             assert warm_eval.store_hits == 1
             assert warm_eval.store_misses == 0
 
     def test_invalid_design_looked_up_twice_hits_cache(
-        self, spec, im_design, store_kwargs_local
+        self, spec, im_design, store_config
     ):
         """Regression: the second lookup of a cached-invalid design must
         be a cache hit (one miss total), not a silent re-evaluation."""
         mutated = CandidateDesign(
             im_design.mapping.copy(), dict(im_design.priorities)
         )
-        with DesignEvaluator(spec, **store_kwargs_local) as evaluator:
+        with DesignEvaluator(spec, store_config) as evaluator:
             first = evaluator.evaluate(mutated)
             second = evaluator.evaluate(mutated)
             assert first is second or (first is None and second is None)
@@ -317,20 +325,19 @@ class TestEngineStoreIntegration:
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def store_kwargs_local(request, tmp_path):
+def store_config(request, tmp_path):
     if request.param == "memory":
-        return {"cache_store": "memory"}
-    return {
-        "cache_store": "sqlite",
-        "cache_path": str(tmp_path / "engine.sqlite"),
-    }
+        return EngineConfig()
+    return EngineConfig(
+        cache_store="sqlite", cache_path=str(tmp_path / "engine.sqlite")
+    )
 
 
-def _design_with_warnings(spec, **store):
+def _design_with_warnings(spec, engine):
     """An MH run plus every ``RuntimeWarning`` it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = make_strategy("MH", **store).design(spec)
+        result = make_strategy("MH", engine=engine).design(spec)
     return result, [w for w in caught if w.category is RuntimeWarning]
 
 
@@ -344,8 +351,8 @@ class TestDegradedRuns:
     )
     def test_corrupt_rows_degrade_and_resolve(self, spec, tmp_path, payload):
         path = str(tmp_path / "store.sqlite")
-        store = {"cache_store": "sqlite", "cache_path": path}
-        cold, cold_warnings = _design_with_warnings(spec, **store)
+        store = EngineConfig(cache_store="sqlite", cache_path=path)
+        cold, cold_warnings = _design_with_warnings(spec, store)
         assert cold.valid and not cold_warnings
         conn = sqlite3.connect(path)
         keys = conn.execute(
@@ -358,7 +365,7 @@ class TestDegradedRuns:
         )
         conn.commit()
         conn.close()
-        warm, warm_warnings = _design_with_warnings(spec, **store)
+        warm, warm_warnings = _design_with_warnings(spec, store)
         assert len(warm_warnings) == 1
         assert "corrupt row" in str(warm_warnings[0].message)
         assert warm.design_identity() == cold.design_identity()
@@ -384,7 +391,7 @@ class TestDegradedRuns:
         conn.close()
         cold = make_strategy("MH").design(spec)
         warm, caught = _design_with_warnings(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         )
         assert len(caught) == 1
         assert "schema version 1" in str(caught[0].message)

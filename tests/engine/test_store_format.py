@@ -249,7 +249,7 @@ def test_key_and_record_layout_pinned():
         dict(hcp_priorities(spec.current, spec.architecture.bus)),
         {first: 1},
     )
-    outcome = EvaluationEngine(spec, engine_core="array").evaluate(design)
+    outcome = EvaluationEngine(spec).evaluate(design)
     assert outcome is not None
     assert SCHEMA_VERSION == 2, "layout changed: update the pins below"
     assert compiled.signature(design).hex() == PINNED_KEY

@@ -146,6 +146,16 @@ class TestScenariosCli:
                 ["scenarios", "run", "hetero-mixed", "--preset", "medium"],
                 "has no preset 'medium'",
             ),
+            (
+                ["scenarios", "run", "uniform-baseline",
+                 "--cache-path", "/tmp/x.db", "--strategies", "MH"],
+                "cache_path '/tmp/x.db' needs cache_store='sqlite'",
+            ),
+            (
+                ["fig-quality", "--sizes", "8", "--seeds", "1",
+                 "--cache-store", "sqlite"],
+                "cache_store='sqlite' requires a cache_path",
+            ),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
@@ -360,7 +370,7 @@ class TestStoreCli:
             ]
         )
         assert code == 2
-        assert "requires --cache-path" in capsys.readouterr().err
+        assert "requires a cache_path" in capsys.readouterr().err
 
 
 class TestDocumentedCommands:

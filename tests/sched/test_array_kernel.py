@@ -1,12 +1,11 @@
-"""Tests for the structure-of-arrays scheduler core (``--engine-core``).
+"""Tests for the structure-of-arrays scheduler core (the runtime's).
 
 The contract under test: the array kernel of :mod:`repro.sched.arrays`
 is **byte-identical** to the pinned object core -- schedules, decoded
 traces, metrics, failure reasons and delta chains match on every
 registered scenario family, and seeded strategy runs produce the same
-design under either core.  Plus the core-selection plumbing: unknown
-cores are rejected, and a missing numpy degrades ``array`` to
-``object`` with a warning instead of failing.
+design under either core (see also ``tests/test_object_oracle.py``).
+Plus the core-name check: unknown cores are rejected.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracleutil import oracle_identity, production_identity
 from repro.core.initial_mapping import InitialMapper
-from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.transformations import (
     CandidateDesign,
@@ -32,7 +31,6 @@ from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.gen.scenario import ScenarioParams, build_scenario
-from repro.sched import arrays as arrays_module
 from repro.sched.arrays import ArrayRunState, resolve_engine_core
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.trace import heap_key
@@ -96,7 +94,7 @@ def systematic_moves(spec, design, limit_delays: int = 8):
 
 
 # ----------------------------------------------------------------------
-# core selection and numpy degradation
+# core selection
 # ----------------------------------------------------------------------
 class TestCoreSelection:
     def test_known_cores_pass_through(self):
@@ -106,22 +104,6 @@ class TestCoreSelection:
     def test_unknown_core_is_rejected(self):
         with pytest.raises(ValueError, match="unknown engine core"):
             resolve_engine_core("vectorised")
-
-    def test_array_degrades_to_object_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="degrades to"):
-            assert resolve_engine_core("array") == "object"
-
-    def test_object_stays_silent_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        assert resolve_engine_core("object") == "object"
-
-    def test_compiled_spec_degrades_with_warning(self, spec, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning):
-            compiled = CompiledSpec(spec, engine_core="array")
-        assert compiled.engine_core == "object"
-        assert not compiled.use_arrays
 
     def test_compiled_spec_rejects_unknown_core(self, spec):
         with pytest.raises(ValueError):
@@ -313,29 +295,15 @@ def test_array_delta_equals_object_cold_property(family_name, data):
 
 
 # ----------------------------------------------------------------------
-# seeded strategies: byte-identical designs under either core
+# seeded strategies: byte-identical designs under either core (MH on
+# every family's smallest preset: tests/test_object_oracle.py)
 # ----------------------------------------------------------------------
 class TestSeededStrategyEquivalence:
-    @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
-    def test_mh_identical_across_cores(self, family_name):
-        from repro.experiments.runner import design_identity
-
-        family = families.get_family(family_name)
-        spec = family.build(family.smallest_preset, seed=1).spec()
-        reference = design_identity(
-            MappingHeuristic(engine_core="object").design(spec)
-        )
-        array = MappingHeuristic(engine_core="array")
-        assert design_identity(array.design(spec)) == reference
-
     def test_sa_identical_across_cores(self, spec):
-        from repro.experiments.runner import design_identity
+        def strategy():
+            return SimulatedAnnealing(iterations=120, seed=3)
 
-        reference = design_identity(
-            SimulatedAnnealing(
-                iterations=120, seed=3, engine_core="object"
-            ).design(spec)
+        assert oracle_identity(strategy(), spec) == production_identity(
+            strategy(), spec
         )
-        array = SimulatedAnnealing(iterations=120, seed=3, engine_core="array")
-        assert design_identity(array.design(spec)) == reference
 

@@ -8,6 +8,7 @@ from searchutil import identity, small_scenario, start_of
 
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator
+from repro.engine import EngineConfig
 from repro.search.acceptors import GreedyAcceptor, MetropolisAcceptor
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused, SearchCheckpoint
@@ -122,7 +123,7 @@ class TestResume:
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(40).run(
@@ -133,7 +134,7 @@ class TestResume:
         # The resuming evaluator is brand new -- only the database file
         # survives, exactly like a process restart.
         with DesignEvaluator(
-            spec, cache_store="sqlite", cache_path=path
+            spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as fresh:
             resumed = walk_loop(100).resume(
                 spec, fresh, SearchCheckpoint.from_json(wire)

@@ -14,6 +14,7 @@ from repro.core.adhoc import AdHocStrategy
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator
+from repro.engine import EngineConfig
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.distributed import DistributedPortfolioRunner
@@ -356,12 +357,12 @@ class TestSqliteStore:
         path = str(tmp_path / "results.sqlite")
         cold = DistributedPortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
-            cache_store="sqlite", cache_path=path,
+            engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
         assert cold.store_writes > 0
         warm = DistributedPortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
-            cache_store="sqlite", cache_path=path,
+            engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
         assert warm.store_hits > 0
         assert result_key(warm) == result_key(cold)

@@ -7,6 +7,7 @@ import pytest
 from searchutil import small_scenario
 
 from repro.core.strategy import DesignResult
+from repro.engine import EngineConfig
 from repro.experiments.runner import (
     design_identity,
     run_portfolio,
@@ -79,7 +80,7 @@ class TestDeterminism:
             ("AH", "MH", "SA"),
             seed=1,
             sa_iterations=SA_ITERS,
-            use_cache=False,
+            engine=EngineConfig(use_cache=False),
         )
         assert design_identity(uncached.best) == design_identity(race.best)
         assert uncached.evaluations == race.evaluations
