@@ -1,15 +1,14 @@
-"""Shard-scaling benchmark for the distributed portfolio race.
+"""Shard-scaling benchmark for the sharded portfolio race.
 
-The distributed claim under test: sharding the portfolio across N
-worker processes divides the race's critical path by (roughly) the
+The sharding claim under test: racing the portfolio across N worker
+processes divides the race's critical path by (roughly) the
 members-per-shard ratio, while the winner stays byte-identical to the
-in-process lockstep reference.
+in-process lockstep race.
 
-One four-member portfolio (MH plus three independently-seeded SA
-variants) is raced four ways on the same scenario cell as
-``bench_search``: in-process lockstep (the pinned reference), then
-sharded over 1, 2 and 4 worker processes in replay mode, plus one
-elastic run with mid-race churn.  Two speedup bases are recorded:
+One four-member portfolio (four independently-seeded SA variants) is
+raced four ways on the same scenario cell as ``bench_search``:
+in-process (``shards=0``), then sharded over 1, 2 and 4 worker
+processes.  Two speedup bases are recorded:
 
 * ``measured_speedup`` -- lockstep wall-clock over sharded wall-clock.
   Only meaningful on multi-core machines; on a single-core container
@@ -41,9 +40,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import run_portfolio, strategy_for_family
+from repro.experiments.runner import run_portfolio
 from repro.gen import families
-from repro.search.distributed import DistributedPortfolioRunner
 
 BENCH_FAMILY = "uniform-baseline"
 BENCH_PRESET = "medium"
@@ -75,7 +73,7 @@ def search_spec():
     return family.build(BENCH_PRESET, seed=BENCH_SEED).spec()
 
 
-def timed_race(spec, shards: int = 0, elastic: bool = False, repeats: int = 2):
+def timed_race(spec, shards: int = 0, repeats: int = 2):
     """Best-of-``repeats`` timing (single-core containers are noisy).
 
     Sharded runs are ranked by their critical path (the busiest
@@ -90,10 +88,9 @@ def timed_race(spec, shards: int = 0, elastic: bool = False, repeats: int = 2):
             seed=BENCH_SEED,
             sa_iterations=BENCH_SA_ITERATIONS,
             shards=shards,
-            elastic=elastic,
         )
         wall = time.perf_counter() - start
-        busy = list(getattr(result, "shard_busy_seconds", ()))
+        busy = result.shard_busy_seconds
         key = max(busy) if busy else wall
         if best is None or key < best[0]:
             best = (key, result, wall)
@@ -111,7 +108,7 @@ def outcome_row(result, wall: float, lockstep_wall: float) -> dict:
             [m.name, m.evaluations_served] for m in result.members
         ],
     }
-    busy = list(getattr(result, "shard_busy_seconds", ()))
+    busy = result.shard_busy_seconds
     if busy:
         critical = max(busy)
         row["critical_path_seconds"] = round(critical, 4)
@@ -132,27 +129,6 @@ def fleet(search_spec):
         result, wall = timed_race(search_spec, shards=shards)
         rows[f"shards={shards}"] = outcome_row(result, wall, lockstep_wall)
 
-    # Elastic churn: start on 2 shards, add a third after the first
-    # member finishes, then drain and remove shard 0 -- the winner must
-    # still match lockstep.
-    churn_members = [
-        strategy_for_family(name, BENCH_SEED, True, 1, BENCH_SA_ITERATIONS)
-        for name in MEMBERS
-    ]
-    start = time.perf_counter()
-    churned = DistributedPortfolioRunner(
-        churn_members,
-        shards=2,
-        mode="elastic",
-        elastic_plan=[
-            {"after_done": 1, "action": "add"},
-            {"after_done": 2, "action": "remove", "shard": 0},
-        ],
-    ).run(search_spec)
-    rows["elastic-churn"] = outcome_row(
-        churned, time.perf_counter() - start, lockstep_wall
-    )
-
     payload = {
         "cores": os.cpu_count(),
         "family": BENCH_FAMILY,
@@ -171,21 +147,13 @@ def fleet(search_spec):
 
 
 def test_sharded_winner_matches_lockstep(fleet):
-    """Free-mode replay racing is byte-identical for any shard count."""
+    """A free race is byte-identical for any shard count."""
     reference = fleet["results"]["lockstep"]
     for shards in SHARD_COUNTS:
         row = fleet["results"][f"shards={shards}"]
         assert row["winner"] == reference["winner"]
         assert row["objective"] == reference["objective"]
         assert row["members"] == reference["members"]
-
-
-def test_elastic_churn_matches_lockstep(fleet):
-    reference = fleet["results"]["lockstep"]
-    row = fleet["results"]["elastic-churn"]
-    assert row["winner"] == reference["winner"]
-    assert row["objective"] == reference["objective"]
-    assert row["members"] == reference["members"]
 
 
 def test_critical_path_speedup_floor(fleet):

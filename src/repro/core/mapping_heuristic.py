@@ -85,7 +85,7 @@ class MappingHeuristic:
 
     name = "MH"
     #: The pipeline supports cut+resume via ``MemberCheckpoint`` (the
-    #: distributed race's steal/respawn protocol).
+    #: sharded race's checkpoint/respawn protocol).
     resumable = True
 
     @timed
@@ -112,8 +112,8 @@ class MappingHeuristic:
         spec), one cold evaluation of the IM design, then the
         steepest-descent :class:`~repro.search.SearchLoop`.
 
-        ``resume`` continues a pipeline cut by the distributed race's
-        steal protocol: the single ``descent`` phase resumes from its
+        ``resume`` continues a pipeline cut by the sharded race's
+        checkpoint protocol: the single ``descent`` phase resumes from its
         loop checkpoint (IM needs no recomputation -- the descent
         carries its own state) and the continuation is byte-identical
         to the uninterrupted run.

@@ -106,7 +106,7 @@ class SimulatedAnnealing:
 
     name = "SA"
     #: The pipeline supports cut+resume via ``MemberCheckpoint`` (the
-    #: distributed race's steal/respawn protocol).
+    #: sharded race's checkpoint/respawn protocol).
     resumable = True
 
     # ------------------------------------------------------------------
@@ -138,8 +138,8 @@ class SimulatedAnnealing:
         -- with ``polish`` -- steepest descents from the walk's best
         and from the start, reporting the better basin.
 
-        ``resume`` continues a pipeline cut by the distributed race's
-        steal protocol.  The Initial Mapping and its cold evaluation
+        ``resume`` continues a pipeline cut by the sharded race's
+        checkpoint protocol.  The Initial Mapping and its cold evaluation
         are recomputed deterministically (served as uncharged
         ``bookkeeping`` requests -- warm cache hits in practice),
         completed phases are skipped using the carried stats, and the

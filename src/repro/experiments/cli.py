@@ -312,24 +312,17 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         args.member_budget_evals, None, args.patience
     )
     shared_budget = make_budget(args.budget_evals, args.budget_seconds, None)
-    if args.shards and not args.elastic and args.budget_seconds is not None:
-        print(
-            "--budget-seconds needs --elastic when sharded: replay mode "
-            "cannot meter wall-clock deterministically"
-        )
-        return 2
 
-    def race(shards: Optional[int] = None, elastic: Optional[bool] = None):
+    def race(shards: Optional[int] = None, strategies=None):
         return run_portfolio(
             spec,
-            args.strategies,
+            args.strategies if strategies is None else strategies,
             seed=args.seed,
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
             engine=engine,
             shards=args.shards if shards is None else shards,
-            elastic=args.elastic if elastic is None else elastic,
         )
 
     result = race()
@@ -365,17 +358,14 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         )
     )
     fleet = "engine"
-    if getattr(result, "shards", 0):
-        fleet = (
-            f"fleet ({result.shards} shards, {result.mode} mode, "
-            f"{result.respawns} respawns)"
-        )
+    if result.shards:
+        fleet = f"fleet ({result.shards} shards, {result.respawns} respawns)"
     print(
         f"{fleet}: {result.evaluations} evaluations, "
         f"{result.cache_hits} cache hits, {result.cache_misses} misses, "
         f"{result.runtime_seconds:.2f}s wall"
     )
-    if getattr(result, "shards", 0) and args.verbose:
+    if result.shards and args.verbose:
         for sid, counters, busy in zip(
             result.shard_ids, result.shard_counters, result.shard_busy_seconds
         ):
@@ -384,11 +374,9 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 f"{counters.cache_hits} cache hits, "
                 f"{counters.cache_misses} misses, {busy:.2f}s busy"
             )
-        steals = sum(1 for e in result.events if e.kind == "steal")
         checkpoints = sum(1 for e in result.events if e.kind == "checkpoint")
         print(
-            f"  events: {steals} steals, {checkpoints} checkpoints, "
-            f"{result.respawns} respawns"
+            f"  events: {checkpoints} checkpoints, {result.respawns} respawns"
         )
     if args.cache_store != "memory":
         print(
@@ -401,47 +389,34 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         return 1
 
     if args.check_determinism:
+        # Each axis re-races with exactly one thing changed; ``skip``
+        # drops the winning member's name from the compared identity.
         reference = _portfolio_identity(result)
-        checks = [("repeat", race)]
-        shard_axis = args.budget_seconds is None
-        if shard_axis:
-            # The distributed race (replay mode) must produce the same
-            # winner as the in-process lockstep reference; wall-clock
-            # budgets are rejected by replay mode, so this axis only
-            # runs for deterministic budgets.
-            checks.append((
-                "shards=2",
-                lambda: race(shards=2, elastic=False),
-            ))
-        failures = []
-        for label, runner in checks:
-            if _portfolio_identity(runner()) != reference:
-                failures.append(label)
+        checks = [("repeat", race, 0)]
+        if args.budget_seconds is None:
+            # The other arm of the runner must produce the same winner:
+            # a sharded race is checked against the in-process one and
+            # vice versa.  A wall-clock budget cannot be sharded, so
+            # this axis only runs for deterministic budgets.
+            other = 0 if args.shards else 2
+            checks.append((f"shards={other}", lambda: race(shards=other), 0))
         if shared_budget is None:
             # Without a contended budget every member's trajectory is
             # independent, so even the racing order cannot change the
-            # winning design.
-            reversed_result = run_portfolio(
-                spec,
-                list(reversed(args.strategies)),
-                seed=args.seed,
-                sa_iterations=args.sa_iterations,
-                member_budget=member_budget,
-                shared_budget=None,
-            )
-            if (
-                _portfolio_identity(reversed_result)[1:]
-                != reference[1:]
-            ):
-                failures.append("reversed racing order")
+            # winning design (only which member found it).
+            reversed_order = list(reversed(args.strategies))
+            checks.append((
+                "reversed order", lambda: race(strategies=reversed_order), 1,
+            ))
+        failures = [
+            label
+            for label, rerun, skip in checks
+            if _portfolio_identity(rerun())[skip:] != reference[skip:]
+        ]
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = "repeat"
-        if shard_axis:
-            passed += ", shards=2"
-        if shared_budget is None:
-            passed += ", reversed order"
+        passed = ", ".join(label for label, _, _ in checks)
         print(f"determinism checks passed ({passed})")
     return 0
 
@@ -657,17 +632,8 @@ def _add_scenarios_parser(subparsers) -> None:
         "--shards", type=_nonnegative_int, default=0,
         help=(
             "race the portfolio across this many worker processes "
-            "(0 = in-process lockstep reference; replay mode keeps the "
-            "winner byte-identical to the lockstep race)"
-        ),
-    )
-    portfolio.add_argument(
-        "--elastic",
-        action="store_true",
-        help=(
-            "with --shards: elastic mode -- arrival-order budget "
-            "grants, wall-clock budgets and dynamic work-stealing "
-            "(reproducible in aggregate, not byte-for-byte)"
+            "(0 = in-process); any shard count races the same designs, "
+            "but cannot meter --budget-seconds"
         ),
     )
     portfolio.add_argument(
@@ -679,9 +645,10 @@ def _add_scenarios_parser(subparsers) -> None:
         "--check-determinism",
         action="store_true",
         help=(
-            "re-race as a repeat, with shards=2, and (without a shared "
-            "budget) in reversed member order; fail unless the winning "
-            "design is byte-identical (the CI smoke gate)"
+            "re-race as a repeat, on the other arm (shards=0 when "
+            "sharded, else shards=2) and (without a shared budget) in "
+            "reversed member order; fail unless the winning design is "
+            "byte-identical (the CI smoke gate)"
         ),
     )
     _add_store_options(portfolio)

@@ -472,9 +472,8 @@ def run_portfolio(
     shared_budget: Optional[Budget] = None,
     engine: EngineConfig = EngineConfig(),
     shards: int = 0,
-    elastic: bool = False,
 ) -> PortfolioResult:
-    """Race ``strategies`` on ``spec`` over one shared engine.
+    """Race ``strategies`` on ``spec`` for one shared budget.
 
     The deterministic lockstep race of
     :class:`repro.search.PortfolioRunner`: member order is the racing
@@ -483,25 +482,17 @@ def run_portfolio(
     setting.  With a sqlite store the race shares one persistent store
     (and is served warm by earlier races against it).
 
-    ``shards >= 1`` runs the same race distributed across that many
-    worker processes (:class:`repro.search.DistributedPortfolioRunner`)
-    -- replay mode by default (deterministic, winner byte-identical to
-    the lockstep race), elastic mode with ``elastic=True`` (wall-clock
-    budgets and dynamic work-stealing allowed).  ``shards=0`` (the
-    default) stays on the in-process lockstep reference.
+    ``shards=0`` (the default) races in-process over one shared
+    engine; ``shards >= 1`` forks that many worker processes, each
+    racing its share of the members, with the same designs and
+    accounting.  A negative shard count, or a wall-clock
+    ``shared_budget`` with shards, raises
+    :class:`~repro.utils.errors.ConfigError`.
     """
     members = portfolio_members(strategies, seed, sa_iterations, member_budget)
-    if shards >= 1:
-        from repro.search.distributed import DistributedPortfolioRunner
-
-        return DistributedPortfolioRunner(
-            members,
-            budget=shared_budget,
-            shards=shards,
-            mode="elastic" if elastic else "replay",
-            engine=engine,
-        ).run(spec)
-    return PortfolioRunner(members, budget=shared_budget, engine=engine).run(spec)
+    return PortfolioRunner(
+        members, budget=shared_budget, engine=engine, shards=shards
+    ).run(spec)
 
 
 def run_family_matrix(

@@ -53,13 +53,13 @@ DEFAULT_KERNEL_LAYERS: Tuple[str, ...] = (
 
 #: ``module:qualname`` prefixes allowed to read the wall clock
 #: (DET001).  These are the timing *boundaries*: budget accounting in
-#: the search loop and the ``runtime_seconds`` reporting sites.  Time
-#: read there feeds stats and stopping only -- never a scheduling or
-#: acceptance decision.
+#: the search loop and the portfolio race, and the ``runtime_seconds``
+#: reporting sites.  Time read there feeds stats and stopping only --
+#: never a scheduling or acceptance decision.
 DEFAULT_TIMING_ALLOWLIST: Tuple[str, ...] = (
     "repro.search.loop:SearchLoop.program",
     "repro.search.portfolio:PortfolioRunner.run",
-    "repro.search.portfolio:PortfolioRunner._race",
+    "repro.search.portfolio:_SharedBudget",
     "repro.search.portfolio:first_valid",
     "repro.core.strategy:timed",
 )

@@ -7,8 +7,8 @@ evaluation engine prices them, an
 a :class:`~repro.search.budget.Budget` says when to stop, and a
 :class:`~repro.search.checkpoint.SearchCheckpoint` makes any search
 resumable.  :class:`~repro.search.portfolio.PortfolioRunner` races
-several configured strategies over one shared engine in deterministic
-lockstep.
+several configured strategies for one shared budget in deterministic
+lockstep, in-process or across forked shard processes.
 """
 
 from repro.search.acceptors import (
@@ -31,11 +31,6 @@ from repro.search.checkpoint import (
     design_from_dict,
     design_to_dict,
 )
-from repro.search.distributed import (
-    DistributedPortfolioResult,
-    DistributedPortfolioRunner,
-    ShardEvent,
-)
 from repro.search.loop import (
     EvalRequest,
     SearchEvent,
@@ -48,6 +43,7 @@ from repro.search.portfolio import (
     PortfolioMemberOutcome,
     PortfolioResult,
     PortfolioRunner,
+    ShardEvent,
     first_valid,
 )
 from repro.search.proposers import (
@@ -66,8 +62,6 @@ __all__ = [
     "Acceptor",
     "Budget",
     "BudgetProgress",
-    "DistributedPortfolioResult",
-    "DistributedPortfolioRunner",
     "EvalRequest",
     "GreedyAcceptor",
     "MemberCheckpoint",

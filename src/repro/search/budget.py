@@ -39,17 +39,17 @@ class SharedBudgetExhausted(Exception):
 
 
 class StealRequested(Exception):
-    """Thrown *into* a search program to pause it for migration.
+    """Thrown *into* a search program to pause it at a checkpoint.
 
-    The distributed race's work-stealing cut: a shard driver throws
+    The sharded race's checkpoint cut: a shard worker throws
     this at a *move* evaluation yield (move requests only ever
     originate inside a :class:`~repro.search.loop.SearchLoop`), the
     loop stops cleanly (stop reason ``steal``) and raises
     :class:`~repro.search.checkpoint.MemberPaused` carrying its
     resumable checkpoint instead of returning.  Strategy pipelines
     annotate the in-flight exception with their phase position, so the
-    member can be reshipped to another shard and resumed exactly where
-    it was cut (the pinned cut+resume byte-identity).
+    member can be resumed -- in place, or on a respawned shard --
+    exactly where it was cut (the pinned cut+resume byte-identity).
     """
 
 

@@ -134,7 +134,7 @@ class MemberCheckpoint:
 
     A :class:`SearchCheckpoint` resumes one loop; a portfolio member is
     a pipeline of loops (SA: probe, walk, two polish descents) with a
-    little inter-phase state.  When a shard cuts a member for stealing,
+    little inter-phase state.  When a shard cuts a member at a checkpoint,
     the active loop contributes ``loop`` (its own checkpoint) and the
     strategy annotates ``phase`` (which pipeline stage was cut) plus
     ``carry`` (the JSON-safe inter-phase state accumulated *before*
@@ -144,7 +144,7 @@ class MemberCheckpoint:
 
     Size contract: everything here is O(current state) -- two designs,
     one RNG bit-generator state, a few counters -- never O(history).
-    The wire form is produced *once per steal* (:meth:`to_json` at ship
+    The wire form is produced *once per cut* (:meth:`to_json` at ship
     time); per-batch evaluation traffic never serializes any of it.
     """
 

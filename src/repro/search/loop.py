@@ -69,7 +69,7 @@ class EvalRequest:
     * ``parent`` + ``moves`` -- a move neighbourhood of one parent,
       served as the evaluations of ``move.apply(parent.design)``.
       Search steps ask in this form because it is where the
-      distributed race cuts a member for a steal.
+      sharded race cuts a member for a checkpoint.
 
     The response is the list of outcomes in input order (``None`` per
     invalid candidate).

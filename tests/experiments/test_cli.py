@@ -156,6 +156,11 @@ class TestScenariosCli:
                  "--cache-store", "sqlite"],
                 "cache_store='sqlite' requires a cache_path",
             ),
+            (
+                ["scenarios", "portfolio", "uniform-baseline",
+                 "--shards", "2", "--budget-seconds", "5"],
+                "cannot meter a wall-clock budget",
+            ),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
@@ -199,6 +204,30 @@ class TestScenariosCli:
         error = captured.err.strip().splitlines()[-1]
         assert "error:" in error
         assert repr(bad) in error
+
+    def test_sharded_determinism_check_races_in_process(
+        self, capsys, monkeypatch
+    ):
+        """With ``--shards N`` the cross-arm axis races ``shards=0``."""
+        import repro.experiments.cli as cli
+
+        shards = []
+        run_portfolio = cli.run_portfolio
+
+        def recording(*args, **kwargs):
+            shards.append(kwargs.get("shards"))
+            return run_portfolio(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_portfolio", recording)
+        code = main([
+            "scenarios", "portfolio", "uniform-baseline",
+            "--strategies", "MH", "SA", "--shards", "2",
+            "--budget-evals", "150", "--check-determinism",
+        ])
+        assert code == 0
+        assert 0 in shards
+        out = capsys.readouterr().out
+        assert "determinism checks passed (repeat, shards=0)" in out
 
     @pytest.mark.parametrize("name", ["XX", "SA@0", "SA@x", "MH@2"])
     def test_library_rejects_bad_strategy_names(self, name):

@@ -1,4 +1,4 @@
-"""Distributed racing: steal/resume identity, churn, failure, budgets."""
+"""Sharded racing: pause/resume identity, the lockstep pin, crashes, store."""
 
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator
 from repro.engine import EngineConfig
+from repro.experiments.runner import design_fingerprint
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
-from repro.search.distributed import DistributedPortfolioRunner
 from repro.search.loop import drive, execute_request
 from repro.search.portfolio import PortfolioRunner
+from repro.utils.errors import ConfigError
 
 SA_ITERS = 60
 
@@ -134,43 +135,84 @@ class TestPauseResume:
 
 
 # ----------------------------------------------------------------------
-# sharded race == lockstep reference
+# any shard count == the recorded lockstep race
 # ----------------------------------------------------------------------
+#: The lockstep race of ``members()`` on ``small_scenario(seed=3)``,
+#: recorded from the in-process runner before the sharded arm shared
+#: its code: per member ``(name, evaluations_served, rounds, objective,
+#: stop reason)``, the winner's name and design fingerprint, the
+#: budget cut and the engine's ``(evaluations, cache hits, misses)``.
+LOCKSTEP_PIN = {
+    "free": {
+        "members": [
+            ("AH", 0, 0, 116.67930250189538, None),
+            ("MH", 138, 5, 111.67551175132677, "local-optimum"),
+            ("SA", 293, 91, 111.67551175132677, "local-optimum"),
+            ("SA#2", 274, 110, 111.67551175132677, "local-optimum"),
+        ],
+        "winner": ("SA#2", "59482abb73371307"),
+        "budget_cut": False,
+        "engine": (705, 335, 370),
+    },
+    "metered": {
+        "members": [
+            ("AH", 0, 0, 116.67930250189538, None),
+            ("MH", 138, 5, 111.67551175132677, "local-optimum"),
+            ("SA", 31, 34, 116.67930250189538, "shared-budget"),
+            ("SA#2", 31, 34, 116.67930250189538, "shared-budget"),
+        ],
+        "winner": ("MH", "c2dfc43b1849b0d1"),
+        "budget_cut": True,
+        "engine": (200, 32, 168),
+    },
+}
+
+
+def race(spec, shards, budget=None, **options):
+    return PortfolioRunner(
+        members(), budget=budget, shards=shards, race_timeout=120.0, **options
+    ).run(spec)
+
+
+def assert_matches_pin(result, pin, shards):
+    assert [
+        (
+            m.name,
+            m.evaluations_served,
+            m.rounds,
+            m.objective,
+            m.result.search.stop_reason if m.result.search else None,
+        )
+        for m in result.members
+    ] == pin["members"]
+    assert (result.winner.name, design_fingerprint(result.best)) == pin["winner"]
+    assert result.budget_cut == pin["budget_cut"]
+    if shards == 0:
+        # Checkpoint resumes re-evaluate warm designs, so engine totals
+        # are pinned for the in-process arm only.
+        assert (
+            result.evaluations, result.cache_hits, result.cache_misses
+        ) == pin["engine"]
+
+
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shards", [0, 1, 2])
     def test_free_race_matches_lockstep(self, spec, shards):
-        reference = PortfolioRunner(members()).run(spec)
-        result = DistributedPortfolioRunner(
-            members(), shards=shards, checkpoint_every=100, race_timeout=120.0
-        ).run(spec)
-        assert result_key(result) == result_key(reference)
+        result = race(spec, shards, checkpoint_every=100)
+        assert_matches_pin(result, LOCKSTEP_PIN["free"], shards)
         assert result.shards == shards
         assert result.respawns == 0
 
-    def test_metered_race_matches_lockstep(self, spec):
-        budget = Budget(max_evaluations=200)
-        reference = PortfolioRunner(members(), budget=budget).run(spec)
-        result = DistributedPortfolioRunner(
-            members(), budget=budget, shards=2, checkpoint_every=64,
-            race_timeout=120.0,
-        ).run(spec)
-        assert reference.budget_cut
-        assert result_key(result) == result_key(reference)
-
-    def test_steal_schedule_replay(self, spec):
-        reference = PortfolioRunner(members()).run(spec)
-        result = DistributedPortfolioRunner(
-            members(), shards=2, checkpoint_every=0, race_timeout=120.0,
-            steal_schedule=[{"member": 2, "at": 20, "to": 0}],
-        ).run(spec)
-        assert result_key(result) == result_key(reference)
-        steals = [e for e in result.events if e.kind == "steal"]
-        assert [(e.shard, e.member) for e in steals] == [(0, 2)]
+    @pytest.mark.parametrize("shards", [0, 1, 2])
+    def test_metered_race_matches_recorded_lockstep(self, spec, shards):
+        result = race(
+            spec, shards, budget=Budget(max_evaluations=200), checkpoint_every=64
+        )
+        assert_matches_pin(result, LOCKSTEP_PIN["metered"], shards)
 
     def test_fleet_counters_merge(self, spec):
-        result = DistributedPortfolioRunner(
-            members(), shards=2, checkpoint_every=0, race_timeout=120.0
-        ).run(spec)
+        result = race(spec, 2, checkpoint_every=0)
+        assert result.shards == 2
         assert len(result.shard_counters) == 2
         assert result.evaluations == sum(
             c.evaluations for c in result.shard_counters
@@ -180,57 +222,19 @@ class TestShardedEquivalence:
         )
         assert all(busy >= 0.0 for busy in result.shard_busy_seconds)
 
+    def test_in_process_race_has_no_fleet(self, spec):
+        result = race(spec, 0)
+        assert result.shards == result.respawns == 0
+        assert result.shard_ids == result.shard_busy_seconds == []
+        assert result.shard_counters == result.events == []
+
     def test_rejects_bad_configurations(self, spec):
-        with pytest.raises(ValueError, match="wall-clock"):
-            DistributedPortfolioRunner(
+        with pytest.raises(ConfigError, match="wall-clock"):
+            PortfolioRunner(
                 members(), budget=Budget(max_seconds=1.0), shards=2
             )
-        with pytest.raises(ValueError, match="elastic_plan"):
-            DistributedPortfolioRunner(
-                members(), shards=2,
-                elastic_plan=[{"after_done": 1, "action": "add"}],
-            )
-        with pytest.raises(ValueError, match="'to'"):
-            DistributedPortfolioRunner(
-                members(), shards=2,
-                steal_schedule=[{"member": 1, "at": 5}],
-            )
-        with pytest.raises(ValueError, match="elastic_plan"):
-            DistributedPortfolioRunner(
-                members(), shards=2, mode="elastic",
-                elastic_plan=[{"after_done": 1, "action": "explode"}],
-            )
-
-
-# ----------------------------------------------------------------------
-# elastic churn: workers added and removed mid-race
-# ----------------------------------------------------------------------
-class TestElasticChurn:
-    def test_add_and_remove_workers_mid_race(self, spec):
-        reference = PortfolioRunner(members()).run(spec)
-        result = DistributedPortfolioRunner(
-            members(), shards=2, mode="elastic", checkpoint_every=50,
-            race_timeout=120.0,
-            elastic_plan=[
-                {"after_done": 1, "action": "add"},
-                {"after_done": 2, "action": "remove", "shard": 0},
-            ],
-        ).run(spec)
-        assert result_key(result) == result_key(reference)
-        kinds = event_kinds(result)
-        assert kinds.get("add") == 1
-        assert kinds.get("remove") == 1
-        assert kinds.get("steal", 0) >= 1  # the drained shard's members moved
-
-    def test_idle_shard_steals_work(self, spec):
-        # Three shards, four members: AH finishes instantly, so at
-        # least one shard starves and must steal a running member.
-        reference = PortfolioRunner(members()).run(spec)
-        result = DistributedPortfolioRunner(
-            members(), shards=3, mode="elastic", checkpoint_every=50,
-            race_timeout=120.0,
-        ).run(spec)
-        assert result_key(result) == result_key(reference)
+        with pytest.raises(ConfigError, match="shards must be >= 0"):
+            PortfolioRunner(members(), shards=-1)
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +294,7 @@ class TestFailureInjection:
             CrashOnce(sa(7), crash_at=35, sentinel=sentinel, hard=hard),
             sa(11, 80),
         ]
-        reference = PortfolioRunner(members()).run(spec)
-        result = DistributedPortfolioRunner(
+        result = PortfolioRunner(
             crashers, shards=2, checkpoint_every=20, race_timeout=120.0
         ).run(spec)
         assert os.path.exists(sentinel)
@@ -301,10 +304,10 @@ class TestFailureInjection:
         assert kinds.get("respawn", 0) >= 1
         # The crash is invisible to the race outcome: the respawned
         # member resumes from its checkpoint and lands byte-identical
-        # to the never-crashed lockstep reference -- including its
-        # exact evaluations_served accounting (the dead attempt's
+        # to the never-crashed lockstep race -- including its exact
+        # evaluations_served and rounds accounting (the dead attempt's
         # un-checkpointed work is refunded, then re-charged).
-        assert result_key(result) == result_key(reference)
+        assert_matches_pin(result, LOCKSTEP_PIN["free"], shards=2)
 
     def test_metered_crash_conserves_budget(self, spec, tmp_path):
         sentinel = str(tmp_path / "crashed")
@@ -315,7 +318,7 @@ class TestFailureInjection:
             sa(11, 80),
         ]
         budget = Budget(max_evaluations=200)
-        result = DistributedPortfolioRunner(
+        result = PortfolioRunner(
             crashers, budget=budget, shards=2, checkpoint_every=20,
             race_timeout=120.0,
         ).run(spec)
@@ -336,7 +339,7 @@ class TestFailureInjection:
             AdHocStrategy(),
             CrashOnce(sa(7), crash_at=1, sentinel=sentinel),
         ]
-        result = DistributedPortfolioRunner(
+        result = PortfolioRunner(
             crashers, shards=2, checkpoint_every=0, respawn_limit=2,
             race_timeout=120.0,
         ).run(spec)
@@ -355,12 +358,12 @@ class TestFailureInjection:
 class TestSqliteStore:
     def test_single_writer_and_warm_reuse(self, spec, tmp_path):
         path = str(tmp_path / "results.sqlite")
-        cold = DistributedPortfolioRunner(
+        cold = PortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
         assert cold.store_writes > 0
-        warm = DistributedPortfolioRunner(
+        warm = PortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)

@@ -20,6 +20,7 @@ from repro.search.portfolio import (
     PortfolioMemberOutcome,
     first_valid,
 )
+from repro.utils.errors import ConfigError
 
 SA_ITERS = 80
 
@@ -138,6 +139,10 @@ class TestRunnerValidation:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError):
             PortfolioRunner([])
+
+    def test_negative_shards_rejected(self, spec):
+        with pytest.raises(ConfigError, match="shards must be >= 0"):
+            run_portfolio(spec, ("MH",), seed=1, shards=-1)
 
 
 class TestWinnerTieBreak:
