@@ -223,7 +223,7 @@ class DeltaEvaluator:
             timings.metrics_ns += time.perf_counter_ns() - mid
         outcome = EvaluatedDesign(
             child, None, metrics, trace=state, memo=memo,
-            state=state, arrays=arrays, timings=timings,
+            compiled=self.compiled, timings=timings,
         )
         return outcome, True
 

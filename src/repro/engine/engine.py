@@ -144,6 +144,9 @@ class EvaluationEngine:
 
     Every candidate runs the array scheduler and metric kernels
     (:mod:`repro.sched.arrays`, :mod:`repro.core.array_metrics`).
+    A solved outcome has the shape a store-served one has: its design,
+    its metrics and the compiled spec, with the schedule re-derived on
+    first access; the pass's scheduler state is dropped once priced.
 
     Parameters
     ----------

@@ -10,11 +10,13 @@ sharded runs bit-identical.
 Under the array core the hot path never leaves the flat representation:
 the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState`, the
 metrics are priced directly on its columns
-(:mod:`repro.core.array_metrics`), and the object
-:class:`~repro.sched.schedule.SystemSchedule` is decoded **lazily** --
-:attr:`EvaluatedDesign.schedule` builds it on first access (accepted
-incumbents, serialization, verify, figures), while the thousands of
-rejected candidates per search never pay for it.
+(:mod:`repro.core.array_metrics`), and the state is dropped -- an
+outcome keeps its price, not its pass.  The object
+:class:`~repro.sched.schedule.SystemSchedule` is re-derived **lazily**:
+:attr:`EvaluatedDesign.schedule` re-runs the deterministic pass with
+trace columns and decodes it on first access (accepted incumbents,
+serialization, verify, figures), while the thousands of rejected
+candidates per search never pay for it.
 
 Imports from :mod:`repro.core` are deferred to call time: the engine
 package sits between ``sched`` and ``core`` in the layer diagram
@@ -27,7 +29,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.sched.arrays import ArrayRunState, ArraySpec
+from repro.sched.arrays import ArrayRunState
 from repro.sched.schedule import SystemSchedule
 from repro.sched.trace import ScheduleTrace
 
@@ -78,17 +80,19 @@ class EvaluatedDesign:
     (a parent evaluated under the other core) as "no trace".  ``memo``
     follows the same split (``MetricsMemo`` / ``ArrayMetricsMemo``).
 
-    Under the array core :attr:`schedule` is **lazy**: the constructor
-    receives the finished array state instead of a decoded schedule,
-    and the object :class:`SystemSchedule` is decoded on first access
-    (re-running the pass with trace columns when the state was produced
-    without them).  The decode is cached, so incumbents price the
-    conversion once; rejected candidates never do.
+    Under the array core an outcome the engine solved and one a result
+    store served have one shape: the design, its metrics and the
+    compiled spec, with no schedule and no scheduler state.
+    :attr:`schedule` is **lazy**: on first access it re-runs the
+    deterministic pass with trace columns against the compiled spec
+    and decodes it (a traced outcome decodes its own ``trace``, which
+    already has columns).  The decode is cached, so incumbents price
+    the conversion once; rejected candidates never do.
     """
 
     __slots__ = (
         "design", "metrics", "trace", "memo",
-        "_schedule", "_state", "_arrays", "_timings", "_compiled",
+        "_schedule", "_timings", "_compiled",
     )
 
     def __init__(
@@ -99,62 +103,42 @@ class EvaluatedDesign:
         trace: Optional["Union[ScheduleTrace, ArrayRunState]"] = None,
         memo: Optional["Any"] = None,
         *,
-        state: Optional[ArrayRunState] = None,
-        arrays: Optional[ArraySpec] = None,
         timings: Optional[StageTimings] = None,
         compiled: Optional["CompiledSpec"] = None,
     ) -> None:
-        if (
-            schedule is None
-            and (state is None or arrays is None)
-            and compiled is None
-        ):
+        if schedule is None and compiled is None:
             raise ValueError(
-                "EvaluatedDesign needs a schedule or an array state to "
-                "decode one from (or a compiled spec to re-derive one "
-                "against)"
+                "EvaluatedDesign needs a schedule or a compiled spec to "
+                "re-derive one against"
             )
         self.design = design
         self.metrics = metrics
         self.trace = trace
         self.memo = memo
         self._schedule = schedule
-        self._state = state
-        self._arrays = arrays
         self._timings = timings
         self._compiled = compiled
 
     # ------------------------------------------------------------------
     @property
     def schedule(self) -> SystemSchedule:
-        """The object schedule, decoded (or re-derived) on demand.
+        """The object schedule, re-derived on demand.
 
         Three sources, in order: the eagerly built schedule (object
-        core), the finished array state (array core's lazy decode), or
-        -- for store-served outcomes, which persist metrics only -- a
-        full deterministic re-run of the scheduling pass against the
-        attached compiled spec.
+        core), the columns of a traced array pass, or -- for every
+        other array outcome -- a deterministic re-run of the pass
+        against the attached compiled spec.
         """
         schedule = self._schedule
         if schedule is None:
-            state = self._state
-            arrays = self._arrays
+            compiled = self._compiled
+            assert compiled is not None, "the constructor requires one"
             start = time.perf_counter_ns()
-            if state is not None and arrays is not None:
-                if not state.columns:
-                    # The hot path runs without trace columns; re-run
-                    # the (deterministic) pass with them to decode.
-                    state = arrays.schedule_design(
-                        self.design, record=False, columns=True
-                    )
-                schedule = arrays.decode_schedule(state)
-            elif self._compiled is not None:
-                schedule = self._rederive(self._compiled)
+            trace = self.trace
+            if isinstance(trace, ArrayRunState):  # recorded: has columns
+                schedule = compiled.arrays.decode_schedule(trace)
             else:
-                raise ValueError(
-                    "EvaluatedDesign has no decode substrate (neither an "
-                    "array state with its ArraySpec nor a compiled spec)"
-                )
+                schedule = self._rederive(compiled)
             self._schedule = schedule
             timings = self._timings
             if timings is not None:
@@ -209,8 +193,10 @@ def evaluate_candidate(
 
     Deterministic: equal ``(spec, design)`` always produce the same
     outcome, which the evaluation cache and the result store rely on.
-    With ``record_trace`` the outcome additionally carries the pass
-    trace and metric memo, making it usable as the parent of
+    An array outcome keeps the metrics, not the pass: its scheduler
+    state is dropped once priced and the schedule re-derived on first
+    access.  With ``record_trace`` the outcome instead carries the
+    pass trace and metric memo, making it usable as the parent of
     :class:`~repro.engine.delta.DeltaEvaluator` evaluations; the
     metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
@@ -235,12 +221,11 @@ def evaluate_candidate(
             timings.metrics_ns += time.perf_counter_ns() - mid
         if not record_trace:
             return EvaluatedDesign(
-                design, None, metrics,
-                state=state, arrays=arrays, timings=timings,
+                design, None, metrics, compiled=compiled, timings=timings
             )
         return EvaluatedDesign(
             design, None, metrics, trace=state, memo=memo,
-            state=state, arrays=arrays, timings=timings,
+            compiled=compiled, timings=timings,
         )
 
     assert scheduler is not None, "the object core needs its ListScheduler"

@@ -87,11 +87,12 @@ class ArrayRunState:
     """Loop state and column trace of one array-kernel pass.
 
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
-    argument bundle play for the object core: a successful recorded
-    state is stored on
-    :class:`~repro.engine.evaluation.EvaluatedDesign.trace` and parents
-    later delta evaluations (off the production path: the engine's
-    cold passes record nothing).  Trace fields are plain lists
+    argument bundle play for the object core.  A state lives only as
+    long as its pricing: the engine's cold passes record nothing and
+    their outcomes keep metrics, not states.  Only a recorded state
+    (the delta kernel's direct callers, off the production path) is
+    kept, as :class:`~repro.engine.evaluation.EvaluatedDesign.trace`,
+    to parent later delta evaluations.  Trace fields are plain lists
     / ints; numpy views of them are cached lazily by :meth:`as_numpy`.
     """
 
@@ -521,9 +522,10 @@ class ArraySpec:
         trace columns; delta-capable (``record``) states always keep
         them (the resume machinery reads them), while pure hot-path
         states skip the bookkeeping -- the array metric kernel reads
-        only the final occupancy, and :meth:`decode_schedule` re-runs
-        the deterministic pass on demand when a columnless state must
-        be decoded after all.
+        only the final occupancy, and
+        :attr:`~repro.engine.evaluation.EvaluatedDesign.schedule`
+        re-runs the deterministic pass with columns when a schedule is
+        needed after all.
         """
         st = ArrayRunState()
         st.node_of = cand.node_of

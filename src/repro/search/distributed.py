@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.engine import EngineConfig, EngineCounters
+from repro.engine.store import make_store
 from repro.search.budget import StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest
@@ -375,6 +376,11 @@ class _Coordinator:
         from multiprocessing.connection import wait as mpwait
 
         runner = self.runner
+        engine = runner.engine
+        if engine.persistent:
+            # Create the database and its schema before any shard opens
+            # its read-only view, and close that handle again.
+            make_store(engine.cache_store, engine.cache_path, None).close()
         # Round-robin assignment, then the workers, then the store
         # writer (opened only after forking so no sqlite handle crosses
         # the fork).
@@ -383,10 +389,10 @@ class _Coordinator:
                 (m, None, 0, 0)
                 for m in range(s, len(runner.members), runner.shards)
             ])
-        if runner.engine.persistent:
+        if engine.persistent:
             from repro.core.strategy import DesignEvaluator
 
-            self.evaluator = DesignEvaluator(self.spec, runner.engine)
+            self.evaluator = DesignEvaluator(self.spec, engine)
 
         try:
             self._loop(mpwait)

@@ -7,14 +7,15 @@ metric value, the objective, and failure reporting match across all
 registered scenario families, through chained delta generations (memo
 reuse), under every binpack policy and with the cache on or off.  Plus
 the lazy-decode boundary: the hot path never builds an
-object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
-(also for columnless states), and :meth:`ArraySpec.decode_schedule`
-refuses columnless states loudly.
+object schedule and keeps no scheduler state,
+:attr:`EvaluatedDesign.schedule` re-derives and decodes on demand, and
+:meth:`ArraySpec.decode_schedule` refuses columnless states loudly.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from repro.engine.delta import DeltaEvaluator
 from repro.engine.engine import EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.gen import families
+from repro.sched.arrays import ArrayRunState, ArraySpec
 from repro.sched.list_scheduler import ListScheduler
 
 
@@ -341,6 +343,19 @@ class TestHistPacking:
 # ----------------------------------------------------------------------
 # the lazy-decode boundary
 # ----------------------------------------------------------------------
+def _spy_kernel(monkeypatch):
+    """Record every state :meth:`ArraySpec.run_kernel` runs from now on."""
+    states = []
+    run_kernel = ArraySpec.run_kernel
+
+    def spy(self, st):
+        states.append(st)
+        run_kernel(self, st)
+
+    monkeypatch.setattr(ArraySpec, "run_kernel", spy)
+    return states
+
+
 class TestLazyDecode:
     def _outcome(self, record_trace: bool = False):
         spec, compiled_obj, compiled_arr, scheduler, design = _cell(
@@ -352,10 +367,19 @@ class TestLazyDecode:
         assert outcome is not None
         return spec, compiled_obj, compiled_arr, scheduler, design, outcome
 
-    def test_hot_path_skips_decode_and_columns(self):
-        _, _, _, _, _, outcome = self._outcome()
+    def test_hot_path_skips_decode_and_columns(self, monkeypatch):
+        """The hot path runs one columnless pass, decodes nothing and
+        keeps no scheduler state: the outcome holds its design, its
+        metrics and the compiled spec to re-derive against."""
+        states = _spy_kernel(monkeypatch)
+        _, _, compiled_arr, _, _, outcome = self._outcome()
+        assert [st.columns for st in states] == [False]
         assert outcome._schedule is None
-        assert not outcome._state.columns
+        assert outcome.trace is None and outcome.memo is None
+        assert outcome._compiled is compiled_arr
+        assert not any(
+            isinstance(ref, ArrayRunState) for ref in gc.get_referents(outcome)
+        )
 
     def test_lazy_schedule_equals_eager_object_schedule(self):
         spec, compiled_obj, _, scheduler, design, outcome = self._outcome()
@@ -376,12 +400,15 @@ class TestLazyDecode:
             for nid in eager.schedule.architecture.node_ids
         }
 
-    def test_traced_state_decodes_without_rerun(self):
-        """A record_trace outcome owns columns; decode must not re-run
-        the pass (the decoded schedule comes from the same state)."""
+    def test_traced_state_decodes_without_rerun(self, monkeypatch):
+        """A record_trace outcome keeps its trace, which has columns;
+        decode must not re-run the pass (the decoded schedule comes
+        from that trace)."""
         _, _, compiled_arr, _, _, outcome = self._outcome(record_trace=True)
-        assert outcome._state.columns
+        assert outcome.trace.columns
+        states = _spy_kernel(monkeypatch)
         schedule = outcome.schedule
+        assert states == []
         assert schedule is outcome._schedule  # decoded and cached
 
     def test_decode_schedule_refuses_columnless_states(self):
@@ -394,5 +421,5 @@ class TestLazyDecode:
 
     def test_constructor_refuses_scheduleless_without_state(self):
         _, _, _, _, _, outcome = self._outcome()
-        with pytest.raises(ValueError, match="schedule or an array state"):
+        with pytest.raises(ValueError, match="schedule or a compiled spec"):
             EvaluatedDesign(outcome.design, None, outcome.metrics)

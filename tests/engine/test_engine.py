@@ -1,15 +1,21 @@
 """Tests for the EvaluationEngine facade and strategy integration."""
 
+import gc
+
 import pytest
 
 from oracleutil import design_through_oracle
 from repro.core.adhoc import AdHocStrategy
 from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
+from repro.core.metrics import evaluate_design
+from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
 from repro.engine import EngineConfig, EvaluationEngine
+from repro.sched.arrays import ArrayRunState
 from repro.sched.priorities import hcp_priorities
+from repro.search.loop import drive
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +44,18 @@ def _outcomes(results):
     return [None if r is None else r.objective for r in results]
 
 
+def _holds_run_state(outcome) -> bool:
+    """Whether ``outcome`` references a scheduler pass's state."""
+    return any(
+        isinstance(ref, ArrayRunState) for ref in gc.get_referents(outcome)
+    )
+
+
 class TestColdOutcomes:
     """A default evaluator solves every candidate cold and keeps no
     incremental bookkeeping on its outcomes: no scheduling trace, no
-    metric memo, and an array state without trace columns."""
+    metric memo and no scheduler state, only the compiled spec its
+    schedule is re-derived against."""
 
     @staticmethod
     def _assert_cold(outcomes):
@@ -50,9 +64,8 @@ class TestColdOutcomes:
         for outcome in valid:
             assert outcome.trace is None
             assert outcome.memo is None
-            assert outcome._state is not None
-            assert not outcome._state.columns
-            assert not outcome._state.record
+            assert outcome._compiled is not None
+            assert not _holds_run_state(outcome)
 
     def test_evaluate_and_evaluate_many(self, spec, neighbourhood):
         start, designs = neighbourhood
@@ -73,6 +86,30 @@ class TestColdOutcomes:
             )
         assert len(steps) == 1
         self._assert_cold(steps[0])
+
+
+class TestOutcomeFootprint:
+    def test_cached_outcomes_hold_no_run_state(self, spec):
+        """After a short SA design, no cached outcome keeps the state of
+        the pass that priced it, and a cached incumbent still yields
+        the schedule its metrics were priced on."""
+        with DesignEvaluator(spec) as evaluator:
+            drive(
+                SimulatedAnnealing(iterations=80, seed=5).search_program(
+                    spec, evaluator.compiled
+                ),
+                evaluator,
+            )
+            cached = [
+                o for o in evaluator.engine.cache._store.values()
+                if o is not None
+            ]
+            assert len(cached) > 20
+            assert not any(_holds_run_state(o) for o in cached)
+            best = min(cached, key=lambda o: o.objective)
+            assert evaluate_design(
+                best.schedule, spec.future, spec.weights
+            ) == best.metrics
 
 
 class TestEvaluationEngine:

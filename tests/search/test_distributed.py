@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import sqlite3
+import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator
 from repro.engine import EngineConfig
-from repro.experiments.runner import design_fingerprint
+from repro.experiments.runner import design_fingerprint, run_portfolio
+from repro.gen.families import get_family
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import drive, execute_request
@@ -369,3 +373,42 @@ class TestSqliteStore:
         ).run(spec)
         assert warm.store_hits > 0
         assert result_key(warm) == result_key(cold)
+
+    def test_fresh_path_every_shard_probes_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """On a database that does not exist yet, no shard's read-only
+        view may open before the schema does (it would degrade to
+        memory-only): every shard probes the store, and the parent's
+        single writer persists exactly the lockstep race's misses.
+
+        The parent's writer is held back after forking, so a shard
+        that could race ahead of the schema does so every time."""
+        spec = get_family("uniform-baseline").build("tiny", 1).spec()
+
+        def race_sa(shards, engine=EngineConfig()):
+            return run_portfolio(
+                spec, ("SA", "SA@2"), seed=1, sa_iterations=200,
+                shards=shards, engine=engine,
+            )
+
+        misses = race_sa(0).cache_misses
+        init = DesignEvaluator.__init__
+
+        def late_writer(self, *args, store_read_only=False, **kwargs):
+            if not store_read_only:
+                time.sleep(0.5)
+            init(self, *args, store_read_only=store_read_only, **kwargs)
+
+        monkeypatch.setattr(DesignEvaluator, "__init__", late_writer)
+        path = tmp_path / "fresh.sqlite"
+        sharded = race_sa(
+            2, EngineConfig(cache_store="sqlite", cache_path=str(path))
+        )
+        assert len(sharded.shard_counters) == 2
+        assert all(
+            c.store_hits + c.store_misses > 0 for c in sharded.shard_counters
+        )
+        with closing(sqlite3.connect(path)) as conn:
+            (rows,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+        assert rows == misses

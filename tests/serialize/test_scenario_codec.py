@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.gen.families import family_names, get_family
 from repro.gen.scenario import ScenarioParams, build_scenario
 from repro.serialize import (
     load_scenario,
@@ -13,7 +16,7 @@ from repro.serialize import (
     scenario_params_to_dict,
     scenario_to_dict,
 )
-from repro.utils.errors import InvalidModelError
+from repro.utils.errors import InvalidModelError, ReproError
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +93,21 @@ class TestScenarioCodec:
         path.write_text(json.dumps({"kind": "application"}))
         with pytest.raises(InvalidModelError):
             load_scenario(path)
+
+
+class TestScenarioCodecFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(family_names()), seed=st.integers(1, 50))
+    def test_json_round_trip_is_a_fixed_point(self, family, seed):
+        """Any family's smallest preset at any seed survives
+        dict -> JSON -> dict -> scenario -> dict unchanged."""
+        scenario_family = get_family(family)
+        try:
+            scenario = scenario_family.build(
+                scenario_family.smallest_preset, seed
+            )
+        except ReproError:
+            assume(False)
+        payload = scenario_to_dict(scenario)
+        rebuilt = scenario_from_dict(json.loads(json.dumps(payload)))
+        assert scenario_to_dict(rebuilt) == payload
