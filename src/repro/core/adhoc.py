@@ -37,9 +37,6 @@ class AdHocStrategy:
     budget: Optional[Budget] = None
 
     name = "AH"
-    #: AH finishes at priming (no evaluation yields), so there is
-    #: nothing to steal or resume; shard drivers never checkpoint it.
-    resumable = False
 
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:

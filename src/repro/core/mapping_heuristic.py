@@ -45,7 +45,6 @@ from repro.core.strategy import (
 from repro.core.transformations import CandidateDesign
 from repro.engine import EngineConfig
 from repro.search.budget import Budget
-from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, drive
 
 
@@ -84,9 +83,6 @@ class MappingHeuristic:
     budget: Optional[Budget] = None
 
     name = "MH"
-    #: The pipeline supports cut+resume via ``MemberCheckpoint`` (the
-    #: sharded race's checkpoint/respawn protocol).
-    resumable = True
 
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
@@ -99,66 +95,45 @@ class MappingHeuristic:
                 result.record_engine_stats(evaluator)
             return result
 
-    def search_program(
-        self,
-        spec: DesignSpec,
-        compiled,
-        resume: Optional[MemberCheckpoint] = None,
-    ):
+    def search_program(self, spec: DesignSpec, compiled):
         """The MH pipeline as a kernel program (portfolio-raceable).
 
         A generator yielding :class:`repro.search.EvalRequest` batches:
         Initial Mapping (computed inline against the shared compiled
         spec), one cold evaluation of the IM design, then the
         steepest-descent :class:`~repro.search.SearchLoop`.
-
-        ``resume`` continues a pipeline cut by the sharded race's
-        checkpoint protocol: the single ``descent`` phase resumes from its
-        loop checkpoint (IM needs no recomputation -- the descent
-        carries its own state) and the continuation is byte-identical
-        to the uninterrupted run.
         """
         from repro.core.metrics import evaluate_design
 
-        start = None
-        if resume is None:
-            mapper = InitialMapper(spec.architecture)
-            outcome = mapper.try_map_and_schedule(
-                spec.current,
-                base=spec.base_schedule,
-                horizon=None if spec.base_schedule else spec.horizon,
-                compiled=compiled,
-            )
-            if outcome is None:
-                return DesignResult(self.name, valid=False, evaluations=1)
-            im_mapping, im_schedule = outcome
+        mapper = InitialMapper(spec.architecture)
+        outcome = mapper.try_map_and_schedule(
+            spec.current,
+            base=spec.base_schedule,
+            horizon=None if spec.base_schedule else spec.horizon,
+            compiled=compiled,
+        )
+        if outcome is None:
+            return DesignResult(self.name, valid=False, evaluations=1)
+        im_mapping, im_schedule = outcome
 
-            results = yield EvalRequest(
-                designs=[
-                    CandidateDesign(
-                        im_mapping, dict(compiled.default_priorities)
-                    )
-                ]
-            )
-            start = results[0]
-            if start is None:
-                # The list scheduler resolved messages slightly differently
-                # than IM and failed; report IM's own valid schedule without
-                # optimization (rare).
-                metrics = evaluate_design(
-                    im_schedule, spec.future, spec.weights
-                )
-                return DesignResult(
-                    self.name,
-                    valid=True,
-                    mapping=im_mapping,
-                    priorities=dict(compiled.default_priorities),
-                    schedule=im_schedule,
-                    metrics=metrics,
-                )
-        elif resume.phase != "descent":
-            raise ValueError(
-                f"MH cannot resume from phase {resume.phase!r}"
+        results = yield EvalRequest(
+            designs=[
+                CandidateDesign(im_mapping, dict(compiled.default_priorities))
+            ]
+        )
+        start = results[0]
+        if start is None:
+            # The list scheduler resolved messages slightly differently
+            # than IM and failed; report IM's own valid schedule without
+            # optimization (rare).
+            metrics = evaluate_design(im_schedule, spec.future, spec.weights)
+            return DesignResult(
+                self.name,
+                valid=True,
+                mapping=im_mapping,
+                priorities=dict(compiled.default_priorities),
+                schedule=im_schedule,
+                metrics=metrics,
             )
 
         descent = descent_loop(
@@ -171,17 +146,7 @@ class MappingHeuristic:
             budget=self.budget,
             name="MH-descent",
         )
-        try:
-            if resume is None:
-                search = yield from descent.program(spec, start=start)
-            else:
-                search = yield from descent.program(
-                    spec, checkpoint=resume.loop
-                )
-        except MemberPaused as pause:
-            pause.checkpoint.phase = "descent"
-            pause.checkpoint.strategy = self.name
-            raise
+        search = yield from descent.program(spec, start=start)
         best = search.incumbent
         return DesignResult(
             self.name,

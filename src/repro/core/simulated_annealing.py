@@ -43,12 +43,6 @@ from repro.core.transformations import CandidateDesign
 from repro.engine import EngineConfig
 from repro.search.acceptors import AcceptAny, MetropolisAcceptor
 from repro.search.budget import Budget
-from repro.search.checkpoint import (
-    MemberCheckpoint,
-    MemberPaused,
-    design_from_dict,
-    design_to_dict,
-)
 from repro.search.loop import EvalRequest, SearchLoop, drive
 from repro.search.proposers import RandomMoveProposer
 from repro.search.stats import SearchStats
@@ -105,9 +99,6 @@ class SimulatedAnnealing:
     budget: Optional[Budget] = None
 
     name = "SA"
-    #: The pipeline supports cut+resume via ``MemberCheckpoint`` (the
-    #: sharded race's checkpoint/respawn protocol).
-    resumable = True
 
     # ------------------------------------------------------------------
     @timed
@@ -121,15 +112,8 @@ class SimulatedAnnealing:
                 result.record_engine_stats(evaluator)
             return result
 
-    _PHASES = ("probe", "walk", "polish", "polish-from-start")
-
     # ------------------------------------------------------------------
-    def search_program(
-        self,
-        spec: DesignSpec,
-        compiled,
-        resume: Optional[MemberCheckpoint] = None,
-    ):
+    def search_program(self, spec: DesignSpec, compiled):
         """The SA pipeline as one kernel program (portfolio-raceable).
 
         Phases, in order, sharing one seeded RNG stream: Initial
@@ -137,29 +121,8 @@ class SimulatedAnnealing:
         (unless ``initial_temperature`` is set), Metropolis walk, and
         -- with ``polish`` -- steepest descents from the walk's best
         and from the start, reporting the better basin.
-
-        ``resume`` continues a pipeline cut by the sharded race's
-        checkpoint protocol.  The Initial Mapping and its cold evaluation
-        are recomputed deterministically (served as uncharged
-        ``bookkeeping`` requests -- warm cache hits in practice),
-        completed phases are skipped using the carried stats, and the
-        cut phase resumes from its loop checkpoint, so the continued
-        trajectory is byte-identical to the uninterrupted run: the
-        probe carries its calibration deltas, the walk's temperature
-        and RNG stream ride in the loop checkpoint, and the polish
-        descents draw no random numbers at all.
         """
         from repro.core.metrics import evaluate_design
-
-        phase: Optional[str] = None
-        carry: dict = {}
-        if resume is not None:
-            if resume.phase not in self._PHASES:
-                raise ValueError(
-                    f"SA cannot resume from phase {resume.phase!r}"
-                )
-            phase = resume.phase
-            carry = resume.carry
 
         rng = make_rng(self.seed)
         mapper = InitialMapper(spec.architecture)
@@ -176,8 +139,7 @@ class SimulatedAnnealing:
         results = yield EvalRequest(
             designs=[
                 CandidateDesign(im_mapping, dict(compiled.default_priorities))
-            ],
-            bookkeeping=resume is not None,
+            ]
         )
         current = results[0]
         if current is None:
@@ -191,21 +153,16 @@ class SimulatedAnnealing:
                 metrics=metrics,
             )
         start = current
-        phases: List[SearchStats] = [
-            SearchStats.from_dict(dict(d)) for d in carry.get("phases", [])
-        ]
-        winner_phase = int(carry.get("winner_phase", 0))
+        phases: List[SearchStats] = []
 
         temperature = self.initial_temperature
-        if temperature is None and phase in (None, "probe"):
+        if temperature is None:
             # Calibration: walk `probe_moves` random accepted steps and
             # set T0 to twice the mean |objective delta| (classical rule
             # of thumb -- at T0 most uphill moves should be accepted),
             # with a floor for flat landscapes.  The probe walks a
             # throwaway copy; the annealing starts from `start`.
-            deltas: List[float] = [
-                float(d) for d in carry.get("deltas", [])
-            ]
+            deltas: List[float] = []
 
             def record_delta(event) -> None:
                 if event.accepted is not None:
@@ -221,132 +178,45 @@ class SimulatedAnnealing:
                 ),
                 name="SA-probe",
             )
-            try:
-                if phase == "probe":
-                    probed = yield from probe.program(
-                        spec,
-                        checkpoint=resume.loop,
-                        rng=rng,
-                        observer=record_delta,
-                    )
-                else:
-                    probed = yield from probe.program(
-                        spec, start=current, rng=rng, observer=record_delta
-                    )
-            except MemberPaused as pause:
-                pause.checkpoint.strategy = self.name
-                pause.checkpoint.phase = "probe"
-                pause.checkpoint.carry = {"deltas": list(deltas)}
-                raise
+            probed = yield from probe.program(
+                spec, start=current, rng=rng, observer=record_delta
+            )
             phases.append(probed.stats)
-            phase = None
             if not deltas:
                 temperature = 10.0
             else:
                 temperature = max(1.0, 2.0 * float(np.mean(deltas)))
 
-        if phase in (None, "walk"):
-            walk = SearchLoop(
-                proposer=RandomMoveProposer(),
-                acceptor=MetropolisAcceptor(
-                    # On resume the placeholder is overwritten by the
-                    # checkpointed acceptor state (the live temperature).
-                    temperature if temperature is not None else 1.0,
-                    self.cooling,
-                    self.min_temperature,
-                ),
-                budget=Budget.combine(
-                    Budget(max_steps=self.iterations), self.budget
-                ),
-                name="SA-walk",
-            )
-            try:
-                if phase == "walk":
-                    annealed = yield from walk.program(
-                        spec, checkpoint=resume.loop, rng=rng
-                    )
-                else:
-                    annealed = yield from walk.program(
-                        spec, start=current, rng=rng
-                    )
-            except MemberPaused as pause:
-                pause.checkpoint.strategy = self.name
-                pause.checkpoint.phase = "walk"
-                pause.checkpoint.carry = {
-                    "phases": [s.as_dict() for s in phases]
-                }
-                raise
-            phases.append(annealed.stats)
-            best = annealed.incumbent
-            winner_phase = len(phases) - 1
-            phase = None
-        else:
-            # Resuming inside a polish descent: the walk is history;
-            # its stats arrived via carry and the descent state (or the
-            # carried post-polish best) stands in for its incumbent.
-            best = None
+        walk = SearchLoop(
+            proposer=RandomMoveProposer(),
+            acceptor=MetropolisAcceptor(
+                temperature, self.cooling, self.min_temperature
+            ),
+            budget=Budget.combine(
+                Budget(max_steps=self.iterations), self.budget
+            ),
+            name="SA-walk",
+        )
+        annealed = yield from walk.program(spec, start=current, rng=rng)
+        phases.append(annealed.stats)
+        best = annealed.incumbent
+        winner_phase = len(phases) - 1
 
         if self.polish:
             # Walk to the bottom of the basin the annealing found, and
             # also descend from the IM start: the reference reports the
             # best design seen anywhere, so it dominates the plain
             # descent heuristic (MH) by construction.
-            if phase in (None, "polish"):
-                try:
-                    if phase == "polish":
-                        polish = yield from descent_loop(
-                            budget=self.budget, name="SA-polish"
-                        ).program(spec, checkpoint=resume.loop)
-                    else:
-                        polish = yield from descent_loop(
-                            budget=self.budget, name="SA-polish"
-                        ).program(spec, start=best)
-                except MemberPaused as pause:
-                    pause.checkpoint.strategy = self.name
-                    pause.checkpoint.phase = "polish"
-                    pause.checkpoint.carry = {
-                        "phases": [s.as_dict() for s in phases],
-                        "winner_phase": winner_phase,
-                    }
-                    raise
-                phases.append(polish.stats)
-                best = polish.incumbent
-                if polish.stats.improvements > 0:
-                    winner_phase = len(phases) - 1
-                phase = None
-            else:
-                # Resuming inside polish-from-start: rebuild the
-                # post-polish incumbent from the carried design point
-                # (uncharged bookkeeping re-evaluation, like the loop's
-                # own resume re-evaluations).
-                results = yield EvalRequest(
-                    designs=[design_from_dict(carry["best"], spec)],
-                    bookkeeping=True,
-                )
-                best = results[0]
-                if best is None:
-                    raise ValueError(
-                        "carried best design no longer evaluates as valid; "
-                        "the member checkpoint does not match this spec"
-                    )
-            try:
-                if phase == "polish-from-start":
-                    from_start = yield from descent_loop(
-                        budget=self.budget, name="SA-polish-from-start"
-                    ).program(spec, checkpoint=resume.loop)
-                else:
-                    from_start = yield from descent_loop(
-                        budget=self.budget, name="SA-polish-from-start"
-                    ).program(spec, start=start)
-            except MemberPaused as pause:
-                pause.checkpoint.strategy = self.name
-                pause.checkpoint.phase = "polish-from-start"
-                pause.checkpoint.carry = {
-                    "phases": [s.as_dict() for s in phases],
-                    "winner_phase": winner_phase,
-                    "best": design_to_dict(best.design),
-                }
-                raise
+            polish = yield from descent_loop(
+                budget=self.budget, name="SA-polish"
+            ).program(spec, start=best)
+            phases.append(polish.stats)
+            best = polish.incumbent
+            if polish.stats.improvements > 0:
+                winner_phase = len(phases) - 1
+            from_start = yield from descent_loop(
+                budget=self.budget, name="SA-polish-from-start"
+            ).program(spec, start=start)
             phases.append(from_start.stats)
             if from_start.incumbent.objective < best.objective:
                 best = from_start.incumbent

@@ -374,10 +374,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 f"{counters.cache_hits} cache hits, "
                 f"{counters.cache_misses} misses, {busy:.2f}s busy"
             )
-        checkpoints = sum(1 for e in result.events if e.kind == "checkpoint")
-        print(
-            f"  events: {checkpoints} checkpoints, {result.respawns} respawns"
-        )
     if args.cache_store != "memory":
         print(
             f"store: {result.store_hits} hits, {result.store_misses} "

@@ -8,7 +8,8 @@ a :class:`~repro.search.budget.Budget` says when to stop, and a
 :class:`~repro.search.checkpoint.SearchCheckpoint` makes any search
 resumable.  :class:`~repro.search.portfolio.PortfolioRunner` races
 several configured strategies for one shared budget in deterministic
-lockstep, in-process or across forked shard processes.
+lockstep, in-process or across forked shard processes; a dead shard's
+members rerun from their seed against the parent's verdict log.
 """
 
 from repro.search.acceptors import (
@@ -18,15 +19,8 @@ from repro.search.acceptors import (
     MetropolisAcceptor,
     ThresholdAcceptor,
 )
-from repro.search.budget import (
-    Budget,
-    BudgetProgress,
-    SharedBudgetExhausted,
-    StealRequested,
-)
+from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.checkpoint import (
-    MemberCheckpoint,
-    MemberPaused,
     SearchCheckpoint,
     design_from_dict,
     design_to_dict,
@@ -64,8 +58,6 @@ __all__ = [
     "BudgetProgress",
     "EvalRequest",
     "GreedyAcceptor",
-    "MemberCheckpoint",
-    "MemberPaused",
     "MetropolisAcceptor",
     "NeighbourhoodProposer",
     "PortfolioMemberOutcome",
@@ -80,7 +72,6 @@ __all__ = [
     "SearchStats",
     "ShardEvent",
     "SharedBudgetExhausted",
-    "StealRequested",
     "ThresholdAcceptor",
     "design_from_dict",
     "design_to_dict",

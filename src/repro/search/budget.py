@@ -38,21 +38,6 @@ class SharedBudgetExhausted(Exception):
     """
 
 
-class StealRequested(Exception):
-    """Thrown *into* a search program to pause it at a checkpoint.
-
-    The sharded race's checkpoint cut: a shard worker throws
-    this at a *move* evaluation yield (move requests only ever
-    originate inside a :class:`~repro.search.loop.SearchLoop`), the
-    loop stops cleanly (stop reason ``steal``) and raises
-    :class:`~repro.search.checkpoint.MemberPaused` carrying its
-    resumable checkpoint instead of returning.  Strategy pipelines
-    annotate the in-flight exception with their phase position, so the
-    member can be resumed -- in place, or on a respawned shard --
-    exactly where it was cut (the pinned cut+resume byte-identity).
-    """
-
-
 def _min_limit(a: Optional[float], b: Optional[float]) -> Optional[float]:
     """Tighter of two limits where ``None`` means unlimited."""
     if a is None:

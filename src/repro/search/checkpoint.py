@@ -126,70 +126,3 @@ class SearchCheckpoint:
     @classmethod
     def from_json(cls, text: str) -> "SearchCheckpoint":
         return cls.from_dict(json.loads(text))
-
-
-@dataclass
-class MemberCheckpoint:
-    """The resumable state of a whole strategy *pipeline*.
-
-    A :class:`SearchCheckpoint` resumes one loop; a portfolio member is
-    a pipeline of loops (SA: probe, walk, two polish descents) with a
-    little inter-phase state.  When a shard cuts a member at a checkpoint,
-    the active loop contributes ``loop`` (its own checkpoint) and the
-    strategy annotates ``phase`` (which pipeline stage was cut) plus
-    ``carry`` (the JSON-safe inter-phase state accumulated *before*
-    that stage -- completed-phase stats, the pre-polish incumbent, the
-    calibration deltas).  ``strategy`` records the owning strategy name
-    for sanity checks on resume.
-
-    Size contract: everything here is O(current state) -- two designs,
-    one RNG bit-generator state, a few counters -- never O(history).
-    The wire form is produced *once per cut* (:meth:`to_json` at ship
-    time); per-batch evaluation traffic never serializes any of it.
-    """
-
-    loop: SearchCheckpoint
-    phase: str = ""
-    carry: dict = field(default_factory=dict)
-    strategy: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "strategy": self.strategy,
-            "phase": self.phase,
-            "carry": self.carry,
-            "loop": self.loop.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemberCheckpoint":
-        return cls(
-            loop=SearchCheckpoint.from_dict(dict(data["loop"])),
-            phase=str(data.get("phase", "")),
-            carry=dict(data.get("carry") or {}),
-            strategy=str(data.get("strategy", "")),
-        )
-
-    def to_json(self) -> str:
-        """JSON wire form -- the steal/reship payload."""
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemberCheckpoint":
-        return cls.from_dict(json.loads(text))
-
-
-class MemberPaused(Exception):
-    """Raised *out of* a search program cut by :class:`StealRequested`.
-
-    Carries the :class:`MemberCheckpoint` the resumed program needs.
-    The loop raises it with the bare loop checkpoint; each enclosing
-    pipeline stage annotates ``checkpoint.phase`` / ``checkpoint.carry``
-    as the exception unwinds, so by the time the shard driver catches
-    it the payload describes the whole pipeline position.
-    """
-
-    def __init__(self, checkpoint: MemberCheckpoint):
-        super().__init__("search program paused for migration")
-        self.checkpoint = checkpoint

@@ -17,39 +17,30 @@ assigned subset, round-robin by index.  Workers talk to the parent
 over one duplex pipe each:
 
 * ``ask`` / verdict -- in *metered* races (a shared evaluation budget)
-  every non-bookkeeping request is granted or cut by the parent before
-  it is served.  A shard has at most one ask in flight, and the
-  parent's reply is the bare verdict (``True`` grants).
-* ``checkpoint`` -- every ``checkpoint_every`` charged evaluations the
-  worker cuts a member at a move request (throws
-  :class:`~repro.search.budget.StealRequested`, catches
-  :class:`~repro.search.checkpoint.MemberPaused`), ships the
-  :class:`~repro.search.checkpoint.MemberCheckpoint` to the parent (the
-  respawn baseline) and resumes it in place; the resume's
-  re-evaluations are warm cache hits served as uncharged
-  ``bookkeeping`` requests.
+  every request is granted or cut by the parent before it is served.
+  A shard has at most one ask in flight, and the parent's reply is the
+  bare verdict (``True`` grants).  The parent logs every verdict it
+  sends, per member.
 * ``done`` / ``rows`` / ``final`` -- member results, drained store rows
   for the parent's single writer, and end-of-race engine counters.  A
   worker sends ``final`` and exits once its last member is done.
 
 Worker death is detected through process sentinels: a dead shard's
-running members respawn from their last shipped checkpoint on a fresh
-replacement worker, with every evaluation charged since that
-checkpoint refunded to the shared budget (conservation stays exact).
+running members respawn on a fresh replacement worker and rerun from
+their seed.  The replacement answers each replayed budget decision
+from the parent's verdict log -- nothing is asked or charged again --
+so the member reaches the state it died in, and asks the parent anew
+only past the end of its log.
 
 Determinism
 -----------
-Member trajectories are invariant under cutting: a checkpoint or a
-respawn replays the member's own deterministic continuation, so in a
-*free* race (no shared evaluation budget) the member results -- and the
-winner -- equal the in-process race's for any shard count and any
-crash.  With a shared evaluation budget the parent decides asks in the
+A search program is a deterministic function of its seed, its
+budget verdicts and the engine's answers, so a replayed member
+retraces its own trajectory.  The parent decides asks in the
 lockstep's logical order: member ``m``'s ``k``-th budget decision is
-made at global slot ``(k, m)``, so the budget-cut trajectory matches
-the in-process race byte-for-byte when no crash displaces charges.  A
-binding budget *plus* a crash keeps the budget exactly conserved but
-not byte-identical (refunded work is re-charged later in the global
-order); DESIGN.md documents the scope.
+made at global slot ``(k, m)``.  Member results -- and the winner --
+therefore equal the in-process race's for any shard count and any
+crash, with or without a shared evaluation budget.
 """
 
 from __future__ import annotations
@@ -62,9 +53,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 
 from repro.engine.engine import EngineConfig, EngineCounters
 from repro.engine.store import make_store
-from repro.search.budget import StealRequested
-from repro.search.checkpoint import MemberCheckpoint, MemberPaused
-from repro.search.loop import EvalRequest
 from repro.search.portfolio import (
     PortfolioResult,
     ShardEvent,
@@ -80,15 +68,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import DesignEvaluator, DesignResult, DesignSpec
     from repro.search.portfolio import PortfolioRunner
 
-#: One member handed to a worker: ``(member, checkpoint json, k, charged)``.
-_Assign = Tuple[int, Optional[str], int, int]
+#: One member handed to a worker: ``(member, verdicts to replay)``.
+_Assign = Tuple[int, List[bool]]
 
 
 # ======================================================================
 # shard worker
 # ======================================================================
 class _ShardRace(_Lockstep):
-    """A shard's lockstep rounds: asks the parent, checkpoints, reports."""
+    """A shard's lockstep rounds: replays or asks verdicts, reports."""
 
     def __init__(
         self,
@@ -97,58 +85,26 @@ class _ShardRace(_Lockstep):
         evaluator: "DesignEvaluator",
         conn: "Connection",
         metered: bool,
-        checkpoint_every: int,
+        logs: Dict[int, List[bool]],
     ):
         super().__init__(spec, members, evaluator, self._ask)
         self.conn = conn
         self.metered = metered
-        self.checkpoint_every = checkpoint_every
-        self.ckpt_charged: Dict[int, int] = {}
-
-    def start(
-        self, ledger: _MemberLedger, resume: Optional[MemberCheckpoint] = None
-    ) -> None:
-        self.ckpt_charged[ledger.index] = ledger.charged
-        super().start(ledger, resume)
+        self.logs = logs
 
     def _ask(self, ledger: _MemberLedger, size: int, is_moves: bool) -> bool:
-        """The parent decides metered requests; free ones are granted."""
-        granted = True
-        if self.metered:
+        """Replay a logged verdict; past the log, the parent decides
+        metered requests and free ones are granted."""
+        log = self.logs[ledger.index]
+        if ledger.k < len(log):
+            granted = log[ledger.k]
+        elif self.metered:
             self.conn.send(("ask", ledger.index, ledger.k, size, is_moves))
             granted = self.conn.recv()
+        else:
+            granted = True
         ledger.advance(size, granted)
         return granted
-
-    def next_request(self, m: int) -> Optional[EvalRequest]:
-        request = self.pending[m]
-        ledger = self.ledgers[m]
-        if (
-            self.checkpoint_every
-            and request.moves is not None
-            and getattr(self.members[m], "resumable", False)
-            and ledger.charged - self.ckpt_charged[m] >= self.checkpoint_every
-        ):
-            self._checkpoint(m)
-            return self.pending.get(m)
-        return request
-
-    def _checkpoint(self, m: int) -> None:
-        """Local cut + resume: ship a respawn baseline, keep running."""
-        ledger = self.ledgers[m]
-        try:
-            self.programs[m].throw(StealRequested())
-            return  # pragma: no cover - defensive (cut always pauses)
-        except MemberPaused as paused:
-            payload = paused.checkpoint.to_json()
-        self.conn.send(("checkpoint", m, payload, ledger.k, ledger.charged))
-        # Resume from the deserialized wire form -- exactly what a
-        # respawned shard would run, so this path exercises the same
-        # contract.  The bookkeeping prefix re-evaluates the stored
-        # designs (warm cache hits) and is never charged.
-        self.start(ledger, MemberCheckpoint.from_json(payload))
-        while m in self.pending and self.pending[m].bookkeeping:
-            self.serve(m, self.pending[m])
 
     def finish(self, m: int, result: "DesignResult") -> None:
         super().finish(m, result)
@@ -169,17 +125,15 @@ def _shard_main(
     assigns: List[_Assign],
     engine: EngineConfig,
     metered: bool,
-    checkpoint_every: int,
 ) -> None:
     """One shard process: race the assigned members, then report."""
     from repro.core.strategy import DesignEvaluator
 
     busy0 = time.process_time()
     evaluator = DesignEvaluator(spec, engine, store_read_only=True)
-    race = _ShardRace(spec, members, evaluator, conn, metered, checkpoint_every)
-    for m, ckpt, k, charged in assigns:
-        resume = MemberCheckpoint.from_json(ckpt) if ckpt is not None else None
-        race.start(_MemberLedger(m, k, charged), resume)
+    race = _ShardRace(spec, members, evaluator, conn, metered, dict(assigns))
+    for m, _ in assigns:
+        race.start(_MemberLedger(m))
     while race.programs:
         race.round()
         race.ship_rows(shard_id)
@@ -196,13 +150,11 @@ def _shard_main(
 # ======================================================================
 @dataclass
 class _MemberState(_MemberLedger):
-    """The parent's ledger for one member, with its respawn baseline."""
+    """The parent's ledger for one member, with its verdict log."""
 
     owner: int = -1
     status: str = "running"  # running | done | failed
-    ckpt: Optional[str] = None
-    ckpt_k: int = 0
-    ckpt_charged: int = 0
+    verdicts: List[bool] = field(default_factory=list)  # by k, metered only
     respawns: int = 0
 
 
@@ -235,7 +187,8 @@ class _Coordinator:
         self.respawns = 0
         self.events: List[ShardEvent] = []
         self.started = time.perf_counter()
-        self.evaluator: Optional[Any] = None  # the rw store writer
+        self.rows: Dict[bytes, bytes] = {}  # shipped store rows, by key
+        self.writer_counters: Optional[EngineCounters] = None
 
     # -- helpers -------------------------------------------------------
     def _elapsed(self) -> float:
@@ -255,7 +208,7 @@ class _Coordinator:
             target=_shard_main,
             args=(
                 shard_id, child_conn, self.spec, runner.members, assigns,
-                runner.engine, self.metered, runner.checkpoint_every,
+                runner.engine, self.metered,
             ),
             daemon=True,
         )
@@ -273,7 +226,7 @@ class _Coordinator:
         child_conn.close()
         handle = _ShardHandle(
             id=shard_id, proc=proc, conn=parent_conn,
-            members={m for m, *_ in assigns},
+            members={m for m, _ in assigns},
         )
         for m in handle.members:
             self.states[m].owner = shard_id
@@ -287,27 +240,21 @@ class _Coordinator:
         if kind == "ask":
             _, m, slot, size, is_moves = msg
             self.pending_asks[m] = (slot, size, is_moves)
-        elif kind in ("done", "checkpoint"):
-            _, m, payload, k, charged = msg
+        elif kind == "done":
+            _, m, result, k, charged = msg
             state = self.states[m]
             if not self.metered:
                 # A free race makes no asks: adopt the shard's charges.
-                self.budget.charged += charged - state.charged
+                self.budget.charged += charged
                 state.charged = charged
-            if kind == "done":
-                state.status = "done"
-                state.result = payload
-                state.k = k
-                shard.members.discard(m)
-                self.pending_asks.pop(m, None)
-            else:
-                state.ckpt = payload
-                state.ckpt_k = k
-                state.ckpt_charged = charged
-            self._event(kind, shard.id, m)
+            state.status = "done"
+            state.result = result
+            state.k = k
+            shard.members.discard(m)
+            self.pending_asks.pop(m, None)
+            self._event("done", shard.id, m)
         elif kind == "rows":
-            if self.evaluator is not None:
-                self.evaluator.absorb_store_rows(msg[2])
+            self.rows.update(msg[2])
         elif kind == "final":
             _, _, counters, busy = msg
             shard.counters = counters
@@ -326,12 +273,13 @@ class _Coordinator:
             del self.pending_asks[head.index]
             _, size, is_moves = ask
             granted = self.budget.grant(head, size, is_moves)
+            head.verdicts.append(granted)
             self.shards[head.owner].conn.send(granted)
 
     # -- death -----------------------------------------------------------
     def _on_death(self, shard: _ShardHandle) -> None:
         """A worker died without its final message: respawn its members."""
-        # Drain whatever it managed to send first (checkpoints matter).
+        # Drain whatever it managed to send first (results matter).
         try:
             while shard.conn.poll():
                 self._handle(shard, shard.conn.recv())
@@ -350,13 +298,9 @@ class _Coordinator:
         shard.members.clear()
         assigns: List[_Assign] = []
         for state in orphans:
+            # Its undecided ask died with it; the rerun asks again at
+            # the same k once it has replayed every logged verdict.
             self.pending_asks.pop(state.index, None)
-            # Refund everything charged since the respawn baseline --
-            # that work died with the shard and will be re-charged as
-            # the resumed member replays it.
-            self.budget.charged -= state.charged - state.ckpt_charged
-            state.charged = state.ckpt_charged
-            state.k = state.ckpt_k
             state.respawns += 1
             self.respawns += 1
             if state.respawns > self.runner.respawn_limit:
@@ -364,11 +308,11 @@ class _Coordinator:
                 self._event("failed", shard.id, state.index,
                             detail="respawn limit")
                 continue
-            assigns.append((state.index, state.ckpt, state.k, state.charged))
+            assigns.append((state.index, list(state.verdicts)))
         if not assigns:
             return
         replacement = self._spawn(assigns)
-        for m, *_ in assigns:
+        for m, _ in assigns:
             self._event("respawn", replacement.id, m)
 
     # -- main loop ------------------------------------------------------
@@ -381,19 +325,10 @@ class _Coordinator:
             # Create the database and its schema before any shard opens
             # its read-only view, and close that handle again.
             make_store(engine.cache_store, engine.cache_path, None).close()
-        # Round-robin assignment, then the workers, then the store
-        # writer (opened only after forking so no sqlite handle crosses
-        # the fork).
-        for s in range(runner.shards):
+        for s in range(runner.shards):  # round-robin assignment
             self._spawn([
-                (m, None, 0, 0)
-                for m in range(s, len(runner.members), runner.shards)
+                (m, []) for m in range(s, len(runner.members), runner.shards)
             ])
-        if engine.persistent:
-            from repro.core.strategy import DesignEvaluator
-
-            self.evaluator = DesignEvaluator(self.spec, engine)
-
         try:
             self._loop(mpwait)
             self._collect_finals(mpwait)
@@ -402,8 +337,7 @@ class _Coordinator:
                 if shard.proc.is_alive():
                     shard.proc.terminate()
                 shard.proc.join(timeout=5.0)
-            if self.evaluator is not None:
-                self.evaluator.close()
+            self._persist_rows()
 
         totals = EngineCounters(0, 0, 0)
         shard_ids: List[int] = []
@@ -416,8 +350,8 @@ class _Coordinator:
             shard_counters.append(shard.counters)
             shard_busy.append(shard.busy_seconds)
             totals = totals + shard.counters
-        if self.evaluator is not None:
-            totals = totals + self.evaluator.counters()
+        if self.writer_counters is not None:
+            totals = totals + self.writer_counters
         return _race_result(
             runner.members,
             self.states,
@@ -430,6 +364,19 @@ class _Coordinator:
             events=self.events,
             respawns=self.respawns,
         )
+
+    def _persist_rows(self) -> None:
+        """Write the rows the shards shipped in one batch, through the
+        race's only read-write connection.  It opens only now, after the
+        last shard stopped reading: every shard saw the store as it
+        stood when the race started."""
+        if not self.rows:
+            return
+        from repro.core.strategy import DesignEvaluator
+
+        with DesignEvaluator(self.spec, self.runner.engine) as writer:
+            writer.absorb_store_rows(list(self.rows.items()))
+        self.writer_counters = writer.counters()
 
     def _loop(self, mpwait: Any) -> None:
         while any(s.status == "running" for s in self.states):

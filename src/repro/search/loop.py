@@ -38,15 +38,8 @@ import numpy as np
 
 from repro.engine.evaluation import EvaluatedDesign
 from repro.search.acceptors import Acceptor
-from repro.search.budget import (
-    Budget,
-    BudgetProgress,
-    SharedBudgetExhausted,
-    StealRequested,
-)
+from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.checkpoint import (
-    MemberCheckpoint,
-    MemberPaused,
     SearchCheckpoint,
     design_from_dict,
     design_to_dict,
@@ -68,25 +61,16 @@ class EvalRequest:
     * ``designs`` -- candidate evaluations, and
     * ``parent`` + ``moves`` -- a move neighbourhood of one parent,
       served as the evaluations of ``move.apply(parent.design)``.
-      Search steps ask in this form because it is where the
-      sharded race cuts a member for a checkpoint.
+      Search steps ask in this form because a shared racing budget
+      cuts only move neighbourhoods.
 
     The response is the list of outcomes in input order (``None`` per
     invalid candidate).
-
-    ``bookkeeping`` marks requests that rebuild infrastructure state
-    rather than advance the search -- the checkpoint-resume
-    re-evaluations of the stored current/incumbent designs.  Racing
-    drivers serve them without charging any shared budget (they are
-    deterministic replays of work already paid for), which is what
-    keeps a cut+resumed member's budget trajectory byte-identical to
-    the uninterrupted run's.
     """
 
     designs: Optional[Sequence["CandidateDesign"]] = None
     parent: Optional[EvaluatedDesign] = None
     moves: Optional[Sequence["Transformation"]] = None
-    bookkeeping: bool = False
 
     @property
     def size(self) -> int:
@@ -251,9 +235,7 @@ class SearchLoop:
             stall = checkpoint.stall
             current_design = design_from_dict(checkpoint.current, spec)
             incumbent_design = design_from_dict(checkpoint.incumbent, spec)
-            results = yield EvalRequest(
-                designs=[current_design], bookkeeping=True
-            )
+            results = yield EvalRequest(designs=[current_design])
             current = results[0]
             if current is None:
                 raise ValueError(
@@ -263,9 +245,7 @@ class SearchLoop:
             if checkpoint.incumbent == checkpoint.current:
                 incumbent = current
             else:
-                results = yield EvalRequest(
-                    designs=[incumbent_design], bookkeeping=True
-                )
+                results = yield EvalRequest(designs=[incumbent_design])
                 incumbent = results[0]
                 if incumbent is None:
                     raise ValueError(
@@ -284,7 +264,6 @@ class SearchLoop:
             return base_seconds + (time.perf_counter() - started)
 
         stop_reason: str
-        pre_propose_rng: Optional[dict] = None
         while True:
             progress = BudgetProgress(
                 steps=stats.steps,
@@ -297,12 +276,6 @@ class SearchLoop:
                 stop_reason = stop
                 break
 
-            # A steal lands at the evaluation yield below, *after* the
-            # proposer consumed RNG draws for a batch that is then
-            # discarded.  The steal checkpoint must carry the
-            # pre-propose state so the resumed loop re-proposes the
-            # identical batch (byte-identity with the unstolen run).
-            pre_propose_rng = _rng_state(rng)
             moves = self.proposer.propose(spec, current, rng)
             if not moves:
                 stop_reason = "exhausted-neighbourhood"
@@ -311,9 +284,6 @@ class SearchLoop:
                 results = yield EvalRequest(parent=current, moves=moves)
             except SharedBudgetExhausted:
                 stop_reason = "shared-budget"
-                break
-            except StealRequested:
-                stop_reason = "steal"
                 break
             stats.proposals += len(moves)
             stats.evaluations += len(moves)
@@ -350,17 +320,10 @@ class SearchLoop:
             evaluations=stats.evaluations,
             stall=stall,
             seconds=stats.seconds,
-            rng_state=(
-                pre_propose_rng if stop_reason == "steal" else _rng_state(rng)
-            ),
+            rng_state=_rng_state(rng),
             acceptor_state=self.acceptor.state_dict(),
             stats=SearchStats.from_dict(stats.as_dict()),
         )
-        if stop_reason == "steal":
-            # Do not return: the member is migrating, not finishing.
-            # The enclosing pipeline annotates phase/carry on the way
-            # out; serialization happens once at ship time.
-            raise MemberPaused(MemberCheckpoint(loop=final_checkpoint))
         return SearchOutcome(incumbent, current, stats, final_checkpoint)
 
 

@@ -24,9 +24,11 @@ deterministic lockstep:
   a cache hit for member B).  ``shards >= 1`` forks that many worker
   processes (:mod:`repro.search.distributed`), each racing its share of
   the members in the same lockstep rounds, while the parent owns the
-  budget -- deciding asks in ``(k, m)`` order -- and the only sqlite
-  writer.  Designs, objectives and per-member accounting are the same
-  for any shard count;
+  budget -- deciding asks in ``(k, m)`` order and logging each verdict
+  -- and the only sqlite writer.  A dead shard's members rerun from
+  their seed on a fresh shard, replaying the logged verdicts.
+  Designs, objectives and per-member accounting are the same for any
+  shard count and any crash;
 * **deterministic tie-breaking** -- the winner is the valid member
   result with the strictly smallest objective; exact objective ties
   are broken by the canonical design identity (so the winning design
@@ -60,15 +62,11 @@ from typing import (
 
 from repro.engine.engine import EngineConfig, EngineCounters
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
-from repro.search.checkpoint import MemberCheckpoint
 from repro.search.loop import EvalRequest, execute_request
 from repro.utils.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import DesignEvaluator, DesignResult, DesignSpec
-
-#: Charged evaluations a member runs between periodic checkpoints.
-DEFAULT_CHECKPOINT_EVERY = 256
 
 #: Crash-loop backstop: a member that dies with its shard more than
 #: this many times is marked failed instead of respawning again.
@@ -97,7 +95,7 @@ class PortfolioMemberOutcome:
 class ShardEvent:
     """One coordinator-visible event of a sharded race (reporting only)."""
 
-    kind: str  # start | checkpoint | done | dead | respawn | failed
+    kind: str  # start | done | dead | respawn | failed
     shard: int
     member: int = -1
     detail: str = ""
@@ -182,12 +180,10 @@ class PortfolioRunner:
     shards:
         ``0`` races in-process over one shared engine; ``N >= 1`` forks
         N worker processes and assigns members round-robin by index.
-    checkpoint_every:
-        Sharded races: charged evaluations a member runs between
-        periodic checkpoints, its respawn baseline (``0`` disables).
     respawn_limit:
         Sharded races: times one member may respawn after shard deaths
-        before it is marked failed.
+        (rerunning from its seed against the race's verdict log) before
+        it is marked failed.
     race_timeout:
         Sharded races: wall-clock watchdog; the race aborts (workers
         terminated, ``RuntimeError``) past this many seconds.  ``None``
@@ -200,7 +196,6 @@ class PortfolioRunner:
         budget: Optional[Budget] = None,
         engine: EngineConfig = EngineConfig(),
         shards: int = 0,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
         race_timeout: Optional[float] = DEFAULT_RACE_TIMEOUT,
     ):
@@ -220,7 +215,6 @@ class PortfolioRunner:
         self.budget = budget
         self.engine = engine
         self.shards = shards
-        self.checkpoint_every = checkpoint_every
         self.respawn_limit = respawn_limit
         self.race_timeout = race_timeout
 
@@ -311,9 +305,9 @@ class _Lockstep:
     """Lockstep rounds over some members' search programs on one engine.
 
     ``decide`` makes each budget decision: the in-process race grants
-    locally (:meth:`_SharedBudget.grant`), a shard asks its parent
-    when the race is metered.  Subclasses hook :meth:`next_request`
-    (a shard checkpoints there) and :meth:`finish`.
+    locally (:meth:`_SharedBudget.grant`), a shard replays a logged
+    verdict or asks its parent when the race is metered.  A shard
+    hooks :meth:`finish` to report.
     """
 
     def __init__(
@@ -331,42 +325,26 @@ class _Lockstep:
         self.programs: Dict[int, Generator[EvalRequest, Any, "DesignResult"]] = {}
         self.pending: Dict[int, EvalRequest] = {}
 
-    def start(
-        self, ledger: _MemberLedger, resume: Optional[MemberCheckpoint] = None
-    ) -> None:
-        """Start (or resume) a member's program up to its first request."""
+    def start(self, ledger: _MemberLedger) -> None:
+        """Start a member's program from its seed up to its first request."""
         member = self.members[ledger.index]
-        compiled = self.evaluator.compiled
-        if resume is None:
-            program = member.search_program(self.spec, compiled)
-        else:
-            program = member.search_program(self.spec, compiled, resume=resume)
         self.ledgers[ledger.index] = ledger
-        self.programs[ledger.index] = program
+        self.programs[ledger.index] = member.search_program(
+            self.spec, self.evaluator.compiled
+        )
         self._send(ledger.index, None)
 
     def round(self) -> None:
         """Serve or cut each live member's pending request once, in
-        member-index order.  Bookkeeping requests (checkpoint-resume
-        re-evaluations of work already paid for) are served free and
-        make no budget decision."""
+        member-index order."""
         for m in sorted(self.programs):
-            request = self.next_request(m)
-            if request is None:
-                continue
-            if request.bookkeeping or self.decide(
+            request = self.pending[m]
+            if self.decide(
                 self.ledgers[m], request.size, request.moves is not None
             ):
-                self.serve(m, request)
+                self._send(m, execute_request(self.evaluator, request))
             else:
                 self._send(m, None, SharedBudgetExhausted())
-
-    def next_request(self, m: int) -> Optional[EvalRequest]:
-        """The request ``m`` puts to this round (``None``: finished)."""
-        return self.pending[m]
-
-    def serve(self, m: int, request: EvalRequest) -> None:
-        self._send(m, execute_request(self.evaluator, request))
 
     def finish(self, m: int, result: "DesignResult") -> None:
         self.ledgers[m].result = result

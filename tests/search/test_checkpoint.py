@@ -6,13 +6,12 @@ import numpy as np
 
 from searchutil import identity, small_scenario, start_of
 
-from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator
 from repro.engine import EngineConfig
 from repro.search.acceptors import GreedyAcceptor, MetropolisAcceptor
-from repro.search.budget import Budget, StealRequested
-from repro.search.checkpoint import MemberCheckpoint, MemberPaused, SearchCheckpoint
-from repro.search.loop import SearchLoop, execute_request
+from repro.search.budget import Budget
+from repro.search.checkpoint import SearchCheckpoint
+from repro.search.loop import SearchLoop
 from repro.search.proposers import NeighbourhoodProposer, RandomMoveProposer
 
 
@@ -190,47 +189,3 @@ class TestRestoreRng:
         a = _restore_rng(None, state).random(8)
         b = _restore_rng(None, state).random(8)
         assert list(a) == list(b)
-
-
-def cut_sa_at(spec, cut_at: int) -> MemberCheckpoint:
-    """Steal-cut an SA pipeline at its ``cut_at``-th move request."""
-    with DesignEvaluator(spec) as evaluator:
-        program = SimulatedAnnealing(iterations=60, seed=7).search_program(
-            spec, evaluator.compiled
-        )
-        request = next(program)
-        moves_seen = 0
-        try:
-            while True:
-                if request.moves is not None:
-                    moves_seen += 1
-                    if moves_seen == cut_at:
-                        request = program.throw(StealRequested())
-                        continue
-                request = program.send(execute_request(evaluator, request))
-        except MemberPaused as pause:
-            return pause.checkpoint
-    raise AssertionError("program finished before the cut")
-
-
-class TestMemberCheckpointWire:
-    """The steal protocol's wire form: JSON-safe and O(state)-sized."""
-
-    def test_json_round_trip(self, spec):
-        checkpoint = cut_sa_at(spec, 30)
-        rebuilt = MemberCheckpoint.from_json(checkpoint.to_json())
-        assert rebuilt.to_dict() == checkpoint.to_dict()
-        assert rebuilt.phase == "walk"
-        assert rebuilt.strategy == "SA"
-        assert rebuilt.loop.rng_state is not None
-
-    def test_wire_size_is_state_not_history(self, spec):
-        # Size regression pin for the once-per-steal serialization
-        # contract: a cut late in the walk carries the same payload --
-        # two designs, one RNG state, a few counters -- as an early
-        # cut.  O(history) leakage (trace accumulation, per-step logs)
-        # would show up as growth with the cut position.
-        early = len(cut_sa_at(spec, 35).to_json())
-        late = len(cut_sa_at(spec, 75).to_json())
-        assert late < 32 * 1024
-        assert abs(late - early) <= 0.2 * max(early, late)

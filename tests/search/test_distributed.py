@@ -1,7 +1,9 @@
-"""Sharded racing: pause/resume identity, the lockstep pin, crashes, store."""
+"""Sharded racing: the lockstep pin, crashes and replay, the watchdog,
+the store."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import sqlite3
 import time
@@ -20,9 +22,8 @@ from repro.core.strategy import DesignEvaluator
 from repro.engine import EngineConfig
 from repro.experiments.runner import design_fingerprint, run_portfolio
 from repro.gen.families import get_family
-from repro.search.budget import Budget, StealRequested
-from repro.search.checkpoint import MemberCheckpoint, MemberPaused
-from repro.search.loop import drive, execute_request
+from repro.search import distributed
+from repro.search.budget import Budget
 from repro.search.portfolio import PortfolioRunner
 from repro.utils.errors import ConfigError
 
@@ -62,83 +63,6 @@ def event_kinds(result) -> dict:
 
 
 # ----------------------------------------------------------------------
-# in-process pause/resume protocol (no worker processes)
-# ----------------------------------------------------------------------
-def run_uncut(strategy, spec):
-    with DesignEvaluator(spec) as evaluator:
-        return drive(strategy.search_program(spec, evaluator.compiled), evaluator)
-
-
-def run_cut_at(strategy, spec, cut_at: int):
-    """Steal at the ``cut_at``-th move request, reship as JSON, resume."""
-    checkpoint = None
-    with DesignEvaluator(spec) as evaluator:
-        program = strategy.search_program(spec, evaluator.compiled)
-        request = next(program)
-        moves_seen = 0
-        try:
-            while True:
-                if request.moves is not None:
-                    moves_seen += 1
-                    if moves_seen == cut_at:
-                        request = program.throw(StealRequested())
-                        continue
-                request = program.send(execute_request(evaluator, request))
-        except StopIteration as stop:
-            return stop.value, None
-        except MemberPaused as pause:
-            checkpoint = pause.checkpoint
-    wire = MemberCheckpoint.from_json(checkpoint.to_json())
-    with DesignEvaluator(spec) as fresh:
-        result = drive(
-            strategy.search_program(spec, fresh.compiled, resume=wire), fresh
-        )
-    return result, wire.phase
-
-
-def design_stats_key(result) -> tuple:
-    stats = result.search.as_dict()
-    stats.pop("seconds", None)
-    return (result.design_identity(), result.objective, tuple(sorted(stats.items())))
-
-
-class TestPauseResume:
-    """The steal cut is invisible: cut + reship + resume == uninterrupted."""
-
-    @pytest.mark.parametrize(
-        "cut_at,phase",
-        [(1, "probe"), (5, "probe"), (30, "walk"), (70, "walk"),
-         (85, "polish"), (88, "polish-from-start")],
-    )
-    def test_sa_cut_anywhere_is_byte_identical(self, spec, cut_at, phase):
-        reference = run_uncut(sa(), spec)
-        result, cut_phase = run_cut_at(sa(), spec, cut_at)
-        assert cut_phase == phase
-        assert design_stats_key(result) == design_stats_key(reference)
-
-    @pytest.mark.parametrize("cut_at", [1, 2, 3])
-    def test_mh_cut_is_byte_identical(self, spec, cut_at):
-        reference = run_uncut(MappingHeuristic(), spec)
-        result, cut_phase = run_cut_at(MappingHeuristic(), spec, cut_at)
-        assert cut_phase == "descent"
-        assert design_stats_key(result) == design_stats_key(reference)
-
-    def test_checkpoint_reports_strategy_and_phase(self, spec):
-        with DesignEvaluator(spec) as evaluator:
-            program = sa().search_program(spec, evaluator.compiled)
-            request = next(program)
-            with pytest.raises(MemberPaused) as caught:
-                while True:
-                    if request.moves is not None:
-                        request = program.throw(StealRequested())
-                        continue
-                    request = program.send(execute_request(evaluator, request))
-        checkpoint = caught.value.checkpoint
-        assert checkpoint.strategy == "SA"
-        assert checkpoint.phase == "probe"
-
-
-# ----------------------------------------------------------------------
 # any shard count == the recorded lockstep race
 # ----------------------------------------------------------------------
 #: The lockstep race of ``members()`` on ``small_scenario(seed=3)``,
@@ -172,9 +96,9 @@ LOCKSTEP_PIN = {
 }
 
 
-def race(spec, shards, budget=None, **options):
+def race(spec, shards, budget=None):
     return PortfolioRunner(
-        members(), budget=budget, shards=shards, race_timeout=120.0, **options
+        members(), budget=budget, shards=shards, race_timeout=120.0
     ).run(spec)
 
 
@@ -191,31 +115,31 @@ def assert_matches_pin(result, pin, shards):
     ] == pin["members"]
     assert (result.winner.name, design_fingerprint(result.best)) == pin["winner"]
     assert result.budget_cut == pin["budget_cut"]
-    if shards == 0:
-        # Checkpoint resumes re-evaluate warm designs, so engine totals
-        # are pinned for the in-process arm only.
-        assert (
-            result.evaluations, result.cache_hits, result.cache_misses
-        ) == pin["engine"]
+    # No member re-evaluates anything (a respawned one reruns on a
+    # fresh engine and the dead shard's counters are lost with it), so
+    # the fleet serves exactly the lockstep's requests.  Cache hits
+    # across members need one engine: 0 or 1 shards.
+    engine = (result.evaluations, result.cache_hits, result.cache_misses)
+    assert engine[0] == pin["engine"][0]
+    if shards <= 1:
+        assert engine == pin["engine"]
 
 
 class TestShardedEquivalence:
     @pytest.mark.parametrize("shards", [0, 1, 2])
     def test_free_race_matches_lockstep(self, spec, shards):
-        result = race(spec, shards, checkpoint_every=100)
+        result = race(spec, shards)
         assert_matches_pin(result, LOCKSTEP_PIN["free"], shards)
         assert result.shards == shards
         assert result.respawns == 0
 
     @pytest.mark.parametrize("shards", [0, 1, 2])
     def test_metered_race_matches_recorded_lockstep(self, spec, shards):
-        result = race(
-            spec, shards, budget=Budget(max_evaluations=200), checkpoint_every=64
-        )
+        result = race(spec, shards, budget=Budget(max_evaluations=200))
         assert_matches_pin(result, LOCKSTEP_PIN["metered"], shards)
 
     def test_fleet_counters_merge(self, spec):
-        result = race(spec, 2, checkpoint_every=0)
+        result = race(spec, 2)
         assert result.shards == 2
         assert len(result.shard_counters) == 2
         assert result.evaluations == sum(
@@ -248,7 +172,9 @@ class TestShardedEquivalence:
 class CrashOnce:
     """Delegates to an inner strategy; kills its worker process at the
     ``crash_at``-th move request -- once.  The sentinel file is touched
-    just before dying so the respawned attempt runs clean."""
+    just before dying so the respawned attempt runs clean.  Every
+    exception thrown in (a budget cut) is forwarded to the inner
+    program."""
 
     inner: SimulatedAnnealing
     crash_at: int
@@ -259,38 +185,45 @@ class CrashOnce:
     def name(self) -> str:
         return self.inner.name
 
-    @property
-    def resumable(self) -> bool:
-        return True
-
-    def search_program(self, spec, compiled, resume=None):
-        program = self.inner.search_program(spec, compiled, resume=resume)
-        request = next(program)
+    def search_program(self, spec, compiled):
+        program = self.inner.search_program(spec, compiled)
+        step, value = program.send, None
+        moves = 0
         while True:
-            if request.moves is not None and not request.bookkeeping:
-                # Counted on the instance, not the generator: periodic
-                # checkpointing cuts and re-instantiates the program
-                # mid-race, and the crash must still land eventually.
-                self.count = getattr(self, "count", 0) + 1
-                if self.count == self.crash_at and not os.path.exists(self.sentinel):
+            try:
+                request = step(value)
+            except StopIteration as stop:
+                return stop.value
+            if request.moves is not None:
+                moves += 1
+                if moves == self.crash_at and not os.path.exists(self.sentinel):
                     Path(self.sentinel).touch()
                     if self.hard:
                         os._exit(1)
                     raise RuntimeError("injected shard failure")
             try:
-                results = yield request
-            except StealRequested as steal:
-                request = program.throw(steal)  # MemberPaused propagates
-                continue
-            try:
-                request = program.send(results)
-            except StopIteration as stop:
-                return stop.value
+                step, value = program.send, (yield request)
+            except Exception as thrown:
+                step, value = program.throw, thrown
+
+
+@dataclass
+class Stall:
+    """A member whose program sleeps before its first request."""
+
+    seconds: float
+    name = "stall"
+
+    def search_program(self, spec, compiled):
+        time.sleep(self.seconds)
+        return (yield from MappingHeuristic().search_program(spec, compiled))
 
 
 class TestFailureInjection:
     @pytest.mark.parametrize("hard", [True, False], ids=["os-exit", "raise"])
     def test_dead_shard_respawns_from_checkpoint(self, spec, tmp_path, hard):
+        """The respawned member reruns from its seed: the crash is
+        invisible to the race outcome."""
         sentinel = str(tmp_path / "crashed")
         crashers = [
             AdHocStrategy(),
@@ -298,41 +231,45 @@ class TestFailureInjection:
             CrashOnce(sa(7), crash_at=35, sentinel=sentinel, hard=hard),
             sa(11, 80),
         ]
-        result = PortfolioRunner(
-            crashers, shards=2, checkpoint_every=20, race_timeout=120.0
-        ).run(spec)
+        result = PortfolioRunner(crashers, shards=2, race_timeout=120.0).run(spec)
         assert os.path.exists(sentinel)
-        assert result.respawns >= 1
+        assert result.respawns == 1
         kinds = event_kinds(result)
-        assert kinds.get("dead", 0) >= 1
-        assert kinds.get("respawn", 0) >= 1
-        # The crash is invisible to the race outcome: the respawned
-        # member resumes from its checkpoint and lands byte-identical
-        # to the never-crashed lockstep race -- including its exact
-        # evaluations_served and rounds accounting (the dead attempt's
-        # un-checkpointed work is refunded, then re-charged).
+        assert kinds.get("dead", 0) == 1
+        assert kinds.get("respawn", 0) == 1
         assert_matches_pin(result, LOCKSTEP_PIN["free"], shards=2)
 
-    def test_metered_crash_conserves_budget(self, spec, tmp_path):
+    def test_metered_crash_conserves_budget(self, spec, tmp_path, monkeypatch):
+        """A metered crash replays the logged verdicts: the race matches
+        the never-crashed lockstep race, and the rerun asks the parent
+        for no decision it already made."""
+        asks = []
+        handle = distributed._Coordinator._handle
+
+        def counting(self, shard, msg):
+            if msg[0] == "ask":
+                asks.append(msg)
+            handle(self, shard, msg)
+
+        monkeypatch.setattr(distributed._Coordinator, "_handle", counting)
         sentinel = str(tmp_path / "crashed")
         crashers = [
             AdHocStrategy(),
             MappingHeuristic(),
-            CrashOnce(sa(7), crash_at=35, sentinel=sentinel),
+            CrashOnce(sa(7), crash_at=10, sentinel=sentinel),
             sa(11, 80),
         ]
         budget = Budget(max_evaluations=200)
         result = PortfolioRunner(
-            crashers, budget=budget, shards=2, checkpoint_every=20,
-            race_timeout=120.0,
+            crashers, budget=budget, shards=2, race_timeout=120.0
         ).run(spec)
-        assert result.respawns >= 1
-        # Grants never overshoot, and a dead shard's un-checkpointed
-        # work is refunded before its members re-charge it: the ledger
-        # stays exact despite the crash.
-        charged = sum(m.evaluations_served for m in result.members)
-        assert 0 < charged <= 200
-        assert result.budget_cut
+        assert os.path.exists(sentinel)
+        assert result.respawns == 1
+        assert_matches_pin(result, LOCKSTEP_PIN["metered"], 2)
+        # Every decision is asked once; only an undecided ask in flight
+        # when a shard dies is asked again by its rerun.
+        rounds = sum(m.rounds for m in result.members)
+        assert len(asks) <= rounds + result.respawns
 
     def test_respawn_limit_fails_member_not_race(self, spec, tmp_path):
         # A member that crashes on every attempt (sentinel never helps:
@@ -344,8 +281,7 @@ class TestFailureInjection:
             CrashOnce(sa(7), crash_at=1, sentinel=sentinel),
         ]
         result = PortfolioRunner(
-            crashers, shards=2, checkpoint_every=0, respawn_limit=2,
-            race_timeout=120.0,
+            crashers, shards=2, respawn_limit=2, race_timeout=120.0,
         ).run(spec)
         kinds = event_kinds(result)
         assert kinds.get("failed", 0) == 1
@@ -357,18 +293,29 @@ class TestFailureInjection:
 
 
 # ----------------------------------------------------------------------
+# the race_timeout watchdog
+# ----------------------------------------------------------------------
+class TestWatchdog:
+    def test_hung_race_aborts_and_reaps_its_workers(self, spec):
+        before = set(mp.active_children())
+        with pytest.raises(RuntimeError, match="exceeded"):
+            PortfolioRunner([Stall(30.0)], shards=1, race_timeout=0.5).run(spec)
+        assert not set(mp.active_children()) - before
+
+
+# ----------------------------------------------------------------------
 # sqlite store: workers read-only, parent is the single writer
 # ----------------------------------------------------------------------
 class TestSqliteStore:
     def test_single_writer_and_warm_reuse(self, spec, tmp_path):
         path = str(tmp_path / "results.sqlite")
         cold = PortfolioRunner(
-            members(), shards=2, checkpoint_every=0, race_timeout=120.0,
+            members(), shards=2, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
         assert cold.store_writes > 0
         warm = PortfolioRunner(
-            members(), shards=2, checkpoint_every=0, race_timeout=120.0,
+            members(), shards=2, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
         assert warm.store_hits > 0
@@ -412,3 +359,33 @@ class TestSqliteStore:
         with closing(sqlite3.connect(path)) as conn:
             (rows,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
         assert rows == misses
+
+    @pytest.mark.parametrize("late", [0, 1])
+    def test_cold_store_counters_do_not_depend_on_timing(
+        self, tmp_path, monkeypatch, late
+    ):
+        """Every shard sees the store as it stood when the race started,
+        so a late shard reads none of the rows the other shard priced
+        meanwhile: per-shard counters equal the memory-store race's."""
+        spec = get_family("uniform-baseline").build("tiny", 1).spec()
+
+        def counts(engine=EngineConfig()):
+            result = run_portfolio(
+                spec, ("MH", "SA"), seed=1, shards=2, engine=engine
+            )
+            return [
+                (c.evaluations, c.cache_hits, c.cache_misses)
+                for c in result.shard_counters
+            ]
+
+        expected = counts()
+        shard_main = distributed._shard_main
+
+        def delayed(shard_id, *args):
+            if shard_id == late:
+                time.sleep(0.5)
+            shard_main(shard_id, *args)
+
+        monkeypatch.setattr(distributed, "_shard_main", delayed)
+        path = str(tmp_path / "fresh.sqlite")
+        assert counts(EngineConfig(cache_store="sqlite", cache_path=path)) == expected
