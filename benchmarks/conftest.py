@@ -1,11 +1,6 @@
 """Shared fixtures for the benchmark harness.
 
-The benchmarks double as the figure-regeneration harness: each
-``bench_fig_*`` file times the strategies on generated scenarios and
-attaches the figure's data points (deviations, mapped percentages) as
-``extra_info`` so they appear in the pytest-benchmark report.
-
-Every *timed* benchmark run additionally writes
+Every *timed* benchmark run writes
 ``benchmarks/BENCH_engine.json``: one machine-readable record per
 benchmark (median wall time, scenario size and delta on/off taken from
 ``extra_info``), so the performance trajectory is tracked across PRs
@@ -13,8 +8,9 @@ as data instead of living only in prose.  ``--benchmark-disable``
 smoke runs leave the file untouched.
 
 Scale: laptop defaults (a few minutes for the whole directory).  The
-paper-scale run is driven through the CLI instead
-(``python -m repro.experiments all --paper-scale``).
+paper's figures are regenerated and timed through the CLI instead
+(``python -m repro.experiments all``, ``--paper-scale`` for the
+paper's sizes).
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
-from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
+from repro.gen.scenario import ScenarioParams, build_scenario
 
 #: Where the machine-readable benchmark results land (committed, so
 #: the perf trajectory across PRs is diffable).
@@ -231,14 +226,11 @@ def pytest_sessionfinish(session, exitstatus):
             BENCH_EVAL_PATH, merged, extra=_eval_summary(merged)
         )
 
-#: Current-application sizes benchmarked per figure (paper: 40..320).
+#: Current-application sizes of the benchmark scenarios (paper: 40..320).
 BENCH_SIZES = (8, 16, 24)
 
 #: Existing-application size (paper: 400).
 BENCH_EXISTING = 40
-
-#: SA iteration budget for the reference strategy.
-BENCH_SA_ITERATIONS = 400
 
 
 def bench_params(size: int) -> ScenarioParams:
@@ -255,14 +247,3 @@ def bench_params(size: int) -> ScenarioParams:
 def scenarios() -> dict:
     """One scenario per benchmarked current-application size."""
     return {size: build_scenario(bench_params(size), seed=1) for size in BENCH_SIZES}
-
-
-@pytest.fixture(scope="session")
-def bench_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        current_sizes=BENCH_SIZES,
-        n_existing=BENCH_EXISTING,
-        seeds=(1,),
-        sa_iterations=BENCH_SA_ITERATIONS,
-        future_apps_per_scenario=8,
-    )

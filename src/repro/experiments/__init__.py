@@ -13,15 +13,18 @@ Three experiments (slides 15-17):
 
 Each harness is exposed both as a library function returning structured
 rows and through the CLI (``python -m repro.experiments <figure>`` or
-the ``repro-experiments`` console script).  Defaults are laptop-scale;
-``--paper-scale`` restores the paper's sizes (existing 400 processes,
-current 40-320, future 80).
+the ``repro-experiments`` console script).  All three fold the records
+of one :func:`~repro.experiments.runner.run_family_matrix` run over
+``uniform-baseline`` presets (``--presets``).  Defaults are the
+laptop-scale ``fig-10``/``fig-20``/``fig-30``; ``--paper-scale`` selects
+the paper's sizes, ``paper-40`` ... ``paper-320`` (existing 400
+processes, current 40-320, future 80).
 """
 
 from repro.experiments.runner import (
-    ComparisonRecord,
     ExperimentConfig,
-    run_comparison,
+    FamilyMatrixRecord,
+    run_family_matrix,
 )
 from repro.experiments.fig_quality import QualityRow, fig_quality
 from repro.experiments.fig_runtime import RuntimeRow, fig_runtime
@@ -30,8 +33,8 @@ from repro.experiments.reporting import format_table
 
 __all__ = [
     "ExperimentConfig",
-    "ComparisonRecord",
-    "run_comparison",
+    "FamilyMatrixRecord",
+    "run_family_matrix",
     "QualityRow",
     "fig_quality",
     "RuntimeRow",

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments fig-quality
-    python -m repro.experiments fig-runtime --sizes 10 20 --seeds 2
+    python -m repro.experiments fig-runtime --presets fig-10 fig-20 --seeds 2
     python -m repro.experiments fig-future --paper-scale
     python -m repro.experiments all
     python -m repro.experiments scenarios list
@@ -14,8 +14,9 @@ Usage::
     python -m repro.experiments scenarios sweep --seeds 2
     python -m repro.experiments scenarios smoke
 
-``fig-quality`` and ``fig-runtime`` share their strategy runs when
-invoked through ``all``, so the comparison is executed once.  The
+The figures read one matrix of ``uniform-baseline`` cells (``--presets``,
+default ``fig-10 fig-20 fig-30``; ``--paper-scale`` selects the
+``paper-*`` presets), and ``all`` runs each strategy on it once.  The
 ``scenarios`` subcommand exposes the scenario-diversity subsystem: the
 family registry (``list``/``describe``), single-family runs (``run``),
 portfolio races over one shared engine (``portfolio``), the full
@@ -39,14 +40,10 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     DEFAULT_FAMILY_SA_ITERATIONS,
     ExperimentConfig,
-    cache_statistics,
-    stage_statistics,
-    store_statistics,
-    design_identity,
+    engine_statistics,
     family_strategy,
     make_budget,
     parse_strategy_name,
-    run_comparison,
     run_family_matrix,
     run_family_smoke,
     run_portfolio,
@@ -71,13 +68,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         ExperimentConfig.paper() if args.paper_scale else ExperimentConfig()
     )
     overrides = {"engine": _engine_config(args)}
-    if args.sizes:
-        overrides["current_sizes"] = tuple(args.sizes)
-    if args.seeds:
+    if args.presets is not None:
+        overrides["presets"] = tuple(args.presets)
+    if args.seeds is not None:
         overrides["seeds"] = tuple(range(1, args.seeds + 1))
-    if args.existing:
-        overrides["n_existing"] = args.existing
-    if args.sa_iterations:
+    if args.sa_iterations is not None:
         overrides["sa_iterations"] = args.sa_iterations
     if args.budget_evals is not None:
         overrides["budget_evaluations"] = args.budget_evals
@@ -102,31 +97,21 @@ def _rate_cell(numerator: int, denominator: int) -> str:
 
 def render_cache_statistics(records) -> str:
     """The per-run evaluation-engine statistics table."""
-    store_rows = {
-        name: (hits, misses, writes)
-        for name, hits, misses, writes, _rate in store_statistics(records)
-    }
-    stage_rows = {
-        name: (sched_ns, metrics_ns, decode_ns)
-        for name, sched_ns, metrics_ns, decode_ns in stage_statistics(records)
-    }
     rows = [
         (
             name,
-            evals,
-            hits,
-            misses,
-            _rate_cell(hits, hits + misses),
-            store_rows[name][0],
-            store_rows[name][2],
-            _rate_cell(
-                store_rows[name][0], store_rows[name][0] + store_rows[name][1]
-            ),
-            f"{stage_rows[name][0] / 1e6:.1f}",
-            f"{stage_rows[name][1] / 1e6:.1f}",
-            f"{stage_rows[name][2] / 1e6:.1f}",
+            t["evaluations"],
+            t["cache_hits"],
+            t["cache_misses"],
+            _rate_cell(t["cache_hits"], t["cache_hits"] + t["cache_misses"]),
+            t["store_hits"],
+            t["store_writes"],
+            _rate_cell(t["store_hits"], t["store_hits"] + t["store_misses"]),
+            f"{t['sched_ns'] / 1e6:.1f}",
+            f"{t['metrics_ns'] / 1e6:.1f}",
+            f"{t['decode_ns'] / 1e6:.1f}",
         )
-        for name, evals, hits, misses, _rate in cache_statistics(records)
+        for name, t in engine_statistics(records).items()
     ]
     return format_table(
         [
@@ -300,7 +285,7 @@ def _portfolio_identity(result) -> tuple:
     """Design identity of a portfolio race's winner (determinism checks)."""
     if result.best is None:
         return ("invalid",)
-    return (result.winner.name,) + design_identity(result.best)
+    return (result.winner.name,) + result.best.design_identity()
 
 
 def _scenarios_portfolio(args: argparse.Namespace) -> int:
@@ -420,7 +405,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
 def _scenarios_sweep(args: argparse.Namespace) -> int:
     records = run_family_matrix(
         family_names=args.families,
-        preset=args.preset,
+        presets=None if args.preset is None else (args.preset,),
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
         sa_iterations=args.sa_iterations,
@@ -740,13 +725,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the paper's workload sizes (slow: hours of SA)",
     )
     figure_options.add_argument(
-        "--sizes", type=int, nargs="+", help="current-application sizes"
+        "--presets", nargs="+",
+        help=(
+            "uniform-baseline presets, one figure row each (default: "
+            "fig-10 fig-20 fig-30; paper-40 ... paper-320 with "
+            "--paper-scale)"
+        ),
     )
     figure_options.add_argument(
-        "--seeds", type=int, help="number of random seeds per size"
-    )
-    figure_options.add_argument(
-        "--existing", type=int, help="existing-application size"
+        "--seeds", type=_positive_int, help="number of random seeds per preset"
     )
     figure_options.add_argument(
         "--sa-iterations", type=_nonnegative_int,
@@ -800,8 +787,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _handle_scenarios(args)
 
     config = _build_config(args)
-    if args.command in ("fig-quality", "fig-runtime", "all"):
-        records = run_comparison(config, verbose=args.verbose)
+    if args.command == "fig-future":
+        # SA is not part of slide 17.
+        records = config.run_matrix(("AH", "MH"), verbose=args.verbose)
+    else:
+        records = config.run_matrix(verbose=args.verbose)
         if args.command in ("fig-quality", "all"):
             print(render_quality(fig_quality(config, records)))
             print()
@@ -811,7 +801,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_cache_statistics(records))
         print()
     if args.command in ("fig-future", "all"):
-        print(render_future(fig_future(config, verbose=args.verbose)))
+        print(render_future(fig_future(config, records, verbose=args.verbose)))
     return 0
 
 

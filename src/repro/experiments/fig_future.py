@@ -15,15 +15,16 @@ persists across current-application sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.strategy import fits_future_application
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    ComparisonRecord,
     ExperimentConfig,
+    FamilyMatrixRecord,
+    cells_of,
     mean,
-    run_comparison,
+    preset_size,
 )
 from repro.gen.scenario import generate_future_application
 from repro.utils.rng import spawn_rngs
@@ -42,62 +43,52 @@ class FutureRow:
 
 def fig_future(
     config: Optional[ExperimentConfig] = None,
-    records: Optional[List[ComparisonRecord]] = None,
+    records: Optional[List[FamilyMatrixRecord]] = None,
     verbose: bool = False,
 ) -> List[FutureRow]:
     """Compute the slide-17 rows.
 
-    When ``records`` is omitted the comparison is run with AH and MH
-    only (SA is not part of this experiment in the paper).
+    When ``records`` is omitted the matrix is run with AH and MH only
+    (SA is not part of this experiment in the paper).
     """
     if config is None:
         config = ExperimentConfig()
     if records is None:
-        records = run_comparison(config, strategies=("AH", "MH"), verbose=verbose)
+        records = config.run_matrix(strategies=("AH", "MH"), verbose=verbose)
 
     rows: List[FutureRow] = []
-    for size in config.current_sizes:
+    for preset in config.presets:
+        size = preset_size(preset)
         cell = [
-            r
-            for r in records
-            if r.size == size
-            and r.results["AH"].valid
-            and r.results["MH"].valid
+            runs
+            for runs in cells_of(records, preset)
+            if runs["AH"].result.valid and runs["MH"].result.valid
         ]
         if not cell:
             continue
-        ah_hits: List[float] = []
-        mh_hits: List[float] = []
+        hits: Dict[str, List[float]] = {"AH": [], "MH": []}
         total_futures = 0
-        for record in cell:
-            futures = _future_apps(config, record)
+        for runs in cell:
+            futures = _future_apps(config, runs["AH"], size)
             total_futures += len(futures)
             for future_app in futures:
-                ah_hits.append(
-                    1.0
-                    if fits_future_application(
-                        record.results["AH"].schedule,
-                        future_app,
-                        record.scenario.architecture,
+                for name, fits in hits.items():
+                    fits.append(
+                        1.0
+                        if fits_future_application(
+                            runs[name].result.schedule,
+                            future_app,
+                            runs[name].scenario.architecture,
+                        )
+                        else 0.0
                     )
-                    else 0.0
-                )
-                mh_hits.append(
-                    1.0
-                    if fits_future_application(
-                        record.results["MH"].schedule,
-                        future_app,
-                        record.scenario.architecture,
-                    )
-                    else 0.0
-                )
         rows.append(
             FutureRow(
                 size=size,
                 scenarios=len(cell),
                 future_apps=total_futures,
-                pct_mapped_ah=100.0 * mean(ah_hits),
-                pct_mapped_mh=100.0 * mean(mh_hits),
+                pct_mapped_ah=100.0 * mean(hits["AH"]),
+                pct_mapped_mh=100.0 * mean(hits["MH"]),
             )
         )
         if verbose:
@@ -109,10 +100,13 @@ def fig_future(
     return rows
 
 
-def _future_apps(config: ExperimentConfig, record: ComparisonRecord):
-    """The concrete future applications tested against one scenario."""
+def _future_apps(
+    config: ExperimentConfig, record: FamilyMatrixRecord, size: int
+):
+    """The concrete future applications tested against one cell's
+    scenario (``record`` is any run of the cell; all share its seed)."""
     rngs = spawn_rngs(
-        record.seed * 104_729 + record.size, config.future_apps_per_scenario
+        record.seed * 104_729 + size, config.future_apps_per_scenario
     )
     return [
         generate_future_application(

@@ -23,10 +23,11 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    ComparisonRecord,
     ExperimentConfig,
+    FamilyMatrixRecord,
+    cells_of,
     mean,
-    run_comparison,
+    preset_size,
 )
 
 
@@ -48,33 +49,35 @@ def deviation(objective: float, reference: float) -> float:
 
 def fig_quality(
     config: Optional[ExperimentConfig] = None,
-    records: Optional[List[ComparisonRecord]] = None,
+    records: Optional[List[FamilyMatrixRecord]] = None,
     verbose: bool = False,
 ) -> List[QualityRow]:
-    """Compute the slide-15 rows (running the comparison if needed)."""
+    """Compute the slide-15 rows (running the matrix if needed)."""
     if config is None:
         config = ExperimentConfig()
     if records is None:
-        records = run_comparison(config, verbose=verbose)
+        records = config.run_matrix(verbose=verbose)
 
     rows: List[QualityRow] = []
-    for size in config.current_sizes:
-        cell = [r for r in records if r.size == size and r.all_valid()]
+    for preset in config.presets:
+        cell = [
+            {name: r.result.objective for name, r in runs.items()}
+            for runs in cells_of(records, preset)
+            if all(r.result.valid for r in runs.values())
+        ]
         if not cell:
             continue
         rows.append(
             QualityRow(
-                size=size,
+                size=preset_size(preset),
                 scenarios=len(cell),
                 avg_deviation_ah=mean(
-                    deviation(r.objective("AH"), r.objective("SA"))
-                    for r in cell
+                    deviation(c["AH"], c["SA"]) for c in cell
                 ),
                 avg_deviation_mh=mean(
-                    deviation(r.objective("MH"), r.objective("SA"))
-                    for r in cell
+                    deviation(c["MH"], c["SA"]) for c in cell
                 ),
-                avg_objective_sa=mean(r.objective("SA") for r in cell),
+                avg_objective_sa=mean(c["SA"] for c in cell),
             )
         )
     return rows

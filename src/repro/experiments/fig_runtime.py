@@ -15,10 +15,11 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    ComparisonRecord,
     ExperimentConfig,
+    FamilyMatrixRecord,
+    cells_of,
     mean,
-    run_comparison,
+    preset_size,
 )
 
 
@@ -35,27 +36,30 @@ class RuntimeRow:
 
 def fig_runtime(
     config: Optional[ExperimentConfig] = None,
-    records: Optional[List[ComparisonRecord]] = None,
+    records: Optional[List[FamilyMatrixRecord]] = None,
     verbose: bool = False,
 ) -> List[RuntimeRow]:
-    """Compute the slide-16 rows (running the comparison if needed)."""
+    """Compute the slide-16 rows (running the matrix if needed)."""
     if config is None:
         config = ExperimentConfig()
     if records is None:
-        records = run_comparison(config, verbose=verbose)
+        records = config.run_matrix(verbose=verbose)
 
     rows: List[RuntimeRow] = []
-    for size in config.current_sizes:
-        cell = [r for r in records if r.size == size]
+    for preset in config.presets:
+        cell = [
+            {name: r.result.runtime_seconds for name, r in runs.items()}
+            for runs in cells_of(records, preset)
+        ]
         if not cell:
             continue
         rows.append(
             RuntimeRow(
-                size=size,
+                size=preset_size(preset),
                 scenarios=len(cell),
-                avg_runtime_ah=mean(r.runtime("AH") for r in cell),
-                avg_runtime_mh=mean(r.runtime("MH") for r in cell),
-                avg_runtime_sa=mean(r.runtime("SA") for r in cell),
+                avg_runtime_ah=mean(c["AH"] for c in cell),
+                avg_runtime_mh=mean(c["MH"] for c in cell),
+                avg_runtime_sa=mean(c["SA"] for c in cell),
             )
         )
     return rows

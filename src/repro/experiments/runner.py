@@ -1,16 +1,15 @@
-"""Shared experiment machinery.
+"""Shared experiment machinery: one matrix runner for every experiment.
 
-:func:`run_comparison` executes the three strategies (AH, MH, SA) on
-the same generated scenarios -- one scenario per (current-size, seed)
-pair -- and returns per-run records that the figure harnesses aggregate
-in their own ways (quality deviations, runtimes, future mappability).
-
-:func:`run_family_matrix` is the diversity analogue: it sweeps the
-scenario-family grid (every strategy x every registered family, seeded,
-cache on and off) the way :func:`run_comparison` sweeps
-``current_sizes``, and :func:`run_family_smoke` is the CI-facing subset
-(smallest preset per family, with determinism and codec round-trip
-checks).
+:func:`run_family_matrix` runs strategies on scenario-family cells
+(family x preset x seed, cache on and off) and returns one
+:class:`FamilyMatrixRecord` per run.  The stress sweep reads the
+records as they are; the paper's three figures fold them per preset
+(quality deviations, runtimes, future mappability) after
+:meth:`ExperimentConfig.run_matrix` has run the figures' cells, which
+are ``uniform-baseline`` presets (``fig-*`` at laptop scale,
+``paper-*`` at the paper's).  :func:`run_family_smoke` is the
+CI-facing subset (smallest preset per family, with determinism and
+codec round-trip checks).
 """
 
 from __future__ import annotations
@@ -20,16 +19,19 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import ObjectiveWeights
 from repro.core.strategy import DesignResult, make_strategy
 from repro.engine import EngineConfig
-from repro.engine.cache import CacheStats
-from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
+from repro.gen.scenario import Scenario
 from repro.gen import families as families_module
+from repro.gen.families.builtin import FIG_PRESETS, PAPER_PRESETS
 from repro.search.budget import Budget
 from repro.search.portfolio import PortfolioResult, PortfolioRunner
 from repro.serialize.scenario_codec import scenario_from_dict, scenario_to_dict
 from repro.utils.errors import ConfigError, MappingError
+
+#: The family whose presets hold the figures' cells: the paper's
+#: scenario shape.
+FIGURE_FAMILY = "uniform-baseline"
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class ExperimentConfig:
     workload sizes at the cost of hours of SA runtime.
     """
 
-    current_sizes: Tuple[int, ...] = (10, 20, 30)
-    n_existing: int = 60
+    #: ``uniform-baseline`` presets, one figure row each.
+    presets: Tuple[str, ...] = FIG_PRESETS
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
     #: Settings of every strategy's evaluation engine (the CLI's
@@ -56,11 +58,6 @@ class ExperimentConfig:
     budget_evaluations: Optional[int] = None
     budget_seconds: Optional[float] = None
     budget_patience: Optional[int] = None
-    #: Portfolio members raced by the ``scenarios portfolio`` command
-    #: (strategy names, racing order = tie-breaking order).
-    portfolio: Tuple[str, ...] = ("MH", "SA")
-    scenario_params: ScenarioParams = field(default_factory=ScenarioParams)
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     # fig-future only.  ``n_future_processes=None`` sizes each future
     # application from the scenario's characterized t_need (a typical
     # family member claiming ``future_demand_fraction * t_need``); the
@@ -73,29 +70,36 @@ class ExperimentConfig:
     def paper(cls) -> "ExperimentConfig":
         """The paper's scale: existing 400, current 40-320, future 80."""
         return cls(
-            current_sizes=(40, 80, 160, 240, 320),
-            n_existing=400,
+            presets=PAPER_PRESETS,
             seeds=tuple(range(1, 11)),
             sa_iterations=6000,
-            scenario_params=ScenarioParams(n_nodes=10, hyperperiod=4800,
-                                           slot_length=4, slot_capacity=16),
             n_future_processes=80,
             future_apps_per_scenario=20,
         )
-
-    def scenario_for(self, size: int, seed: int) -> Scenario:
-        """Build the scenario of one (current-size, seed) cell."""
-        params = replace(
-            self.scenario_params,
-            n_existing=self.n_existing,
-            n_current=size,
-        )
-        return build_scenario(params, seed=seed)
 
     def search_budget(self) -> Optional[Budget]:
         """The per-strategy budget these settings describe, if any."""
         return make_budget(
             self.budget_evaluations, self.budget_seconds, self.budget_patience
+        )
+
+    def run_matrix(
+        self,
+        strategies: Sequence[str] = ("AH", "MH", "SA"),
+        verbose: bool = False,
+    ) -> List[FamilyMatrixRecord]:
+        """Run ``strategies`` on the figures' cells: every preset x seed
+        of :data:`FIGURE_FAMILY`, in this config's engine cache mode."""
+        return run_family_matrix(
+            family_names=(FIGURE_FAMILY,),
+            presets=self.presets,
+            seeds=self.seeds,
+            strategies=strategies,
+            cache_modes=(self.engine.use_cache,),
+            sa_iterations=self.sa_iterations,
+            engine=self.engine,
+            budget=self.search_budget(),
+            verbose=verbose,
         )
 
 
@@ -112,174 +116,49 @@ def make_budget(
     )
 
 
-@dataclass
-class ComparisonRecord:
-    """All three strategies' results on one scenario."""
+#: The engine counters of :class:`DesignResult` that
+#: :func:`engine_statistics` sums per strategy.
+ENGINE_COUNTERS: Tuple[str, ...] = (
+    "evaluations", "cache_hits", "cache_misses",
+    "store_hits", "store_misses", "store_writes",
+    "sched_ns", "metrics_ns", "decode_ns",
+)
 
-    size: int
-    seed: int
-    scenario: Scenario
-    results: Dict[str, DesignResult]
 
-    def objective(self, strategy: str) -> float:
-        return self.results[strategy].objective
+def engine_statistics(
+    records: Sequence[FamilyMatrixRecord],
+) -> Dict[str, Dict[str, int]]:
+    """Per-strategy totals of :data:`ENGINE_COUNTERS` over all runs.
 
-    def runtime(self, strategy: str) -> float:
-        return self.results[strategy].runtime_seconds
-
-    def all_valid(self) -> bool:
-        return all(r.valid for r in self.results.values())
-
-    def cache_line(self, strategy: str) -> str:
-        """Human-readable engine statistics of one strategy's run."""
-        r = self.results[strategy]
-        return (
-            f"{r.evaluations} evals, {r.cache_hits} hits, "
-            f"{r.cache_misses} misses"
+    Keys are the strategies in first-seen order -- the data of the
+    CLI's engine-statistics table (evaluations, cache and store
+    probes, and the sched/metrics/decode stage nanoseconds).
+    """
+    totals: Dict[str, Dict[str, int]] = {}
+    for record in records:
+        row = totals.setdefault(
+            record.strategy, dict.fromkeys(ENGINE_COUNTERS, 0)
         )
+        for name in ENGINE_COUNTERS:
+            row[name] += getattr(record.result, name)
+    return totals
 
 
-def run_comparison(
-    config: ExperimentConfig,
-    strategies: Sequence[str] = ("AH", "MH", "SA"),
-    verbose: bool = False,
-) -> List[ComparisonRecord]:
-    """Run every strategy on every (size, seed) scenario.
-
-    Scenarios whose existing application cannot be scheduled are
-    skipped (the generator retries internally first); scenarios where a
-    strategy finds no valid design are kept -- their records report
-    ``objective == inf`` and the aggregators decide how to treat them.
-    """
-    records: List[ComparisonRecord] = []
-    for size in config.current_sizes:
-        for seed in config.seeds:
-            try:
-                scenario = config.scenario_for(size, seed)
-            except MappingError:
-                if verbose:
-                    print(f"size={size} seed={seed}: unschedulable, skipped")
-                continue
-            results: Dict[str, DesignResult] = {}
-            for name in strategies:
-                strategy = _build(name, config, seed)
-                results[name] = strategy.design(scenario.spec(config.weights))
-            record = ComparisonRecord(size, seed, scenario, results)
-            records.append(record)
-            if verbose:
-                line = " ".join(
-                    f"{n}={results[n].objective:.1f}" for n in strategies
-                )
-                cache = "; ".join(
-                    f"{n}: {record.cache_line(n)}" for n in strategies
-                )
-                print(f"size={size} seed={seed}: {line} [{cache}]")
-    return records
+def cells_of(
+    records: Sequence[FamilyMatrixRecord], preset: str
+) -> List[Dict[str, FamilyMatrixRecord]]:
+    """The seed cells of one preset, in run order: each maps strategy
+    name to its record (the figures run one cache mode)."""
+    cells: Dict[int, Dict[str, FamilyMatrixRecord]] = {}
+    for record in records:
+        if record.preset == preset:
+            cells.setdefault(record.seed, {})[record.strategy] = record
+    return list(cells.values())
 
 
-def _build(name: str, config: ExperimentConfig, seed: int):
-    """Instantiate a strategy with experiment-appropriate parameters."""
-    budget = config.search_budget()
-    if name.upper() == "SA":
-        return make_strategy(
-            "SA",
-            iterations=config.sa_iterations,
-            seed=seed * 7919 + 13,
-            engine=config.engine,
-            budget=budget,
-        )
-    return make_strategy(name, engine=config.engine, budget=budget)
-
-
-def cache_statistics(
-    records: Sequence[ComparisonRecord],
-    strategies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, int, int, int, float]]:
-    """Per-strategy evaluation-engine totals across all runs.
-
-    Returns ``(strategy, evaluations, hits, misses, hit_rate)`` rows,
-    aggregated over every record that ran the strategy -- the data of
-    the CLI's engine-statistics report.  ``strategies`` defaults to the
-    names actually present in ``records``, in first-seen order.
-    """
-    if strategies is None:
-        seen: List[str] = []
-        for record in records:
-            for name in record.results:
-                if name not in seen:
-                    seen.append(name)
-        strategies = seen
-    rows: List[Tuple[str, int, int, int, float]] = []
-    for name in strategies:
-        results = [r.results[name] for r in records if name in r.results]
-        evaluations = sum(r.evaluations for r in results)
-        hits = sum(r.cache_hits for r in results)
-        misses = sum(r.cache_misses for r in results)
-        rate = CacheStats(hits, misses, 0).hit_rate
-        rows.append((name, evaluations, hits, misses, rate))
-    return rows
-
-
-def stage_statistics(
-    records: Sequence[ComparisonRecord],
-    strategies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, int, int, int]]:
-    """Per-strategy evaluation-pipeline stage times across all runs.
-
-    Returns ``(strategy, sched_ns, metrics_ns, decode_ns)`` rows, the
-    Amdahl split of engine time between scheduling passes, metric
-    pricing and object-schedule decode (lazy under the array core:
-    only incumbents and reporting paths pay it).
-    """
-    if strategies is None:
-        seen: List[str] = []
-        for record in records:
-            for name in record.results:
-                if name not in seen:
-                    seen.append(name)
-        strategies = seen
-    rows: List[Tuple[str, int, int, int]] = []
-    for name in strategies:
-        results = [r.results[name] for r in records if name in r.results]
-        rows.append(
-            (
-                name,
-                sum(r.sched_ns for r in results),
-                sum(r.metrics_ns for r in results),
-                sum(r.decode_ns for r in results),
-            )
-        )
-    return rows
-
-
-def store_statistics(
-    records: Sequence[ComparisonRecord],
-    strategies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, int, int, int, float]]:
-    """Per-strategy persistent-store totals across all runs.
-
-    Returns ``(strategy, store_hits, store_misses, store_writes,
-    hit_rate)`` rows, the result-store counterpart of
-    :func:`cache_statistics`; all zeros for a strategy when the runs
-    used the in-memory backend.
-    """
-    if strategies is None:
-        seen: List[str] = []
-        for record in records:
-            for name in record.results:
-                if name not in seen:
-                    seen.append(name)
-        strategies = seen
-    rows: List[Tuple[str, int, int, int, float]] = []
-    for name in strategies:
-        results = [r.results[name] for r in records if name in r.results]
-        hits = sum(r.store_hits for r in results)
-        misses = sum(r.store_misses for r in results)
-        writes = sum(r.store_writes for r in results)
-        probes = hits + misses
-        rate = hits / probes if probes else 0.0
-        rows.append((name, hits, misses, writes, rate))
-    return rows
+def preset_size(preset: str) -> int:
+    """The current-application size of a figure preset (a row's x)."""
+    return families_module.get_family(FIGURE_FAMILY).params(preset).n_current
 
 
 def mean(values: Sequence[float]) -> float:
@@ -309,6 +188,8 @@ class FamilyMatrixRecord:
     strategy: str
     use_cache: bool
     result: DesignResult
+    #: The cell's scenario, shared by every run on the cell.
+    scenario: Scenario
 
 
 @dataclass
@@ -346,12 +227,6 @@ class FamilySmokeResult:
         return self.store_hits / probes if probes else 0.0
 
 
-def design_identity(result: DesignResult):
-    """Canonical identity of a design (see
-    :meth:`DesignResult.design_identity`, the single definition)."""
-    return result.design_identity()
-
-
 def design_fingerprint(result: DesignResult) -> str:
     """Short stable digest of the canonical design identity.
 
@@ -362,7 +237,7 @@ def design_fingerprint(result: DesignResult) -> str:
     """
     import hashlib
 
-    identity = repr(design_identity(result)).encode("utf-8")
+    identity = repr(result.design_identity()).encode("utf-8")
     return hashlib.sha256(identity).hexdigest()[:16]
 
 
@@ -497,7 +372,7 @@ def run_portfolio(
 
 def run_family_matrix(
     family_names: Optional[Sequence[str]] = None,
-    preset: Optional[str] = None,
+    presets: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = (1,),
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
@@ -506,19 +381,21 @@ def run_family_matrix(
     budget: Optional[Budget] = None,
     verbose: bool = False,
 ) -> List[FamilyMatrixRecord]:
-    """The stress matrix: every strategy x every family, cache on/off.
+    """The one experiment matrix: strategies x family cells, cache on/off.
 
     Parameters
     ----------
     family_names:
         Families to sweep; defaults to every registered family.
-    preset:
-        Preset name to use for each family; ``None`` uses each
+    presets:
+        Preset names to run in each family; ``None`` uses each
         family's smallest preset (presets are per-family, so a shared
-        name must exist in all swept families).
+        name must exist in all swept families).  Every family x preset
+        is resolved before any cell runs, so a missing one raises
+        :class:`~repro.utils.errors.InvalidModelError` up front.
     seeds:
-        Scenario seeds; each (family, seed) cell is generated once and
-        shared by all strategy/cache runs.
+        Scenario seeds; each (family, preset, seed) cell is generated
+        once and shared by all strategy/cache runs.
     strategies, cache_modes, sa_iterations:
         The strategy grid.  Results are deterministic for any cache
         mode by the evaluation-engine contract.
@@ -528,10 +405,17 @@ def run_family_matrix(
     """
     if family_names is None:
         family_names = families_module.family_names()
-    records: List[FamilyMatrixRecord] = []
+    grid = []
     for name in family_names:
         family = families_module.get_family(name)
-        preset_name = preset if preset is not None else family.smallest_preset
+        for preset_name in (
+            (family.smallest_preset,) if presets is None else presets
+        ):
+            family.params(preset_name)  # an unknown preset raises here
+            grid.append((family, preset_name))
+    records: List[FamilyMatrixRecord] = []
+    for family, preset_name in grid:
+        name = family.name
         for seed in seeds:
             try:
                 scenario = family.build(preset_name, seed=seed)
@@ -561,6 +445,7 @@ def run_family_matrix(
                             strategy=strategy_name,
                             use_cache=use_cache,
                             result=result,
+                            scenario=scenario,
                         )
                     )
                     if verbose:
@@ -639,7 +524,7 @@ def run_family_smoke(
                 sa_iterations,
                 engine=EngineConfig(use_cache=False),
             ).design(spec)
-            if design_identity(uncached) != design_identity(baseline):
+            if uncached.design_identity() != baseline.design_identity():
                 smoke.failures.append(
                     f"{strategy_name}: design differs with cache off"
                 )

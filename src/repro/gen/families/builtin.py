@@ -29,6 +29,20 @@ _TINY = ScenarioParams(
 )
 _SMALL = ScenarioParams(n_nodes=6, hyperperiod=4800, n_existing=24, n_current=10)
 _MEDIUM = ScenarioParams(n_nodes=6, hyperperiod=4800, n_existing=60, n_current=20)
+#: The paper's platform and existing application: 400 processes on 10
+#: nodes.
+_PAPER = ScenarioParams(n_nodes=10, hyperperiod=4800, n_existing=400)
+
+#: The figures' cells (slides 15-17) as ``uniform-baseline`` presets,
+#: one per current-application size: ``fig-*`` at laptop scale (the
+#: ``medium`` platform and existing application; ``fig-20`` equals
+#: ``medium``) and ``paper-*`` at the paper's.
+_FIG_CELLS = {f"fig-{n}": replace(_MEDIUM, n_current=n) for n in (10, 20, 30)}
+_PAPER_CELLS = {
+    f"paper-{n}": replace(_PAPER, n_current=n) for n in (40, 80, 160, 240, 320)
+}
+FIG_PRESETS = tuple(_FIG_CELLS)
+PAPER_PRESETS = tuple(_PAPER_CELLS)
 
 #: Speed ladders: same node count, ~2.3x spread between the slowest
 #: and fastest node -- enough to make mapping decisions matter without
@@ -56,6 +70,8 @@ UNIFORM_BASELINE = register_family(
             "tiny": _TINY,
             "small": _SMALL,
             "medium": _MEDIUM,
+            **_FIG_CELLS,
+            **_PAPER_CELLS,
         },
     )
 )

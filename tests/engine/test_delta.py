@@ -403,27 +403,25 @@ def _through_delta(strategy, spec):
 class TestSeededStrategyEquivalence:
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
     def test_mh_identical_delta_on_off(self, family_name):
-        from repro.experiments.runner import design_identity
-
         family = families.get_family(family_name)
         spec = family.build(family.smallest_preset, seed=1).spec()
-        reference = design_identity(MappingHeuristic().design(spec))
+        reference = MappingHeuristic().design(spec).design_identity()
         result, used = _through_delta(MappingHeuristic(), spec)
         assert used > 0
-        assert design_identity(result) == reference
+        assert result.design_identity() == reference
 
     def test_sa_identical_delta_on_off(self, spec):
-        from repro.experiments.runner import design_identity
-
-        reference = design_identity(
-            SimulatedAnnealing(iterations=120, seed=3).design(spec)
+        reference = (
+            SimulatedAnnealing(iterations=120, seed=3)
+            .design(spec)
+            .design_identity()
         )
         uncached = SimulatedAnnealing(
             iterations=120, seed=3, engine=EngineConfig(use_cache=False)
         )
-        assert design_identity(uncached.design(spec)) == reference
+        assert uncached.design(spec).design_identity() == reference
         result, used = _through_delta(
             SimulatedAnnealing(iterations=120, seed=3), spec
         )
         assert used > 0
-        assert design_identity(result) == reference
+        assert result.design_identity() == reference

@@ -5,11 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import _nonnegative_int, _rate_cell, build_parser, main
+from repro.experiments.cli import (
+    _build_config,
+    _nonnegative_int,
+    _rate_cell,
+    build_parser,
+    main,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 COMMAND = "python -m repro.experiments"
-DOCS = ("README.md", "EXPERIMENTS.md")
+DOCS = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 
 
 def documented_commands(doc):
@@ -53,9 +59,8 @@ class TestCli:
         code = main(
             [
                 "fig-quality",
-                "--sizes", "5",
+                "--presets", "tiny",
                 "--seeds", "1",
-                "--existing", "10",
                 "--sa-iterations", "20",
             ]
         )
@@ -67,9 +72,8 @@ class TestCli:
         code = main(
             [
                 "fig-future",
-                "--sizes", "5",
+                "--presets", "tiny",
                 "--seeds", "1",
-                "--existing", "10",
             ]
         )
         assert code == 0
@@ -79,9 +83,8 @@ class TestCli:
         code = main(
             [
                 "all",
-                "--sizes", "5",
+                "--presets", "tiny",
                 "--seeds", "1",
-                "--existing", "10",
                 "--sa-iterations", "20",
             ]
         )
@@ -97,14 +100,28 @@ class TestCli:
         main(
             [
                 "fig-runtime",
-                "--sizes", "5",
+                "--presets", "tiny",
                 "--seeds", "1",
-                "--existing", "10",
                 "--sa-iterations", "20",
                 "-v",
             ]
         )
-        assert "size=5" in capsys.readouterr().out
+        assert "preset=tiny seed=1 SA" in capsys.readouterr().out
+
+    def test_zero_sa_iterations_is_honoured(self):
+        """Regression: ``--sa-iterations 0`` once fell back to the
+        default 1,200 iterations."""
+        args = build_parser().parse_args(["fig-quality", "--sa-iterations", "0"])
+        assert _build_config(args).sa_iterations == 0
+
+    def test_presets_replace_the_defaults(self):
+        args = build_parser().parse_args(
+            ["all", "--paper-scale", "--presets", "paper-80", "--seeds", "2"]
+        )
+        config = _build_config(args)
+        assert config.presets == ("paper-80",)
+        assert config.seeds == (1, 2)
+        assert config.n_future_processes == 80
 
 
 class TestScenariosCli:
@@ -152,7 +169,7 @@ class TestScenariosCli:
                 "cache_path '/tmp/x.db' needs cache_store='sqlite'",
             ),
             (
-                ["fig-quality", "--sizes", "8", "--seeds", "1",
+                ["fig-quality", "--presets", "fig-10", "--seeds", "1",
                  "--cache-store", "sqlite"],
                 "cache_store='sqlite' requires a cache_path",
             ),
@@ -161,13 +178,25 @@ class TestScenariosCli:
                  "--shards", "2", "--budget-seconds", "5"],
                 "cannot meter a wall-clock budget",
             ),
+            (
+                ["scenarios", "sweep", "--families", "uniform-baseline",
+                 "hetero-mixed", "--preset", "medium",
+                 "--strategies", "AH", "MH", "-v"],
+                "scenario family 'hetero-mixed' has no preset 'medium'",
+            ),
+            (
+                ["fig-quality", "--presets", "fig-10", "nope"],
+                "scenario family 'uniform-baseline' has no preset 'nope'",
+            ),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
         """Library errors reach the user as one ``error:`` line on
-        stderr and exit code 2, never as a traceback."""
+        stderr and exit code 2, never as a traceback, and before any
+        cell runs (nothing on stdout)."""
         assert main(argv) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
@@ -190,6 +219,8 @@ class TestScenariosCli:
             (["scenarios", "portfolio", "uniform-baseline",
               "--strategies", "MH", "XX"], "XX"),
             (["scenarios", "sweep", "--strategies", "QQ"], "QQ"),
+            (["fig-quality", "--seeds", "0"], "0"),
+            (["fig-quality", "--seeds", "-1"], "-1"),
         ],
     )
     def test_bad_value_is_rejected_before_running(self, capsys, argv, bad):

@@ -13,58 +13,63 @@ from repro.experiments.fig_quality import render as render_quality
 from repro.experiments.fig_runtime import RuntimeRow, fig_runtime
 from repro.experiments.fig_runtime import render as render_runtime
 from repro.experiments.runner import (
+    FIGURE_FAMILY,
     ExperimentConfig,
-    cache_statistics,
+    cells_of,
+    engine_statistics,
     mean,
-    run_comparison,
+    preset_size,
 )
+from repro.gen import families
 from repro.gen.scenario import ScenarioParams
 
 
 @pytest.fixture(scope="module")
 def config() -> ExperimentConfig:
     return ExperimentConfig(
-        current_sizes=(6, 10),
-        n_existing=12,
-        seeds=(1,),
+        presets=("tiny", "small"),
+        seeds=(1, 2, 3),
         sa_iterations=40,
-        scenario_params=ScenarioParams(n_nodes=3, hyperperiod=2400),
         future_apps_per_scenario=3,
     )
 
 
 @pytest.fixture(scope="module")
 def records(config):
-    return run_comparison(config)
+    return config.run_matrix()
 
 
 class TestRunner:
     def test_one_record_per_cell(self, config, records):
-        assert len(records) == len(config.current_sizes) * len(config.seeds)
+        assert len(records) == len(config.presets) * len(config.seeds) * 3
 
-    def test_all_strategies_present(self, records):
-        for record in records:
-            assert set(record.results) == {"AH", "MH", "SA"}
+    def test_all_strategies_present(self, config, records):
+        for preset in config.presets:
+            for runs in cells_of(records, preset):
+                assert set(runs) == {"AH", "MH", "SA"}
 
     def test_cache_statistics_derives_strategies(self, config):
-        subset = run_comparison(config, strategies=("MH",))
-        rows = cache_statistics(subset)
-        assert [row[0] for row in rows] == ["MH"]
-        name, evaluations, hits, misses, rate = rows[0]
-        assert evaluations >= hits + misses
-        assert 0.0 <= rate <= 1.0
+        subset = config.run_matrix(strategies=("MH",))
+        totals = engine_statistics(subset)
+        assert list(totals) == ["MH"]
+        mh = totals["MH"]
+        assert mh["evaluations"] == sum(r.result.evaluations for r in subset)
+        assert mh["evaluations"] >= mh["cache_hits"] + mh["cache_misses"]
 
     def test_objectives_finite_for_valid(self, records):
         for record in records:
-            for result in record.results.values():
-                if result.valid:
-                    assert result.objective < float("inf")
+            if record.result.valid:
+                assert record.result.objective < float("inf")
 
-    def test_scenario_matches_cell(self, records, config):
+    def test_scenario_matches_cell(self, records):
+        family = families.get_family(FIGURE_FAMILY)
         for record in records:
-            assert record.scenario.current.process_count == record.size
+            params = family.params(record.preset)
+            assert record.family == FIGURE_FAMILY
+            assert record.scenario.params == params
+            assert record.scenario.current.process_count == params.n_current
             assert (
-                record.scenario.existing.process_count == config.n_existing
+                record.scenario.existing.process_count == params.n_existing
             )
 
     def test_mean_helper(self):
@@ -86,7 +91,7 @@ class TestDeviation:
 class TestFigQuality:
     def test_rows(self, config, records):
         rows = fig_quality(config, records)
-        assert [r.size for r in rows] == list(config.current_sizes)
+        assert [r.size for r in rows] == [5, 10]
         for row in rows:
             assert isinstance(row, QualityRow)
             assert row.scenarios >= 1
@@ -129,8 +134,8 @@ class TestFigRuntime:
 
 
 class TestFigFuture:
-    def test_rows(self, config):
-        rows = fig_future(config)
+    def test_rows(self, config, records):
+        rows = fig_future(config, records)
         assert rows
         for row in rows:
             assert isinstance(row, FutureRow)
@@ -140,19 +145,62 @@ class TestFigFuture:
                 row.scenarios * config.future_apps_per_scenario
             )
 
-    def test_render(self, config):
-        out = render_future(fig_future(config))
+    def test_mh_fits_at_least_as_many_futures_as_ah(self, config, records):
+        """Slide 17's claim: the future-aware design accepts at least
+        as many future applications as the ad-hoc one."""
+        for row in fig_future(config, records):
+            assert row.pct_mapped_mh >= row.pct_mapped_ah
+
+    def test_render(self, config, records):
+        out = render_future(fig_future(config, records))
         assert "MH mapped %" in out
 
     def test_reuses_records(self, config, records):
-        rows = fig_future(config, records)
-        assert rows
+        """The AH+MH run of ``fig-future`` alone and the records ``all``
+        shares with slides 15-16 give the same rows."""
+        assert fig_future(config) == fig_future(config, records)
 
 
 class TestPaperPreset:
     def test_paper_scale_values(self):
         paper = ExperimentConfig.paper()
-        assert paper.current_sizes == (40, 80, 160, 240, 320)
-        assert paper.n_existing == 400
+        assert [preset_size(p) for p in paper.presets] == [
+            40, 80, 160, 240, 320,
+        ]
+        family = families.get_family(FIGURE_FAMILY)
+        for preset in paper.presets:
+            assert family.params(preset).n_existing == 400
+            assert family.params(preset).n_nodes == 10
         assert paper.n_future_processes == 80
-        assert paper.scenario_params.n_nodes == 10
+
+    @pytest.mark.parametrize(
+        "preset,params",
+        [
+            (f"fig-{n}", ScenarioParams(n_existing=60, n_current=n))
+            for n in (10, 20, 30)
+        ]
+        + [
+            (
+                f"paper-{n}",
+                ScenarioParams(
+                    n_nodes=10, hyperperiod=4800, slot_length=4,
+                    slot_capacity=16, n_existing=400, n_current=n,
+                ),
+            )
+            for n in (40, 80, 160, 240, 320)
+        ],
+    )
+    def test_figure_presets_are_the_paper_generator_cells(
+        self, preset, params
+    ):
+        """Each figure preset is the cell the figures always ran: the
+        default scenario shape (laptop) or the paper's 10-node platform
+        with 400 existing processes, at the preset's current size."""
+        assert families.get_family(FIGURE_FAMILY).params(preset) == params
+
+    def test_laptop_defaults(self):
+        config = ExperimentConfig()
+        assert config.presets == ("fig-10", "fig-20", "fig-30")
+        family = families.get_family(FIGURE_FAMILY)
+        assert family.params("fig-20") == family.params("medium")
+        assert family.smallest_preset == "tiny"

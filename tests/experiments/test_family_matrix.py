@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    design_identity,
-    run_family_matrix,
-    run_family_smoke,
-)
+from repro.experiments.runner import run_family_matrix, run_family_smoke
 from repro.gen import families
 
 
@@ -87,8 +83,8 @@ class TestFamilyMatrix:
             key = (record.family, record.seed, record.strategy)
             by_cell.setdefault(key, {})[record.use_cache] = record.result
         for key, modes in by_cell.items():
-            assert design_identity(modes[True]) == design_identity(
-                modes[False]
+            assert (
+                modes[True].design_identity() == modes[False].design_identity()
             ), f"cache on/off designs differ for {key}"
 
     def test_matrix_uses_smallest_preset_by_default(self, records):
@@ -103,4 +99,4 @@ class TestDesignIdentity:
 
         a = DesignResult("AH", valid=False)
         b = DesignResult("MH", valid=False)
-        assert design_identity(a) == design_identity(b)
+        assert a.design_identity() == b.design_identity()

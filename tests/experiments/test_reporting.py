@@ -34,3 +34,27 @@ class TestFormatTable:
     def test_strings_pass_through(self):
         out = format_table(["s"], [("hello",)])
         assert "hello" in out
+
+
+class TestMaskTimes:
+    """The CI figure gate diffs masked CLI output: only the time
+    columns may be masked, every other cell must survive."""
+
+    def test_masks_only_time_columns(self):
+        from mask_times import mask
+
+        tables = "\n\n".join([
+            format_table(
+                ["current size", "SA [s]", "SA obj"],
+                [(10, 0.18, 7.516), (20, 12.5, 14.1)],
+                title="Fig",
+            ),
+            format_table(["strategy", "sched ms"], [("SA", "1899.1")]),
+        ])
+        assert mask(tables) == (
+            "Fig\n"
+            "current size | SA [s] | SA obj\n-+-\n"
+            "10 | * | 7.516\n20 | * | 14.1\n"
+            "\n"
+            "strategy | sched ms\n-+-\nSA | *\n"
+        )

@@ -8,11 +8,7 @@ from searchutil import small_scenario
 
 from repro.core.strategy import DesignResult
 from repro.engine import EngineConfig
-from repro.experiments.runner import (
-    design_identity,
-    run_portfolio,
-    strategy_for_family,
-)
+from repro.experiments.runner import run_portfolio, strategy_for_family
 from repro.search.budget import Budget
 from repro.search.portfolio import (
     PortfolioRunner,
@@ -53,7 +49,7 @@ class TestRace:
         for name in ("AH", "MH", "SA"):
             solo = strategy_for_family(name, 1, True, 1, SA_ITERS).design(spec)
             member = next(m for m in race.members if m.name == name)
-            assert design_identity(member.result) == design_identity(solo)
+            assert member.result.design_identity() == solo.design_identity()
 
     def test_engine_stats_are_portfolio_level(self, race):
         assert race.evaluations > 0
@@ -72,7 +68,7 @@ class TestDeterminism:
             spec, ("AH", "MH", "SA"), seed=1, sa_iterations=SA_ITERS
         )
         assert again.winner_index == race.winner_index
-        assert design_identity(again.best) == design_identity(race.best)
+        assert again.best.design_identity() == race.best.design_identity()
         assert again.evaluations == race.evaluations
 
     def test_cache_off_does_not_change_the_race(self, spec, race):
@@ -83,7 +79,7 @@ class TestDeterminism:
             sa_iterations=SA_ITERS,
             engine=EngineConfig(use_cache=False),
         )
-        assert design_identity(uncached.best) == design_identity(race.best)
+        assert uncached.best.design_identity() == race.best.design_identity()
         assert uncached.evaluations == race.evaluations
         assert uncached.cache_hits == uncached.cache_misses == 0
 
@@ -91,8 +87,9 @@ class TestDeterminism:
         reversed_race = run_portfolio(
             spec, ("SA", "MH", "AH"), seed=1, sa_iterations=SA_ITERS
         )
-        assert design_identity(reversed_race.best) == design_identity(
-            race.best
+        assert (
+            reversed_race.best.design_identity()
+            == race.best.design_identity()
         )
 
 
