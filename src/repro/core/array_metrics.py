@@ -24,6 +24,12 @@ candidate evaluation.  This module prices the state directly:
   container lists of the object kernel via the geometry's start-order
   permutation.
 
+A cold best-fit pricing of a state the compiled kernel finished
+(:class:`~repro.sched.native.NativeRunState`) computes all integer
+inputs -- both unplaced totals, C2P and C2m -- in one C call; the float
+mixing below stays the same Python expressions, so the compiled and
+the Python pass price identically as soon as their integers agree.
+
 Byte-identity with the pinned object kernel is by construction: every
 metric is computed from equal integer inputs with the same float
 expressions, in the same order; the equivalence suite
@@ -36,7 +42,7 @@ does on the object side.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +54,7 @@ from repro.core.metrics import (
     _packing_inputs,
 )
 from repro.sched.arrays import ArrayMetricGeometry, ArrayRunState, ArraySpec
+from repro.sched.native import NativeRunState
 
 
 class ArrayNodeData:
@@ -134,21 +141,31 @@ def _packing_runs(
 ) -> Tuple[
     Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
     Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
+    "np.ndarray",
 ]:
     """:func:`repro.core.metrics._packing_inputs` plus RLE encodings.
 
     Returns ``(process bag, its runs, total, min, message bag, its
-    runs, total, min)``; the histogram best-fit kernel consumes the
-    runs, the ablation policies the flat bags.  Cached per
-    ``(future, horizon)`` like the object kernel's inputs.
+    runs, total, min, bags)``; the histogram best-fit kernel consumes
+    the runs, the ablation policies the flat bags, and the compiled
+    price ``bags``: ``process min, process run count, its (size,
+    count) pairs, message run count, its pairs`` as one int64 vector.
+    Cached per ``(future, horizon)`` like the object kernel's inputs.
     """
     (
         process_bag, process_total, process_min,
         message_bag, message_total, message_min,
     ) = _packing_inputs(future, horizon)
+    process_runs = _run_length(process_bag)
+    message_runs = _run_length(message_bag)
+    flat = [process_min, len(process_runs)]
+    flat.extend(x for pair in process_runs for x in pair)
+    flat.append(len(message_runs))
+    flat.extend(x for pair in message_runs for x in pair)
     return (
-        process_bag, _run_length(process_bag), process_total, process_min,
-        message_bag, _run_length(message_bag), message_total, message_min,
+        process_bag, process_runs, process_total, process_min,
+        message_bag, message_runs, message_total, message_min,
+        np.array(flat, dtype=np.int64),
     )
 
 
@@ -225,7 +242,7 @@ def _patch_bus(
 
 def evaluate_state(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: Union[ArrayRunState, NativeRunState],
     future: FutureCharacterization,
     weights: Optional[ObjectiveWeights] = None,
 ) -> DesignMetrics:
@@ -236,13 +253,13 @@ def evaluate_state(
 
 def evaluate_state_delta(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: Union[ArrayRunState, NativeRunState],
     future: FutureCharacterization,
     weights: Optional[ObjectiveWeights] = None,
     parent_memo: Optional[ArrayMetricsMemo] = None,
     clean_mask: Sequence[bool] = (),
     bus_clean: bool = False,
-) -> Tuple[DesignMetrics, ArrayMetricsMemo]:
+) -> Tuple[DesignMetrics, Optional[ArrayMetricsMemo]]:
     """Price a finished array state; byte-identical to the object kernel.
 
     The array twin of
@@ -256,10 +273,26 @@ def evaluate_state_delta(
     objective) recompute from the per-resource inputs with the object
     kernel's exact expressions, so the returned metrics equal a cold
     object evaluation bit for bit.
+
+    A compiled state priced cold under best fit gets its integer
+    inputs from one C call and no memo: it never parents a delta
+    evaluation.
     """
     if weights is None:
         weights = ObjectiveWeights()
     geom = arrays.metric_geometry(future.t_min)
+    (
+        process_bag, process_runs, process_total, process_min,
+        message_bag, message_runs, message_total, message_min, bags,
+    ) = _packing_runs(future, arrays.horizon)
+    lean = weights.binpack_policy == "best-fit"
+
+    if parent_memo is None and lean and isinstance(state, NativeRunState):
+        process_unplaced, message_unplaced, c2p, c2m = state.price(geom, bags)
+        c1p = 100.0 * process_unplaced / process_total if process_bag else 0.0
+        c1m = 100.0 * message_unplaced / message_total if message_bag else 0.0
+        return _mix(c1p, c1m, c2p, c2m, future, weights), None
+
     runs_s = state.runs_s
     runs_e = state.runs_e
 
@@ -287,12 +320,7 @@ def evaluate_state_delta(
         window_free = list(geom.base_window_free)
         _patch_bus(resid_hist, window_free, used, geom.base_used, geom)
 
-    lean = weights.binpack_policy == "best-fit"
     pack = POLICIES[weights.binpack_policy]
-    (
-        process_bag, process_runs, process_total, process_min,
-        message_bag, message_runs, message_total, message_min,
-    ) = _packing_runs(future, arrays.horizon)
 
     if all_nodes_clean:
         assert parent_memo is not None
@@ -351,7 +379,19 @@ def evaluate_state_delta(
     memo = ArrayMetricsMemo(
         nodes, used, resid_hist, window_free, c1p, c1m, c2m
     )
+    return _mix(c1p, c1m, c2p, c2m, future, weights), memo
 
+
+def _mix(
+    c1p: float,
+    c1m: float,
+    c2p: int,
+    c2m: int,
+    future: FutureCharacterization,
+    weights: ObjectiveWeights,
+) -> DesignMetrics:
+    """The slide-14 penalties and objective, the object kernel's
+    expressions."""
     pen2p = max(0.0, float(future.t_need - c2p))
     pen2m = max(0.0, float(future.b_need - c2m))
     if weights.normalize_second:
@@ -366,4 +406,4 @@ def evaluate_state_delta(
         + weights.w2p * pen2p
         + weights.w2m * pen2m
     )
-    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective), memo
+    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective)

@@ -236,8 +236,8 @@ def _node_slack_data(
 
 
 @lru_cache(maxsize=64)
-def _bus_geometry(bus, horizon: int, t_min: int):
-    """Static occurrence geometry of one bus/horizon/window setup.
+def _bus_geometry(slots, horizon: int, t_min: int):
+    """Static occurrence geometry of one round layout/horizon/window setup.
 
     Returns ``(capacities, position index, window index, static
     per-window capacity)``: numpy capacity vector over all usable slot
@@ -245,10 +245,14 @@ def _bus_geometry(bus, horizon: int, t_min: int):
     position`` map, the ``T_min`` window each occurrence lies fully
     inside (-1 when it straddles a boundary), and the total capacity
     per window.  Pure function of immutable inputs, cached across all
-    evaluations of a spec.
+    evaluations of a spec.  Keyed on the slot tuple's value, like
+    :func:`repro.tdma.schedule.occurrence_order`, so rebuilt scenarios
+    share entries and no bus is kept alive.
     """
+    from repro.tdma.bus import TdmaBus
     from repro.tdma.schedule import occurrence_order
 
+    bus = TdmaBus(slots)
     order = occurrence_order(bus, horizon)
     capacities = np.array([cap for _, _, cap in order], dtype=np.int64)
     position = {
@@ -280,7 +284,7 @@ def _bus_slack_data(
     used-bytes map.
     """
     capacities, position, window_index, static = _bus_geometry(
-        schedule.bus.bus, schedule.horizon, t_min
+        schedule.bus.bus.slots, schedule.horizon, t_min
     )
     residuals = capacities.copy()
     window_used = [0] * len(static)
@@ -409,7 +413,7 @@ def evaluate_design_delta(
         # Sparse patch: start from the parent's residual vector and
         # apply the per-occurrence occupancy differences.
         _, position, window_index, _ = _bus_geometry(
-            schedule.bus.bus, schedule.horizon, future.t_min
+            schedule.bus.bus.slots, schedule.horizon, future.t_min
         )
         bus_residuals = parent_memo.bus_residuals.copy()
         bus_window_free = list(parent_memo.bus_window_free)

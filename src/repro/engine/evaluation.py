@@ -8,8 +8,9 @@ exactly this function, which is what makes cached, uncached and
 sharded runs bit-identical.
 
 Under the array core the hot path never leaves the flat representation:
-the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState`, the
-metrics are priced directly on its columns
+the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState` (a
+:class:`~repro.sched.native.NativeRunState` when the compiled pass
+loaded), the metrics are priced directly on its columns
 (:mod:`repro.core.array_metrics`), and the state is dropped -- an
 outcome keeps its price, not its pass.  The object
 :class:`~repro.sched.schedule.SystemSchedule` is re-derived **lazily**:
@@ -223,6 +224,8 @@ def evaluate_candidate(
             return EvaluatedDesign(
                 design, None, metrics, compiled=compiled, timings=timings
             )
+        # A recorded pass always runs the Python loop.
+        assert isinstance(state, ArrayRunState)
         return EvaluatedDesign(
             design, None, metrics, trace=state, memo=memo,
             compiled=compiled, timings=timings,

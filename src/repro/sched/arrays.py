@@ -34,6 +34,16 @@ The kernel is *decision-identical* to the object core by construction:
   in the same check order, so invalid candidates report identical
   reasons.
 
+**The compiled pass.**  A cold, columnless pass -- the one every
+engine evaluation runs -- executes in C (:mod:`repro.sched.native`):
+:meth:`ArraySpec.schedule_design` hands it a
+:class:`~repro.sched.native.NativeRunState` whenever the compiled
+module loaded, and :meth:`ArraySpec.run_kernel` formats its failure
+kinds with the same templates as the Python loop below.  That loop
+stays for the recorded and column passes (decode, the delta kernel),
+as the fallback without a compiler or cffi, and as the differential
+oracle of the C pass.
+
 At the boundary, :meth:`decode_schedule` rebuilds a plain
 :class:`SystemSchedule` (same entry/occupancy insertion orders as the
 object kernel) so the metric, verify and serialize layers are
@@ -51,11 +61,13 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.sched import native
 from repro.sched.jobs import JobKey
+from repro.sched.native import NativeRunState
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
 from repro.sched.trace import MessageEvent, ScheduleTrace
 from repro.tdma.schedule import SlotOccupancy
@@ -87,12 +99,15 @@ class ArrayRunState:
     """Loop state and column trace of one array-kernel pass.
 
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
-    argument bundle play for the object core.  A state lives only as
-    long as its pricing: the engine's cold passes record nothing and
-    their outcomes keep metrics, not states.  Only a recorded state
-    (the delta kernel's direct callers, off the production path) is
-    kept, as :class:`~repro.engine.evaluation.EvaluatedDesign.trace`,
-    to parent later delta evaluations.  Trace fields are plain lists
+    argument bundle play for the object core.  The Python loop runs on
+    it; a cold columnless pass runs compiled in a
+    :class:`~repro.sched.native.NativeRunState` when the module loaded.
+    A state lives only as long as its pricing: the engine's cold
+    passes record nothing and their outcomes keep metrics, not states.
+    Only a recorded state (the delta kernel's direct callers, off the
+    production path) is kept, as
+    :class:`~repro.engine.evaluation.EvaluatedDesign.trace`, to parent
+    later delta evaluations.  Trace fields are plain lists
     / ints; numpy views of them are cached lazily by :meth:`as_numpy`.
     """
 
@@ -240,6 +255,33 @@ class ArrayMetricGeometry:
         self.base_window_free = [
             cap - used for cap, used in zip(static_cap, window_used)
         ]
+
+
+def _horizon_reason(pid: str, instance: int, node_id: str) -> str:
+    return (
+        f"process {pid!r} instance {instance} does not fit "
+        f"inside the horizon on node {node_id!r}"
+    )
+
+
+def _deadline_reason(
+    pid: str, instance: int, end: int, deadline: int, node_id: str
+) -> str:
+    return (
+        f"process {pid!r} instance {instance} misses its "
+        f"deadline ({end} > {deadline}) on node {node_id!r}"
+    )
+
+
+def _bus_reason(message_id: str, instance: int) -> str:
+    return (
+        f"message {message_id!r} instance {instance} cannot be placed "
+        f"on the bus before the horizon"
+    )
+
+
+# Unreachable with a DAG, kept as a defensive invariant.
+_CYCLE_REASON = "precedence cycle left process instances unscheduled"
 
 
 def _insert_run(ss: List[int], ee: List[int], start: int, end: int) -> None:
@@ -457,8 +499,10 @@ class ArraySpec:
             base_used_flat[occ_base[self.node_index[node_id]] + r] = value
         self.base_bus_used_flat = base_used_flat
 
-        # Per-T_min metric geometry, built lazily by metric_geometry().
+        # Per-T_min metric geometry, built lazily by metric_geometry(),
+        # and the compiled pass's context, built on the first cold pass.
         self._metric_geometry: Dict[int, "ArrayMetricGeometry"] = {}
+        self._native: Optional[native.KernelContext] = None
 
     def metric_geometry(self, t_min: int) -> ArrayMetricGeometry:
         """Precompiled metric geometry for one ``T_min`` (cached).
@@ -571,26 +615,45 @@ class ArraySpec:
         design: "CandidateDesign",
         record: bool = False,
         columns: Optional[bool] = None,
-    ) -> ArrayRunState:
-        """Run one cold pass; the array analogue of ``try_schedule``."""
+    ) -> Union[ArrayRunState, NativeRunState]:
+        """Run one cold pass; the array analogue of ``try_schedule``.
+
+        A pass without ``record`` or ``columns`` runs compiled when the
+        native module loaded; every other pass runs the Python loop.
+        """
         design.mapping.validate_complete()
-        st = self.fresh_state(self.lower_candidate(design), record, columns)
+        cand = self.lower_candidate(design)
+        module = native.MODULE
+        st: Union[ArrayRunState, NativeRunState]
+        if record or columns or module is None:
+            st = self.fresh_state(cand, record, columns)
+        else:
+            context = self._native
+            if context is None:
+                context = self._native = native.KernelContext(self, module)
+            st = NativeRunState(context, cand)
         self.run_kernel(st)
         return st
 
     # ------------------------------------------------------------------
     # the kernel
     # ------------------------------------------------------------------
-    def run_kernel(self, st: ArrayRunState) -> None:
+    def run_kernel(self, st: Union[ArrayRunState, NativeRunState]) -> None:
         """The resumable pass loop over index state; mutates ``st``.
 
         Pop order, gap search, TDMA packing, delay handling, failure
         checks and checkpoint marks replicate ``ListScheduler.run_pass``
         decision for decision -- see the module docstring for the
-        order-isomorphism argument.  On return either ``st.success`` is
-        True or ``st.failure_reason`` carries the object core's exact
-        failure string.
+        order-isomorphism argument.  A :class:`NativeRunState` runs the
+        same pass in C.  On return either ``st.success`` is True or
+        ``st.failure_reason`` carries the object core's exact failure
+        string.
         """
+        if isinstance(st, NativeRunState):
+            kind = st.run()
+            if kind:
+                st.failure_reason = self._native_failure(st, kind)
+            return
         pids = self.pids
         node_ids = self.node_ids
         job_pid = self.job_pid
@@ -671,17 +734,14 @@ class ArraySpec:
             end = start + w
             if end > horizon:
                 st.scheduled = scheduled
-                st.failure_reason = (
-                    f"process {pids[p]!r} instance {instance} does not fit "
-                    f"inside the horizon on node {node_ids[n]!r}"
+                st.failure_reason = _horizon_reason(
+                    pids[p], instance, node_ids[n]
                 )
                 return
             if end > deadline[j]:
                 st.scheduled = scheduled
-                st.failure_reason = (
-                    f"process {pids[p]!r} instance {instance} misses its "
-                    f"deadline ({end} > {deadline[j]}) on node "
-                    f"{node_ids[n]!r}"
+                st.failure_reason = _deadline_reason(
+                    pids[p], instance, end, deadline[j], node_ids[n]
                 )
                 return
             # Canonical insertion at idx: the fit search guarantees
@@ -733,10 +793,8 @@ class ArraySpec:
                             delay -= 1
                     if r >= count:
                         st.scheduled = scheduled
-                        st.failure_reason = (
-                            f"message {mids[edge_msg[t]]!r} instance "
-                            f"{instance} cannot be placed on the bus "
-                            f"before the horizon"
+                        st.failure_reason = _bus_reason(
+                            mids[edge_msg[t]], instance
                         )
                         return
                     bus_used[base + r] += size
@@ -765,12 +823,32 @@ class ArraySpec:
 
         st.scheduled = scheduled
         if scheduled != st.total:
-            # Unreachable with a DAG, kept as a defensive invariant.
-            st.failure_reason = (
-                "precedence cycle left process instances unscheduled"
-            )
+            st.failure_reason = _CYCLE_REASON
             return
         st.success = True
+
+    def _native_failure(self, st: NativeRunState, kind: int) -> str:
+        """The Python kernel's failure string for a compiled failure."""
+        if kind == native.FAIL_CYCLE:
+            return _CYCLE_REASON
+        job, edge, end = st.failure()
+        p = self.job_pid[job]
+        n = st.node_of[p]
+        pid = self.pids[p]
+        instance = self.job_instance[job]
+        if kind == native.FAIL_WCET:
+            # Unreachable behind Mapping's allowed-node validation;
+            # delegate so the error matches the object core's.
+            self.compiled.application.process(pid).wcet_on(self.node_ids[n])
+        if kind == native.FAIL_HORIZON:
+            return _horizon_reason(pid, instance, self.node_ids[n])
+        if kind == native.FAIL_DEADLINE:
+            return _deadline_reason(
+                pid, instance, end, self.job_deadline[job], self.node_ids[n]
+            )
+        if kind == native.FAIL_BUS:
+            return _bus_reason(self.message_ids[self.edge_msg[edge]], instance)
+        raise ValueError(f"unknown compiled failure kind {kind}")
 
     # ------------------------------------------------------------------
     # delta evaluation over array states
@@ -910,7 +988,9 @@ class ArraySpec:
     # ------------------------------------------------------------------
     # decode boundary
     # ------------------------------------------------------------------
-    def decode_schedule(self, st: ArrayRunState) -> SystemSchedule:
+    def decode_schedule(
+        self, st: Union[ArrayRunState, NativeRunState]
+    ) -> SystemSchedule:
         """Rebuild the :class:`SystemSchedule` of a successful pass.
 
         Entry lists, the process index and the bus maps are filled in
@@ -924,7 +1004,7 @@ class ArraySpec:
         runs without them); decoding a columnless state would silently
         reproduce only the base template.
         """
-        if not st.columns:
+        if not isinstance(st, ArrayRunState) or not st.columns:
             raise ValueError(
                 "cannot decode a columnless ArrayRunState; re-run the "
                 "pass with columns=True (EvaluatedDesign.schedule does "

@@ -1,0 +1,383 @@
+/* The compiled evaluation pass of the array scheduler core.
+ *
+ * Two integer-only entry points, called through the cffi binding in
+ * native.py:
+ *
+ *   kernel -- the cold, columnless pass of ArraySpec.run_kernel: pop
+ *             order over the rank heap, gap search with canonical run
+ *             insertion, the TDMA scan with the message-delay re-scan,
+ *             and the horizon / deadline / bus checks in the Python
+ *             kernel's order.  On failure it reports a kind plus the
+ *             job, the edge and the end time; Python formats the
+ *             failure string.
+ *   price  -- the integer inputs of the slide-14 objective for a state
+ *             the kernel finished: the best-fit unplaced totals of the
+ *             future process and message bags, C2P and C2m.  The float
+ *             mixing stays in Python (core/array_metrics.py), so byte
+ *             identity with the Python pass reduces to equal integers.
+ *
+ * Every loop below mirrors one Python loop of sched/arrays.py or
+ * core/array_metrics.py / core/binpack.py; all operands are
+ * non-negative, so C division equals Python floor division.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef int64_t i64;
+
+typedef struct {
+    i64 n_jobs, n_nodes, n_occ, n_sources;
+    i64 horizon, round_length;
+    const i64 *job_pid, *deadline, *release, *preds0, *sources;
+    const i64 *wcet; /* n_pids x n_nodes, -1 where a process may not run */
+    const i64 *out_ptr, *edge_msg, *edge_dst, *edge_dst_pid, *edge_size;
+    const i64 *slot_off, *slot_len, *slot_cap, *occ_count, *occ_base;
+    const i64 *base_ptr, *base_s, *base_e; /* frozen busy runs, CSR by node */
+    const i64 *base_used;
+    /* state layout, in int64 words (see KernelContext in native.py) */
+    i64 run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
+    i64 off_earliest, off_preds, off_heap, off_job_of_rank;
+} kernel_ctx;
+
+typedef struct {
+    i64 n_windows, window_width, base_m;
+    const i64 *window_lengths, *caps, *win;
+    const i64 *base_val, *base_cnt; /* base residual histogram, ascending */
+    const i64 *base_window_free;
+} price_ctx;
+
+enum { PASS_OK, FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET };
+enum { ST_KIND, ST_SCHEDULED, ST_JOB, ST_EDGE, ST_END };
+
+static i64 fail(i64 *st, i64 kind, i64 scheduled, i64 job, i64 edge, i64 end)
+{
+    st[ST_KIND] = kind;
+    st[ST_SCHEDULED] = scheduled;
+    st[ST_JOB] = job;
+    st[ST_EDGE] = edge;
+    st[ST_END] = end;
+    return kind;
+}
+
+/* Ranks are distinct, so any binary min-heap pops heapq's sequence. */
+static void heap_push(i64 *heap, i64 *size, i64 value)
+{
+    i64 i = (*size)++;
+    while (i > 0) {
+        i64 parent = (i - 1) / 2;
+        if (heap[parent] <= value)
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = value;
+}
+
+static i64 heap_pop(i64 *heap, i64 *size)
+{
+    i64 top = heap[0];
+    i64 last = heap[--(*size)];
+    i64 n = *size, i = 0;
+    for (;;) {
+        i64 child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            child++;
+        if (heap[child] >= last)
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    if (n)
+        heap[i] = last;
+    return top;
+}
+
+i64 kernel(const kernel_ctx *k, const i64 *node_of, const i64 *delays,
+           const i64 *rank_of_job, i64 *st)
+{
+    const i64 cap = k->run_cap, n_jobs = k->n_jobs;
+    i64 *runs_s = st + k->off_runs_s, *runs_e = st + k->off_runs_e;
+    i64 *run_n = st + k->off_run_n, *bus = st + k->off_bus;
+    i64 *earliest = st + k->off_earliest, *preds = st + k->off_preds;
+    i64 *heap = st + k->off_heap, *job_of_rank = st + k->off_job_of_rank;
+    i64 heap_n = 0, scheduled = 0;
+
+    for (i64 n = 0; n < k->n_nodes; n++) {
+        i64 count = k->base_ptr[n + 1] - k->base_ptr[n];
+        memcpy(runs_s + n * cap, k->base_s + k->base_ptr[n], count * sizeof(i64));
+        memcpy(runs_e + n * cap, k->base_e + k->base_ptr[n], count * sizeof(i64));
+        run_n[n] = count;
+    }
+    memcpy(bus, k->base_used, k->n_occ * sizeof(i64));
+    memcpy(earliest, k->release, n_jobs * sizeof(i64));
+    memcpy(preds, k->preds0, n_jobs * sizeof(i64));
+    for (i64 j = 0; j < n_jobs; j++)
+        job_of_rank[rank_of_job[j]] = j;
+    for (i64 s = 0; s < k->n_sources; s++)
+        heap_push(heap, &heap_n, rank_of_job[k->sources[s]]);
+
+    while (heap_n) {
+        i64 j = job_of_rank[heap_pop(heap, &heap_n)];
+        i64 p = k->job_pid[j], n = node_of[p];
+        i64 w = k->wcet[p * k->n_nodes + n];
+        if (w < 0)
+            return fail(st, FAIL_WCET, scheduled, j, -1, 0);
+
+        /* IntervalSet.earliest_fit over the node's run columns. */
+        i64 *ss = runs_s + n * cap, *ee = runs_e + n * cap;
+        i64 nr = run_n[n], cursor = earliest[j];
+        i64 lo = 0, hi = nr; /* bisect_right(ss, cursor) */
+        while (lo < hi) {
+            i64 mid = (lo + hi) / 2;
+            if (ss[mid] <= cursor)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        i64 idx = lo - 1;
+        if (idx >= 0 && ee[idx] > cursor)
+            cursor = ee[idx];
+        idx++;
+        while (idx < nr) {
+            if (ss[idx] - cursor >= w)
+                break;
+            if (ee[idx] > cursor)
+                cursor = ee[idx];
+            idx++;
+        }
+        i64 start = cursor, end = start + w;
+        if (end > k->horizon)
+            return fail(st, FAIL_HORIZON, scheduled, j, -1, end);
+        if (end > k->deadline[j])
+            return fail(st, FAIL_DEADLINE, scheduled, j, -1, end);
+
+        /* Canonical insertion at idx: only adjacency can merge. */
+        if (idx > 0 && ee[idx - 1] == start) {
+            if (idx < nr && ss[idx] == end) {
+                ee[idx - 1] = ee[idx];
+                memmove(ss + idx, ss + idx + 1, (nr - idx - 1) * sizeof(i64));
+                memmove(ee + idx, ee + idx + 1, (nr - idx - 1) * sizeof(i64));
+                run_n[n] = nr - 1;
+            } else {
+                ee[idx - 1] = end;
+            }
+        } else if (idx < nr && ss[idx] == end) {
+            ss[idx] = start;
+        } else {
+            memmove(ss + idx + 1, ss + idx, (nr - idx) * sizeof(i64));
+            memmove(ee + idx + 1, ee + idx, (nr - idx) * sizeof(i64));
+            ss[idx] = start;
+            ee[idx] = end;
+            run_n[n] = nr + 1;
+        }
+        scheduled++;
+
+        for (i64 t = k->out_ptr[j]; t < k->out_ptr[j + 1]; t++) {
+            i64 dj = k->edge_dst[t], arrival;
+            if (node_of[k->edge_dst_pid[t]] == n) {
+                arrival = end;
+            } else {
+                i64 size = k->edge_size[t];
+                i64 threshold = k->slot_cap[n] - size;
+                i64 offset = k->slot_off[n], count = k->occ_count[n];
+                i64 *used = bus + k->occ_base[n];
+                i64 r;
+                if (threshold < 0) {
+                    r = count;
+                } else {
+                    /* first_occurrence_not_before(n, end), then scan */
+                    r = end <= offset
+                        ? 0
+                        : (end - offset + k->round_length - 1) / k->round_length;
+                    while (r < count && used[r] > threshold)
+                        r++;
+                    /* message delay: re-scan from the next occurrence */
+                    for (i64 delay = delays[k->edge_msg[t]];
+                         delay > 0 && r < count; delay--) {
+                        r++;
+                        while (r < count && used[r] > threshold)
+                            r++;
+                    }
+                }
+                if (r >= count)
+                    return fail(st, FAIL_BUS, scheduled, j, t, end);
+                used[r] += size;
+                arrival = r * k->round_length + offset + k->slot_len[n];
+            }
+            if (arrival > earliest[dj])
+                earliest[dj] = arrival;
+            if (--preds[dj] == 0)
+                heap_push(heap, &heap_n, rank_of_job[dj]);
+        }
+    }
+    if (scheduled != n_jobs)
+        return fail(st, FAIL_CYCLE, scheduled, -1, -1, 0);
+    return fail(st, PASS_OK, scheduled, -1, -1, 0);
+}
+
+/* ------------------------------------------------------------------ */
+/* pricing                                                              */
+/* ------------------------------------------------------------------ */
+
+/* First index in val[0..m) holding a value >= x. */
+static i64 lower_bound(const i64 *val, i64 m, i64 x)
+{
+    i64 lo = 0, hi = m;
+    while (lo < hi) {
+        i64 mid = (lo + hi) / 2;
+        if (val[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Add `bins` bins of value `value`; returns 1 when a new entry was
+ * inserted (shifting every later entry up by one), else 0. */
+static i64 hist_add(i64 *val, i64 *cnt, i64 *m, i64 value, i64 bins)
+{
+    i64 pos = lower_bound(val, *m, value);
+    if (pos < *m && val[pos] == value) {
+        cnt[pos] += bins;
+        return 0;
+    }
+    memmove(val + pos + 1, val + pos, (*m - pos) * sizeof(i64));
+    memmove(cnt + pos + 1, cnt + pos, (*m - pos) * sizeof(i64));
+    val[pos] = value;
+    cnt[pos] = bins;
+    (*m)++;
+    return 1;
+}
+
+/* best_fit_unplaced_total_hist over a histogram of m ascending values
+ * (zero counts are deleted entries).  `runs` holds n_runs (size, count)
+ * pairs in descending size order.  The histogram is consumed; it needs
+ * room for 2 * (bins with a positive value) + 2 entries. */
+i64 best_fit_unplaced(i64 *val, i64 *cnt, i64 m, const i64 *runs, i64 n_runs)
+{
+    i64 unplaced = 0;
+    for (i64 r = 0; r < n_runs; r++) {
+        i64 size = runs[2 * r], count = runs[2 * r + 1];
+        i64 live = 0;
+        for (i64 i = 0; i < m; i++) {
+            if (cnt[i]) {
+                val[live] = val[i];
+                cnt[live++] = cnt[i];
+            }
+        }
+        m = live;
+        /* Remainders are < size, so they land below the cursor. */
+        for (i64 i = lower_bound(val, m, size); count && i < m; i++) {
+            i64 value = val[i], bins = cnt[i];
+            if (!bins)
+                continue;
+            i64 per = value / size, capacity = per * bins, rem = value % size;
+            if (capacity <= count) {
+                cnt[i] = 0;
+                if (rem)
+                    i += hist_add(val, cnt, &m, rem, bins);
+                count -= capacity;
+            } else {
+                i64 full = count / per, rest = count % per;
+                cnt[i] = bins - full - (rest ? 1 : 0);
+                if (full && rem)
+                    i += hist_add(val, cnt, &m, rem, full);
+                if (rest)
+                    hist_add(val, cnt, &m, value - rest * size, 1);
+                count = 0;
+            }
+        }
+        unplaced += size * count;
+    }
+    return unplaced;
+}
+
+/* bags: process_min, n_process_runs, its (size, count) pairs, then
+ * n_message_runs and its pairs.  out: unplaced process total, unplaced
+ * message total, C2P, C2m.  Returns 0, or -1 when out of memory. */
+i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
+          const i64 *bags, i64 *out)
+{
+    const i64 process_min = bags[0], n_process = bags[1];
+    const i64 *process_runs = bags + 2;
+    const i64 n_message = bags[2 + 2 * n_process];
+    const i64 *message_runs = bags + 3 + 2 * n_process;
+    const i64 cap = k->run_cap, width = g->window_width, n_win = g->n_windows;
+    const i64 *runs_s = st + k->off_runs_s, *runs_e = st + k->off_runs_e;
+    const i64 *run_n = st + k->off_run_n, *used = st + k->off_bus;
+    i64 c2p = 0, gap_m = 0, m = g->base_m;
+
+    i64 max_gaps = k->n_nodes;
+    for (i64 n = 0; n < k->n_nodes; n++)
+        max_gaps += run_n[n];
+    /* Histogram room: the walk needs 2 * bins + 2 entries, the bus
+     * patch base_m + n_occ before it. */
+    i64 gap_room = 2 * max_gaps + 4, bus_room = g->base_m + 2 * k->n_occ + 4;
+    i64 *busy = malloc((2 * n_win + 2 * gap_room + 2 * bus_room) * sizeof(i64));
+    if (!busy)
+        return -1;
+    i64 *window_free = busy + n_win;
+    i64 *gap_val = window_free + n_win, *gap_cnt = gap_val + gap_room;
+    i64 *val = gap_cnt + gap_room, *cnt = val + bus_room;
+
+    /* Node slack: gaps >= process_min (C1P bins) and the busy time
+     * split over the T_min windows (C2P). */
+    for (i64 n = 0; n < k->n_nodes; n++) {
+        const i64 *ss = runs_s + n * cap, *ee = runs_e + n * cap;
+        i64 cursor = 0, window_min = 0;
+        memset(busy, 0, n_win * sizeof(i64));
+        for (i64 i = 0; i < run_n[n]; i++) {
+            i64 start = ss[i], end = ee[i];
+            if (start - cursor >= process_min) /* process_min >= 1 */
+                hist_add(gap_val, gap_cnt, &gap_m, start - cursor, 1);
+            cursor = end;
+            for (i64 w = start / width; start < end; w++) {
+                i64 boundary = (w + 1) * width;
+                if (boundary >= end) {
+                    busy[w] += end - start;
+                    break;
+                }
+                busy[w] += boundary - start;
+                start = boundary;
+            }
+        }
+        if (k->horizon - cursor >= process_min)
+            hist_add(gap_val, gap_cnt, &gap_m, k->horizon - cursor, 1);
+        for (i64 w = 0; w < n_win; w++) {
+            i64 slack = g->window_lengths[w] - busy[w];
+            if (w == 0 || slack < window_min)
+                window_min = slack;
+        }
+        c2p += window_min;
+    }
+
+    out[0] = best_fit_unplaced(gap_val, gap_cnt, gap_m, process_runs, n_process);
+
+    /* Bus: patch the base residual histogram and per-window free bytes
+     * at the occurrences the pass changed. */
+    memcpy(val, g->base_val, g->base_m * sizeof(i64));
+    memcpy(cnt, g->base_cnt, g->base_m * sizeof(i64));
+    memcpy(window_free, g->base_window_free, n_win * sizeof(i64));
+    for (i64 i = 0; i < k->n_occ; i++) {
+        i64 before = k->base_used[i], after = used[i];
+        if (after == before)
+            continue;
+        cnt[lower_bound(val, m, g->caps[i] - before)]--;
+        hist_add(val, cnt, &m, g->caps[i] - after, 1);
+        if (g->win[i] >= 0)
+            window_free[g->win[i]] -= after - before;
+    }
+    i64 c2m = window_free[0];
+    for (i64 w = 1; w < n_win; w++)
+        if (window_free[w] < c2m)
+            c2m = window_free[w];
+    out[1] = best_fit_unplaced(val, cnt, m, message_runs, n_message);
+    out[2] = c2p;
+    out[3] = c2m;
+    free(busy);
+    return 0;
+}

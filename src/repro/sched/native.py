@@ -1,0 +1,314 @@
+"""The compiled evaluation pass: cold kernel and price inputs in C.
+
+``native.c`` holds two integer-only entry points: ``kernel``, the cold,
+columnless pass of :meth:`ArraySpec.run_kernel
+<repro.sched.arrays.ArraySpec.run_kernel>`, and ``price``, the integer
+inputs of the slide-14 objective that
+:func:`~repro.core.array_metrics.evaluate_state_delta` mixes into
+floats.  This module builds and loads it and wraps it for those two
+callers:
+
+* :class:`KernelContext` -- one spec's immutable lowering as C arrays,
+  built on the spec's first cold pass (and its price geometry on the
+  first cold pricing);
+* :class:`NativeRunState` -- one cold pass, which runs the kernel and
+  prices its result; it owns its buffer.
+
+The module is built and loaded when this file is imported, so a timed
+region never spans a compile.  The build runs ``native_build.py`` in a
+child process -- this process never imports cffi's builder or
+setuptools -- and lands in ``_build/`` next to this file, named by a
+hash of the C source, the build script and cffi's version plus the
+interpreter's extension suffix.  When the build or the load fails,
+one ``RuntimeWarning`` names the cause, :data:`MODULE` is ``None`` and
+the Python kernel serves every pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import subprocess
+import sys
+import sysconfig
+import warnings
+from pathlib import Path
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sched.arrays import ArrayMetricGeometry, ArraySpec, _Candidate
+
+HERE = Path(__file__).resolve().parent
+SOURCE = HERE / "native.c"
+BUILD_SCRIPT = HERE / "native_build.py"
+BUILD_DIR = HERE / "_build"
+
+#: Failure kinds ``kernel`` returns (0 is success); see ``native.c``.
+FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET = 1, 2, 3, 4, 5
+#: State header words: kind, scheduled count, job, edge, end time.
+_KIND, _SCHEDULED, _JOB, _EDGE, _END = range(5)
+
+
+class NativeBuildError(RuntimeError):
+    """The build script exited with an error."""
+
+
+def module_path() -> Path:
+    """Where the build of the current source lives (it may not exist).
+
+    The name hashes the C source, the build script and the version of
+    cffi's runtime backend, which a built module must match; importing
+    the backend fails early, with a plain cause, when cffi is missing.
+    """
+    import _cffi_backend
+
+    digest = hashlib.sha256(
+        SOURCE.read_bytes()
+        + BUILD_SCRIPT.read_bytes()
+        + _cffi_backend.__version__.encode()
+    ).hexdigest()[:16]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return BUILD_DIR / f"_native_{digest}{suffix}"
+
+
+def _build(path: Path) -> None:
+    name = path.name.split(".", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, str(BUILD_SCRIPT), name, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    if proc.returncode:
+        lines = (proc.stderr or proc.stdout).strip().splitlines()
+        raise NativeBuildError(
+            lines[-1] if lines else f"exit status {proc.returncode}"
+        )
+
+
+def _import(path: Path) -> ModuleType:
+    spec = importlib.util.spec_from_file_location(
+        path.name.split(".", 1)[0], path
+    )
+    if spec is None or spec.loader is None:
+        raise ImportError(f"cannot load {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load() -> Optional[ModuleType]:
+    """Build (when missing) and import the compiled pass.
+
+    Returns ``None`` after one ``RuntimeWarning`` naming the cause when
+    either step fails; the callers then run the Python pass.
+    """
+    try:
+        path = module_path()
+        if not path.exists():
+            _build(path)
+        return _import(path)
+    except (OSError, ImportError, subprocess.SubprocessError,
+            NativeBuildError) as exc:
+        warnings.warn(
+            f"compiled evaluation pass unavailable ({exc}); "
+            "using the Python pass",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+
+
+#: The loaded extension module (``.ffi`` and ``.lib``), or ``None``.
+MODULE: Optional[ModuleType] = load()
+
+
+class KernelContext:
+    """One spec's lowering as C arrays, plus its state layout.
+
+    Every array the C structs point into is held in ``_keep``, so the
+    pointers stay valid as long as the context lives.  Price geometry
+    is built per ``T_min`` on first use, like
+    :meth:`ArraySpec.metric_geometry`.
+    """
+
+    __slots__ = ("ffi", "lib", "alloc", "ptr", "state_size", "_keep", "_prices")
+
+    def __init__(self, spec: "ArraySpec", module: ModuleType) -> None:
+        ffi = module.ffi
+        self.ffi = ffi
+        self.lib = module.lib
+        self.alloc = ffi.new_allocator(should_clear_after_alloc=False)
+        self._keep: List[Any] = []
+        self._prices: Dict[int, Any] = {}
+        n_nodes = len(spec.node_ids)
+        base_ptr = [0]
+        for runs in spec.base_runs_s:
+            base_ptr.append(base_ptr[-1] + len(runs))
+        run_cap = max(len(runs) for runs in spec.base_runs_s) + spec.n_jobs
+
+        k = ffi.new("kernel_ctx *")
+        k.n_jobs = spec.n_jobs
+        k.n_nodes = n_nodes
+        k.n_occ = spec.n_occ
+        k.n_sources = len(spec.sources)
+        k.horizon = spec.horizon
+        k.round_length = spec.round_length
+        k.job_pid = self._array(spec.job_pid)
+        k.deadline = self._array(spec.job_deadline)
+        k.release = self._array(spec.job_release)
+        k.preds0 = self._array(spec.preds0)
+        k.sources = self._array(spec.sources)
+        k.wcet = self._array([w for row in spec.wcet for w in row])
+        k.out_ptr = self._array(spec.out_ptr)
+        k.edge_msg = self._array(spec.edge_msg)
+        k.edge_dst = self._array(spec.edge_dst)
+        k.edge_dst_pid = self._array(spec.edge_dst_pid)
+        k.edge_size = self._array(spec.edge_size)
+        k.slot_off = self._array(spec.slot_offset)
+        k.slot_len = self._array(spec.slot_length)
+        k.slot_cap = self._array(spec.slot_capacity)
+        k.occ_count = self._array(spec.occ_count)
+        k.occ_base = self._array(spec.occ_base)
+        k.base_ptr = self._array(base_ptr)
+        k.base_s = self._array([s for runs in spec.base_runs_s for s in runs])
+        k.base_e = self._array([e for runs in spec.base_runs_e for e in runs])
+        k.base_used = self._array(spec.base_bus_used_flat.tolist())
+        # State layout: a five-word header, then the run columns, run
+        # counts, bus occupancy and the loop scratch.
+        k.run_cap = run_cap
+        k.off_runs_s = 5
+        k.off_runs_e = k.off_runs_s + n_nodes * run_cap
+        k.off_run_n = k.off_runs_e + n_nodes * run_cap
+        k.off_bus = k.off_run_n + n_nodes
+        k.off_earliest = k.off_bus + spec.n_occ
+        k.off_preds = k.off_earliest + spec.n_jobs
+        k.off_heap = k.off_preds + spec.n_jobs
+        k.off_job_of_rank = k.off_heap + spec.n_jobs
+        self.state_size = k.off_job_of_rank + spec.n_jobs
+        self.ptr = k
+
+    def _array(self, values: List[int]) -> Any:
+        data = self.ffi.new("int64_t[]", values)
+        self._keep.append(data)
+        return data
+
+    def price_context(self, geom: "ArrayMetricGeometry") -> Any:
+        """The C price geometry of one ``T_min`` (built once)."""
+        g = self._prices.get(geom.t_min)
+        if g is None:
+            g = self.ffi.new("price_ctx *")
+            hist = sorted(geom.base_resid_hist.items())
+            g.n_windows = geom.n_windows
+            g.window_width = geom.window_width
+            g.base_m = len(hist)
+            g.window_lengths = self._array(geom.window_lengths)
+            g.caps = self._array(geom.caps_flat.tolist())
+            g.win = self._array(geom.win_flat.tolist())
+            g.base_val = self._array([value for value, _ in hist])
+            g.base_cnt = self._array([count for _, count in hist])
+            g.base_window_free = self._array(geom.base_window_free)
+            self._prices[geom.t_min] = g
+        return g
+
+
+class NativeRunState:
+    """One cold, columnless pass of the compiled kernel.
+
+    Stands in for an :class:`~repro.sched.arrays.ArrayRunState` built
+    with ``record=False, columns=False``: it exposes ``success``,
+    ``failure_reason``, ``scheduled`` and ``total``, and decodes the
+    final busy runs and bus occupancy from its buffer on demand.  The
+    buffer is allocated per state and never shared; the kernel writes
+    every word it later reads, so it is not cleared.
+    """
+
+    __slots__ = (
+        "context", "node_of", "delays", "rank_np", "buf",
+        "success", "failure_reason", "scheduled", "total",
+    )
+
+    columns = False
+    record = False
+
+    def __init__(self, context: KernelContext, cand: "_Candidate") -> None:
+        self.context = context
+        self.node_of = cand.node_of
+        self.delays = cand.delays
+        self.rank_np = cand.rank_np
+        self.buf = context.alloc("int64_t[]", context.state_size)
+        self.success = False
+        self.failure_reason: Optional[str] = None
+        self.scheduled = 0
+        self.total = context.ptr.n_jobs
+
+    def run(self) -> int:
+        """Run the kernel; returns the failure kind (0 on success)."""
+        context = self.context
+        buf = self.buf
+        context.lib.kernel(
+            context.ptr,
+            self.node_of,
+            self.delays,
+            context.ffi.from_buffer("int64_t[]", self.rank_np),
+            buf,
+        )
+        self.scheduled = buf[_SCHEDULED]
+        kind: int = buf[_KIND]
+        self.success = kind == 0
+        return kind
+
+    def failure(self) -> Tuple[int, int, int]:
+        """The failing job, edge and end time of a failed pass."""
+        buf = self.buf
+        return buf[_JOB], buf[_EDGE], buf[_END]
+
+    def price(
+        self, geom: "ArrayMetricGeometry", bags: "np.ndarray"
+    ) -> Tuple[int, int, int, int]:
+        """Price inputs of a successful pass: the best-fit unplaced
+        process and message totals, C2P and C2m (``bags`` as
+        :func:`~repro.core.array_metrics._packing_runs` encodes them)."""
+        context = self.context
+        ffi = context.ffi
+        out = ffi.new("int64_t[4]")
+        if context.lib.price(
+            context.ptr,
+            context.price_context(geom),
+            self.buf,
+            ffi.from_buffer("int64_t[]", bags),
+            out,
+        ):
+            raise MemoryError("the compiled price pass could not allocate")
+        return out[0], out[1], out[2], out[3]
+
+    def _runs(self, offset: int) -> List[List[int]]:
+        k = self.context.ptr
+        unpack = self.context.ffi.unpack
+        buf = self.buf
+        return [
+            unpack(buf + offset + n * k.run_cap, buf[k.off_run_n + n])
+            for n in range(k.n_nodes)
+        ]
+
+    @property
+    def runs_s(self) -> List[List[int]]:
+        """Per-node busy-run starts, canonical (merged) form."""
+        return self._runs(self.context.ptr.off_runs_s)
+
+    @property
+    def runs_e(self) -> List[List[int]]:
+        """Per-node busy-run ends, aligned with :attr:`runs_s`."""
+        return self._runs(self.context.ptr.off_runs_e)
+
+    @property
+    def bus_used(self) -> "np.ndarray":
+        """Used bytes per slot occurrence (flat, node-contiguous)."""
+        k = self.context.ptr
+        return np.array(
+            self.context.ffi.unpack(self.buf + k.off_bus, k.n_occ),
+            dtype=np.int64,
+        )

@@ -13,19 +13,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.tdma.bus import TdmaBus
+from repro.tdma.bus import Slot, TdmaBus
 from repro.utils.errors import SchedulingError
 from repro.utils.intervals import Interval
 
 
 @lru_cache(maxsize=64)
-def _occurrence_order(bus: TdmaBus, horizon: int) -> Tuple[Tuple[str, int, int], ...]:
+def _occurrence_order(
+    slots: Tuple[Slot, ...], horizon: int
+) -> Tuple[Tuple[str, int, int], ...]:
     """Usable slot occurrences as ``(node, round, capacity)``, by start.
 
-    A pure function of the immutable round layout and the horizon,
-    cached so the residual extraction of every metric evaluation walks
-    a precomputed order instead of re-deriving and re-sorting it.
+    A pure function of the round layout and the horizon, cached so the
+    residual extraction of every metric evaluation walks a precomputed
+    order instead of re-deriving and re-sorting it.  Keyed on the slot
+    tuple's value, not on a bus (which hashes by identity): equal
+    layouts share one entry and the cache keeps no bus alive.
     """
+    bus = TdmaBus(slots)
     items: List[Tuple[int, str, int, int]] = []
     round_length = bus.round_length
     for slot in bus.slots:
@@ -40,7 +45,7 @@ def _occurrence_order(bus: TdmaBus, horizon: int) -> Tuple[Tuple[str, int, int],
 
 def occurrence_order(bus: TdmaBus, horizon: int) -> Tuple[Tuple[str, int, int], ...]:
     """Public accessor of the cached occurrence order (metrics layer)."""
-    return _occurrence_order(bus, horizon)
+    return _occurrence_order(bus.slots, horizon)
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ class BusSchedule:
         used = self._used
         return [
             capacity - used.get((node_id, r), 0)
-            for node_id, r, capacity in _occurrence_order(self.bus, self.horizon)
+            for node_id, r, capacity in occurrence_order(self.bus, self.horizon)
         ]
 
     def occupancy_equals(self, other: "BusSchedule") -> bool:

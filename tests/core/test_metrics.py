@@ -3,11 +3,13 @@
 Includes the crafted layouts of slides 12 and 13 as exact unit tests.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.future import DiscreteDistribution, FutureCharacterization
 from repro.core.metrics import (
-    DesignMetrics,
     ObjectiveWeights,
     evaluate_design,
     metric_c1m,
@@ -225,3 +227,20 @@ class TestFastCoreMatchesReferenceMetrics:
         assert metrics.c1m == metric_c1m(schedule, spec.future, policy)
         assert metrics.c2p == metric_c2p(schedule, spec.future)
         assert metrics.c2m == metric_c2m(schedule, spec.future)
+
+
+def test_pricing_rebuilt_scenarios_keeps_no_bus_alive():
+    """The bus-geometry caches key on the round layout's value: pricing
+    80 rebuilds of one cell leaves at most one of their buses alive
+    (an identity-keyed cache held up to 64)."""
+    from repro.gen import families
+
+    family = families.get_family("uniform-baseline")
+    buses = []
+    for _ in range(80):
+        spec = family.build("tiny", seed=1).spec()
+        evaluate_design(spec.base_schedule, spec.future)
+        buses.append(weakref.ref(spec.architecture.bus))
+    del spec
+    gc.collect()
+    assert sum(ref() is not None for ref in buses) <= 1

@@ -5,7 +5,6 @@ import pytest
 from repro.core.future import DiscreteDistribution, FutureCharacterization
 from repro.core.modification import (
     ExistingApplication,
-    ModificationResult,
     design_with_modifications,
 )
 from repro.model.application import Application

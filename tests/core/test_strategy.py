@@ -15,7 +15,6 @@ from repro.core.strategy import (
     make_strategy,
 )
 from repro.core.transformations import CandidateDesign
-from repro.model.application import Application
 from repro.model.mapping import Mapping
 from repro.sched.priorities import hcp_priorities
 from repro.sched.schedule import SystemSchedule

@@ -1,0 +1,336 @@
+"""The compiled evaluation pass, pinned to the Python pass.
+
+:mod:`repro.sched.native` runs the cold, columnless kernel and the
+integer inputs of best-fit pricing in C.  The Python kernel and pricing
+stay in src as the differential oracle: on every registered family,
+presets ``tiny``/``small``/``medium`` and seeds 1-3, a seeded stream of
+SA moves plus random priority and delay changes must give equal
+verdicts, failure strings, final busy runs and bus occupancy, and
+bit-identical metrics.  Plus the fallback contract: without the module
+one ``RuntimeWarning`` is emitted and the seeded designs still
+reproduce, and the loading process never imports the build toolchain.
+"""
+
+from __future__ import annotations
+
+import collections
+import dataclasses
+import functools
+import json
+import os
+import subprocess
+import sys
+import types
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.array_metrics import evaluate_state
+from repro.core.binpack import best_fit
+from repro.core.future import FutureCharacterization
+from repro.core.initial_mapping import InitialMapper
+from repro.core.strategy import DesignSpec
+from repro.core.transformations import CandidateDesign
+from repro.engine.compiled_spec import CompiledSpec
+from repro.experiments.runner import strategy_for_family
+from repro.gen import families
+from repro.model.application import Application
+from repro.model.architecture import Architecture, Node
+from repro.model.mapping import Mapping
+from repro.model.process_graph import Message, Process, ProcessGraph
+from repro.sched import native
+from repro.sched.arrays import ArrayRunState
+from repro.search.proposers import random_move
+from repro.tdma.bus import Slot, TdmaBus
+from repro.utils.errors import MappingError
+
+needs_native = pytest.mark.skipif(
+    native.MODULE is None, reason="the compiled pass did not load"
+)
+
+PRESETS = ("tiny", "small", "medium")
+SEEDS = (1, 2, 3)
+STREAM = 40
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "search" / "golden_designs.json")
+    .read_text()
+)
+
+
+def _cells():
+    for name in families.family_names():
+        presets = families.get_family(name).preset_names
+        for preset in PRESETS:
+            if preset in presets:
+                yield name, preset
+
+
+def _python_state(arrays, design) -> ArrayRunState:
+    """The oracle: the Python loop on a cold, columnless state."""
+    st = arrays.fresh_state(arrays.lower_candidate(design), record=False)
+    arrays.run_kernel(st)
+    return st
+
+
+def _bits(metrics):
+    return [
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(metrics)
+    ]
+
+
+def _kind(reason: str) -> str:
+    for kind in ("misses its deadline", "does not fit inside the horizon"):
+        if kind in reason:
+            return kind
+    return reason
+
+
+def _child(spec, current, rng):
+    """One step of the stream: an SA move, a random priority or a
+    random message delay."""
+    roll = rng.random()
+    if roll < 0.6:
+        here = types.SimpleNamespace(mapping=current.mapping, design=current)
+        move = random_move(spec, here, rng)
+        return current if move is None else move.apply(current)
+    pids = [p.id for p in spec.current.processes]
+    mids = [m.id for m in spec.current.messages]
+    if roll < 0.8 or not mids:
+        priorities = dict(current.priorities)
+        priorities[pids[rng.integers(len(pids))]] = float(
+            rng.integers(-500, 500)
+        )
+        return CandidateDesign(
+            current.mapping, priorities, dict(current.message_delays)
+        )
+    delays = dict(current.message_delays)
+    delays[mids[rng.integers(len(mids))]] = int(rng.integers(0, 6))
+    return CandidateDesign(current.mapping, current.priorities, delays)
+
+
+def _compare(spec, compiled, design, seed):
+    """Walk a seeded stream through both passes; every schedulable
+    candidate becomes the next position.  Returns the outcome kinds."""
+    arrays = compiled.arrays
+    rng = np.random.default_rng(seed)
+    kinds = collections.Counter()
+    current = design
+    for _ in range(STREAM):
+        child = _child(spec, current, rng)
+        fast = arrays.schedule_design(child)
+        slow = _python_state(arrays, child)
+        assert isinstance(fast, native.NativeRunState)
+        assert fast.success == slow.success
+        assert fast.failure_reason == slow.failure_reason
+        assert fast.scheduled == slow.scheduled
+        assert fast.runs_s == slow.runs_s
+        assert fast.runs_e == slow.runs_e
+        assert np.array_equal(fast.bus_used, slow.bus_used)
+        if not slow.success:
+            kinds[_kind(slow.failure_reason)] += 1
+            continue
+        kinds["ok"] += 1
+        assert _bits(
+            evaluate_state(arrays, fast, spec.future, spec.weights)
+        ) == _bits(evaluate_state(arrays, slow, spec.future, spec.weights))
+        current = child
+    return kinds
+
+
+@functools.lru_cache(maxsize=None)
+def _cell(family_name, preset, seed):
+    family = families.get_family(family_name)
+    try:
+        spec = family.build(preset, seed=seed).spec()
+    except MappingError:
+        return None
+    compiled = CompiledSpec(spec)
+    outcome = InitialMapper(spec.architecture).try_map_and_schedule(
+        spec.current, base=spec.base_schedule, compiled=compiled
+    )
+    if outcome is None:
+        return None
+    design = CandidateDesign(outcome[0], dict(compiled.default_priorities))
+    return _compare(spec, compiled, design, seed)
+
+
+@needs_native
+def test_live_states_own_their_buffers():
+    """States of one spec stay independent while all are alive."""
+    spec = families.get_family("uniform-baseline").build("small", seed=1).spec()
+    compiled = CompiledSpec(spec)
+    arrays = compiled.arrays
+    outcome = InitialMapper(spec.architecture).try_map_and_schedule(
+        spec.current, base=spec.base_schedule, compiled=compiled
+    )
+    design = CandidateDesign(outcome[0], dict(compiled.default_priorities))
+    rng = np.random.default_rng(5)
+    designs = [design] + [_child(spec, design, rng) for _ in range(6)]
+    states = [arrays.schedule_design(d) for d in designs]
+    assert len({id(st.buf) for st in states}) == len(states)
+    for d, fast in zip(designs, states):
+        slow = _python_state(arrays, d)
+        assert (fast.runs_s, fast.runs_e) == (slow.runs_s, slow.runs_e)
+        assert np.array_equal(fast.bus_used, slow.bus_used)
+
+
+@needs_native
+@pytest.mark.parametrize("family_name,preset", list(_cells()))
+def test_compiled_pass_equals_python_pass(family_name, preset):
+    compared = [_cell(family_name, preset, seed) for seed in SEEDS]
+    assert any(kinds and kinds["ok"] for kinds in compared)
+
+
+@needs_native
+def test_stream_reaches_deadline_and_horizon_failures():
+    kinds = collections.Counter()
+    for family_name, preset in _cells():
+        for seed in SEEDS:
+            kinds.update(_cell(family_name, preset, seed) or {})
+    assert kinds["ok"]
+    assert kinds["misses its deadline"]
+    assert kinds["does not fit inside the horizon"]
+
+
+def _oversized_message_spec():
+    """Two nodes with 8-byte slots and a 16-byte message between them."""
+    graph = ProcessGraph("g0", 80)
+    for pid in ("P0", "P1"):
+        graph.add_process(Process(pid, {"N1": 8, "N2": 8}))
+    graph.add_message(Message("m0", "P0", "P1", 16))
+    arch = Architecture(
+        [Node("N1"), Node("N2")],
+        TdmaBus([Slot("N1", 4, 8), Slot("N2", 4, 8)]),
+    )
+    future = FutureCharacterization(t_min=40, t_need=10, b_need=4)
+    return DesignSpec(
+        architecture=arch, current=Application("app", [graph]), future=future
+    )
+
+
+@needs_native
+def test_bus_failure_matches_python_pass():
+    spec = _oversized_message_spec()
+    arrays = CompiledSpec(spec).arrays
+    split = {"P0": "N1", "P1": "N2"}
+    design = CandidateDesign(
+        Mapping(spec.current, spec.architecture, split),
+        {p.id: 0.0 for p in spec.current.processes},
+    )
+    fast = arrays.schedule_design(design)
+    slow = _python_state(arrays, design)
+    assert not slow.success
+    assert slow.failure_reason == (
+        "message 'm0' instance 0 cannot be placed on the bus before the "
+        "horizon"
+    )
+    assert fast.failure_reason == slow.failure_reason
+    assert fast.scheduled == slow.scheduled == 1
+    assert fast.runs_s == slow.runs_s and fast.runs_e == slow.runs_e
+
+
+def _c_best_fit(size_runs, bins):
+    """The C value-class walk ``price`` runs, on one bin multiset."""
+    ffi, lib = native.MODULE.ffi, native.MODULE.lib
+    values = sorted(set(bins))
+    pad = [0] * (len(bins) + 4)  # room for the walk's remainder entries
+    val = ffi.new("int64_t[]", values + pad)
+    cnt = ffi.new("int64_t[]", [bins.count(v) for v in values] + pad)
+    runs = [x for pair in size_runs for x in pair]
+    return lib.best_fit_unplaced(val, cnt, len(values), runs, len(size_runs))
+
+
+@needs_native
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), max_size=12),
+    bins=st.lists(st.integers(0, 40), max_size=16),
+)
+def test_best_fit_walk_equals_best_fit(sizes, bins):
+    """Equal sizes, remainders that recreate a drained value and empty
+    bags are all in the drawn multisets."""
+    ordered = sorted(sizes, reverse=True)
+    runs = [
+        (size, ordered.count(size)) for size in sorted(set(sizes), reverse=True)
+    ]
+    assert _c_best_fit(runs, bins) == best_fit(sizes, bins).unplaced_total
+
+
+@needs_native
+def test_best_fit_walk_recreates_drained_values():
+    # The 6s drain the 7 and leave 13 - 6 = 7 behind: a drained value
+    # comes back, and the 3s then drain it to a remainder of 1.
+    runs, bins = [(6, 2), (3, 3)], [7, 13]
+    assert _c_best_fit(runs, bins) == (
+        best_fit([6, 6, 3, 3, 3], bins).unplaced_total
+    )
+
+
+def _identity(result) -> dict:
+    """The golden record's identity of one design (see
+    ``tests/search/test_golden_equivalence.py``)."""
+    return {
+        "mapping": dict(sorted(result.mapping.as_dict().items())),
+        "priorities": {
+            k: repr(v) for k, v in sorted(result.priorities.items())
+        },
+        "message_delays": dict(sorted((result.message_delays or {}).items())),
+        "objective": repr(result.objective),
+        "evaluations": result.evaluations,
+    }
+
+
+def test_forced_fallback_warns_once_and_reproduces_goldens(monkeypatch):
+    def broken(path):
+        raise native.NativeBuildError("no compiler")
+
+    monkeypatch.setattr(native, "module_path", lambda: Path("/nonexistent.so"))
+    monkeypatch.setattr(native, "_build", broken)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        module = native.load()
+    assert module is None
+    assert [str(w.message) for w in caught] == [
+        "compiled evaluation pass unavailable (no compiler); using the "
+        "Python pass"
+    ]
+    assert all(w.category is RuntimeWarning for w in caught)
+    monkeypatch.setattr(native, "MODULE", None)
+
+    for family_name in families.family_names():
+        family = families.get_family(family_name)
+        spec = family.build(family.smallest_preset, seed=GOLDEN["seed"]).spec()
+        key = f"{family_name}/{family.smallest_preset}/seed{GOLDEN['seed']}"
+        for strategy in ("AH", "MH", "SA"):
+            result = strategy_for_family(
+                strategy, GOLDEN["seed"], True, 1, GOLDEN["sa_iterations"]
+            ).design(spec)
+            assert _identity(result) == GOLDEN["designs"][key][strategy]
+
+
+def test_loading_process_imports_no_build_toolchain():
+    code = (
+        "import sys, repro\n"
+        "from repro import build_scenario, design_application, "
+        "ScenarioParams\n"
+        "from repro.sched import native\n"
+        "s = build_scenario(ScenarioParams(), seed=1)\n"
+        "assert design_application(s.spec(), strategy='MH').valid\n"
+        "print(native.MODULE is not None, sorted(m for m in "
+        "('setuptools', 'distutils', 'cffi') if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == f"{native.MODULE is not None} []"
