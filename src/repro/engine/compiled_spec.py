@@ -19,7 +19,8 @@ separating problem *construction* from repeated *solving*:
   evaluation only pays one ``copy()`` of it;
 * candidate signatures -- the memoization key of the evaluation cache
   and the result store -- are packed here, by one ``struct`` layout
-  compiled per spec, so every cache tier agrees on identity.
+  compiled per spec, so every cache tier agrees on identity; the same
+  packed key is the one lowering every scheduling pass reads.
 """
 
 from __future__ import annotations
@@ -188,10 +189,17 @@ class CompiledSpec:
         architecture order (int32) and its priority (float64).  Then
         per message, in sorted-id order: its delay (int64).  All
         little-endian, so the key is portable across machines.
+
+        That order is the array core's id order too:
+        :class:`~repro.sched.arrays.ArraySpec` numbers processes by
+        :attr:`key_pids` and messages by :attr:`key_mids`, so the key
+        *is* a candidate's lowering -- the compiled pass reads it as
+        it is, and the Python passes unpack it with :attr:`key_struct`.
         """
         pids = sorted(p.id for p in self.spec.current.processes)
         mids = sorted(m.id for m in self.spec.current.messages)
-        self._key_pids = pids
+        self.key_pids: List[str] = pids
+        self.key_mids: List[str] = mids
         self._key_node = {
             nid: i for i, nid in enumerate(self.spec.architecture.node_ids)
         }
@@ -199,7 +207,7 @@ class CompiledSpec:
         self._key_split = split
         self._key_delay_slot = {mid: split + i for i, mid in enumerate(mids)}
         self._key_zeros: List[float] = [0] * (split + len(mids))
-        self._key_struct = struct.Struct(
+        self.key_struct = struct.Struct(
             "<" + "id" * len(pids) + f"{len(mids)}q"
         )
 
@@ -215,6 +223,10 @@ class CompiledSpec:
         float64 bits, so ``-0.0`` and ``0.0`` give different keys (a
         spurious miss, never a wrong hit).
 
+        This is the only code that reads a candidate's dicts: the key
+        is also what every scheduling pass of the array core lowers
+        from (see :meth:`_compile_signature`).
+
         Raises
         ------
         repro.utils.errors.MappingError
@@ -223,7 +235,7 @@ class CompiledSpec:
         assignment = design.mapping.as_dict()
         priorities = design.priorities
         node = self._key_node
-        pids = self._key_pids
+        pids = self.key_pids
         split = self._key_split
         values = self._key_zeros.copy()
         try:
@@ -237,4 +249,4 @@ class CompiledSpec:
             index = slot.get(mid)
             if index is not None:
                 values[index] = delay
-        return self._key_struct.pack(*values)
+        return self.key_struct.pack(*values)

@@ -11,9 +11,10 @@ It owns
   kernels that solve each miss.
 
 Every cache miss is solved cold, in this process, one at a time, in
-input order.  Process-level parallelism lives one layer up: the sharded
-portfolio race (:mod:`repro.search.distributed`) runs one engine per
-shard.
+input order, from the signature its lookup packed: the key is the
+candidate's one lowering, so a miss packs the design once.
+Process-level parallelism lives one layer up: the sharded portfolio
+race (:mod:`repro.search.distributed`) runs one engine per shard.
 
 :class:`EngineConfig` carries the user-set engine values.  It is built
 once at the edge (the CLI, the experiment config, the strategy
@@ -192,10 +193,17 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # solving (no cache, no accounting)
     # ------------------------------------------------------------------
-    def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
-        """Cold evaluation of one candidate, without trace or memo."""
+    def _solve(
+        self, design: "CandidateDesign", key: Optional[bytes] = None
+    ) -> Optional[EvaluatedDesign]:
+        """Cold evaluation of one candidate, without trace or memo.
+
+        ``key`` is the signature the cache looked up, handed down so
+        the pass reads it instead of packing the design again.
+        """
         return evaluate_candidate(
-            self.spec, self.compiled, None, design, timings=self.timings
+            self.spec, self.compiled, None, design, timings=self.timings,
+            key=key,
         )
 
     # ------------------------------------------------------------------
@@ -218,7 +226,7 @@ class EvaluationEngine:
         found, outcome = self.cache.lookup(signature, design)
         if found:
             return outcome
-        outcome = self._solve(design)
+        outcome = self._solve(design, signature)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -249,7 +257,7 @@ class EvaluationEngine:
             signature = signature_of(design)
             found, outcome = cache.lookup(signature, design)
             if not found:
-                outcome = self._solve(design)
+                outcome = self._solve(design, signature)
                 cache.store(signature, outcome)
             results.append(outcome)
         cache.commit()

@@ -184,6 +184,7 @@ def evaluate_candidate(
     design: "CandidateDesign",
     record_trace: bool = False,
     timings: Optional[StageTimings] = None,
+    key: Optional[bytes] = None,
 ) -> Optional[EvaluatedDesign]:
     """Schedule and price one candidate; ``None`` when it is invalid.
 
@@ -201,6 +202,9 @@ def evaluate_candidate(
     :class:`~repro.engine.delta.DeltaEvaluator` evaluations; the
     metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
+    ``key`` is ``compiled.signature(design)`` when the caller packed it
+    already (an engine cache miss); the array core schedules from it,
+    and packs one itself when it is ``None``.
     """
     from repro.core.metrics import evaluate_design_delta
 
@@ -209,7 +213,7 @@ def evaluate_candidate(
 
         arrays = compiled.arrays
         start = time.perf_counter_ns()
-        state = arrays.schedule_design(design, record=record_trace)
+        state = arrays.schedule_design(design, record=record_trace, key=key)
         mid = time.perf_counter_ns()
         if timings is not None:
             timings.sched_ns += mid - start

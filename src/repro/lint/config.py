@@ -78,12 +78,18 @@ DEFAULT_FLOAT_EQ_MODULES: Tuple[str, ...] = (
     "repro.core.slack",
 )
 
-#: Function names treated as scheduling/delta hot paths (CON003).
+#: Function names treated as scheduling/delta hot paths (CON003); the
+#: last five are the production path of every cold evaluation.
 DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "run_pass",
     "resume_state",
     "evaluate_move",
     "_divergence",
+    "run_kernel",
+    "schedule_design",
+    "lower_candidate",
+    "signature",
+    "evaluate_candidate",
 )
 
 

@@ -17,11 +17,12 @@ The kernel is *decision-identical* to the object core by construction:
   :func:`repro.sched.trace.heap_key`).  The lowering precomputes a
   *static rank* -- the rank of each job under the priority-independent
   tail ``(release, process_id, instance)`` -- and each candidate sorts
-  jobs by ``(urgency, static_rank)`` via one ``np.lexsort``.  Because
-  the tail makes every legacy key distinct, the map from job to its
-  sort position is a bijection that preserves the legacy order
-  exactly, so a heap of these *rank integers* pops in the identical
-  sequence a heap of legacy tuples would.
+  jobs by ``(urgency, static_rank)`` via one ``np.lexsort`` (the
+  compiled pass computes the same order in C).  Because the tail makes
+  every legacy key distinct, the map from job to its sort position is
+  a bijection that preserves the legacy order exactly, so a heap of
+  these *rank integers* pops in the identical sequence a heap of
+  legacy tuples would.
 * **Placement.**  The gap search inlines
   :meth:`IntervalSet.earliest_fit` over plain start/end lists and
   inserts runs in the same canonical (adjacency-merged) form, so busy
@@ -34,12 +35,17 @@ The kernel is *decision-identical* to the object core by construction:
   in the same check order, so invalid candidates report identical
   reasons.
 
-**The compiled pass.**  A cold, columnless pass -- the one every
-engine evaluation runs -- executes in C (:mod:`repro.sched.native`):
+**One lowering: the packed key.**  A candidate enters every pass as
+its :meth:`CompiledSpec.signature
+<repro.engine.compiled_spec.CompiledSpec.signature>` -- the cache key,
+whose process and message orders are this module's id orders.  A
+cold, columnless pass -- the one every engine evaluation runs --
+executes in C (:mod:`repro.sched.native`) straight from those bytes:
 :meth:`ArraySpec.schedule_design` hands it a
 :class:`~repro.sched.native.NativeRunState` whenever the compiled
 module loaded, and :meth:`ArraySpec.run_kernel` formats its failure
 kinds with the same templates as the Python loop below.  That loop
+runs on :meth:`ArraySpec.lower_candidate`, the key's unpacking, and
 stays for the recorded and column passes (decode, the delta kernel),
 as the fallback without a compiler or cffi, and as the differential
 oracle of the C pass.
@@ -162,7 +168,8 @@ class ArrayRunState:
 
 
 class _Candidate:
-    """Per-candidate lowering: mapping, delays and the rank bijection."""
+    """Per-candidate lowering: mapping, delays and the rank bijection,
+    unpacked from the candidate's packed key."""
 
     __slots__ = ("node_of", "delays", "urg", "rank_of_job", "job_of_rank",
                  "rank_np")
@@ -323,8 +330,15 @@ class ArraySpec:
       index);
     * jobs -- :class:`JobTable` insertion order (graph x instance x
       process, the order the object kernel iterates);
-    * messages / edges -- first-encounter order while walking each
-      job's ``out_messages`` (the object kernel's delivery order).
+    * ``message_ids`` -- sorted lexicographically;
+    * edges -- first-encounter order while walking each job's
+      ``out_messages`` (the object kernel's delivery order).
+
+    Processes, nodes and messages are numbered in the packed key's
+    order, which :class:`~repro.engine.compiled_spec.CompiledSpec`
+    defines (``key_pids``, ``key_mids``): process ``p``'s node index
+    and priority are the key's ``p``-th pair, and ``edge_msg[t]`` is
+    the key's delay slot of edge ``t``'s message.
     """
 
     def __init__(self, compiled: "CompiledSpec") -> None:
@@ -339,9 +353,7 @@ class ArraySpec:
         self.node_index: Dict[str, int] = {
             nid: i for i, nid in enumerate(self.node_ids)
         }
-        self.pids: List[str] = sorted(
-            {proc.id for proc in application.processes}
-        )
+        self.pids: List[str] = list(compiled.key_pids)
         self.pid_index: Dict[str, int] = {
             pid: i for i, pid in enumerate(self.pids)
         }
@@ -370,8 +382,9 @@ class ArraySpec:
 
         # Static rank: position under the priority-independent key tail
         # (release, process_id, instance).  Urgency + static rank is
-        # order-isomorphic to the full legacy heap key.
-        tail_order = sorted(
+        # order-isomorphic to the full legacy heap key.  The compiled
+        # pass starts its stable urgency sort from ``static_order``.
+        self.static_order: List[int] = sorted(
             range(n_jobs),
             key=lambda j: (
                 self.job_release[j],
@@ -380,7 +393,7 @@ class ArraySpec:
             ),
         )
         static_rank = [0] * n_jobs
-        for rank, j in enumerate(tail_order):
+        for rank, j in enumerate(self.static_order):
             static_rank[j] = rank
         self.static_rank: List[int] = static_rank
         self.static_rank_np = np.array(static_rank, dtype=np.int64)
@@ -408,8 +421,8 @@ class ArraySpec:
             )
 
         # --- out-edge CSR (per job, in out_messages order) -----------
-        self.message_ids: List[str] = []
-        self.msg_index: Dict[str, int] = {}
+        self.message_ids: List[str] = list(compiled.key_mids)
+        msg_index = {mid: m for m, mid in enumerate(self.message_ids)}
         out_ptr: List[int] = [0]
         edge_msg: List[int] = []
         edge_dst: List[int] = []
@@ -419,12 +432,7 @@ class ArraySpec:
             pid, instance = key
             graph = application.graph_of(pid)
             for msg in graph.out_messages(pid):
-                m = self.msg_index.get(msg.id)
-                if m is None:
-                    m = len(self.message_ids)
-                    self.msg_index[msg.id] = m
-                    self.message_ids.append(msg.id)
-                edge_msg.append(m)
+                edge_msg.append(msg_index[msg.id])
                 edge_dst.append(self.job_index[(msg.dst, instance)])
                 edge_dst_pid.append(self.pid_index[msg.dst])
                 edge_size.append(msg.size)
@@ -523,34 +531,41 @@ class ArraySpec:
         """Dense job indices of one process id (delta footprint lookup)."""
         return self._jobs_by_pid.get(pid, [])
 
-    def lower_candidate(self, design: "CandidateDesign") -> _Candidate:
+    def lower_candidate(
+        self, design: "CandidateDesign", key: Optional[bytes] = None
+    ) -> _Candidate:
         """Mapping/priorities/delays of one candidate, in index form.
+
+        The Python passes' lowering: one unpacking of ``key``, the
+        design's packed signature, which is packed from ``design`` only
+        when the caller has none.  The key's orders are this spec's id
+        orders, so its fields are ``node_of``, the priorities and
+        ``delays`` as they stand.
 
         The rank bijection is the heart of the integer heap: jobs
         sorted by ``(urgency, static_rank)`` -- the legacy heap-key
         order -- and ``rank_of_job`` maps each job to its position.
+        This ``np.lexsort`` is the reference order; the compiled pass
+        computes the same ranks from the key in C.
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            If ``key`` is ``None`` and the mapping leaves a process
+            unmapped.
         """
-        assignment = design.mapping.as_dict()
-        node_index = self.node_index
-        node_of = [node_index[assignment[pid]] for pid in self.pids]
-        priorities = design.priorities
-        prio = np.array(
-            [priorities.get(pid, 0.0) for pid in self.pids],
-            dtype=np.float64,
-        )
+        if key is None:
+            key = self.compiled.signature(design)
+        fields = self.compiled.key_struct.unpack(key)
+        split = 2 * len(self.pids)
+        prio = np.array(fields[1:split:2], dtype=np.float64)
         urg = self.job_deadline_f - prio[self.job_pid_np]
         order = np.lexsort((self.static_rank_np, urg))
         rank_np = np.empty(self.n_jobs, dtype=np.int64)
         rank_np[order] = np.arange(self.n_jobs, dtype=np.int64)
-        delays = [0] * self.n_messages
-        msg_index = self.msg_index
-        for mid, value in design.message_delays.items():
-            m = msg_index.get(mid)
-            if m is not None:
-                delays[m] = value
         return _Candidate(
-            node_of,
-            delays,
+            list(fields[0:split:2]),
+            list(fields[split:]),
             urg.tolist(),
             rank_np.tolist(),
             order.tolist(),
@@ -615,23 +630,35 @@ class ArraySpec:
         design: "CandidateDesign",
         record: bool = False,
         columns: Optional[bool] = None,
+        key: Optional[bytes] = None,
     ) -> Union[ArrayRunState, NativeRunState]:
         """Run one cold pass; the array analogue of ``try_schedule``.
 
-        A pass without ``record`` or ``columns`` runs compiled when the
-        native module loaded; every other pass runs the Python loop.
+        ``key`` is ``design``'s packed signature when the caller holds
+        it already (an engine cache miss); otherwise it is packed here,
+        once.  A pass without ``record`` or ``columns`` runs compiled,
+        reading the key as it is, when the native module loaded; every
+        other pass runs the Python loop on the key's unpacking.
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            If ``key`` is ``None`` and the mapping leaves a process
+            unmapped.
         """
-        design.mapping.validate_complete()
-        cand = self.lower_candidate(design)
+        if key is None:
+            key = self.compiled.signature(design)
         module = native.MODULE
         st: Union[ArrayRunState, NativeRunState]
         if record or columns or module is None:
-            st = self.fresh_state(cand, record, columns)
+            st = self.fresh_state(
+                self.lower_candidate(design, key), record, columns
+            )
         else:
             context = self._native
             if context is None:
                 context = self._native = native.KernelContext(self, module)
-            st = NativeRunState(context, cand)
+            st = NativeRunState(context, key)
         self.run_kernel(st)
         return st
 
@@ -833,7 +860,7 @@ class ArraySpec:
             return _CYCLE_REASON
         job, edge, end = st.failure()
         p = self.job_pid[job]
-        n = st.node_of[p]
+        n = st.node_index(p)
         pid = self.pids[p]
         instance = self.job_instance[job]
         if kind == native.FAIL_WCET:

@@ -1,15 +1,17 @@
 /* The compiled evaluation pass of the array scheduler core.
  *
- * Two integer-only entry points, called through the cffi binding in
- * native.py:
+ * Two entry points, called through the cffi binding in native.py; both
+ * compute in integers but for the kernel's urgencies:
  *
- *   kernel -- the cold, columnless pass of ArraySpec.run_kernel: pop
- *             order over the rank heap, gap search with canonical run
- *             insertion, the TDMA scan with the message-delay re-scan,
- *             and the horizon / deadline / bus checks in the Python
- *             kernel's order.  On failure it reports a kind plus the
- *             job, the edge and the end time; Python formats the
- *             failure string.
+ *   kernel -- the cold, columnless pass of ArraySpec.run_kernel, read
+ *             straight from the candidate's packed key: the heap
+ *             ranks np.lexsort gives the Python pass, pop order over
+ *             the rank heap, gap search with canonical run insertion,
+ *             the TDMA scan with the message-delay re-scan, and the
+ *             horizon / deadline / bus checks in the Python kernel's
+ *             order.  On failure it reports a kind plus the job, the
+ *             edge and the end time; Python formats the failure
+ *             string.
  *   price  -- the integer inputs of the slide-14 objective for a state
  *             the kernel finished: the best-fit unplaced totals of the
  *             future process and message bags, C2P and C2m.  The float
@@ -18,7 +20,10 @@
  *
  * Every loop below mirrors one Python loop of sched/arrays.py or
  * core/array_metrics.py / core/binpack.py; all operands are
- * non-negative, so C division equals Python floor division.
+ * non-negative, so C division equals Python floor division.  The one
+ * float expression, urgency = deadline - priority, is the float64
+ * subtraction of ArraySpec.lower_candidate, and the rank sort is its
+ * np.lexsort.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -27,9 +32,11 @@
 typedef int64_t i64;
 
 typedef struct {
-    i64 n_jobs, n_nodes, n_occ, n_sources;
+    i64 n_jobs, n_nodes, n_occ, n_sources, n_pids, n_msgs;
     i64 horizon, round_length;
     const i64 *job_pid, *deadline, *release, *preds0, *sources;
+    const double *deadline_f;  /* deadlines as doubles, for urgencies */
+    const i64 *static_order;   /* the jobs in static-rank order */
     const i64 *wcet; /* n_pids x n_nodes, -1 where a process may not run */
     const i64 *out_ptr, *edge_msg, *edge_dst, *edge_dst_pid, *edge_size;
     const i64 *slot_off, *slot_len, *slot_cap, *occ_count, *occ_base;
@@ -38,6 +45,7 @@ typedef struct {
     /* state layout, in int64 words (see KernelContext in native.py) */
     i64 run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     i64 off_earliest, off_preds, off_heap, off_job_of_rank;
+    i64 off_node, off_delay, off_rank, off_sort;
 } kernel_ctx;
 
 typedef struct {
@@ -50,6 +58,13 @@ typedef struct {
 enum { PASS_OK, FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET };
 enum { ST_KIND, ST_SCHEDULED, ST_JOB, ST_EDGE, ST_END };
 
+/* The packed key of CompiledSpec.signature: per process (sorted ids)
+ * an int32 node index and a float64 priority, then per message (sorted
+ * ids) an int64 delay, all little-endian.  native.py loads this module
+ * only on little-endian hosts, so the fields read in host order; they
+ * are unaligned, so every read is a memcpy. */
+enum { KEY_PROCESS = 12, KEY_PRIORITY = 4 };
+
 static i64 fail(i64 *st, i64 kind, i64 scheduled, i64 job, i64 edge, i64 end)
 {
     st[ST_KIND] = kind;
@@ -58,6 +73,55 @@ static i64 fail(i64 *st, i64 kind, i64 scheduled, i64 job, i64 edge, i64 end)
     st[ST_EDGE] = edge;
     st[ST_END] = end;
     return kind;
+}
+
+typedef struct {
+    double urgency;
+    i64 job;
+} ranked;
+
+/* numpy's sort order: NaN after every number; NaN against NaN and
+ * -0.0 against 0.0 are ties. */
+static int before(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+enum { SORT_RUN = 16 };
+
+/* Stable sort by urgency: insertion-sorted runs of SORT_RUN, then
+ * bottom-up merges between a and tmp, skipping a merge whose halves are
+ * already in order.  Returns the buffer that holds the result.  Started
+ * in static-rank order, this is np.lexsort((static_rank, urgency)). */
+static ranked *sort_by_urgency(ranked *a, ranked *tmp, i64 n)
+{
+    for (i64 lo = 0; lo < n; lo += SORT_RUN) {
+        i64 hi = lo + SORT_RUN < n ? lo + SORT_RUN : n;
+        for (i64 i = lo + 1; i < hi; i++) {
+            ranked x = a[i];
+            i64 at = i;
+            for (; at > lo && before(x.urgency, a[at - 1].urgency); at--)
+                a[at] = a[at - 1];
+            a[at] = x;
+        }
+    }
+    for (i64 width = SORT_RUN; width < n; width *= 2) {
+        for (i64 lo = 0; lo < n; lo += 2 * width) {
+            i64 mid = lo + width < n ? lo + width : n;
+            i64 hi = lo + 2 * width < n ? lo + 2 * width : n;
+            i64 i = lo, j = mid, out = lo;
+            if (mid < hi && before(a[mid].urgency, a[mid - 1].urgency))
+                while (i < mid && j < hi)
+                    tmp[out++] = before(a[j].urgency, a[i].urgency) ? a[j++]
+                                                                    : a[i++];
+            memcpy(tmp + out, a + i, (mid - i) * sizeof *a);
+            memcpy(tmp + out + (mid - i), a + j, (hi - j) * sizeof *a);
+        }
+        ranked *swap = a;
+        a = tmp;
+        tmp = swap;
+    }
+    return a;
 }
 
 /* Ranks are distinct, so any binary min-heap pops heapq's sequence. */
@@ -95,15 +159,39 @@ static i64 heap_pop(i64 *heap, i64 *size)
     return top;
 }
 
-i64 kernel(const kernel_ctx *k, const i64 *node_of, const i64 *delays,
-           const i64 *rank_of_job, i64 *st)
+i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
 {
     const i64 cap = k->run_cap, n_jobs = k->n_jobs;
     i64 *runs_s = st + k->off_runs_s, *runs_e = st + k->off_runs_e;
     i64 *run_n = st + k->off_run_n, *bus = st + k->off_bus;
     i64 *earliest = st + k->off_earliest, *preds = st + k->off_preds;
     i64 *heap = st + k->off_heap, *job_of_rank = st + k->off_job_of_rank;
+    i64 *node_of = st + k->off_node, *delays = st + k->off_delay;
+    i64 *rank_of_job = st + k->off_rank;
+    ranked *order = (ranked *)(st + k->off_sort);
     i64 heap_n = 0, scheduled = 0;
+
+    /* Unpack the key: node indices and delays, then the urgencies of
+     * the jobs in static-rank order, sorted into heap ranks. */
+    for (i64 p = 0; p < k->n_pids; p++) {
+        int32_t node;
+        memcpy(&node, key + KEY_PROCESS * p, sizeof node);
+        node_of[p] = node;
+    }
+    memcpy(delays, key + KEY_PROCESS * k->n_pids, k->n_msgs * sizeof(i64));
+    for (i64 r = 0; r < n_jobs; r++) {
+        i64 j = k->static_order[r];
+        double priority;
+        memcpy(&priority, key + KEY_PROCESS * k->job_pid[j] + KEY_PRIORITY,
+               sizeof priority);
+        order[r].urgency = k->deadline_f[j] - priority;
+        order[r].job = j;
+    }
+    order = sort_by_urgency(order, order + n_jobs, n_jobs);
+    for (i64 r = 0; r < n_jobs; r++) {
+        job_of_rank[r] = order[r].job;
+        rank_of_job[order[r].job] = r;
+    }
 
     for (i64 n = 0; n < k->n_nodes; n++) {
         i64 count = k->base_ptr[n + 1] - k->base_ptr[n];
@@ -114,8 +202,6 @@ i64 kernel(const kernel_ctx *k, const i64 *node_of, const i64 *delays,
     memcpy(bus, k->base_used, k->n_occ * sizeof(i64));
     memcpy(earliest, k->release, n_jobs * sizeof(i64));
     memcpy(preds, k->preds0, n_jobs * sizeof(i64));
-    for (i64 j = 0; j < n_jobs; j++)
-        job_of_rank[rank_of_job[j]] = j;
     for (i64 s = 0; s < k->n_sources; s++)
         heap_push(heap, &heap_n, rank_of_job[k->sources[s]]);
 

@@ -1,9 +1,11 @@
 """The compiled evaluation pass: cold kernel and price inputs in C.
 
-``native.c`` holds two integer-only entry points: ``kernel``, the cold,
-columnless pass of :meth:`ArraySpec.run_kernel
-<repro.sched.arrays.ArraySpec.run_kernel>`, and ``price``, the integer
-inputs of the slide-14 objective that
+``native.c`` holds two entry points: ``kernel``, the cold, columnless
+pass of :meth:`ArraySpec.run_kernel
+<repro.sched.arrays.ArraySpec.run_kernel>`, which reads a candidate
+straight from its packed key (:meth:`CompiledSpec.signature
+<repro.engine.compiled_spec.CompiledSpec.signature>`), and ``price``,
+the integer inputs of the slide-14 objective that
 :func:`~repro.core.array_metrics.evaluate_state_delta` mixes into
 floats.  This module builds and loads it and wraps it for those two
 callers:
@@ -11,17 +13,19 @@ callers:
 * :class:`KernelContext` -- one spec's immutable lowering as C arrays,
   built on the spec's first cold pass (and its price geometry on the
   first cold pricing);
-* :class:`NativeRunState` -- one cold pass, which runs the kernel and
-  prices its result; it owns its buffer.
+* :class:`NativeRunState` -- one cold pass, which runs the kernel on
+  one key and prices its result; it owns its buffer.
 
 The module is built and loaded when this file is imported, so a timed
 region never spans a compile.  The build runs ``native_build.py`` in a
 child process -- this process never imports cffi's builder or
 setuptools -- and lands in ``_build/`` next to this file, named by a
 hash of the C source, the build script and cffi's version plus the
-interpreter's extension suffix.  When the build or the load fails,
-one ``RuntimeWarning`` names the cause, :data:`MODULE` is ``None`` and
-the Python kernel serves every pass.
+interpreter's extension suffix.  The kernel reads the little-endian
+key in host order, so the module loads only on a little-endian host.
+When that check, the build or the load fails, one ``RuntimeWarning``
+names the cause, :data:`MODULE` is ``None`` and the Python kernel
+serves every pass.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sched.arrays import ArrayMetricGeometry, ArraySpec, _Candidate
+    from repro.sched.arrays import ArrayMetricGeometry, ArraySpec
 
 HERE = Path(__file__).resolve().parent
 SOURCE = HERE / "native.c"
@@ -104,8 +108,14 @@ def load() -> Optional[ModuleType]:
     """Build (when missing) and import the compiled pass.
 
     Returns ``None`` after one ``RuntimeWarning`` naming the cause when
-    either step fails; the callers then run the Python pass.
+    the host is not little-endian or either step fails; the callers
+    then run the Python pass.
     """
+    if sys.byteorder != "little":
+        return _unavailable(
+            f"{sys.byteorder}-endian host; the kernel reads the "
+            "little-endian packed key in host byte order"
+        )
     try:
         path = module_path()
         if not path.exists():
@@ -113,13 +123,17 @@ def load() -> Optional[ModuleType]:
         return _import(path)
     except (OSError, ImportError, subprocess.SubprocessError,
             NativeBuildError) as exc:
-        warnings.warn(
-            f"compiled evaluation pass unavailable ({exc}); "
-            "using the Python pass",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        return _unavailable(exc)
+
+
+def _unavailable(cause: object) -> None:
+    warnings.warn(
+        f"compiled evaluation pass unavailable ({cause}); "
+        "using the Python pass",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return None
 
 
 #: The loaded extension module (``.ffi`` and ``.lib``), or ``None``.
@@ -135,7 +149,10 @@ class KernelContext:
     :meth:`ArraySpec.metric_geometry`.
     """
 
-    __slots__ = ("ffi", "lib", "alloc", "ptr", "state_size", "_keep", "_prices")
+    __slots__ = (
+        "ffi", "lib", "alloc", "ptr", "key_size", "state_size", "_keep",
+        "_prices",
+    )
 
     def __init__(self, spec: "ArraySpec", module: ModuleType) -> None:
         ffi = module.ffi
@@ -149,16 +166,23 @@ class KernelContext:
         for runs in spec.base_runs_s:
             base_ptr.append(base_ptr[-1] + len(runs))
         run_cap = max(len(runs) for runs in spec.base_runs_s) + spec.n_jobs
+        n_jobs = spec.n_jobs
+        n_pids = len(spec.pids)
+        self.key_size = spec.compiled.key_struct.size
 
         k = ffi.new("kernel_ctx *")
-        k.n_jobs = spec.n_jobs
+        k.n_jobs = n_jobs
         k.n_nodes = n_nodes
         k.n_occ = spec.n_occ
         k.n_sources = len(spec.sources)
+        k.n_pids = n_pids
+        k.n_msgs = spec.n_messages
         k.horizon = spec.horizon
         k.round_length = spec.round_length
         k.job_pid = self._array(spec.job_pid)
         k.deadline = self._array(spec.job_deadline)
+        k.deadline_f = self._array(spec.job_deadline, "double[]")
+        k.static_order = self._array(spec.static_order)
         k.release = self._array(spec.job_release)
         k.preds0 = self._array(spec.preds0)
         k.sources = self._array(spec.sources)
@@ -178,21 +202,27 @@ class KernelContext:
         k.base_e = self._array([e for runs in spec.base_runs_e for e in runs])
         k.base_used = self._array(spec.base_bus_used_flat.tolist())
         # State layout: a five-word header, then the run columns, run
-        # counts, bus occupancy and the loop scratch.
+        # counts, bus occupancy, the loop scratch and the unpacked key:
+        # node indices, delays, heap ranks and two (urgency, job) sort
+        # buffers of two words per job each.
         k.run_cap = run_cap
         k.off_runs_s = 5
         k.off_runs_e = k.off_runs_s + n_nodes * run_cap
         k.off_run_n = k.off_runs_e + n_nodes * run_cap
         k.off_bus = k.off_run_n + n_nodes
         k.off_earliest = k.off_bus + spec.n_occ
-        k.off_preds = k.off_earliest + spec.n_jobs
-        k.off_heap = k.off_preds + spec.n_jobs
-        k.off_job_of_rank = k.off_heap + spec.n_jobs
-        self.state_size = k.off_job_of_rank + spec.n_jobs
+        k.off_preds = k.off_earliest + n_jobs
+        k.off_heap = k.off_preds + n_jobs
+        k.off_job_of_rank = k.off_heap + n_jobs
+        k.off_node = k.off_job_of_rank + n_jobs
+        k.off_delay = k.off_node + n_pids
+        k.off_rank = k.off_delay + spec.n_messages
+        k.off_sort = k.off_rank + n_jobs
+        self.state_size = k.off_sort + 4 * n_jobs
         self.ptr = k
 
-    def _array(self, values: List[int]) -> Any:
-        data = self.ffi.new("int64_t[]", values)
+    def _array(self, values: List[int], ctype: str = "int64_t[]") -> Any:
+        data = self.ffi.new(ctype, values)
         self._keep.append(data)
         return data
 
@@ -216,29 +246,34 @@ class KernelContext:
 
 
 class NativeRunState:
-    """One cold, columnless pass of the compiled kernel.
+    """One cold, columnless pass of the compiled kernel over one key.
 
     Stands in for an :class:`~repro.sched.arrays.ArrayRunState` built
     with ``record=False, columns=False``: it exposes ``success``,
     ``failure_reason``, ``scheduled`` and ``total``, and decodes the
     final busy runs and bus occupancy from its buffer on demand.  The
-    buffer is allocated per state and never shared; the kernel writes
-    every word it later reads, so it is not cleared.
+    kernel unpacks ``key`` -- the candidate's packed signature -- into
+    the same buffer.  The buffer is allocated per state and never
+    shared; the kernel writes every word it later reads, so it is not
+    cleared.
     """
 
     __slots__ = (
-        "context", "node_of", "delays", "rank_np", "buf",
+        "context", "key", "buf",
         "success", "failure_reason", "scheduled", "total",
     )
 
     columns = False
     record = False
 
-    def __init__(self, context: KernelContext, cand: "_Candidate") -> None:
+    def __init__(self, context: KernelContext, key: bytes) -> None:
+        if len(key) != context.key_size:
+            raise ValueError(
+                f"packed key of {len(key)} bytes; this spec's keys have "
+                f"{context.key_size}"
+            )
         self.context = context
-        self.node_of = cand.node_of
-        self.delays = cand.delays
-        self.rank_np = cand.rank_np
+        self.key = key
         self.buf = context.alloc("int64_t[]", context.state_size)
         self.success = False
         self.failure_reason: Optional[str] = None
@@ -249,13 +284,7 @@ class NativeRunState:
         """Run the kernel; returns the failure kind (0 on success)."""
         context = self.context
         buf = self.buf
-        context.lib.kernel(
-            context.ptr,
-            self.node_of,
-            self.delays,
-            context.ffi.from_buffer("int64_t[]", self.rank_np),
-            buf,
-        )
+        context.lib.kernel(context.ptr, self.key, buf)
         self.scheduled = buf[_SCHEDULED]
         kind: int = buf[_KIND]
         self.success = kind == 0
@@ -265,6 +294,16 @@ class NativeRunState:
         """The failing job, edge and end time of a failed pass."""
         buf = self.buf
         return buf[_JOB], buf[_EDGE], buf[_END]
+
+    def node_index(self, p: int) -> int:
+        """The node index of process ``p``, as the pass unpacked it."""
+        return self.buf[self.context.ptr.off_node + p]
+
+    @property
+    def rank_of_job(self) -> List[int]:
+        """Each job's heap rank, as the pass computed it from the key."""
+        k = self.context.ptr
+        return self.context.ffi.unpack(self.buf + k.off_rank, k.n_jobs)
 
     def price(
         self, geom: "ArrayMetricGeometry", bags: "np.ndarray"

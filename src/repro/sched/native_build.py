@@ -23,9 +23,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 #: The declarations cffi binds; they must match ``native.c``.
 CDEF = """
 typedef struct {
-    int64_t n_jobs, n_nodes, n_occ, n_sources;
+    int64_t n_jobs, n_nodes, n_occ, n_sources, n_pids, n_msgs;
     int64_t horizon, round_length;
     const int64_t *job_pid, *deadline, *release, *preds0, *sources;
+    const double *deadline_f;
+    const int64_t *static_order;
     const int64_t *wcet;
     const int64_t *out_ptr, *edge_msg, *edge_dst, *edge_dst_pid, *edge_size;
     const int64_t *slot_off, *slot_len, *slot_cap, *occ_count, *occ_base;
@@ -33,6 +35,7 @@ typedef struct {
     const int64_t *base_used;
     int64_t run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     int64_t off_earliest, off_preds, off_heap, off_job_of_rank;
+    int64_t off_node, off_delay, off_rank, off_sort;
 } kernel_ctx;
 
 typedef struct {
@@ -42,9 +45,7 @@ typedef struct {
     const int64_t *base_window_free;
 } price_ctx;
 
-int64_t kernel(const kernel_ctx *k, const int64_t *node_of,
-               const int64_t *delays, const int64_t *rank_of_job,
-               int64_t *st);
+int64_t kernel(const kernel_ctx *k, const char *key, int64_t *st);
 int64_t price(const kernel_ctx *k, const price_ctx *g, const int64_t *st,
               const int64_t *bags, int64_t *out);
 int64_t best_fit_unplaced(int64_t *val, int64_t *cnt, int64_t m,

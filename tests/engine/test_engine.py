@@ -1,5 +1,6 @@
 """Tests for the EvaluationEngine facade and strategy integration."""
 
+import collections
 import gc
 
 import pytest
@@ -12,8 +13,9 @@ from repro.core.metrics import evaluate_design
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import DesignEvaluator, make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
-from repro.engine import EngineConfig, EvaluationEngine
-from repro.sched.arrays import ArrayRunState
+from repro.engine import CompiledSpec, EngineConfig, EvaluationEngine
+from repro.sched import native
+from repro.sched.arrays import ArrayRunState, ArraySpec
 from repro.sched.priorities import hcp_priorities
 from repro.search.loop import drive
 
@@ -49,6 +51,42 @@ def _holds_run_state(outcome) -> bool:
     return any(
         isinstance(ref, ArrayRunState) for ref in gc.get_referents(outcome)
     )
+
+
+@pytest.mark.skipif(
+    native.MODULE is None, reason="the compiled pass did not load"
+)
+class TestOneLowering:
+    """A cold evaluation packs its design once: the signature is the
+    cache key and, handed down, the only lowering the compiled pass
+    reads.  Without a cache the pass packs it itself, still once."""
+
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["evaluate", "evaluate_many"])
+    def test_each_evaluation_packs_once_and_never_lowers(
+        self, spec, neighbourhood, monkeypatch, use_cache, batch
+    ):
+        _, designs = neighbourhood
+        compiled = CompiledSpec(spec)
+        assert len({compiled.signature(d) for d in designs}) == len(designs)
+        calls = collections.Counter()
+        for owner, name in (
+            (CompiledSpec, "signature"), (ArraySpec, "lower_candidate")
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        with EvaluationEngine(spec, EngineConfig(use_cache=use_cache)) as engine:
+            if batch:
+                outcomes = engine.evaluate_many(designs)
+            else:
+                outcomes = [engine.evaluate(d) for d in designs]
+        assert any(outcome is not None for outcome in outcomes)
+        assert calls == {"signature": len(designs)}
 
 
 class TestColdOutcomes:

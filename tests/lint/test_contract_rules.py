@@ -225,6 +225,19 @@ class TestHotPathIO:
         )
         assert [f for f in findings if f.rule == "CON003"]
 
+    def test_positive_print_in_run_kernel(self, box):
+        """The compiled pass's entry point is a hot path too."""
+        findings = box.findings(
+            snippet(
+                """
+                class ArraySpec:
+                    def run_kernel(self, st):
+                        print("pass", st)
+                """
+            )
+        )
+        assert [f for f in findings if f.rule == "CON003"]
+
     def test_negative_io_outside_hot_path(self, box):
         findings = box.findings(
             snippet(

@@ -1,14 +1,18 @@
 """The compiled evaluation pass, pinned to the Python pass.
 
-:mod:`repro.sched.native` runs the cold, columnless kernel and the
-integer inputs of best-fit pricing in C.  The Python kernel and pricing
-stay in src as the differential oracle: on every registered family,
-presets ``tiny``/``small``/``medium`` and seeds 1-3, a seeded stream of
-SA moves plus random priority and delay changes must give equal
-verdicts, failure strings, final busy runs and bus occupancy, and
-bit-identical metrics.  Plus the fallback contract: without the module
-one ``RuntimeWarning`` is emitted and the seeded designs still
-reproduce, and the loading process never imports the build toolchain.
+:mod:`repro.sched.native` runs the cold, columnless kernel -- straight
+from the candidate's packed key -- and the integer inputs of best-fit
+pricing in C.  The Python kernel and pricing stay in src as the
+differential oracle: on every registered family, presets
+``tiny``/``small``/``medium`` and seeds 1-3, a seeded stream of SA
+moves plus random priority (ties, signed zeros, infinities, NaN,
+fractions) and delay changes must give equal verdicts, failure
+strings, final busy runs and bus occupancy, and bit-identical metrics;
+random float64 priority vectors must give the heap ranks of
+``np.lexsort``.  Plus the fallback contract: without the module (no
+compiler, or a big-endian host) one ``RuntimeWarning`` is emitted and
+the seeded designs still reproduce, and the loading process never
+imports the build toolchain.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import collections
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +60,12 @@ needs_native = pytest.mark.skipif(
 PRESETS = ("tiny", "small", "medium")
 SEEDS = (1, 2, 3)
 STREAM = 40
+#: Priorities whose heap order is easy to get wrong: signed zeros,
+#: infinities, NaN (sorts after every number, ties with itself) and
+#: fractions.
+SPECIAL_PRIORITIES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -2.75, 5e-324, 1e308,
+)
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "search" / "golden_designs.json")
     .read_text()
@@ -91,7 +102,8 @@ def _kind(reason: str) -> str:
 
 
 def _child(spec, current, rng):
-    """One step of the stream: an SA move, a random priority or a
+    """One step of the stream: an SA move, a random priority (an
+    integer, a special value or another process's, for a tie) or a
     random message delay."""
     roll = rng.random()
     if roll < 0.6:
@@ -102,15 +114,33 @@ def _child(spec, current, rng):
     mids = [m.id for m in spec.current.messages]
     if roll < 0.8 or not mids:
         priorities = dict(current.priorities)
-        priorities[pids[rng.integers(len(pids))]] = float(
-            rng.integers(-500, 500)
-        )
+        pid = pids[rng.integers(len(pids))]
+        if roll < 0.7:
+            priorities[pid] = float(rng.integers(-500, 500))
+        elif roll < 0.75:
+            priorities[pid] = SPECIAL_PRIORITIES[
+                rng.integers(len(SPECIAL_PRIORITIES))
+            ]
+        else:
+            priorities[pid] = priorities.get(
+                pids[rng.integers(len(pids))], 0.0
+            )
         return CandidateDesign(
             current.mapping, priorities, dict(current.message_delays)
         )
     delays = dict(current.message_delays)
     delays[mids[rng.integers(len(mids))]] = int(rng.integers(0, 6))
     return CandidateDesign(current.mapping, current.priorities, delays)
+
+
+def _assert_same_pass(fast, slow):
+    assert isinstance(fast, native.NativeRunState)
+    assert fast.success == slow.success
+    assert fast.failure_reason == slow.failure_reason
+    assert fast.scheduled == slow.scheduled
+    assert fast.runs_s == slow.runs_s
+    assert fast.runs_e == slow.runs_e
+    assert np.array_equal(fast.bus_used, slow.bus_used)
 
 
 def _compare(spec, compiled, design, seed):
@@ -124,13 +154,7 @@ def _compare(spec, compiled, design, seed):
         child = _child(spec, current, rng)
         fast = arrays.schedule_design(child)
         slow = _python_state(arrays, child)
-        assert isinstance(fast, native.NativeRunState)
-        assert fast.success == slow.success
-        assert fast.failure_reason == slow.failure_reason
-        assert fast.scheduled == slow.scheduled
-        assert fast.runs_s == slow.runs_s
-        assert fast.runs_e == slow.runs_e
-        assert np.array_equal(fast.bus_used, slow.bus_used)
+        _assert_same_pass(fast, slow)
         if not slow.success:
             kinds[_kind(slow.failure_reason)] += 1
             continue
@@ -142,8 +166,9 @@ def _compare(spec, compiled, design, seed):
     return kinds
 
 
-@functools.lru_cache(maxsize=None)
-def _cell(family_name, preset, seed):
+def _start(family_name, preset, seed):
+    """``(spec, compiled, Initial Mapping design)``, or ``None`` when
+    the scenario or its Initial Mapping does not schedule."""
     family = families.get_family(family_name)
     try:
         spec = family.build(preset, seed=seed).spec()
@@ -156,7 +181,51 @@ def _cell(family_name, preset, seed):
     if outcome is None:
         return None
     design = CandidateDesign(outcome[0], dict(compiled.default_priorities))
-    return _compare(spec, compiled, design, seed)
+    return spec, compiled, design
+
+
+@functools.lru_cache(maxsize=None)
+def _cell(family_name, preset, seed):
+    start = _start(family_name, preset, seed)
+    return None if start is None else _compare(*start, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_start(preset):
+    return _start("uniform-baseline", preset, 1)
+
+
+#: One priority: any float64 (NaN, infinities, signed zeros,
+#: subnormals and extremes among them), small integers for ties, or a
+#: special value.
+PRIORITY = st.one_of(
+    st.floats(),
+    st.integers(-3, 3).map(float),
+    st.sampled_from(SPECIAL_PRIORITIES),
+)
+
+
+@needs_native
+@pytest.mark.parametrize("preset", ["small", "paper-80"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_ranks_equal_lexsort(preset, data):
+    """The C kernel's heap ranks are ``np.lexsort``'s: NaN after every
+    number, ties (``-0.0 == 0.0``, NaN against NaN, equal values)
+    broken by static rank.  ``small`` has 20 jobs and ``paper-80`` 228,
+    so both the short insertion-sorted runs and the merges run."""
+    _, compiled, design = _rank_start(preset)
+    pids = compiled.key_pids
+    values = data.draw(
+        st.lists(PRIORITY, min_size=len(pids), max_size=len(pids))
+    )
+    child = CandidateDesign(
+        design.mapping, dict(zip(pids, values)), dict(design.message_delays)
+    )
+    arrays = compiled.arrays
+    fast = arrays.schedule_design(child)
+    assert fast.rank_of_job == arrays.lower_candidate(child).rank_of_job
+    _assert_same_pass(fast, _python_state(arrays, child))
 
 
 @needs_native
@@ -177,6 +246,17 @@ def test_live_states_own_their_buffers():
         slow = _python_state(arrays, d)
         assert (fast.runs_s, fast.runs_e) == (slow.runs_s, slow.runs_e)
         assert np.array_equal(fast.bus_used, slow.bus_used)
+
+
+@needs_native
+def test_key_of_another_length_is_refused():
+    """The kernel reads as many key bytes as the spec's layout has, so
+    a key of any other length never reaches it."""
+    _, compiled, design = _rank_start("small")
+    key = compiled.signature(design)
+    for wrong in (key[:-1], key + b"\0", b""):
+        with pytest.raises(ValueError, match="packed key"):
+            compiled.arrays.schedule_design(design, key=wrong)
 
 
 @needs_native
@@ -311,6 +391,28 @@ def test_forced_fallback_warns_once_and_reproduces_goldens(monkeypatch):
                 strategy, GOLDEN["seed"], True, 1, GOLDEN["sa_iterations"]
             ).design(spec)
             assert _identity(result) == GOLDEN["designs"][key][strategy]
+
+
+def test_big_endian_host_falls_back_with_one_warning(monkeypatch):
+    """The kernel reads the little-endian key in host order, so a
+    big-endian host gets the Python pass, and no build is attempted."""
+
+    def unreachable(*args):
+        raise AssertionError("a big-endian host must not build the module")
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(native, "module_path", unreachable)
+    monkeypatch.setattr(native, "_build", unreachable)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        module = native.load()
+    assert module is None
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        RuntimeWarning,
+        "compiled evaluation pass unavailable (big-endian host; the kernel "
+        "reads the little-endian packed key in host byte order); using the "
+        "Python pass",
+    )]
 
 
 def test_loading_process_imports_no_build_toolchain():
