@@ -37,7 +37,6 @@ import time
 
 import pytest
 
-from repro.core.improvement import DescentParams, generate_moves
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import (
     metric_c1m,
@@ -49,6 +48,7 @@ from repro.core.transformations import CandidateDesign
 from repro.engine import CompiledSpec, DeltaEvaluator, evaluate_candidate
 from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
+from repro.search.proposers import generate_moves
 
 #: Families benchmarked at their medium preset.
 BENCH_FAMILIES = (
@@ -91,7 +91,7 @@ def _context(family_name: str):
         CandidateDesign(mapping, dict(compiled.default_priorities)),
         record_trace=True,
     )
-    moves = generate_moves(spec, parent, DescentParams(pool_size=8))
+    moves = generate_moves(spec, parent, pool_size=8)
     context = (spec, compiled, scheduler, delta, parent, moves, preset)
     _CONTEXTS[family_name] = context
     return context

@@ -36,13 +36,13 @@ import time
 
 import pytest
 
-from repro.core.improvement import DescentParams, generate_moves
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
 from repro.core.transformations import CandidateDesign
 from repro.engine import CompiledSpec, evaluate_candidate
 from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
+from repro.search.proposers import generate_moves
 
 #: Uniform-baseline presets benchmarked, smallest to largest.
 BENCH_PRESETS = ("tiny", "small", "medium")
@@ -79,7 +79,7 @@ def _context(preset: str):
         CandidateDesign(mapping, dict(compiled_array.default_priorities)),
         record_trace=True,
     )
-    moves = generate_moves(spec, parent, DescentParams(pool_size=8))
+    moves = generate_moves(spec, parent, pool_size=8)
     children = [move.apply(parent.design) for move in moves]
     context = (spec, compiled_array, compiled_object, arrays, scheduler, children)
     _CONTEXTS[preset] = context

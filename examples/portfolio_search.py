@@ -20,8 +20,8 @@ Run:  python examples/portfolio_search.py
 import numpy as np
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import CandidateDesign
+from repro.engine import EvaluationEngine
 from repro.experiments.runner import run_portfolio
 from repro.gen import families
 from repro.search import (
@@ -48,9 +48,10 @@ def show_race(result) -> None:
             f"({member.evaluations_served} evaluations, stop: {stop})"
             f"{marker}"
         )
+    totals = result.counters
     print(
-        f"  engine: {result.evaluations} evaluations, "
-        f"{result.cache_hits} cache hits "
+        f"  engine: {totals.evaluations} evaluations, "
+        f"{totals.cache_hits} cache hits "
         f"(members hit each other's entries)"
     )
 
@@ -91,24 +92,22 @@ def main() -> None:
             name="walk",
         )
 
-    with DesignEvaluator(spec) as evaluator:
+    with EvaluationEngine(spec) as engine:
         mapper = InitialMapper(spec.architecture)
         mapping, _ = mapper.try_map_and_schedule(
             spec.current,
             base=spec.base_schedule,
-            compiled=evaluator.compiled,
+            compiled=engine.compiled,
         )
-        start = evaluator.evaluate(
-            CandidateDesign(
-                mapping, dict(evaluator.compiled.default_priorities)
-            )
+        start = engine.evaluate(
+            CandidateDesign(mapping, dict(engine.compiled.default_priorities))
         )
 
         straight = walk(200).run(
-            spec, evaluator, start=start, rng=np.random.default_rng(7)
+            spec, engine, start=start, rng=np.random.default_rng(7)
         )
         cut = walk(80).run(
-            spec, evaluator, start=start, rng=np.random.default_rng(7)
+            spec, engine, start=start, rng=np.random.default_rng(7)
         )
         wire = cut.checkpoint.to_json()
         print(
@@ -117,7 +116,7 @@ def main() -> None:
             f"checkpoint is {len(wire)} bytes of JSON"
         )
         resumed = walk(200).resume(
-            spec, evaluator, SearchCheckpoint.from_json(wire)
+            spec, engine, SearchCheckpoint.from_json(wire)
         )
         print(
             f"  resumed to step {resumed.stats.steps}: "

@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignResult, DesignSpec, timed
-from repro.engine import CompiledSpec, EngineConfig
+from repro.engine import CompiledSpec, EngineConfig, EngineCounters
 from repro.search.budget import Budget
 
 @dataclass
@@ -54,7 +54,9 @@ class AdHocStrategy:
             compiled=compiled,
         )
         if outcome is None:
-            return DesignResult(self.name, valid=False, evaluations=1)
+            return DesignResult(
+                self.name, valid=False, counters=EngineCounters(1, 0, 0)
+            )
         mapping, schedule = outcome
         metrics = evaluate_design(schedule, spec.future, spec.weights)
         priorities = dict(compiled.default_priorities)
@@ -65,7 +67,7 @@ class AdHocStrategy:
             priorities=priorities,
             schedule=schedule,
             metrics=metrics,
-            evaluations=1,
+            counters=EngineCounters(1, 0, 0),
         )
 
     def search_program(self, spec: DesignSpec, compiled):

@@ -36,14 +36,9 @@ from typing import Optional
 
 from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.search.budget import Budget
 from repro.search.loop import EvalRequest, drive
 
@@ -87,12 +82,10 @@ class MappingHeuristic:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM, then steepest-descent improvement of the objective."""
-        with DesignEvaluator(spec, self.engine) as evaluator:
-            result = drive(
-                self.search_program(spec, evaluator.compiled), evaluator
-            )
+        with EvaluationEngine(spec, self.engine) as engine:
+            result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
-                result.record_engine_stats(evaluator)
+                result.counters = engine.counters()
             return result
 
     def search_program(self, spec: DesignSpec, compiled):
@@ -113,7 +106,9 @@ class MappingHeuristic:
             compiled=compiled,
         )
         if outcome is None:
-            return DesignResult(self.name, valid=False, evaluations=1)
+            return DesignResult(
+                self.name, valid=False, counters=EngineCounters(1, 0, 0)
+            )
         im_mapping, im_schedule = outcome
 
         results = yield EvalRequest(

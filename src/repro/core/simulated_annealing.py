@@ -33,14 +33,9 @@ import numpy as np
 
 from repro.core.improvement import descent_loop
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.search.acceptors import AcceptAny, MetropolisAcceptor
 from repro.search.budget import Budget
 from repro.search.loop import EvalRequest, SearchLoop, drive
@@ -104,12 +99,10 @@ class SimulatedAnnealing:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Anneal from the Initial Mapping and return the best design seen."""
-        with DesignEvaluator(spec, self.engine) as evaluator:
-            result = drive(
-                self.search_program(spec, evaluator.compiled), evaluator
-            )
+        with EvaluationEngine(spec, self.engine) as engine:
+            result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
-                result.record_engine_stats(evaluator)
+                result.counters = engine.counters()
             return result
 
     # ------------------------------------------------------------------
@@ -133,7 +126,9 @@ class SimulatedAnnealing:
             compiled=compiled,
         )
         if outcome is None:
-            return DesignResult(self.name, valid=False, evaluations=1)
+            return DesignResult(
+                self.name, valid=False, counters=EngineCounters(1, 0, 0)
+            )
         im_mapping, im_schedule = outcome
 
         results = yield EvalRequest(

@@ -11,8 +11,10 @@ pure waste.
 :class:`EvaluationCache` memoizes evaluation outcomes -- including the
 *invalid* verdict (``None``), which is exactly as expensive to
 recompute -- keyed by :meth:`CompiledSpec.signature`.  Hit/miss
-counters feed the per-run statistics surfaced in
-:class:`repro.core.strategy.DesignResult` and the experiment reports.
+counters feed the engine's
+:class:`~repro.engine.engine.EngineCounters`, which each
+:class:`repro.core.strategy.DesignResult` carries into the experiment
+reports.
 
 Since the result-store refactor the cache is a thin *accounting* layer
 over a :class:`~repro.engine.store.ResultStore` backend -- the
@@ -35,7 +37,6 @@ from repro.engine.store import (
     DEFAULT_MAX_ENTRIES,
     MemoryResultStore,
     ResultStore,
-    StoreStats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,7 +140,3 @@ class EvaluationCache:
     def stats(self) -> CacheStats:
         """A snapshot of the accounting counters."""
         return CacheStats(self.hits, self.misses, len(self.backend))
-
-    def store_stats(self) -> StoreStats:
-        """The backend's persistent-tier accounting."""
-        return self.backend.stats()

@@ -21,9 +21,11 @@ once at the edge (the CLI, the experiment config, the strategy
 factory) and handed down unchanged; this module is the only reader of
 its fields.
 
-``core.strategy.DesignEvaluator`` is a thin facade over this class, so
-existing strategy code keeps its historical API while all performance
-work happens here.
+The strategies, the search loop, the in-process race and each shard
+open an engine directly (``with EvaluationEngine(...)``).
+:meth:`EvaluationEngine.counters` is the one read of its accounting:
+one :class:`EngineCounters` record, which ``DesignResult.counters``
+and ``PortfolioResult.counters`` carry and the reports sum.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ class EngineConfig:
 class EngineCounters(NamedTuple):
     """A point-in-time snapshot of every engine counter.
 
-    The counter-level sibling of :class:`CacheStats`: one read returns
-    all counters together (the portfolio runner records them as its
-    race-level accounting), and two snapshots subtract (``after -
-    before``) to attribute engine work to a window of activity.
+    The one record of a run's engine accounting: one read returns all
+    counters together (a strategy's result and the portfolio race
+    carry it), ``+`` sums records (fleet and per-strategy totals), and
+    two snapshots subtract (``after - before``) to attribute engine
+    work to a window of activity.
 
     The ``*_ns`` fields are the stage-time buckets of the evaluation
     pipeline (scheduling pass, metric pricing, schedule decode).  They
@@ -187,7 +190,7 @@ class EvaluationEngine:
             )
             self.cache = EvaluationCache(max_cache_entries, store=backend)
         self.timings = StageTimings()
-        self.evaluations = 0
+        self._evaluations = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -219,7 +222,7 @@ class EvaluationEngine:
             hits: a closed engine refuses all evaluation uniformly).
         """
         self._ensure_open()
-        self.evaluations += 1
+        self._evaluations += 1
         if self.cache is None:
             return self._solve(design)
         signature = self.compiled.signature(design)
@@ -247,7 +250,7 @@ class EvaluationEngine:
         """
         self._ensure_open()
         designs = list(designs)
-        self.evaluations += len(designs)
+        self._evaluations += len(designs)
         cache = self.cache
         if cache is None:
             return [self._solve(design) for design in designs]
@@ -266,60 +269,32 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits if self.cache is not None else 0
+    def counters(self) -> EngineCounters:
+        """Snapshot of all counters (readable even after close).
 
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses if self.cache is not None else 0
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss accounting (all zeros when caching is disabled)."""
-        if self.cache is None:
-            return CacheStats(0, 0, 0)
-        return self.cache.stats()
-
-    def store_stats(self) -> StoreStats:
-        """Persistent-store accounting (all zeros on the memory backend)."""
-        if self.cache is None:
-            return StoreStats()
-        return self.cache.store_stats()
-
-    @property
-    def store_hits(self) -> int:
-        return self.store_stats().hits
-
-    @property
-    def store_misses(self) -> int:
-        return self.store_stats().misses
-
-    @property
-    def store_writes(self) -> int:
-        return self.store_stats().writes
-
-    @property
-    def store_open_ns(self) -> int:
-        return self.store_stats().open_ns
-
-    @property
-    def store_commit_ns(self) -> int:
-        return self.store_stats().commit_ns
-
-    @property
-    def sched_ns(self) -> int:
-        """Wall nanoseconds spent in scheduling passes."""
-        return self.timings.sched_ns
-
-    @property
-    def metrics_ns(self) -> int:
-        """Wall nanoseconds spent pricing metrics."""
-        return self.timings.metrics_ns
-
-    @property
-    def decode_ns(self) -> int:
-        """Wall nanoseconds spent decoding object schedules."""
-        return self.timings.decode_ns
+        The one read of the engine's accounting: cache and store
+        fields are zero without a cache, store fields on the memory
+        backend.
+        """
+        cache = CacheStats(0, 0, 0)
+        store = StoreStats()
+        if self.cache is not None:
+            cache = self.cache.stats()
+            store = self.cache.backend.stats()
+        timings = self.timings
+        return EngineCounters(
+            evaluations=self._evaluations,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+            sched_ns=timings.sched_ns,
+            metrics_ns=timings.metrics_ns,
+            decode_ns=timings.decode_ns,
+            store_hits=store.hits,
+            store_misses=store.misses,
+            store_writes=store.writes,
+            store_open_ns=store.open_ns,
+            store_commit_ns=store.commit_ns,
+        )
 
     def drain_store_rows(self) -> List[tuple]:
         """Hand over encoded result rows a read-only shard view buffered.
@@ -345,23 +320,6 @@ class EvaluationEngine:
         if isinstance(backend, SqliteResultStore):
             backend.absorb_rows(rows)
 
-    def counters(self) -> EngineCounters:
-        """Snapshot of all counters (readable even after close)."""
-        store = self.store_stats()
-        return EngineCounters(
-            evaluations=self.evaluations,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            sched_ns=self.sched_ns,
-            metrics_ns=self.metrics_ns,
-            decode_ns=self.decode_ns,
-            store_hits=store.hits,
-            store_misses=store.misses,
-            store_writes=store.writes,
-            store_open_ns=store.open_ns,
-            store_commit_ns=store.commit_ns,
-        )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -382,7 +340,7 @@ class EvaluationEngine:
 
         Closing is sticky: a closed engine refuses every later
         ``evaluate*`` call (``RuntimeError``), so misuse is loud;
-        accounting accessors stay readable so strategies can record
+        :meth:`counters` stays readable so a caller can record
         statistics after the search finished or failed.  The cache
         backend is flushed and released, so every memoized outcome of
         a completed run is durable.

@@ -101,17 +101,6 @@ class StoreStats:
     open_ns: int = 0
     commit_ns: int = 0
 
-    @property
-    def probes(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of persistent-tier probes served (0.0 when unused)."""
-        if self.probes == 0:
-            return 0.0
-        return self.hits / self.probes
-
 
 class ResultStore(Protocol):
     """Storage contract behind :class:`~repro.engine.cache.EvaluationCache`.

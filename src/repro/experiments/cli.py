@@ -100,16 +100,16 @@ def render_cache_statistics(records) -> str:
     rows = [
         (
             name,
-            t["evaluations"],
-            t["cache_hits"],
-            t["cache_misses"],
-            _rate_cell(t["cache_hits"], t["cache_hits"] + t["cache_misses"]),
-            t["store_hits"],
-            t["store_writes"],
-            _rate_cell(t["store_hits"], t["store_hits"] + t["store_misses"]),
-            f"{t['sched_ns'] / 1e6:.1f}",
-            f"{t['metrics_ns'] / 1e6:.1f}",
-            f"{t['decode_ns'] / 1e6:.1f}",
+            t.evaluations,
+            t.cache_hits,
+            t.cache_misses,
+            _rate_cell(t.cache_hits, t.cache_hits + t.cache_misses),
+            t.store_hits,
+            t.store_writes,
+            _rate_cell(t.store_hits, t.store_hits + t.store_misses),
+            f"{t.sched_ns / 1e6:.1f}",
+            f"{t.metrics_ns / 1e6:.1f}",
+            f"{t.decode_ns / 1e6:.1f}",
         )
         for name, t in engine_statistics(records).items()
     ]
@@ -228,18 +228,19 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             name, args.seed, args.sa_iterations, budget, engine
         )
         result = strategy.design(spec)
+        c = result.counters
         stage_lines.append(
-            f"  {name}: sched {result.sched_ns / 1e6:.1f} ms, "
-            f"metrics {result.metrics_ns / 1e6:.1f} ms, "
-            f"decode {result.decode_ns / 1e6:.1f} ms"
+            f"  {name}: sched {c.sched_ns / 1e6:.1f} ms, "
+            f"metrics {c.metrics_ns / 1e6:.1f} ms, "
+            f"decode {c.decode_ns / 1e6:.1f} ms"
         )
         if args.cache_store != "memory":
             stage_lines.append(
-                f"  {name}: store {result.store_hits} hits / "
-                f"{result.store_misses} misses / "
-                f"{result.store_writes} writes, "
-                f"open {result.store_open_ns / 1e6:.1f} ms, "
-                f"commit {result.store_commit_ns / 1e6:.1f} ms"
+                f"  {name}: store {c.store_hits} hits / "
+                f"{c.store_misses} misses / "
+                f"{c.store_writes} writes, "
+                f"open {c.store_open_ns / 1e6:.1f} ms, "
+                f"commit {c.store_commit_ns / 1e6:.1f} ms"
             )
         search = result.search
         rows.append(
@@ -248,14 +249,11 @@ def _scenarios_run(args: argparse.Namespace) -> int:
                 "yes" if result.valid else "NO",
                 result.objective,
                 result.runtime_seconds,
-                result.evaluations,
-                result.cache_hits,
-                result.cache_misses,
-                result.store_hits,
-                _rate_cell(
-                    result.store_hits,
-                    result.store_hits + result.store_misses,
-                ),
+                c.evaluations,
+                c.cache_hits,
+                c.cache_misses,
+                c.store_hits,
+                _rate_cell(c.store_hits, c.store_hits + c.store_misses),
                 search.steps if search is not None else 0,
                 search.evaluations_to_incumbent if search is not None else 0,
             )
@@ -345,9 +343,10 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     fleet = "engine"
     if result.shards:
         fleet = f"fleet ({result.shards} shards, {result.respawns} respawns)"
+    totals = result.counters
     print(
-        f"{fleet}: {result.evaluations} evaluations, "
-        f"{result.cache_hits} cache hits, {result.cache_misses} misses, "
+        f"{fleet}: {totals.evaluations} evaluations, "
+        f"{totals.cache_hits} cache hits, {totals.cache_misses} misses, "
         f"{result.runtime_seconds:.2f}s wall"
     )
     if result.shards and args.verbose:
@@ -360,10 +359,11 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 f"{counters.cache_misses} misses, {busy:.2f}s busy"
             )
     if args.cache_store != "memory":
+        hits, misses = totals.store_hits, totals.store_misses
         print(
-            f"store: {result.store_hits} hits, {result.store_misses} "
-            f"misses, {result.store_writes} writes "
-            f"(rate {_rate_cell(result.store_hits, result.store_hits + result.store_misses)})"
+            f"store: {hits} hits, {misses} misses, "
+            f"{totals.store_writes} writes "
+            f"(rate {_rate_cell(hits, hits + misses)})"
         )
     if not result.valid:
         print("no member found a valid design")

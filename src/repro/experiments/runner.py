@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.strategy import DesignResult, make_strategy
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EngineCounters
 from repro.gen.scenario import Scenario
 from repro.gen import families as families_module
 from repro.gen.families.builtin import FIG_PRESETS, PAPER_PRESETS
@@ -116,31 +116,18 @@ def make_budget(
     )
 
 
-#: The engine counters of :class:`DesignResult` that
-#: :func:`engine_statistics` sums per strategy.
-ENGINE_COUNTERS: Tuple[str, ...] = (
-    "evaluations", "cache_hits", "cache_misses",
-    "store_hits", "store_misses", "store_writes",
-    "sched_ns", "metrics_ns", "decode_ns",
-)
-
-
 def engine_statistics(
     records: Sequence[FamilyMatrixRecord],
-) -> Dict[str, Dict[str, int]]:
-    """Per-strategy totals of :data:`ENGINE_COUNTERS` over all runs.
+) -> Dict[str, EngineCounters]:
+    """Per-strategy sums of the runs' :class:`EngineCounters`.
 
     Keys are the strategies in first-seen order -- the data of the
-    CLI's engine-statistics table (evaluations, cache and store
-    probes, and the sched/metrics/decode stage nanoseconds).
+    CLI's engine-statistics table.
     """
-    totals: Dict[str, Dict[str, int]] = {}
+    totals: Dict[str, EngineCounters] = {}
     for record in records:
-        row = totals.setdefault(
-            record.strategy, dict.fromkeys(ENGINE_COUNTERS, 0)
-        )
-        for name in ENGINE_COUNTERS:
-            row[name] += getattr(record.result, name)
+        total = totals.get(record.strategy, EngineCounters(0, 0, 0))
+        totals[record.strategy] = total + record.result.counters
     return totals
 
 
@@ -220,11 +207,6 @@ class FamilySmokeResult:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def store_hit_rate(self) -> float:
-        probes = self.store_hits + self.store_misses
-        return self.store_hits / probes if probes else 0.0
 
 
 def design_fingerprint(result: DesignResult) -> str:
@@ -511,8 +493,8 @@ def run_family_smoke(
             baseline = family_strategy(
                 strategy_name, seed, sa_iterations, engine=engine
             ).design(spec)
-            smoke.store_hits += baseline.store_hits
-            smoke.store_misses += baseline.store_misses
+            smoke.store_hits += baseline.counters.store_hits
+            smoke.store_misses += baseline.counters.store_misses
             if not baseline.valid:
                 smoke.failures.append(f"{strategy_name}: no valid design")
                 continue

@@ -21,8 +21,10 @@ region never spans a compile.  The build runs ``native_build.py`` in a
 child process -- this process never imports cffi's builder or
 setuptools -- and lands in ``_build/`` next to this file, named by a
 hash of the C source, the build script and cffi's version plus the
-interpreter's extension suffix.  The kernel reads the little-endian
-key in host order, so the module loads only on a little-endian host.
+interpreter's extension suffix.  A fresh build deletes this
+interpreter's builds of earlier sources.  The kernel reads the
+little-endian key in host order, so the module loads only on a
+little-endian host.
 When that check, the build or the load fails, one ``RuntimeWarning``
 names the cause, :data:`MODULE` is ``None`` and the Python kernel
 serves every pass.
@@ -49,6 +51,8 @@ HERE = Path(__file__).resolve().parent
 SOURCE = HERE / "native.c"
 BUILD_SCRIPT = HERE / "native_build.py"
 BUILD_DIR = HERE / "_build"
+#: This interpreter's extension suffix, the tail of every build's name.
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 #: Failure kinds ``kernel`` returns (0 is success); see ``native.c``.
 FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET = 1, 2, 3, 4, 5
@@ -74,8 +78,7 @@ def module_path() -> Path:
         + BUILD_SCRIPT.read_bytes()
         + _cffi_backend.__version__.encode()
     ).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    return BUILD_DIR / f"_native_{digest}{suffix}"
+    return BUILD_DIR / f"_native_{digest}{EXT_SUFFIX}"
 
 
 def _build(path: Path) -> None:
@@ -91,6 +94,20 @@ def _build(path: Path) -> None:
         raise NativeBuildError(
             lines[-1] if lines else f"exit status {proc.returncode}"
         )
+
+
+def _prune(current: Path) -> None:
+    """Delete the builds of earlier sources next to ``current``.
+
+    Only names with this interpreter's extension suffix go; another
+    interpreter's builds stay, and an unlink that fails is ignored.
+    """
+    for stale in current.parent.glob(f"_native_*{EXT_SUFFIX}"):
+        if stale != current:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def _import(path: Path) -> ModuleType:
@@ -120,6 +137,7 @@ def load() -> Optional[ModuleType]:
         path = module_path()
         if not path.exists():
             _build(path)
+            _prune(path)
         return _import(path)
     except (OSError, ImportError, subprocess.SubprocessError,
             NativeBuildError) as exc:

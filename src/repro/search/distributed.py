@@ -4,8 +4,8 @@
 runs here.  Each shard process drives its share of the members' search
 programs in the same lockstep rounds as the in-process race
 (:class:`~repro.search.portfolio._Lockstep`), against its own
-:class:`~repro.core.strategy.DesignEvaluator` (array core, read-only
-view of the shared sqlite result store), while the parent coordinator
+:class:`~repro.engine.engine.EvaluationEngine` (a read-only view of
+the shared sqlite result store), while the parent coordinator
 owns the shared racing budget and the single read-write store
 connection.
 
@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.engine import EngineConfig, EngineCounters
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.engine.store import make_store
 from repro.search.portfolio import (
     PortfolioResult,
@@ -65,7 +65,7 @@ from repro.search.portfolio import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-    from repro.core.strategy import DesignEvaluator, DesignResult, DesignSpec
+    from repro.core.strategy import DesignResult, DesignSpec
     from repro.search.portfolio import PortfolioRunner
 
 #: One member handed to a worker: ``(member, verdicts to replay)``.
@@ -82,12 +82,12 @@ class _ShardRace(_Lockstep):
         self,
         spec: "DesignSpec",
         members: Sequence[Any],
-        evaluator: "DesignEvaluator",
+        engine: EvaluationEngine,
         conn: "Connection",
         metered: bool,
         logs: Dict[int, List[bool]],
     ):
-        super().__init__(spec, members, evaluator, self._ask)
+        super().__init__(spec, members, engine, self._ask)
         self.conn = conn
         self.metered = metered
         self.logs = logs
@@ -112,7 +112,7 @@ class _ShardRace(_Lockstep):
         self.conn.send(("done", m, result, ledger.k, ledger.charged))
 
     def ship_rows(self, shard_id: int) -> None:
-        rows = self.evaluator.drain_store_rows()
+        rows = self.engine.drain_store_rows()
         if rows:
             self.conn.send(("rows", shard_id, rows))
 
@@ -123,24 +123,22 @@ def _shard_main(
     spec: "DesignSpec",
     members: Sequence[Any],
     assigns: List[_Assign],
-    engine: EngineConfig,
+    config: EngineConfig,
     metered: bool,
 ) -> None:
     """One shard process: race the assigned members, then report."""
-    from repro.core.strategy import DesignEvaluator
-
     busy0 = time.process_time()
-    evaluator = DesignEvaluator(spec, engine, store_read_only=True)
-    race = _ShardRace(spec, members, evaluator, conn, metered, dict(assigns))
+    engine = EvaluationEngine(spec, config, store_read_only=True)
+    race = _ShardRace(spec, members, engine, conn, metered, dict(assigns))
     for m, _ in assigns:
         race.start(_MemberLedger(m))
     while race.programs:
         race.round()
         race.ship_rows(shard_id)
     race.ship_rows(shard_id)
-    counters = evaluator.counters()
+    counters = engine.counters()
     busy = time.process_time() - busy0
-    evaluator.close()
+    engine.close()
     conn.send(("final", shard_id, counters, busy))
     conn.close()
 
@@ -372,9 +370,7 @@ class _Coordinator:
         stood when the race started."""
         if not self.rows:
             return
-        from repro.core.strategy import DesignEvaluator
-
-        with DesignEvaluator(self.spec, self.runner.engine) as writer:
+        with EvaluationEngine(self.spec, self.runner.engine) as writer:
             writer.absorb_store_rows(list(self.rows.items()))
         self.writer_counters = writer.counters()
 

@@ -12,7 +12,7 @@ and a resumable :class:`SearchCheckpoint`.
 
 The loop body is written as a *generator* (:meth:`SearchLoop.program`)
 that yields :class:`EvalRequest` batches and receives their results:
-the same program can be driven standalone against one evaluator
+the same program can be driven standalone against one engine
 (:func:`drive`, used by ``strategy.design``) or interleaved with other
 programs over one shared engine by the
 :class:`~repro.search.portfolio.PortfolioRunner` -- deterministic
@@ -36,6 +36,7 @@ from typing import (
 
 import numpy as np
 
+from repro.engine.engine import EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.search.acceptors import Acceptor
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
@@ -48,7 +49,7 @@ from repro.search.proposers import Proposer
 from repro.search.stats import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.strategy import DesignEvaluator, DesignSpec
+    from repro.core.strategy import DesignSpec
     from repro.core.transformations import CandidateDesign, Transformation
 
 
@@ -81,9 +82,9 @@ class EvalRequest:
 
 
 def execute_request(
-    evaluator: "DesignEvaluator", request: EvalRequest
+    engine: EvaluationEngine, request: EvalRequest
 ) -> List[Optional[EvaluatedDesign]]:
-    """Serve one :class:`EvalRequest` through an evaluator.
+    """Serve one :class:`EvalRequest` through an engine.
 
     A moves request is served as its children, each move applied to
     the parent's design.  Single-item requests use the singular engine
@@ -98,11 +99,11 @@ def execute_request(
         assert parent is not None  # the moves form always carries one
         if len(moves) == 1:
             # SA's walk asks one move per step: skip the list.
-            return [evaluator.evaluate(moves[0].apply(parent.design))]
+            return [engine.evaluate(moves[0].apply(parent.design))]
         designs = [move.apply(parent.design) for move in moves]
     if len(designs) == 1:
-        return [evaluator.evaluate(designs[0])]
-    return evaluator.evaluate_many(designs)
+        return [engine.evaluate(designs[0])]
+    return engine.evaluate_many(designs)
 
 
 SearchProgram = Generator[EvalRequest, List[Optional[EvaluatedDesign]], "SearchOutcome"]
@@ -110,9 +111,9 @@ SearchProgram = Generator[EvalRequest, List[Optional[EvaluatedDesign]], "SearchO
 
 def drive(
     program: Generator[EvalRequest, List[Optional[EvaluatedDesign]], Any],
-    evaluator: "DesignEvaluator",
+    engine: EvaluationEngine,
 ) -> Any:
-    """Run a search program to completion against one evaluator.
+    """Run a search program to completion against one engine.
 
     Works for any generator that yields :class:`EvalRequest` and
     returns its result via ``StopIteration`` -- a bare
@@ -121,7 +122,7 @@ def drive(
     try:
         request = next(program)
         while True:
-            request = program.send(execute_request(evaluator, request))
+            request = program.send(execute_request(engine, request))
     except StopIteration as stop:
         return stop.value
 
@@ -174,13 +175,13 @@ class SearchLoop:
     def run(
         self,
         spec: "DesignSpec",
-        evaluator: "DesignEvaluator",
+        engine: EvaluationEngine,
         start: Optional[EvaluatedDesign] = None,
         rng: Optional[np.random.Generator] = None,
         checkpoint: Optional[SearchCheckpoint] = None,
         observer: Optional[Callable[[SearchEvent], None]] = None,
     ) -> SearchOutcome:
-        """Drive :meth:`program` against ``evaluator`` (standalone mode)."""
+        """Drive :meth:`program` against ``engine`` (standalone mode)."""
         return drive(
             self.program(
                 spec,
@@ -189,18 +190,18 @@ class SearchLoop:
                 checkpoint=checkpoint,
                 observer=observer,
             ),
-            evaluator,
+            engine,
         )
 
     def resume(
         self,
         spec: "DesignSpec",
-        evaluator: "DesignEvaluator",
+        engine: EvaluationEngine,
         checkpoint: SearchCheckpoint,
         rng: Optional[np.random.Generator] = None,
     ) -> SearchOutcome:
         """Continue a checkpointed search exactly where it stopped."""
-        return self.run(spec, evaluator, checkpoint=checkpoint, rng=rng)
+        return self.run(spec, engine, checkpoint=checkpoint, rng=rng)
 
     # ------------------------------------------------------------------
     def program(

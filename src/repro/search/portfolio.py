@@ -20,12 +20,13 @@ deterministic lockstep:
   with its incumbent-so-far.  Members that terminate naturally free
   the remaining budget for the others -- that is the race;
 * **in-process or sharded** -- ``shards=0`` races every member over
-  one shared :class:`DesignEvaluator` (a design priced for member A is
-  a cache hit for member B).  ``shards >= 1`` forks that many worker
-  processes (:mod:`repro.search.distributed`), each racing its share of
-  the members in the same lockstep rounds, while the parent owns the
-  budget -- deciding asks in ``(k, m)`` order and logging each verdict
-  -- and the only sqlite writer.  A dead shard's members rerun from
+  one shared :class:`~repro.engine.engine.EvaluationEngine` (a design
+  priced for member A is a cache hit for member B).  ``shards >= 1``
+  forks that many worker processes (:mod:`repro.search.distributed`),
+  each racing its share of the members in the same lockstep rounds,
+  while the parent owns the budget -- deciding asks in ``(k, m)``
+  order and logging each verdict -- and the only sqlite writer.  A
+  dead shard's members rerun from
   their seed on a fresh shard, replaying the logged verdicts.
   Designs, objectives and per-member accounting are the same for any
   shard count and any crash;
@@ -38,8 +39,9 @@ deterministic lockstep:
 
 Per-member engine attribution: each member's ``DesignResult`` reports
 the evaluations charged on its behalf and its own ``SearchStats``;
-cache counters are race-level (the whole point of sharing is that
-members hit each other's entries) and live on the
+the other engine counters are race-level (the whole point of sharing
+is that members hit each other's entries): one
+:class:`~repro.engine.engine.EngineCounters` on the
 :class:`PortfolioResult`.
 """
 
@@ -60,13 +62,13 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.engine import EngineConfig, EngineCounters
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.loop import EvalRequest, execute_request
 from repro.utils.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.strategy import DesignEvaluator, DesignResult, DesignSpec
+    from repro.core.strategy import DesignResult, DesignSpec
 
 #: Crash-loop backstop: a member that dies with its shard more than
 #: this many times is marked failed instead of respawning again.
@@ -107,9 +109,11 @@ class PortfolioResult:
     """Outcome of one portfolio race.
 
     ``best`` is the winning member's :class:`DesignResult` (``None``
-    when no member found a valid design); engine statistics are
-    race-level totals: the shared engine's, or in a sharded race the
-    sum over the shard engines plus the parent's store writer.
+    when no member found a valid design); ``counters`` holds the
+    race-level engine totals: the shared engine's, or in a sharded
+    race the sum over the shard engines plus the parent's store
+    writer.  ``evaluations`` and ``cache_hits`` read it under the
+    names perfbench records.
 
     The fleet fields are empty or zero when ``shards=0``.
     ``shard_counters`` holds each shard engine's
@@ -122,12 +126,7 @@ class PortfolioResult:
 
     members: List[PortfolioMemberOutcome]
     winner_index: Optional[int] = None
-    evaluations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_writes: int = 0
+    counters: EngineCounters = EngineCounters(0, 0, 0)
     runtime_seconds: float = 0.0
     budget_cut: bool = False
     shards: int = 0
@@ -151,6 +150,14 @@ class PortfolioResult:
     @property
     def valid(self) -> bool:
         return self.winner_index is not None
+
+    @property
+    def evaluations(self) -> int:
+        return self.counters.evaluations
+
+    @property
+    def cache_hits(self) -> int:
+        return self.counters.cache_hits
 
     @property
     def objective(self) -> float:
@@ -233,18 +240,16 @@ class PortfolioRunner:
 
     def _race(self, spec: "DesignSpec") -> PortfolioResult:
         """The in-process arm: every member on one shared engine."""
-        from repro.core.strategy import DesignEvaluator
-
-        with DesignEvaluator(spec, self.engine) as evaluator:
+        with EvaluationEngine(spec, self.engine) as engine:
             budget = _SharedBudget(self.budget)
-            race = _Lockstep(spec, self.members, evaluator, budget.grant)
+            race = _Lockstep(spec, self.members, engine, budget.grant)
             ledgers = [_MemberLedger(index) for index in range(len(self.members))]
             for ledger in ledgers:
                 race.start(ledger)
             while race.programs:
                 race.round()
             return _race_result(
-                self.members, ledgers, evaluator.counters(), budget.cut
+                self.members, ledgers, engine.counters(), budget.cut
             )
 
 
@@ -314,12 +319,12 @@ class _Lockstep:
         self,
         spec: "DesignSpec",
         members: Sequence[Any],
-        evaluator: "DesignEvaluator",
+        engine: EvaluationEngine,
         decide: _Decide,
     ):
         self.spec = spec
         self.members = members
-        self.evaluator = evaluator
+        self.engine = engine
         self.decide = decide
         self.ledgers: Dict[int, _MemberLedger] = {}
         self.programs: Dict[int, Generator[EvalRequest, Any, "DesignResult"]] = {}
@@ -330,7 +335,7 @@ class _Lockstep:
         member = self.members[ledger.index]
         self.ledgers[ledger.index] = ledger
         self.programs[ledger.index] = member.search_program(
-            self.spec, self.evaluator.compiled
+            self.spec, self.engine.compiled
         )
         self._send(ledger.index, None)
 
@@ -342,7 +347,7 @@ class _Lockstep:
             if self.decide(
                 self.ledgers[m], request.size, request.moves is not None
             ):
-                self._send(m, execute_request(self.evaluator, request))
+                self._send(m, execute_request(self.engine, request))
             else:
                 self._send(m, None, SharedBudgetExhausted())
 
@@ -385,7 +390,9 @@ def _race_result(
         if result is None:
             result = DesignResult(name, valid=False)
         elif result.valid and ledger.charged > 0:
-            result.evaluations = ledger.charged
+            result.counters = result.counters._replace(
+                evaluations=ledger.charged
+            )
         outcomes.append(
             PortfolioMemberOutcome(
                 name, ledger.index, result, ledger.charged, ledger.k
@@ -394,12 +401,7 @@ def _race_result(
     return PortfolioResult(
         members=outcomes,
         winner_index=_pick_winner(outcomes),
-        evaluations=counters.evaluations,
-        cache_hits=counters.cache_hits,
-        cache_misses=counters.cache_misses,
-        store_hits=counters.store_hits,
-        store_misses=counters.store_misses,
-        store_writes=counters.store_writes,
+        counters=counters,
         budget_cut=budget_cut,
         **fleet,
     )

@@ -2,24 +2,22 @@
 
 import pytest
 
-from repro.core.improvement import (
-    DescentParams,
-    best_improving_move,
-    generate_moves,
-    schedule_neighbours,
-    select_candidates,
-    steepest_descent,
-)
-from repro.core.strategy import DesignEvaluator
+from repro.core.improvement import DescentParams, descent_loop
 from repro.core.transformations import (
     CandidateDesign,
     DelayMessage,
     RemapProcess,
     SwapPriorities,
 )
+from repro.engine import EvaluationEngine
 from repro.gen.scenario import ScenarioParams, build_scenario
 from repro.sched.priorities import hcp_priorities
 from repro.core.initial_mapping import InitialMapper
+from repro.search.proposers import (
+    generate_moves,
+    schedule_neighbours,
+    select_candidates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +30,14 @@ def setup():
     mapping, _ = mapper.try_map_and_schedule(
         scenario.current, base=scenario.base_schedule
     )
-    evaluator = DesignEvaluator(spec)
-    start = evaluator.evaluate(
+    engine = EvaluationEngine(spec)
+    start = engine.evaluate(
         CandidateDesign(
             mapping, hcp_priorities(scenario.current, scenario.architecture.bus)
         )
     )
     assert start is not None
-    return scenario, spec, evaluator, start
+    return scenario, spec, engine, start
 
 
 class TestCandidateSelection:
@@ -67,7 +65,7 @@ class TestCandidateSelection:
 class TestMoveGeneration:
     def test_moves_reference_current_app_only(self, setup):
         scenario, spec, _, start = setup
-        moves = generate_moves(spec, start, DescentParams(pool_size=4))
+        moves = generate_moves(spec, start, pool_size=4)
         for move in moves:
             if isinstance(move, RemapProcess):
                 assert move.process_id in scenario.current
@@ -79,7 +77,7 @@ class TestMoveGeneration:
 
     def test_remaps_only_to_allowed_other_nodes(self, setup):
         scenario, spec, _, start = setup
-        moves = generate_moves(spec, start, DescentParams(pool_size=4))
+        moves = generate_moves(spec, start, pool_size=4)
         for move in moves:
             if isinstance(move, RemapProcess):
                 proc = scenario.current.process(move.process_id)
@@ -89,7 +87,7 @@ class TestMoveGeneration:
     def test_message_moves_can_be_disabled(self, setup):
         _, spec, _, start = setup
         moves = generate_moves(
-            spec, start, DescentParams(pool_size=8, use_message_moves=False)
+            spec, start, pool_size=8, use_message_moves=False
         )
         assert not any(isinstance(m, DelayMessage) for m in moves)
 
@@ -105,24 +103,15 @@ class TestNeighbours:
 
 class TestDescent:
     def test_descent_monotone(self, setup):
-        _, spec, evaluator, start = setup
-        result = steepest_descent(spec, evaluator, start, DescentParams(max_iterations=6))
-        assert result.objective <= start.objective
+        _, spec, engine, start = setup
+        outcome = descent_loop(DescentParams(max_iterations=6)).run(
+            spec, engine, start=start
+        )
+        assert outcome.incumbent.objective <= start.objective
 
     def test_descent_zero_iterations_is_start(self, setup):
-        _, spec, evaluator, start = setup
-        result = steepest_descent(
-            spec, evaluator, start, DescentParams(max_iterations=0)
+        _, spec, engine, start = setup
+        outcome = descent_loop(DescentParams(max_iterations=0)).run(
+            spec, engine, start=start
         )
-        assert result is start
-
-    def test_best_improving_none_when_no_moves(self, setup):
-        _, _, evaluator, start = setup
-        assert best_improving_move(evaluator, start, [], 1e-9) is None
-
-    def test_best_improving_returns_strict_improvement(self, setup):
-        _, spec, evaluator, start = setup
-        moves = generate_moves(spec, start, DescentParams(pool_size=6))
-        winner = best_improving_move(evaluator, start, moves, 1e-9)
-        if winner is not None:
-            assert winner.objective < start.objective
+        assert outcome.incumbent is start

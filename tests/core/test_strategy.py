@@ -1,4 +1,4 @@
-"""Tests for the design flow plumbing: spec, evaluator, results, registry."""
+"""Tests for the design flow plumbing: spec, engine, results, registry."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.future import DiscreteDistribution, FutureCharacterization
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.strategy import (
-    DesignEvaluator,
     DesignResult,
     DesignSpec,
     design_application,
@@ -15,6 +14,7 @@ from repro.core.strategy import (
     make_strategy,
 )
 from repro.core.transformations import CandidateDesign
+from repro.engine import EvaluationEngine
 from repro.model.mapping import Mapping
 from repro.sched.priorities import hcp_priorities
 from repro.sched.schedule import SystemSchedule
@@ -58,9 +58,9 @@ class TestDesignSpec:
         assert s.effective_horizon() == 240
 
 
-class TestDesignEvaluator:
+class TestEngineOnSpec:
     def test_valid_candidate_evaluated(self, spec, arch2, chain_app):
-        evaluator = DesignEvaluator(spec)
+        evaluator = EvaluationEngine(spec)
         design = CandidateDesign(
             Mapping(chain_app, arch2, {p.id: "N1" for p in chain_app.processes}),
             hcp_priorities(chain_app, arch2.bus),
@@ -68,7 +68,7 @@ class TestDesignEvaluator:
         out = evaluator.evaluate(design)
         assert out is not None
         assert out.objective >= 0
-        assert evaluator.evaluations == 1
+        assert evaluator.counters().evaluations == 1
 
     def test_invalid_candidate_returns_none(self, arch2, chain_app, future):
         base = SystemSchedule(arch2, 80)
@@ -80,13 +80,13 @@ class TestDesignEvaluator:
             future=future,
             base_schedule=base,
         )
-        evaluator = DesignEvaluator(spec)
+        evaluator = EvaluationEngine(spec)
         design = CandidateDesign(
             Mapping(chain_app, arch2, {p.id: "N1" for p in chain_app.processes}),
             hcp_priorities(chain_app, arch2.bus),
         )
         assert evaluator.evaluate(design) is None
-        assert evaluator.evaluations == 1
+        assert evaluator.counters().evaluations == 1
 
 
 class TestDesignResult:

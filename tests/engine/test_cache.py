@@ -11,9 +11,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator, make_strategy
+from repro.core.strategy import make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.engine.cache import EvaluationCache
 from repro.engine.store import DEFAULT_MAX_ENTRIES, SqliteResultStore
 from repro.sched.priorities import hcp_priorities
@@ -49,7 +49,7 @@ def make_cache(request, tmp_path):
 
 class TestEvaluationCache:
     def test_miss_then_hit(self, make_cache, spec, im_design):
-        with DesignEvaluator(spec, EngineConfig(use_cache=False)) as evaluator:
+        with EvaluationEngine(spec, EngineConfig(use_cache=False)) as evaluator:
             priced = evaluator.evaluate(im_design)
         cache = make_cache()
         found, _ = cache.lookup(b"a")
@@ -95,25 +95,26 @@ def engine_config(request, tmp_path):
 
 class TestEngineCaching:
     def test_repeat_evaluation_hits(self, spec, im_design, engine_config):
-        with DesignEvaluator(spec, engine_config) as evaluator:
+        with EvaluationEngine(spec, engine_config) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design)
             assert first is second
-            assert evaluator.evaluations == 2
-            assert evaluator.cache_hits == 1
-            assert evaluator.cache_misses == 1
+            counters = evaluator.counters()
+            assert counters.evaluations == 2
+            assert counters.cache_hits == 1
+            assert counters.cache_misses == 1
 
     def test_copies_share_cache_entry(self, spec, im_design, engine_config):
-        with DesignEvaluator(spec, engine_config) as evaluator:
+        with EvaluationEngine(spec, engine_config) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design.copy())
             assert first is second
-            assert evaluator.cache_hits == 1
+            assert evaluator.counters().cache_hits == 1
 
     def test_invalid_candidates_cached(self, spec, im_design, engine_config):
         # An overloaded single-node mapping that cannot meet deadlines
         # still gets its (None) verdict memoized.
-        with DesignEvaluator(spec, engine_config) as evaluator:
+        with EvaluationEngine(spec, engine_config) as evaluator:
             evaluator.evaluate(im_design)
             move = None
             for proc in spec.current.processes:
@@ -148,15 +149,15 @@ class TestEngineCaching:
                 break
         assert move is not None
         other = move.apply(im_design)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, engine_config, max_cache_entries=2
         ) as evaluator:
             # Batch: [A, B, A] -> stores A then B, then the duplicate
             # hit on A makes B the least recently used entry.
             evaluator.evaluate_many([im_design, other, im_design])
-            assert evaluator.cache_misses == 2
-            assert evaluator.cache_hits == 1
-            cache = evaluator.engine.cache
+            assert evaluator.counters().cache_misses == 2
+            assert evaluator.counters().cache_hits == 1
+            cache = evaluator.cache
             sig_a = evaluator.compiled.signature(im_design)
             sig_b = evaluator.compiled.signature(other)
             assert list(cache._store) == [sig_b, sig_a]
@@ -178,12 +179,13 @@ class TestEngineCaching:
                 break
         assert move is not None
         other = move.apply(im_design)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, engine_config, max_cache_entries=2
         ) as batched:
             batched.evaluate_many([im_design, im_design.copy(), other])
-            batch_order = list(batched.engine.cache._store)
-            batch_stats = (batched.cache_hits, batched.cache_misses)
+            batch_order = list(batched.cache._store)
+            counters = batched.counters()
+            batch_stats = (counters.cache_hits, counters.cache_misses)
         serial_config = engine_config
         if engine_config.cache_path:
             # A fresh database: the serial run must replay cold, not be
@@ -191,13 +193,14 @@ class TestEngineCaching:
             serial_config = replace(
                 engine_config, cache_path=str(tmp_path / "serial.sqlite")
             )
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, serial_config, max_cache_entries=2
         ) as serial:
             for design in (im_design, im_design.copy(), other):
                 serial.evaluate(design)
-            serial_order = list(serial.engine.cache._store)
-            serial_stats = (serial.cache_hits, serial.cache_misses)
+            serial_order = list(serial.cache._store)
+            counters = serial.counters()
+            serial_stats = (counters.cache_hits, counters.cache_misses)
         assert batch_order == serial_order
         assert batch_stats == serial_stats == (1, 2)
 
@@ -209,15 +212,20 @@ class TestEngineCaching:
         assert on.mapping.as_dict() == off.mapping.as_dict()
         assert on.priorities == off.priorities
         assert on.message_delays == off.message_delays
-        assert off.cache_hits == 0 and off.cache_misses == 0
+        assert off.counters.cache_hits == 0 and off.counters.cache_misses == 0
 
     def test_result_surfaces_cache_counters(self, spec):
-        result = make_strategy("MH").design(spec)
-        assert result.cache_misses > 0
-        assert result.evaluations >= result.cache_hits + result.cache_misses
+        counters = make_strategy("MH").design(spec).counters
+        assert counters.cache_misses > 0
+        assert counters.evaluations >= (
+            counters.cache_hits + counters.cache_misses
+        )
 
     def test_sa_counts_consistent(self, spec):
         result = make_strategy("SA", iterations=40, seed=9).design(spec)
         assert result.valid
-        assert result.evaluations >= result.cache_hits + result.cache_misses
-        assert result.cache_misses > 0
+        counters = result.counters
+        assert counters.evaluations >= (
+            counters.cache_hits + counters.cache_misses
+        )
+        assert counters.cache_misses > 0

@@ -20,11 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.improvement import DescentParams, descent_loop, steepest_descent
+from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import (
     CandidateDesign,
     DelayMessage,
@@ -32,7 +31,7 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
-from repro.engine import EngineConfig, evaluate_candidate
+from repro.engine import EngineConfig, EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
@@ -288,14 +287,14 @@ class TestSteepestDescentDelta:
             )
 
         def run(config=EngineConfig()):
-            with DesignEvaluator(spec, config) as evaluator:
+            with EvaluationEngine(spec, config) as engine:
                 parent = im_parent(
-                    spec, evaluator.compiled, ListScheduler(spec.architecture)
+                    spec, engine.compiled, ListScheduler(spec.architecture)
                 )
-                best = steepest_descent(
-                    spec, evaluator, parent, DescentParams(max_iterations=6)
+                outcome = descent_loop(DescentParams(max_iterations=6)).run(
+                    spec, engine, start=parent
                 )
-                return identity(best)
+                return identity(outcome.incumbent)
 
         reference = run()
         assert run(EngineConfig(use_cache=False)) == reference

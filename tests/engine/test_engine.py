@@ -11,9 +11,14 @@ from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator, make_strategy
+from repro.core.strategy import make_strategy
 from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
-from repro.engine import CompiledSpec, EngineConfig, EvaluationEngine
+from repro.engine import (
+    CompiledSpec,
+    EngineConfig,
+    EngineCounters,
+    EvaluationEngine,
+)
 from repro.sched import native
 from repro.sched.arrays import ArrayRunState, ArraySpec
 from repro.sched.priorities import hcp_priorities
@@ -107,14 +112,14 @@ class TestColdOutcomes:
 
     def test_evaluate_and_evaluate_many(self, spec, neighbourhood):
         start, designs = neighbourhood
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             self._assert_cold([evaluator.evaluate(start)])
             self._assert_cold(evaluator.evaluate_many(designs))
 
     def test_search_loop_step(self, spec, neighbourhood):
         start, _ = neighbourhood
         steps = []
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             current = evaluator.evaluate(start)
             descent_loop(DescentParams(max_iterations=1)).run(
                 spec,
@@ -131,7 +136,7 @@ class TestOutcomeFootprint:
         """After a short SA design, no cached outcome keeps the state of
         the pass that priced it, and a cached incumbent still yields
         the schedule its metrics were priced on."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             drive(
                 SimulatedAnnealing(iterations=80, seed=5).search_program(
                     spec, evaluator.compiled
@@ -139,7 +144,7 @@ class TestOutcomeFootprint:
                 evaluator,
             )
             cached = [
-                o for o in evaluator.engine.cache._store.values()
+                o for o in evaluator.cache._store.values()
                 if o is not None
             ]
             assert len(cached) > 20
@@ -162,19 +167,14 @@ class TestEvaluationEngine:
             )
             out = engine.evaluate(design)
             assert out is not None and out.objective >= 0
-            assert engine.evaluations == 1
-            stats = engine.cache_stats()
-            assert (stats.hits, stats.misses) == (0, 1)
+            counters = engine.counters()
+            assert counters.evaluations == 1
+            assert (counters.cache_hits, counters.cache_misses) == (0, 1)
 
     def test_cache_disabled_stats_zero(self, spec):
         with EvaluationEngine(spec, EngineConfig(use_cache=False)) as engine:
-            stats = engine.cache_stats()
-            assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
-
-    def test_facade_exposes_compiled(self, spec):
-        with DesignEvaluator(spec) as evaluator:
-            assert evaluator.compiled is evaluator.engine.compiled
-            assert evaluator.compiled.total_jobs > 0
+            assert engine.cache is None
+            assert engine.counters() == EngineCounters(0, 0, 0)
 
 
 class TestEngineLifecycle:
@@ -190,10 +190,10 @@ class TestEngineLifecycle:
 
     def test_closed_engine_refuses_evaluation(self, spec, neighbourhood):
         _, designs = neighbourhood
-        evaluator = DesignEvaluator(spec)
+        evaluator = EvaluationEngine(spec)
         evaluator.evaluate(designs[0])
         evaluator.close()
-        assert evaluator.engine.closed
+        assert evaluator.closed
         # A closed engine refuses every call -- even would-be cache
         # hits -- instead of quietly serving or recomputing.
         with pytest.raises(RuntimeError):
@@ -202,7 +202,7 @@ class TestEngineLifecycle:
             evaluator.evaluate_many(designs)
         # Accounting stays readable after close (strategies record
         # statistics once the search has finished or failed).
-        assert evaluator.evaluations == 1
+        assert evaluator.counters().evaluations == 1
 
     def test_engine_closed_when_strategy_raises_mid_search(
         self, spec, monkeypatch
@@ -211,41 +211,39 @@ class TestEngineLifecycle:
         import repro.core.mapping_heuristic as mh_module
 
         captured = {}
-        original = DesignEvaluator
-
-        class CapturingEvaluator(original):
+        class CapturingEngine(EvaluationEngine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                captured["evaluator"] = self
+                captured["engine"] = self
 
         def boom(*args, **kwargs):
             raise RuntimeError("mid-search failure")
 
-        monkeypatch.setattr(mh_module, "DesignEvaluator", CapturingEvaluator)
+        monkeypatch.setattr(mh_module, "EvaluationEngine", CapturingEngine)
         monkeypatch.setattr(mh_module, "descent_loop", boom)
         strategy = make_strategy("MH")
         with pytest.raises(RuntimeError, match="mid-search failure"):
             strategy.design(spec)
-        assert captured["evaluator"].engine.closed
+        assert captured["engine"].closed
 
 
 class TestEvaluateMany:
     def test_order_preserved_and_cached(self, spec, neighbourhood):
         _, designs = neighbourhood
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             batch = evaluator.evaluate_many(designs)
             singles = [evaluator.evaluate(d) for d in designs]
         assert _outcomes(batch) == _outcomes(singles)
 
     def test_duplicates_within_batch_scheduled_once(self, spec, neighbourhood):
         start, _ = neighbourhood
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             results = evaluator.evaluate_many([start, start.copy(), start])
-            assert evaluator.evaluations == 3
+            assert evaluator.counters().evaluations == 3
             # One real scheduling pass; the duplicates count as hits so
             # evaluations == hits + misses stays an invariant.
-            assert evaluator.cache_misses == 1
-            assert evaluator.cache_hits == 2
+            assert evaluator.counters().cache_misses == 1
+            assert evaluator.counters().cache_hits == 2
             assert _outcomes(results)[0] is not None
             assert len(set(_outcomes(results))) == 1
 
@@ -265,11 +263,9 @@ class TestAdHocOnEngine:
 class TestEngineCounters:
     def test_snapshot_and_subtraction(self, spec):
         from repro.core.initial_mapping import InitialMapper
-        from repro.core.strategy import DesignEvaluator
         from repro.core.transformations import CandidateDesign
-        from repro.engine import EngineCounters
 
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             mapper = InitialMapper(spec.architecture)
             mapping, _ = mapper.try_map_and_schedule(
                 spec.current,

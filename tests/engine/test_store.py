@@ -8,9 +8,9 @@ import warnings
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator, make_strategy
+from repro.core.strategy import make_strategy
 from repro.core.transformations import CandidateDesign
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.evaluation import evaluate_candidate
 from repro.engine.store import (
@@ -260,20 +260,20 @@ class TestEngineConfig:
 class TestEngineStoreIntegration:
     def test_warm_restart_serves_from_store(self, spec, im_design, tmp_path):
         path = str(tmp_path / "store.sqlite")
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as cold_eval:
             cold = cold_eval.evaluate(im_design)
-            assert cold_eval.store_hits == 0
-            assert cold_eval.store_misses == 1
-            assert cold_eval.store_writes >= 1
+            assert cold_eval.counters().store_hits == 0
+            assert cold_eval.counters().store_misses == 1
+            assert cold_eval.counters().store_writes >= 1
             cold_json = _schedule_json(cold)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as warm_eval:
             warm = warm_eval.evaluate(im_design)
-            assert warm_eval.store_hits == 1
-            assert warm_eval.store_misses == 0
+            assert warm_eval.counters().store_hits == 1
+            assert warm_eval.counters().store_misses == 0
             assert warm.metrics == cold.metrics
             assert _schedule_json(warm) == cold_json
 
@@ -291,22 +291,22 @@ class TestEngineStoreIntegration:
             for p in spec.current.processes:
                 if node in p.allowed_nodes:
                     candidate.mapping.assign(p.id, node)
-            with DesignEvaluator(spec, EngineConfig(use_cache=False)) as probe:
+            with EvaluationEngine(spec, EngineConfig(use_cache=False)) as probe:
                 if probe.evaluate(candidate) is None:
                     overloaded = candidate
                     break
         assert overloaded is not None, "no overloaded candidate found"
         path = str(tmp_path / "store.sqlite")
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as cold_eval:
             assert cold_eval.evaluate(overloaded) is None
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as warm_eval:
             assert warm_eval.evaluate(overloaded) is None
-            assert warm_eval.store_hits == 1
-            assert warm_eval.store_misses == 0
+            assert warm_eval.counters().store_hits == 1
+            assert warm_eval.counters().store_misses == 0
 
     def test_invalid_design_looked_up_twice_hits_cache(
         self, spec, im_design, store_config
@@ -316,12 +316,12 @@ class TestEngineStoreIntegration:
         mutated = CandidateDesign(
             im_design.mapping.copy(), dict(im_design.priorities)
         )
-        with DesignEvaluator(spec, store_config) as evaluator:
+        with EvaluationEngine(spec, store_config) as evaluator:
             first = evaluator.evaluate(mutated)
             second = evaluator.evaluate(mutated)
             assert first is second or (first is None and second is None)
-            assert evaluator.cache_misses == 1
-            assert evaluator.cache_hits == 1
+            assert evaluator.counters().cache_misses == 1
+            assert evaluator.counters().cache_hits == 1
 
 
 @pytest.fixture(params=["memory", "sqlite"])

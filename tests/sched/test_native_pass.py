@@ -415,6 +415,28 @@ def test_big_endian_host_falls_back_with_one_warning(monkeypatch):
     )]
 
 
+def test_fresh_build_prunes_this_interpreters_stale_builds(
+    tmp_path, monkeypatch
+):
+    """A build deletes the builds of earlier sources that carry this
+    interpreter's suffix; another suffix stays, and an unlink that
+    fails (here: a directory) is skipped.  Nothing is compiled."""
+    current = tmp_path / f"_native_{'1' * 16}{native.EXT_SUFFIX}"
+    stale = tmp_path / f"_native_{'0' * 16}{native.EXT_SUFFIX}"
+    foreign = tmp_path / f"_native_{'0' * 16}.cp00-other.pyd"
+    stuck = tmp_path / f"_native_{'2' * 16}{native.EXT_SUFFIX}"
+    stale.write_bytes(b"")
+    foreign.write_bytes(b"")
+    stuck.mkdir()
+    monkeypatch.setattr(native, "module_path", lambda: current)
+    monkeypatch.setattr(native, "_build", lambda path: path.write_bytes(b""))
+    monkeypatch.setattr(native, "_import", lambda path: types.ModuleType("m"))
+    assert native.load() is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in (current, foreign, stuck)
+    )
+
+
 def test_loading_process_imports_no_build_toolchain():
     code = (
         "import sys, repro\n"

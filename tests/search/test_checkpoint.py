@@ -6,8 +6,7 @@ import numpy as np
 
 from searchutil import identity, small_scenario, start_of
 
-from repro.core.strategy import DesignEvaluator
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.search.acceptors import GreedyAcceptor, MetropolisAcceptor
 from repro.search.budget import Budget
 from repro.search.checkpoint import SearchCheckpoint
@@ -52,12 +51,12 @@ class TestSerialization:
 class TestResume:
     def test_cut_and_resume_equals_uninterrupted_walk(self, spec):
         """40 steps + resume to 100 == straight 100-step run."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             straight = walk_loop(100).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(40).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
@@ -80,24 +79,24 @@ class TestResume:
 
     def test_resume_into_fresh_engine(self, spec):
         """A checkpoint outlives the engine that produced it."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(20).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(9)
             )
-        with DesignEvaluator(spec) as fresh:
+        with EvaluationEngine(spec) as fresh:
             resumed = walk_loop(45).resume(spec, fresh, cut.checkpoint)
         assert resumed.stats.steps == 45
         assert resumed.incumbent.objective <= cut.incumbent.objective
 
     def test_descent_resume_after_evaluation_cut(self, spec):
         """A budget-cut descent continues to the same local optimum."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             full = SearchLoop(
                 NeighbourhoodProposer(), GreedyAcceptor(), None
             ).run(spec, evaluator, start=start)
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = SearchLoop(
                 NeighbourhoodProposer(),
@@ -116,12 +115,12 @@ class TestResume:
         the cut prefix from the database and lands byte-identical to an
         uninterrupted run."""
         path = str(tmp_path / "resume.sqlite")
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             straight = walk_loop(100).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as evaluator:
             start = start_of(spec, evaluator)
@@ -132,13 +131,13 @@ class TestResume:
             wire = cut.checkpoint.to_json()
         # The resuming evaluator is brand new -- only the database file
         # survives, exactly like a process restart.
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, EngineConfig(cache_store="sqlite", cache_path=path)
         ) as fresh:
             resumed = walk_loop(100).resume(
                 spec, fresh, SearchCheckpoint.from_json(wire)
             )
-            assert fresh.store_hits > 0
+            assert fresh.counters().store_hits > 0
         assert resumed.stats.steps == 100
         assert identity(resumed.incumbent) == identity(straight.incumbent)
         assert identity(resumed.current) == identity(straight.current)
@@ -159,7 +158,7 @@ class TestResume:
             spec, evaluator, start=start, rng=np.random.default_rng(3)
         )
         other = small_scenario(seed=8).spec()
-        with DesignEvaluator(other) as fresh:
+        with EvaluationEngine(other) as fresh:
             with pytest.raises((MappingError, ValueError, KeyError)):
                 walk_loop(20).resume(other, fresh, cut.checkpoint)
 

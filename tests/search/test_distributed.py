@@ -18,8 +18,7 @@ from searchutil import small_scenario
 from repro.core.adhoc import AdHocStrategy
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.experiments.runner import design_fingerprint, run_portfolio
 from repro.gen.families import get_family
 from repro.search import distributed
@@ -119,7 +118,8 @@ def assert_matches_pin(result, pin, shards):
     # fresh engine and the dead shard's counters are lost with it), so
     # the fleet serves exactly the lockstep's requests.  Cache hits
     # across members need one engine: 0 or 1 shards.
-    engine = (result.evaluations, result.cache_hits, result.cache_misses)
+    totals = result.counters
+    engine = (totals.evaluations, totals.cache_hits, totals.cache_misses)
     assert engine[0] == pin["engine"][0]
     if shards <= 1:
         assert engine == pin["engine"]
@@ -313,12 +313,12 @@ class TestSqliteStore:
             members(), shards=2, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
-        assert cold.store_writes > 0
+        assert cold.counters.store_writes > 0
         warm = PortfolioRunner(
             members(), shards=2, race_timeout=120.0,
             engine=EngineConfig(cache_store="sqlite", cache_path=path),
         ).run(spec)
-        assert warm.store_hits > 0
+        assert warm.counters.store_hits > 0
         assert result_key(warm) == result_key(cold)
 
     def test_fresh_path_every_shard_probes_the_store(
@@ -339,15 +339,15 @@ class TestSqliteStore:
                 shards=shards, engine=engine,
             )
 
-        misses = race_sa(0).cache_misses
-        init = DesignEvaluator.__init__
+        misses = race_sa(0).counters.cache_misses
+        init = EvaluationEngine.__init__
 
         def late_writer(self, *args, store_read_only=False, **kwargs):
             if not store_read_only:
                 time.sleep(0.5)
             init(self, *args, store_read_only=store_read_only, **kwargs)
 
-        monkeypatch.setattr(DesignEvaluator, "__init__", late_writer)
+        monkeypatch.setattr(EvaluationEngine, "__init__", late_writer)
         path = tmp_path / "fresh.sqlite"
         sharded = race_sa(
             2, EngineConfig(cache_store="sqlite", cache_path=str(path))

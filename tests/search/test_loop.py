@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from searchutil import identity, small_scenario, start_of
 
-from repro.core.strategy import DesignEvaluator
+from repro.engine import EvaluationEngine
 from repro.search.acceptors import (
     AcceptAny,
     GreedyAcceptor,
@@ -168,7 +168,7 @@ class TestExecuteRequest:
 
     def test_moves_request_matches_applied_children(self):
         spec = small_scenario(seed=3).spec()
-        with DesignEvaluator(spec) as served, DesignEvaluator(spec) as direct:
+        with EvaluationEngine(spec) as served, EvaluationEngine(spec) as direct:
             parent = start_of(spec, served)
             start_of(spec, direct)
             moves = generate_moves(spec, parent, 8, True)
@@ -186,10 +186,11 @@ class TestExecuteRequest:
                 o and o.metrics for o in want
             ]
             for engine in (served, direct):
-                assert engine.evaluations == 2 + len(moves)
-            assert (served.cache_hits, served.cache_misses) == (
-                direct.cache_hits,
-                direct.cache_misses,
+                assert engine.counters().evaluations == 2 + len(moves)
+            got_c, want_c = served.counters(), direct.counters()
+            assert (got_c.cache_hits, got_c.cache_misses) == (
+                want_c.cache_hits,
+                want_c.cache_misses,
             )
         with pytest.raises(RuntimeError):
             execute_request(served, EvalRequest(parent=parent, moves=moves))
@@ -209,12 +210,12 @@ class TestLegacyEquivalence:
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
         pool_size = 4 + seed % 5
-        with DesignEvaluator(spec) as legacy_eval:
+        with EvaluationEngine(spec) as legacy_eval:
             start = start_of(spec, legacy_eval)
             legacy = legacy_steepest_descent(
                 spec, legacy_eval, start, pool_size=pool_size, max_iterations=8
             )
-        with DesignEvaluator(spec) as kernel_eval:
+        with EvaluationEngine(spec) as kernel_eval:
             start = start_of(spec, kernel_eval)
             outcome = SearchLoop(
                 NeighbourhoodProposer(pool_size=pool_size),
@@ -232,7 +233,7 @@ class TestLegacyEquivalence:
     def test_metropolis_walk_matches_legacy(self, seed):
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
-        with DesignEvaluator(spec) as legacy_eval:
+        with EvaluationEngine(spec) as legacy_eval:
             start = start_of(spec, legacy_eval)
             legacy_best, legacy_current, legacy_temp, legacy_rng = (
                 legacy_sa_walk(
@@ -243,7 +244,7 @@ class TestLegacyEquivalence:
                     iterations=60,
                 )
             )
-        with DesignEvaluator(spec) as kernel_eval:
+        with EvaluationEngine(spec) as kernel_eval:
             start = start_of(spec, kernel_eval)
             kernel_best, kernel_current, kernel_temp, kernel_rng = (
                 kernel_sa_walk(
@@ -312,7 +313,7 @@ class TestBudgetLaws:
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
         objectives = []
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             for max_steps in sorted(budgets):
                 outcome = SearchLoop(

@@ -81,7 +81,8 @@ class TestDeterminism:
         )
         assert uncached.best.design_identity() == race.best.design_identity()
         assert uncached.evaluations == race.evaluations
-        assert uncached.cache_hits == uncached.cache_misses == 0
+        counters = uncached.counters
+        assert counters.cache_hits == counters.cache_misses == 0
 
     def test_racing_order_does_not_change_the_winning_design(self, spec, race):
         reversed_race = run_portfolio(

@@ -69,7 +69,8 @@ def test_compiled_spec_array_lowering(spec):
 
 def test_strategy_for_family_writes_the_sqlite_store(spec, tmp_path):
     """The store phase passes the backend by keyword; a cold run writes
-    rows and reports the store counters perfbench records."""
+    rows and reports the store counters perfbench records, under the
+    names it reads them by (each one the run's ``counters`` field)."""
     path = tmp_path / "results.db"
     result = strategy_for_family(
         "MH", 1, True, 1, 50, cache_store="sqlite", cache_path=str(path)
@@ -77,19 +78,25 @@ def test_strategy_for_family_writes_the_sqlite_store(spec, tmp_path):
     assert result.valid and path.exists()
     assert result.store_writes > 0
     assert result.store_misses > 0 and result.store_hits == 0
+    counters = result.counters
+    assert result.evaluations == counters.evaluations > 0
+    assert result.store_hits == counters.store_hits
+    assert result.store_misses == counters.store_misses
+    assert result.store_writes == counters.store_writes
 
 
 @pytest.mark.parametrize("shards", [0, 2])
 def test_run_portfolio_keywords_and_result(spec, shards):
     """The race phase: keyword call, lockstep (``shards=0``) and sharded,
-    read through ``best``, ``evaluations``, ``cache_hits`` and (sharded)
-    ``shard_busy_seconds``."""
+    read through ``best``, ``evaluations``, ``cache_hits`` (each the
+    race's ``counters`` field) and (sharded) ``shard_busy_seconds``."""
     result = run_portfolio(
         spec, RACE_MEMBERS, seed=1, sa_iterations=50, shards=shards
     )
     assert result.best is not None and result.best.valid
-    assert result.evaluations > 0
-    assert result.cache_hits >= 0
+    assert result.best is result.winner.result
+    assert result.evaluations == result.counters.evaluations > 0
+    assert result.cache_hits == result.counters.cache_hits >= 0
     if shards:
         assert len(result.shard_busy_seconds) == shards
         assert all(busy >= 0.0 for busy in result.shard_busy_seconds)
