@@ -24,11 +24,13 @@ candidate evaluation.  This module prices the state directly:
   container lists of the object kernel via the geometry's start-order
   permutation.
 
-A cold best-fit pricing of a state the compiled kernel finished
-(:class:`~repro.sched.native.NativeRunState`) computes all integer
-inputs -- both unplaced totals, C2P and C2m -- in one C call; the float
-mixing below stays the same Python expressions, so the compiled and
-the Python pass price identically as soon as their integers agree.
+A cold best-fit evaluation with the compiled module loaded never
+reaches this module's pricing: :func:`evaluate_key` schedules, prices
+and mixes its packed key in one C call (``evaluate`` in
+``sched/native.c``), whose mix follows :func:`_mix` operation by
+operation, so both price bit for bit alike.  The Python pricing below
+serves the Python pass, recorded passes, the first- and worst-fit
+ablations, and the tests as the oracle of that call.
 
 Byte-identity with the pinned object kernel is by construction: every
 metric is computed from equal integer inputs with the same float
@@ -54,7 +56,9 @@ from repro.core.metrics import (
     _packing_inputs,
 )
 from repro.sched.arrays import ArrayMetricGeometry, ArrayRunState, ArraySpec
-from repro.sched.native import NativeRunState
+from repro.sched.native import (
+    NativePricedState, NativeRunState, ObjectiveInputs,
+)
 
 
 class ArrayNodeData:
@@ -141,31 +145,21 @@ def _packing_runs(
 ) -> Tuple[
     Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
     Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
-    "np.ndarray",
 ]:
     """:func:`repro.core.metrics._packing_inputs` plus RLE encodings.
 
     Returns ``(process bag, its runs, total, min, message bag, its
-    runs, total, min, bags)``; the histogram best-fit kernel consumes
-    the runs, the ablation policies the flat bags, and the compiled
-    price ``bags``: ``process min, process run count, its (size,
-    count) pairs, message run count, its pairs`` as one int64 vector.
+    runs, total, min)``; the histogram best-fit kernels (Python and
+    compiled) consume the runs, the ablation policies the flat bags.
     Cached per ``(future, horizon)`` like the object kernel's inputs.
     """
     (
         process_bag, process_total, process_min,
         message_bag, message_total, message_min,
     ) = _packing_inputs(future, horizon)
-    process_runs = _run_length(process_bag)
-    message_runs = _run_length(message_bag)
-    flat = [process_min, len(process_runs)]
-    flat.extend(x for pair in process_runs for x in pair)
-    flat.append(len(message_runs))
-    flat.extend(x for pair in message_runs for x in pair)
     return (
-        process_bag, process_runs, process_total, process_min,
-        message_bag, message_runs, message_total, message_min,
-        np.array(flat, dtype=np.int64),
+        process_bag, _run_length(process_bag), process_total, process_min,
+        message_bag, _run_length(message_bag), message_total, message_min,
     )
 
 
@@ -273,25 +267,15 @@ def evaluate_state_delta(
     objective) recompute from the per-resource inputs with the object
     kernel's exact expressions, so the returned metrics equal a cold
     object evaluation bit for bit.
-
-    A compiled state priced cold under best fit gets its integer
-    inputs from one C call and no memo: it never parents a delta
-    evaluation.
     """
     if weights is None:
         weights = ObjectiveWeights()
     geom = arrays.metric_geometry(future.t_min)
     (
         process_bag, process_runs, process_total, process_min,
-        message_bag, message_runs, message_total, message_min, bags,
+        message_bag, message_runs, message_total, message_min,
     ) = _packing_runs(future, arrays.horizon)
     lean = weights.binpack_policy == "best-fit"
-
-    if parent_memo is None and lean and isinstance(state, NativeRunState):
-        process_unplaced, message_unplaced, c2p, c2m = state.price(geom, bags)
-        c1p = 100.0 * process_unplaced / process_total if process_bag else 0.0
-        c1m = 100.0 * message_unplaced / message_total if message_bag else 0.0
-        return _mix(c1p, c1m, c2p, c2m, future, weights), None
 
     runs_s = state.runs_s
     runs_e = state.runs_e
@@ -380,6 +364,61 @@ def evaluate_state_delta(
         nodes, used, resid_hist, window_free, c1p, c1m, c2m
     )
     return _mix(c1p, c1m, c2p, c2m, future, weights), memo
+
+
+def evaluate_key(
+    arrays: ArraySpec,
+    future: FutureCharacterization,
+    weights: ObjectiveWeights,
+    key: bytes,
+) -> Optional[DesignMetrics]:
+    """Schedule and price one packed key in one compiled call; ``None``
+    when it does not schedule.
+
+    The cold best-fit evaluation when the compiled module loaded:
+    :meth:`ArraySpec.run_kernel` runs a
+    :class:`~repro.sched.native.NativePricedState`, whose metrics equal
+    :func:`evaluate_state` on the Python pass bit for bit.  The
+    objective's C inputs are built when ``future`` or ``weights`` is
+    not the object the context was last bound with, so the hot path
+    hashes no dataclass.
+
+    Raises
+    ------
+    ValueError
+        If ``weights`` packs with another policy than best fit.
+    """
+    context = arrays.kernel_context()
+    if context.future is not future or context.weights is not weights:
+        if weights.binpack_policy != "best-fit":
+            raise ValueError(
+                "the compiled call packs best fit only, not "
+                f"{weights.binpack_policy!r}"
+            )
+        (
+            _, process_runs, process_total, process_min,
+            _, message_runs, message_total, _,
+        ) = _packing_runs(future, arrays.horizon)
+        context.bind(
+            future,
+            weights,
+            arrays.metric_geometry(future.t_min),
+            ObjectiveInputs(
+                process_min, process_runs, process_total,
+                message_runs, message_total,
+                future.t_need, future.b_need,
+                (weights.w1p, weights.w1m, weights.w2p, weights.w2m),
+                weights.normalize_second,
+            ),
+        )
+    st = NativePricedState(context, key)
+    arrays.run_kernel(st)
+    if not st.success:
+        return None
+    return DesignMetrics(
+        st.c1p, st.c1m, st.c2p, st.c2m,
+        st.penalty_2p, st.penalty_2m, st.objective,
+    )
 
 
 def _mix(

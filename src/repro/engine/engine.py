@@ -114,8 +114,11 @@ class EngineCounters(NamedTuple):
     work to a window of activity.
 
     The ``*_ns`` fields are the stage-time buckets of the evaluation
-    pipeline (scheduling pass, metric pricing, schedule decode).  They
-    feed reporting only, never a decision.
+    pipeline (scheduling pass, metric pricing, schedule decode).  A
+    cold best-fit evaluation with the compiled pass loaded schedules
+    and prices in one C call, booked whole in ``sched_ns``, so
+    ``metrics_ns`` counts pricing in Python only.  They feed reporting
+    only, never a decision.
 
     The ``store_*`` fields are the persistent result store's
     accounting: probes past the resident tier (hits/misses), rows

@@ -7,12 +7,15 @@ uncached path, the cache-miss path and every shard's engine call
 exactly this function, which is what makes cached, uncached and
 sharded runs bit-identical.
 
-Under the array core the hot path never leaves the flat representation:
-the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState` (a
+Under the array core the hot path never leaves the flat representation.
+With the compiled pass loaded, a cold best-fit evaluation is one C call
+that schedules, prices and mixes the packed key
+(:func:`~repro.core.array_metrics.evaluate_key`); otherwise the pass
+finishes as an :class:`~repro.sched.arrays.ArrayRunState` (a
 :class:`~repro.sched.native.NativeRunState` when the compiled pass
-loaded), the metrics are priced directly on its columns
-(:mod:`repro.core.array_metrics`), and the state is dropped -- an
-outcome keeps its price, not its pass.  The object
+loaded) and the metrics are priced directly on its columns
+(:mod:`repro.core.array_metrics`).  Either way the state is dropped --
+an outcome keeps its price, not its pass.  The object
 :class:`~repro.sched.schedule.SystemSchedule` is re-derived **lazily**:
 :attr:`EvaluatedDesign.schedule` re-runs the deterministic pass with
 trace columns and decodes it on first access (accepted incumbents,
@@ -30,6 +33,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional
 
+from repro.sched import native
 from repro.sched.arrays import ArrayRunState
 from repro.sched.schedule import SystemSchedule
 from repro.sched.trace import ScheduleTrace
@@ -51,8 +55,10 @@ class StageTimings:
     One mutable sink per engine: scheduling, metric pricing and
     schedule decode accumulate separately, so the per-stage Amdahl
     split of a search run is visible in the engine statistics without
-    a profiler.  Time recorded here feeds reporting only -- never a
-    scheduling decision.
+    a profiler.  A compiled best-fit evaluation schedules and prices in
+    one call, which ``sched_ns`` books whole; ``metrics_ns`` then
+    counts pricing in Python only.  Time recorded here feeds reporting
+    only -- never a scheduling decision.
     """
 
     __slots__ = ("sched_ns", "metrics_ns", "decode_ns")
@@ -204,15 +210,30 @@ def evaluate_candidate(
     ``timings`` (when given) accumulates per-stage wall time.
     ``key`` is ``compiled.signature(design)`` when the caller packed it
     already (an engine cache miss); the array core schedules from it,
-    and packs one itself when it is ``None``.
+    and packs one itself when it is ``None``.  An unrecorded best-fit
+    evaluation with the compiled pass loaded schedules and prices that
+    key in one C call, booked as scheduling time.
     """
-    from repro.core.metrics import evaluate_design_delta
-
     if compiled.use_arrays:
-        from repro.core.array_metrics import evaluate_state_delta
+        from repro.core.array_metrics import evaluate_key, evaluate_state_delta
 
         arrays = compiled.arrays
         start = time.perf_counter_ns()
+        if (
+            not record_trace
+            and native.MODULE is not None
+            and spec.weights.binpack_policy == "best-fit"
+        ):
+            if key is None:
+                key = compiled.signature(design)
+            metrics = evaluate_key(arrays, spec.future, spec.weights, key)
+            if timings is not None:
+                timings.sched_ns += time.perf_counter_ns() - start
+            if metrics is None:
+                return None
+            return EvaluatedDesign(
+                design, None, metrics, compiled=compiled, timings=timings
+            )
         state = arrays.schedule_design(design, record=record_trace, key=key)
         mid = time.perf_counter_ns()
         if timings is not None:
@@ -234,6 +255,8 @@ def evaluate_candidate(
             design, None, metrics, trace=state, memo=memo,
             compiled=compiled, timings=timings,
         )
+
+    from repro.core.metrics import evaluate_design_delta
 
     assert scheduler is not None, "the object core needs its ListScheduler"
     start = time.perf_counter_ns()

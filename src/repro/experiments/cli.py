@@ -722,7 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
     figure_options.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's workload sizes (slow: hours of SA)",
+        help=(
+            "use the paper's workload sizes (slow: `all` takes 4-5 "
+            "minutes on a 2-core box)"
+        ),
     )
     figure_options.add_argument(
         "--presets", nargs="+",

@@ -1,9 +1,10 @@
 """Lint configuration: built-in defaults + ``[tool.repro-lint]``.
 
-The shipped defaults mirror the checked-in ``pyproject.toml`` section
-so fixture snippets lint identically with or without a config file;
-the file is authoritative for the live tree (it carries the layering
-allowlist and the timing-boundary set).
+The shipped layers, kernel layers, float-equality modules and hot
+paths mirror the checked-in ``pyproject.toml`` section, so fixture
+snippets lint identically with or without a config file (a tier-1
+test pins the match); the file is authoritative for the live tree and
+alone carries the layering allowlist and the timing-boundary set.
 
 ``tomllib`` only exists on Python 3.11+; on 3.10 a tiny fallback
 parser handles the restricted TOML subset this section uses (string
@@ -75,21 +76,26 @@ DEFAULT_FLOAT_EQ_MODULES: Tuple[str, ...] = (
     "repro.sched",
     "repro.engine.delta",
     "repro.core.metrics",
+    "repro.core.array_metrics",
     "repro.core.slack",
 )
 
 #: Function names treated as scheduling/delta hot paths (CON003); the
-#: last five are the production path of every cold evaluation.
+#: last seven are the production path of every cold evaluation.
 DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "run_pass",
     "resume_state",
     "evaluate_move",
     "_divergence",
+    "evaluate_state_delta",
+    "best_fit_unplaced_total_hist",
     "run_kernel",
     "schedule_design",
     "lower_candidate",
     "signature",
     "evaluate_candidate",
+    "evaluate_key",
+    "kernel_context",
 )
 
 

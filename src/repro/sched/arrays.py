@@ -39,11 +39,14 @@ The kernel is *decision-identical* to the object core by construction:
 its :meth:`CompiledSpec.signature
 <repro.engine.compiled_spec.CompiledSpec.signature>` -- the cache key,
 whose process and message orders are this module's id orders.  A
-cold, columnless pass -- the one every engine evaluation runs --
-executes in C (:mod:`repro.sched.native`) straight from those bytes:
-:meth:`ArraySpec.schedule_design` hands it a
-:class:`~repro.sched.native.NativeRunState` whenever the compiled
-module loaded, and :meth:`ArraySpec.run_kernel` formats its failure
+cold, columnless pass executes in C (:mod:`repro.sched.native`)
+straight from those bytes whenever the compiled module loaded: an
+engine's best-fit evaluation as a
+:class:`~repro.sched.native.NativePricedState` (pass, price and mix in
+one call), any other as the
+:class:`~repro.sched.native.NativeRunState`
+:meth:`ArraySpec.schedule_design` hands it.
+:meth:`ArraySpec.run_kernel` runs both and formats their failure
 kinds with the same templates as the Python loop below.  That loop
 runs on :meth:`ArraySpec.lower_candidate`, the key's unpacking, and
 stays for the recorded and column passes (decode, the delta kernel),
@@ -73,7 +76,7 @@ import numpy as np
 
 from repro.sched import native
 from repro.sched.jobs import JobKey
-from repro.sched.native import NativeRunState
+from repro.sched.native import NativeRunState, NativeState
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
 from repro.sched.trace import MessageEvent, ScheduleTrace
 from repro.tdma.schedule import SlotOccupancy
@@ -107,7 +110,7 @@ class ArrayRunState:
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
     argument bundle play for the object core.  The Python loop runs on
     it; a cold columnless pass runs compiled in a
-    :class:`~repro.sched.native.NativeRunState` when the module loaded.
+    :class:`~repro.sched.native.NativeState` when the module loaded.
     A state lives only as long as its pricing: the engine's cold
     passes record nothing and their outcomes keep metrics, not states.
     Only a recorded state (the delta kernel's direct callers, off the
@@ -648,35 +651,49 @@ class ArraySpec:
         """
         if key is None:
             key = self.compiled.signature(design)
-        module = native.MODULE
         st: Union[ArrayRunState, NativeRunState]
-        if record or columns or module is None:
+        if record or columns or native.MODULE is None:
             st = self.fresh_state(
                 self.lower_candidate(design, key), record, columns
             )
         else:
-            context = self._native
-            if context is None:
-                context = self._native = native.KernelContext(self, module)
-            st = NativeRunState(context, key)
+            st = NativeRunState(self.kernel_context(), key)
         self.run_kernel(st)
         return st
+
+    def kernel_context(self) -> native.KernelContext:
+        """The compiled pass's context, built on first use.
+
+        Raises
+        ------
+        RuntimeError
+            If the compiled module did not load.
+        """
+        context = self._native
+        if context is None:
+            module = native.MODULE
+            if module is None:
+                raise RuntimeError("the compiled evaluation pass did not load")
+            context = self._native = native.KernelContext(self, module)
+        return context
 
     # ------------------------------------------------------------------
     # the kernel
     # ------------------------------------------------------------------
-    def run_kernel(self, st: Union[ArrayRunState, NativeRunState]) -> None:
+    def run_kernel(self, st: Union[ArrayRunState, NativeState]) -> None:
         """The resumable pass loop over index state; mutates ``st``.
 
         Pop order, gap search, TDMA packing, delay handling, failure
         checks and checkpoint marks replicate ``ListScheduler.run_pass``
         decision for decision -- see the module docstring for the
-        order-isomorphism argument.  A :class:`NativeRunState` runs the
-        same pass in C.  On return either ``st.success`` is True or
-        ``st.failure_reason`` carries the object core's exact failure
-        string.
+        order-isomorphism argument.  A compiled state runs the same
+        pass in C: a :class:`~repro.sched.native.NativeRunState` the
+        pass alone, a :class:`~repro.sched.native.NativePricedState`
+        the pass, its best-fit price and the objective in one call.  On
+        return either ``st.success`` is True or ``st.failure_reason``
+        carries the object core's exact failure string.
         """
-        if isinstance(st, NativeRunState):
+        if isinstance(st, NativeState):
             kind = st.run()
             if kind:
                 st.failure_reason = self._native_failure(st, kind)
@@ -854,7 +871,7 @@ class ArraySpec:
             return
         st.success = True
 
-    def _native_failure(self, st: NativeRunState, kind: int) -> str:
+    def _native_failure(self, st: NativeState, kind: int) -> str:
         """The Python kernel's failure string for a compiled failure."""
         if kind == native.FAIL_CYCLE:
             return _CYCLE_REASON

@@ -1,32 +1,37 @@
 /* The compiled evaluation pass of the array scheduler core.
  *
- * Two entry points, called through the cffi binding in native.py; both
- * compute in integers but for the kernel's urgencies:
+ * Two entry points, called through the cffi binding in native.py:
  *
- *   kernel -- the cold, columnless pass of ArraySpec.run_kernel, read
- *             straight from the candidate's packed key: the heap
- *             ranks np.lexsort gives the Python pass, pop order over
- *             the rank heap, gap search with canonical run insertion,
- *             the TDMA scan with the message-delay re-scan, and the
- *             horizon / deadline / bus checks in the Python kernel's
- *             order.  On failure it reports a kind plus the job, the
- *             edge and the end time; Python formats the failure
- *             string.
- *   price  -- the integer inputs of the slide-14 objective for a state
- *             the kernel finished: the best-fit unplaced totals of the
- *             future process and message bags, C2P and C2m.  The float
- *             mixing stays in Python (core/array_metrics.py), so byte
- *             identity with the Python pass reduces to equal integers.
+ *   kernel   -- the cold, columnless pass of ArraySpec.run_kernel, read
+ *               straight from the candidate's packed key: the heap
+ *               ranks np.lexsort gives the Python pass, pop order over
+ *               the rank heap, gap search with canonical run insertion,
+ *               the TDMA scan with the message-delay re-scan, and the
+ *               horizon / deadline / bus checks in the Python kernel's
+ *               order.  On failure it reports a kind plus the job, the
+ *               edge and the end time; Python formats the failure
+ *               string.  Its state owns its buffers.
+ *   evaluate -- one cold best-fit evaluation on the context's scratch
+ *               state: the same pass, then the slide-14 price (the
+ *               best-fit unplaced totals of the future process and
+ *               message bags, C2P and C2m) and the float mix, which
+ *               follows core/array_metrics.py's _mix operation by
+ *               operation.  It allocates nothing.
+ *
+ * The scratch state's bus region holds the base occupancy between
+ * calls: the pass logs each occurrence on its first positive write,
+ * the price patches the base histogram at those occurrences only, and
+ * evaluate writes the base values back on every exit path.
  *
  * Every loop below mirrors one Python loop of sched/arrays.py or
- * core/array_metrics.py / core/binpack.py; all operands are
- * non-negative, so C division equals Python floor division.  The one
- * float expression, urgency = deadline - priority, is the float64
- * subtraction of ArraySpec.lower_candidate, and the rank sort is its
- * np.lexsort.
+ * core/array_metrics.py / core/binpack.py; all integer operands are
+ * non-negative, so C division equals Python floor division.  The float
+ * expressions are the urgency, deadline - priority, the float64
+ * subtraction of ArraySpec.lower_candidate (the rank sort is its
+ * np.lexsort), and the mix, built with -ffp-contract=off so no
+ * multiply and add fuse.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
@@ -45,18 +50,35 @@ typedef struct {
     /* state layout, in int64 words (see KernelContext in native.py) */
     i64 run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     i64 off_earliest, off_preds, off_heap, off_job_of_rank;
-    i64 off_node, off_delay, off_rank, off_sort;
+    i64 off_node, off_delay, off_rank, off_sort, off_log;
 } kernel_ctx;
 
+/* The price geometry of one T_min and its scratch: per-window busy
+ * time and free bytes, the gap histogram and the bus histogram, of
+ * gap_room and bus_room entries each. */
 typedef struct {
-    i64 n_windows, window_width, base_m;
+    i64 n_windows, window_width, base_m, gap_room, bus_room;
     const i64 *window_lengths, *caps, *win;
     const i64 *base_val, *base_cnt; /* base residual histogram, ascending */
     const i64 *base_window_free;
+    i64 *scratch;
 } price_ctx;
 
+/* The objective's inputs: both future bags as (size, count) runs in
+ * descending size order (a bag is empty when it has no runs), their
+ * totals, the future's needs, the weights and the normalisation flag. */
+typedef struct {
+    i64 process_min, n_process, n_message;
+    const i64 *process_runs, *message_runs;
+    i64 process_total, message_total, t_need, b_need, normalize_second;
+    double w1p, w1m, w2p, w2m;
+} mix_ctx;
+
 enum { PASS_OK, FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET };
-enum { ST_KIND, ST_SCHEDULED, ST_JOB, ST_EDGE, ST_END };
+/* State header: the outcome, then the seven metric fields of an
+ * evaluate call (two integers, then five doubles). */
+enum { ST_KIND, ST_SCHEDULED, ST_JOB, ST_EDGE, ST_END, ST_C2P, ST_C2M, ST_MIX };
+enum { MIX_C1P, MIX_C1M, MIX_PEN2P, MIX_PEN2M, MIX_OBJECTIVE, MIX_N };
 
 /* The packed key of CompiledSpec.signature: per process (sorted ids)
  * an int32 node index and a float64 priority, then per message (sorted
@@ -159,7 +181,11 @@ static i64 heap_pop(i64 *heap, i64 *size)
     return top;
 }
 
-i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
+/* The pass.  Without a log it copies the base occupancy into the
+ * state's bus region; with one, the region already holds it, and the
+ * pass appends each occurrence it raises above the base to log. */
+static i64 pass(const kernel_ctx *k, const char *key, i64 *st, i64 *log,
+                i64 *n_log)
 {
     const i64 cap = k->run_cap, n_jobs = k->n_jobs;
     i64 *runs_s = st + k->off_runs_s, *runs_e = st + k->off_runs_e;
@@ -199,7 +225,8 @@ i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
         memcpy(runs_e + n * cap, k->base_e + k->base_ptr[n], count * sizeof(i64));
         run_n[n] = count;
     }
-    memcpy(bus, k->base_used, k->n_occ * sizeof(i64));
+    if (!log)
+        memcpy(bus, k->base_used, k->n_occ * sizeof(i64));
     memcpy(earliest, k->release, n_jobs * sizeof(i64));
     memcpy(preds, k->preds0, n_jobs * sizeof(i64));
     for (i64 s = 0; s < k->n_sources; s++)
@@ -290,6 +317,9 @@ i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
                 }
                 if (r >= count)
                     return fail(st, FAIL_BUS, scheduled, j, t, end);
+                if (log && size > 0
+                    && used[r] == k->base_used[k->occ_base[n] + r])
+                    log[(*n_log)++] = k->occ_base[n] + r;
                 used[r] += size;
                 arrival = r * k->round_length + offset + k->slot_len[n];
             }
@@ -302,6 +332,11 @@ i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
     if (scheduled != n_jobs)
         return fail(st, FAIL_CYCLE, scheduled, -1, -1, 0);
     return fail(st, PASS_OK, scheduled, -1, -1, 0);
+}
+
+i64 kernel(const kernel_ctx *k, const char *key, i64 *st)
+{
+    return pass(k, key, st, NULL, NULL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -382,33 +417,50 @@ i64 best_fit_unplaced(i64 *val, i64 *cnt, i64 m, const i64 *runs, i64 n_runs)
     return unplaced;
 }
 
-/* bags: process_min, n_process_runs, its (size, count) pairs, then
- * n_message_runs and its pairs.  out: unplaced process total, unplaced
- * message total, C2P, C2m.  Returns 0, or -1 when out of memory. */
-i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
-          const i64 *bags, i64 *out)
+/* _mix of core/array_metrics.py, with C1P and C1m from the unplaced
+ * totals: every int becomes a double before it meets a double, and the
+ * objective sums left to right.  out: C1P, C1m, both penalties and the
+ * objective. */
+void mix(const mix_ctx *x, i64 process_unplaced, i64 message_unplaced,
+         i64 c2p, i64 c2m, double *out)
 {
-    const i64 process_min = bags[0], n_process = bags[1];
-    const i64 *process_runs = bags + 2;
-    const i64 n_message = bags[2 + 2 * n_process];
-    const i64 *message_runs = bags + 3 + 2 * n_process;
+    double c1p = x->n_process
+        ? 100.0 * (double)process_unplaced / (double)x->process_total
+        : 0.0;
+    double c1m = x->n_message
+        ? 100.0 * (double)message_unplaced / (double)x->message_total
+        : 0.0;
+    double pen2p = (double)(x->t_need - c2p);
+    double pen2m = (double)(x->b_need - c2m);
+    pen2p = pen2p > 0.0 ? pen2p : 0.0; /* max(0.0, x) */
+    pen2m = pen2m > 0.0 ? pen2m : 0.0;
+    if (x->normalize_second) {
+        if (x->t_need > 0)
+            pen2p = 100.0 * pen2p / (double)x->t_need;
+        if (x->b_need > 0)
+            pen2m = 100.0 * pen2m / (double)x->b_need;
+    }
+    out[MIX_C1P] = c1p;
+    out[MIX_C1M] = c1m;
+    out[MIX_PEN2P] = pen2p;
+    out[MIX_PEN2M] = pen2m;
+    out[MIX_OBJECTIVE] =
+        x->w1p * c1p + x->w1m * c1m + x->w2p * pen2p + x->w2m * pen2m;
+}
+
+/* Price a finished pass on the scratch state: node slack from the run
+ * columns, bus slack by patching the base at the n_log logged
+ * occurrences, then the mix; the results go to the state header. */
+static void price(const kernel_ctx *k, const price_ctx *g, const mix_ctx *x,
+                  i64 *st, const i64 *log, i64 n_log)
+{
     const i64 cap = k->run_cap, width = g->window_width, n_win = g->n_windows;
     const i64 *runs_s = st + k->off_runs_s, *runs_e = st + k->off_runs_e;
     const i64 *run_n = st + k->off_run_n, *used = st + k->off_bus;
+    i64 *busy = g->scratch, *window_free = busy + n_win;
+    i64 *gap_val = window_free + n_win, *gap_cnt = gap_val + g->gap_room;
+    i64 *val = gap_cnt + g->gap_room, *cnt = val + g->bus_room;
     i64 c2p = 0, gap_m = 0, m = g->base_m;
-
-    i64 max_gaps = k->n_nodes;
-    for (i64 n = 0; n < k->n_nodes; n++)
-        max_gaps += run_n[n];
-    /* Histogram room: the walk needs 2 * bins + 2 entries, the bus
-     * patch base_m + n_occ before it. */
-    i64 gap_room = 2 * max_gaps + 4, bus_room = g->base_m + 2 * k->n_occ + 4;
-    i64 *busy = malloc((2 * n_win + 2 * gap_room + 2 * bus_room) * sizeof(i64));
-    if (!busy)
-        return -1;
-    i64 *window_free = busy + n_win;
-    i64 *gap_val = window_free + n_win, *gap_cnt = gap_val + gap_room;
-    i64 *val = gap_cnt + gap_room, *cnt = val + bus_room;
 
     /* Node slack: gaps >= process_min (C1P bins) and the busy time
      * split over the T_min windows (C2P). */
@@ -418,7 +470,7 @@ i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
         memset(busy, 0, n_win * sizeof(i64));
         for (i64 i = 0; i < run_n[n]; i++) {
             i64 start = ss[i], end = ee[i];
-            if (start - cursor >= process_min) /* process_min >= 1 */
+            if (start - cursor >= x->process_min) /* process_min >= 1 */
                 hist_add(gap_val, gap_cnt, &gap_m, start - cursor, 1);
             cursor = end;
             for (i64 w = start / width; start < end; w++) {
@@ -431,7 +483,7 @@ i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
                 start = boundary;
             }
         }
-        if (k->horizon - cursor >= process_min)
+        if (k->horizon - cursor >= x->process_min)
             hist_add(gap_val, gap_cnt, &gap_m, k->horizon - cursor, 1);
         for (i64 w = 0; w < n_win; w++) {
             i64 slack = g->window_lengths[w] - busy[w];
@@ -440,18 +492,18 @@ i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
         }
         c2p += window_min;
     }
-
-    out[0] = best_fit_unplaced(gap_val, gap_cnt, gap_m, process_runs, n_process);
+    i64 process_unplaced = best_fit_unplaced(
+        gap_val, gap_cnt, gap_m, x->process_runs, x->n_process);
 
     /* Bus: patch the base residual histogram and per-window free bytes
-     * at the occurrences the pass changed. */
+     * at the logged occurrences.  Each is logged once and its base
+     * residual is in the histogram, so any patch order gives the same
+     * histogram. */
     memcpy(val, g->base_val, g->base_m * sizeof(i64));
     memcpy(cnt, g->base_cnt, g->base_m * sizeof(i64));
     memcpy(window_free, g->base_window_free, n_win * sizeof(i64));
-    for (i64 i = 0; i < k->n_occ; i++) {
-        i64 before = k->base_used[i], after = used[i];
-        if (after == before)
-            continue;
+    for (i64 l = 0; l < n_log; l++) {
+        i64 i = log[l], before = k->base_used[i], after = used[i];
         cnt[lower_bound(val, m, g->caps[i] - before)]--;
         hist_add(val, cnt, &m, g->caps[i] - after, 1);
         if (g->win[i] >= 0)
@@ -461,9 +513,29 @@ i64 price(const kernel_ctx *k, const price_ctx *g, const i64 *st,
     for (i64 w = 1; w < n_win; w++)
         if (window_free[w] < c2m)
             c2m = window_free[w];
-    out[1] = best_fit_unplaced(val, cnt, m, message_runs, n_message);
-    out[2] = c2p;
-    out[3] = c2m;
-    free(busy);
-    return 0;
+    i64 message_unplaced = best_fit_unplaced(
+        val, cnt, m, x->message_runs, x->n_message);
+
+    double out[MIX_N];
+    mix(x, process_unplaced, message_unplaced, c2p, c2m, out);
+    st[ST_C2P] = c2p;
+    st[ST_C2M] = c2m;
+    memcpy(st + ST_MIX, out, sizeof out);
+}
+
+/* One cold best-fit evaluation on the scratch state `st`, whose bus
+ * region holds the base occupancy and holds it again on return.
+ * Returns the failure kind (0 on success, with the metrics in the
+ * header). */
+i64 evaluate(const kernel_ctx *k, const price_ctx *g, const mix_ctx *x,
+             const char *key, i64 *st)
+{
+    i64 *log = st + k->off_log, *bus = st + k->off_bus;
+    i64 n_log = 0;
+    i64 kind = pass(k, key, st, log, &n_log);
+    if (kind == PASS_OK)
+        price(k, g, x, st, log, n_log);
+    for (i64 l = 0; l < n_log; l++)
+        bus[log[l]] = k->base_used[log[l]];
+    return kind;
 }

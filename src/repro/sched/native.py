@@ -1,20 +1,22 @@
-"""The compiled evaluation pass: cold kernel and price inputs in C.
+"""The compiled evaluation pass: schedule, price and mix in C.
 
-``native.c`` holds two entry points: ``kernel``, the cold, columnless
-pass of :meth:`ArraySpec.run_kernel
+``native.c`` holds two entry points.  ``kernel`` is the cold,
+columnless pass of :meth:`ArraySpec.run_kernel
 <repro.sched.arrays.ArraySpec.run_kernel>`, which reads a candidate
 straight from its packed key (:meth:`CompiledSpec.signature
-<repro.engine.compiled_spec.CompiledSpec.signature>`), and ``price``,
-the integer inputs of the slide-14 objective that
-:func:`~repro.core.array_metrics.evaluate_state_delta` mixes into
-floats.  This module builds and loads it and wraps it for those two
-callers:
+<repro.engine.compiled_spec.CompiledSpec.signature>`).  ``evaluate``
+runs the same pass and then prices and mixes its result: the
+best-fit slide-14 objective of
+:func:`~repro.core.array_metrics.evaluate_key`, one call per cold
+candidate.  This module builds and loads it and wraps it:
 
 * :class:`KernelContext` -- one spec's immutable lowering as C arrays,
-  built on the spec's first cold pass (and its price geometry on the
-  first cold pricing);
-* :class:`NativeRunState` -- one cold pass, which runs the kernel on
-  one key and prices its result; it owns its buffer.
+  built on the spec's first compiled pass, plus the scratch state and
+  the bound objective of ``evaluate``, built on the first priced pass;
+* :class:`NativeRunState` -- one ``kernel`` pass on one key, with its
+  own buffer, whose busy runs and bus occupancy decode on demand;
+* :class:`NativePricedState` -- one ``evaluate`` call on the scratch,
+  which keeps the seven metric fields and no columns.
 
 The module is built and loaded when this file is imported, so a timed
 region never spans a compile.  The build runs ``native_build.py`` in a
@@ -40,7 +42,9 @@ import sysconfig
 import warnings
 from pathlib import Path
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -54,10 +58,15 @@ BUILD_DIR = HERE / "_build"
 #: This interpreter's extension suffix, the tail of every build's name.
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
-#: Failure kinds ``kernel`` returns (0 is success); see ``native.c``.
+#: Failure kinds ``kernel`` and ``evaluate`` return (0 is success); see
+#: ``native.c``.
 FAIL_HORIZON, FAIL_DEADLINE, FAIL_BUS, FAIL_CYCLE, FAIL_WCET = 1, 2, 3, 4, 5
-#: State header words: kind, scheduled count, job, edge, end time.
-_KIND, _SCHEDULED, _JOB, _EDGE, _END = range(5)
+#: State header words: kind, scheduled count, job, edge, end time, then
+#: the C2P and C2m of an ``evaluate`` call and its five doubles (C1P,
+#: C1m, both penalties and the objective).
+_KIND, _SCHEDULED, _JOB, _EDGE, _END, _C2P, _C2M, _MIX = range(8)
+_HEADER = _MIX + 5
+_WORD = 8
 
 
 class NativeBuildError(RuntimeError):
@@ -163,13 +172,24 @@ class KernelContext:
 
     Every array the C structs point into is held in ``_keep``, so the
     pointers stay valid as long as the context lives.  Price geometry
-    is built per ``T_min`` on first use, like
+    (with its scratch) is built per ``T_min`` on first use, like
     :meth:`ArraySpec.metric_geometry`.
+
+    The context also owns the scratch state of ``evaluate``, the one
+    compiled call of a cold best-fit evaluation: :meth:`bind` builds
+    it, once, and sets the objective the call mixes.  The scratch's bus
+    region holds the base occupancy between calls.  ``future`` and
+    ``weights`` are the objects the bound objective was built from;
+    callers compare them with ``is`` to tell whether it still applies.
+    There is one context per :class:`ArraySpec`, so one per engine and
+    one per shard.  An engine was never safe to share between threads,
+    and the shared scratch does not change that.
     """
 
     __slots__ = (
-        "ffi", "lib", "alloc", "ptr", "key_size", "state_size", "_keep",
-        "_prices",
+        "ffi", "lib", "alloc", "ptr", "key_size", "state_size", "n_jobs",
+        "_keep", "_prices", "_log_cap", "_gap_room", "_mix_runs",
+        "scratch", "metrics", "future", "weights", "price", "mix",
     )
 
     def __init__(self, spec: "ArraySpec", module: ModuleType) -> None:
@@ -179,6 +199,13 @@ class KernelContext:
         self.alloc = ffi.new_allocator(should_clear_after_alloc=False)
         self._keep: List[Any] = []
         self._prices: Dict[int, Any] = {}
+        self.scratch: Any = None
+        self.metrics: Any = None
+        self.future: object = None
+        self.weights: object = None
+        self.price: Any = None
+        self.mix: Any = None
+        self._mix_runs: Any = None
         n_nodes = len(spec.node_ids)
         base_ptr = [0]
         for runs in spec.base_runs_s:
@@ -187,6 +214,7 @@ class KernelContext:
         n_jobs = spec.n_jobs
         n_pids = len(spec.pids)
         self.key_size = spec.compiled.key_struct.size
+        self.n_jobs = n_jobs
 
         k = ffi.new("kernel_ctx *")
         k.n_jobs = n_jobs
@@ -219,12 +247,15 @@ class KernelContext:
         k.base_s = self._array([s for runs in spec.base_runs_s for s in runs])
         k.base_e = self._array([e for runs in spec.base_runs_e for e in runs])
         k.base_used = self._array(spec.base_bus_used_flat.tolist())
-        # State layout: a five-word header, then the run columns, run
-        # counts, bus occupancy, the loop scratch and the unpacked key:
-        # node indices, delays, heap ranks and two (urgency, job) sort
-        # buffers of two words per job each.
+        # State layout: the header (the outcome and the metric fields
+        # of an evaluate call), then the run columns, run counts, bus
+        # occupancy, the loop scratch and the unpacked key: node
+        # indices, delays, heap ranks and two (urgency, job) sort
+        # buffers of two words per job each.  The scratch state adds
+        # the log of written occurrences: each is logged once, and
+        # only a cross-node delivery writes one.
         k.run_cap = run_cap
-        k.off_runs_s = 5
+        k.off_runs_s = _HEADER
         k.off_runs_e = k.off_runs_s + n_nodes * run_cap
         k.off_run_n = k.off_runs_e + n_nodes * run_cap
         k.off_bus = k.off_run_n + n_nodes
@@ -236,7 +267,13 @@ class KernelContext:
         k.off_delay = k.off_node + n_pids
         k.off_rank = k.off_delay + spec.n_messages
         k.off_sort = k.off_rank + n_jobs
-        self.state_size = k.off_sort + 4 * n_jobs
+        k.off_log = k.off_sort + 4 * n_jobs
+        self.state_size = k.off_log
+        self._log_cap = min(spec.n_occ, len(spec.edge_dst))
+        # Room of the gap histogram: a best-fit walk needs 2 * bins + 2
+        # entries, and a node has one gap more than runs, of which a
+        # pass adds one per job at most.
+        self._gap_room = 2 * (n_nodes + base_ptr[-1] + n_jobs) + 4
         self.ptr = k
 
     def _array(self, values: List[int], ctype: str = "int64_t[]") -> Any:
@@ -245,34 +282,107 @@ class KernelContext:
         return data
 
     def price_context(self, geom: "ArrayMetricGeometry") -> Any:
-        """The C price geometry of one ``T_min`` (built once)."""
+        """The C price geometry of one ``T_min`` and its scratch: the
+        per-window buffers and room for the gap and bus histograms
+        (built once)."""
         g = self._prices.get(geom.t_min)
         if g is None:
+            k = self.ptr
             g = self.ffi.new("price_ctx *")
             hist = sorted(geom.base_resid_hist.items())
             g.n_windows = geom.n_windows
             g.window_width = geom.window_width
             g.base_m = len(hist)
+            # The bus histogram's values are distinct residuals, from
+            # the lowest base residual (or 0) to the largest capacity,
+            # so it needs no more room than that range, nor than the
+            # patch and a best-fit walk over every occurrence.
+            low = min([0] + [value for value, _ in hist[:1]])
+            high = int(geom.caps_flat.max(initial=0))
+            g.gap_room = self._gap_room
+            g.bus_room = min(len(hist) + 2 * k.n_occ, high - low + 1) + 4
             g.window_lengths = self._array(geom.window_lengths)
             g.caps = self._array(geom.caps_flat.tolist())
             g.win = self._array(geom.win_flat.tolist())
             g.base_val = self._array([value for value, _ in hist])
             g.base_cnt = self._array([count for _, count in hist])
             g.base_window_free = self._array(geom.base_window_free)
+            scratch = self.alloc(
+                "int64_t[]", 2 * (geom.n_windows + g.gap_room + g.bus_room)
+            )
+            self._keep.append(scratch)
+            g.scratch = scratch
             self._prices[geom.t_min] = g
         return g
 
+    def bind(
+        self,
+        future: object,
+        weights: object,
+        geom: "ArrayMetricGeometry",
+        inputs: "ObjectiveInputs",
+    ) -> None:
+        """Set the objective ``evaluate`` mixes, built from ``future``
+        and ``weights``; the first call builds the scratch state."""
+        ffi = self.ffi
+        if self.scratch is None:
+            k = self.ptr
+            scratch = self.alloc("int64_t[]", self.state_size + self._log_cap)
+            ffi.memmove(scratch + k.off_bus, k.base_used, k.n_occ * _WORD)
+            self.scratch = scratch
+            self.metrics = ffi.cast("double *", scratch + _MIX)
+        process, message = runs = tuple(
+            ffi.new("int64_t[]", [x for run in bag for x in run])
+            for bag in (inputs.process_runs, inputs.message_runs)
+        )
+        w1p, w1m, w2p, w2m = inputs.weights
+        self.price = self.price_context(geom)
+        self.mix = ffi.new("mix_ctx *", {
+            "process_min": inputs.process_min,
+            "n_process": len(inputs.process_runs),
+            "n_message": len(inputs.message_runs),
+            "process_runs": process,
+            "message_runs": message,
+            "process_total": inputs.process_total,
+            "message_total": inputs.message_total,
+            "t_need": inputs.t_need,
+            "b_need": inputs.b_need,
+            "normalize_second": bool(inputs.normalize_second),
+            "w1p": w1p, "w1m": w1m, "w2p": w2p, "w2m": w2m,
+        })
+        self._mix_runs = runs  # the arrays self.mix points into
+        self.future = future
+        self.weights = weights
 
-class NativeRunState:
-    """One cold, columnless pass of the compiled kernel over one key.
 
-    Stands in for an :class:`~repro.sched.arrays.ArrayRunState` built
-    with ``record=False, columns=False``: it exposes ``success``,
-    ``failure_reason``, ``scheduled`` and ``total``, and decodes the
-    final busy runs and bus occupancy from its buffer on demand.  The
-    kernel unpacks ``key`` -- the candidate's packed signature -- into
-    the same buffer.  The buffer is allocated per state and never
-    shared; the kernel writes every word it later reads, so it is not
+class ObjectiveInputs(NamedTuple):
+    """The slide-14 objective as ``evaluate`` reads it.
+
+    The future process and message bags as ``(size, count)`` runs in
+    descending size order, with their totals; ``process_min`` is the
+    smallest process size (gaps below it host nothing).  Then the
+    future's needs, the four weights and the normalisation flag.
+    """
+
+    process_min: int
+    process_runs: Sequence[Tuple[int, int]]
+    process_total: int
+    message_runs: Sequence[Tuple[int, int]]
+    message_total: int
+    t_need: int
+    b_need: int
+    weights: Tuple[float, float, float, float]
+    normalize_second: bool
+
+
+class NativeState:
+    """One compiled pass over one packed key, as the Python kernel's
+    state: ``success``, ``failure_reason``, ``scheduled`` and ``total``.
+
+    :meth:`ArraySpec.run_kernel
+    <repro.sched.arrays.ArraySpec.run_kernel>` runs it and formats a
+    failure from :meth:`failure` and :meth:`node_index` straight after.
+    The C code writes every word it later reads, so ``buf`` is not
     cleared.
     """
 
@@ -284,7 +394,7 @@ class NativeRunState:
     columns = False
     record = False
 
-    def __init__(self, context: KernelContext, key: bytes) -> None:
+    def __init__(self, context: KernelContext, key: bytes, buf: Any) -> None:
         if len(key) != context.key_size:
             raise ValueError(
                 f"packed key of {len(key)} bytes; this spec's keys have "
@@ -292,21 +402,16 @@ class NativeRunState:
             )
         self.context = context
         self.key = key
-        self.buf = context.alloc("int64_t[]", context.state_size)
+        self.buf = buf
         self.success = False
         self.failure_reason: Optional[str] = None
         self.scheduled = 0
-        self.total = context.ptr.n_jobs
+        self.total = context.n_jobs
 
-    def run(self) -> int:
-        """Run the kernel; returns the failure kind (0 on success)."""
-        context = self.context
-        buf = self.buf
-        context.lib.kernel(context.ptr, self.key, buf)
-        self.scheduled = buf[_SCHEDULED]
-        kind: int = buf[_KIND]
-        self.success = kind == 0
-        return kind
+    def run(self) -> int:  # pragma: no cover - every subclass defines it
+        """Run the compiled call; returns the failure kind (0 on
+        success)."""
+        raise NotImplementedError
 
     def failure(self) -> Tuple[int, int, int]:
         """The failing job, edge and end time of a failed pass."""
@@ -317,30 +422,37 @@ class NativeRunState:
         """The node index of process ``p``, as the pass unpacked it."""
         return self.buf[self.context.ptr.off_node + p]
 
+
+class NativeRunState(NativeState):
+    """One cold, columnless pass of the compiled kernel over one key.
+
+    Stands in for an :class:`~repro.sched.arrays.ArrayRunState` built
+    with ``record=False, columns=False`` and decodes the final busy
+    runs and bus occupancy from its buffer on demand.  The buffer is
+    allocated per state and never shared.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, context: KernelContext, key: bytes) -> None:
+        super().__init__(
+            context, key, context.alloc("int64_t[]", context.state_size)
+        )
+
+    def run(self) -> int:
+        context = self.context
+        buf = self.buf
+        context.lib.kernel(context.ptr, self.key, buf)
+        self.scheduled = buf[_SCHEDULED]
+        kind: int = buf[_KIND]
+        self.success = kind == 0
+        return kind
+
     @property
     def rank_of_job(self) -> List[int]:
         """Each job's heap rank, as the pass computed it from the key."""
         k = self.context.ptr
         return self.context.ffi.unpack(self.buf + k.off_rank, k.n_jobs)
-
-    def price(
-        self, geom: "ArrayMetricGeometry", bags: "np.ndarray"
-    ) -> Tuple[int, int, int, int]:
-        """Price inputs of a successful pass: the best-fit unplaced
-        process and message totals, C2P and C2m (``bags`` as
-        :func:`~repro.core.array_metrics._packing_runs` encodes them)."""
-        context = self.context
-        ffi = context.ffi
-        out = ffi.new("int64_t[4]")
-        if context.lib.price(
-            context.ptr,
-            context.price_context(geom),
-            self.buf,
-            ffi.from_buffer("int64_t[]", bags),
-            out,
-        ):
-            raise MemoryError("the compiled price pass could not allocate")
-        return out[0], out[1], out[2], out[3]
 
     def _runs(self, offset: int) -> List[List[int]]:
         k = self.context.ptr
@@ -369,3 +481,40 @@ class NativeRunState:
             self.context.ffi.unpack(self.buf + k.off_bus, k.n_occ),
             dtype=np.int64,
         )
+
+
+class NativePricedState(NativeState):
+    """One cold best-fit evaluation: pass, price and mix in one call.
+
+    Runs ``evaluate`` on the context's scratch state, so its context
+    must be bound (:meth:`KernelContext.bind`); the next call reuses
+    the scratch.  On success it holds the seven
+    :class:`~repro.core.metrics.DesignMetrics` fields, and never the
+    run or bus columns.
+    """
+
+    __slots__ = (
+        "c1p", "c1m", "c2p", "c2m", "penalty_2p", "penalty_2m", "objective",
+    )
+
+    def __init__(self, context: KernelContext, key: bytes) -> None:
+        if context.mix is None:
+            raise ValueError("bind an objective before a priced pass")
+        super().__init__(context, key, context.scratch)
+
+    def run(self) -> int:
+        context = self.context
+        buf = self.buf
+        kind: int = context.lib.evaluate(
+            context.ptr, context.price, context.mix, self.key, buf
+        )
+        self.scheduled = buf[_SCHEDULED]
+        if kind == 0:
+            self.success = True
+            self.c2p = buf[_C2P]
+            self.c2m = buf[_C2M]
+            (
+                self.c1p, self.c1m, self.penalty_2p, self.penalty_2m,
+                self.objective,
+            ) = context.ffi.unpack(context.metrics, 5)
+        return kind

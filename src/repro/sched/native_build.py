@@ -35,22 +35,38 @@ typedef struct {
     const int64_t *base_used;
     int64_t run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     int64_t off_earliest, off_preds, off_heap, off_job_of_rank;
-    int64_t off_node, off_delay, off_rank, off_sort;
+    int64_t off_node, off_delay, off_rank, off_sort, off_log;
 } kernel_ctx;
 
 typedef struct {
-    int64_t n_windows, window_width, base_m;
+    int64_t n_windows, window_width, base_m, gap_room, bus_room;
     const int64_t *window_lengths, *caps, *win;
     const int64_t *base_val, *base_cnt;
     const int64_t *base_window_free;
+    int64_t *scratch;
 } price_ctx;
 
+typedef struct {
+    int64_t process_min, n_process, n_message;
+    const int64_t *process_runs, *message_runs;
+    int64_t process_total, message_total, t_need, b_need, normalize_second;
+    double w1p, w1m, w2p, w2m;
+} mix_ctx;
+
 int64_t kernel(const kernel_ctx *k, const char *key, int64_t *st);
-int64_t price(const kernel_ctx *k, const price_ctx *g, const int64_t *st,
-              const int64_t *bags, int64_t *out);
+int64_t evaluate(const kernel_ctx *k, const price_ctx *g, const mix_ctx *x,
+                 const char *key, int64_t *st);
 int64_t best_fit_unplaced(int64_t *val, int64_t *cnt, int64_t m,
                           const int64_t *runs, int64_t n_runs);
+void mix(const mix_ctx *x, int64_t process_unplaced, int64_t message_unplaced,
+         int64_t c2p, int64_t c2m, double *out);
 """
+
+#: Compiler flags of the module.  ``-ffp-contract=off`` keeps every
+#: float multiply and add of the mix a separate rounding, as in Python:
+#: GCC fuses ``a * b + c`` into one FMA by default where the target has
+#: one (aarch64, for example), and clang does so within an expression.
+COMPILE_ARGS = ["-ffp-contract=off"]
 
 
 def build(name: str, output: str) -> None:
@@ -60,7 +76,7 @@ def build(name: str, output: str) -> None:
     ffi = FFI()
     ffi.cdef(CDEF)
     with open(os.path.join(HERE, "native.c")) as fh:
-        ffi.set_source(name, fh.read())
+        ffi.set_source(name, fh.read(), extra_compile_args=COMPILE_ARGS)
     directory = os.path.dirname(output)
     os.makedirs(directory, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".build-", dir=directory)

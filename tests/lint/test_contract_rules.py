@@ -238,6 +238,21 @@ class TestHotPathIO:
         )
         assert [f for f in findings if f.rule == "CON003"]
 
+    def test_positive_print_in_evaluate_key(self, box):
+        """The one compiled call of a cold evaluation is a hot path,
+        under the built-in defaults as under the live file."""
+        findings = box.findings(
+            snippet(
+                """
+                def evaluate_key(arrays, future, weights, key):
+                    print("pricing", key)
+                    return None
+                """
+            ),
+            layer="core",
+        )
+        assert [f for f in findings if f.rule == "CON003"]
+
     def test_negative_io_outside_hot_path(self, box):
         findings = box.findings(
             snippet(

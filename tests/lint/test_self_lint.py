@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from repro.lint import load_config, run_lint
+from repro.lint.config import LintConfig
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -25,6 +26,16 @@ def live_config():
 
 
 class TestLiveTree:
+    def test_defaults_mirror_the_live_file(self):
+        """Fixture snippets lint as the live tree does: the built-in
+        layers, kernel layers, float-equality modules and hot paths
+        are the file's.  The two allowlists live only in the file."""
+        live = live_config()
+        defaults = LintConfig()
+        for name in ("layers", "kernel_layers", "float_eq_modules",
+                     "hot_paths"):
+            assert getattr(live, name) == getattr(defaults, name), name
+
     def test_src_repro_is_clean(self):
         result = run_lint([SRC], config=live_config(), baseline_path=BASELINE)
         assert result.ok, "\n".join(f.render() for f in result.findings)

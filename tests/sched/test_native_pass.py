@@ -1,18 +1,20 @@
 """The compiled evaluation pass, pinned to the Python pass.
 
 :mod:`repro.sched.native` runs the cold, columnless kernel -- straight
-from the candidate's packed key -- and the integer inputs of best-fit
-pricing in C.  The Python kernel and pricing stay in src as the
-differential oracle: on every registered family, presets
-``tiny``/``small``/``medium`` and seeds 1-3, a seeded stream of SA
-moves plus random priority (ties, signed zeros, infinities, NaN,
-fractions) and delay changes must give equal verdicts, failure
-strings, final busy runs and bus occupancy, and bit-identical metrics;
-random float64 priority vectors must give the heap ranks of
-``np.lexsort``.  Plus the fallback contract: without the module (no
-compiler, or a big-endian host) one ``RuntimeWarning`` is emitted and
-the seeded designs still reproduce, and the loading process never
-imports the build toolchain.
+from the candidate's packed key -- and, for a cold best-fit
+evaluation, the pass, its price and the objective mix in one call.
+The Python kernel and pricing stay in src as the differential oracle:
+on every registered family, presets ``tiny``/``small``/``medium`` and
+seeds 1-3, a seeded stream of SA moves plus random priority (ties,
+signed zeros, infinities, NaN, fractions) and delay changes must give
+equal verdicts, failure strings, final busy runs and bus occupancy,
+and bit-identical metrics; random float64 priority vectors must give
+the heap ranks of ``np.lexsort``; the C mix must equal ``_mix`` bit for
+bit; and the scratch state's bus region must hold the base occupancy
+after every call, whatever the pass's outcome.  Plus the fallback
+contract: without the module (no compiler, or a big-endian host) one
+``RuntimeWarning`` is emitted and the seeded designs still reproduce,
+and the loading process never imports the build toolchain.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -34,12 +37,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.array_metrics import evaluate_state
+from repro.core import array_metrics
+from repro.core.array_metrics import _mix, evaluate_key, evaluate_state
 from repro.core.binpack import best_fit
 from repro.core.future import FutureCharacterization
 from repro.core.initial_mapping import InitialMapper
+from repro.core.metrics import ObjectiveWeights
 from repro.core.strategy import DesignSpec
 from repro.core.transformations import CandidateDesign
+from repro.engine import EvaluationEngine
 from repro.engine.compiled_spec import CompiledSpec
 from repro.experiments.runner import strategy_for_family
 from repro.gen import families
@@ -47,7 +53,7 @@ from repro.model.application import Application
 from repro.model.architecture import Architecture, Node
 from repro.model.mapping import Mapping
 from repro.model.process_graph import Message, Process, ProcessGraph
-from repro.sched import native
+from repro.sched import native, native_build
 from repro.sched.arrays import ArrayRunState
 from repro.search.proposers import random_move
 from repro.tdma.bus import Slot, TdmaBus
@@ -143,9 +149,20 @@ def _assert_same_pass(fast, slow):
     assert np.array_equal(fast.bus_used, slow.bus_used)
 
 
+def _assert_scratch_holds_base(arrays):
+    """The scratch state's bus region equals the base occupancy."""
+    context = arrays.kernel_context()
+    k = context.ptr
+    assert context.ffi.unpack(context.scratch + k.off_bus, k.n_occ) == (
+        arrays.base_bus_used_flat.tolist()
+    )
+
+
 def _compare(spec, compiled, design, seed):
     """Walk a seeded stream through both passes; every schedulable
-    candidate becomes the next position.  Returns the outcome kinds."""
+    candidate becomes the next position.  Each child's fused
+    evaluation must be ``None`` or the Python pass's metrics, bit for
+    bit.  Returns the outcome kinds."""
     arrays = compiled.arrays
     rng = np.random.default_rng(seed)
     kinds = collections.Counter()
@@ -155,13 +172,18 @@ def _compare(spec, compiled, design, seed):
         fast = arrays.schedule_design(child)
         slow = _python_state(arrays, child)
         _assert_same_pass(fast, slow)
+        fused = evaluate_key(
+            arrays, spec.future, spec.weights, compiled.signature(child)
+        )
+        _assert_scratch_holds_base(arrays)
         if not slow.success:
+            assert fused is None
             kinds[_kind(slow.failure_reason)] += 1
             continue
         kinds["ok"] += 1
-        assert _bits(
-            evaluate_state(arrays, fast, spec.future, spec.weights)
-        ) == _bits(evaluate_state(arrays, slow, spec.future, spec.weights))
+        assert _bits(fused) == _bits(
+            evaluate_state(arrays, slow, spec.future, spec.weights)
+        )
         current = child
     return kinds
 
@@ -314,8 +336,244 @@ def test_bus_failure_matches_python_pass():
     assert fast.runs_s == slow.runs_s and fast.runs_e == slow.runs_e
 
 
+def _mixed_outcome_spec(future):
+    """Four processes on two nodes with 8-byte slots: ``m0`` (8 bytes)
+    fits a slot, ``m1`` (16 bytes) fits none, and ``P3``'s 30 time
+    units meet the deadline of 40 only on a node that is idle early."""
+    graph = ProcessGraph("g0", 80, 40)
+    for pid, wcet in (("P0", 8), ("P1", 8), ("P2", 8), ("P3", 30)):
+        graph.add_process(Process(pid, {"N1": wcet, "N2": wcet}))
+    graph.add_message(Message("m0", "P0", "P1", 8))
+    graph.add_message(Message("m1", "P1", "P2", 16))
+    arch = Architecture(
+        [Node("N1"), Node("N2")],
+        TdmaBus([Slot("N1", 4, 8), Slot("N2", 4, 8)]),
+    )
+    return DesignSpec(
+        architecture=arch, current=Application("app", [graph]), future=future
+    )
+
+
+def _priced(arrays, spec, design):
+    """One design's fused evaluation: failure reason, scheduled count
+    and metric bits (``None`` when it does not schedule)."""
+    key = arrays.compiled.signature(design)
+    metrics = evaluate_key(arrays, spec.future, spec.weights, key)
+    _assert_scratch_holds_base(arrays)
+    state = native.NativePricedState(arrays.kernel_context(), key)
+    arrays.run_kernel(state)
+    _assert_scratch_holds_base(arrays)
+    assert state.success == (metrics is not None)
+    return (
+        state.failure_reason,
+        state.scheduled,
+        None if metrics is None else _bits(metrics),
+    )
+
+
+@needs_native
+@pytest.mark.parametrize("t_need,b_need", [(10, 4), (0, 0)])
+def test_one_context_serves_every_outcome(t_need, b_need):
+    """On one context: a bus failure and a deadline failure, each after
+    the pass wrote an occurrence, then valid candidates with and
+    without a bus write.  Every result equals a fresh context's and
+    the Python pass's, and the scratch's bus region holds the base
+    occupancy after every call.  Needs of 0 leave both future bags
+    empty."""
+    spec = _mixed_outcome_spec(
+        FutureCharacterization(t_min=40, t_need=t_need, b_need=b_need)
+    )
+    arrays = CompiledSpec(spec).arrays
+    priorities = {"P0": 3.0, "P1": 2.0, "P2": 1.0, "P3": 0.0}
+    placements = (
+        {"P0": "N1", "P1": "N2", "P2": "N1", "P3": "N2"},  # m1 on the bus
+        {"P0": "N1", "P1": "N2", "P2": "N2", "P3": "N2"},  # P3 ends at 58
+        {"P0": "N1", "P1": "N2", "P2": "N2", "P3": "N1"},  # m0 on the bus
+        {"P0": "N1", "P1": "N1", "P2": "N1", "P3": "N2"},  # no bus write
+    )
+    reasons = []
+    for placement in placements:
+        design = CandidateDesign(
+            Mapping(spec.current, spec.architecture, placement), priorities
+        )
+        got = _priced(arrays, spec, design)
+        assert got == _priced(CompiledSpec(spec).arrays, spec, design)
+        slow = _python_state(arrays, design)
+        assert got[:2] == (slow.failure_reason, slow.scheduled)
+        if slow.success:
+            assert got[2] == _bits(
+                evaluate_state(arrays, slow, spec.future, spec.weights)
+            )
+        reasons.append(slow.failure_reason and _kind(slow.failure_reason))
+    assert reasons == [
+        "message 'm1' instance 0 cannot be placed on the bus before the "
+        "horizon",
+        "misses its deadline",
+        None,
+        None,
+    ]
+
+
+def _float_bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+#: Weights the mix must survive: zero, the smallest subnormal, a huge
+#: finite value, infinity and ordinary values.
+WEIGHT = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e308, math.inf)), st.floats(0.0, 1e6)
+)
+#: Integers from zero to far beyond a double's 53-bit mantissa.
+COUNT = st.one_of(
+    st.sampled_from((0, 1, 2**53 + 1, 2**62)), st.integers(0, 2**62)
+)
+#: A future bag: ``None`` when empty, else (unplaced total, total).
+BAG = st.one_of(st.none(), st.tuples(COUNT, st.integers(1, 2**62)))
+
+
+@needs_native
+@settings(max_examples=400, deadline=None)
+@given(
+    weights=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+    normalize_second=st.booleans(),
+    t_need=COUNT,
+    b_need=COUNT,
+    c2p=COUNT,
+    c2m=COUNT,
+    process=BAG,
+    message=BAG,
+)
+def test_c_mix_equals_python_mix(
+    weights, normalize_second, t_need, b_need, c2p, c2m, process, message
+):
+    """The exported C mix rounds like ``_mix`` and the C1 percentages
+    of ``evaluate_state_delta``, operation for operation."""
+    future = FutureCharacterization(t_min=1, t_need=t_need, b_need=b_need)
+    python_weights = ObjectiveWeights(
+        *weights, normalize_second=normalize_second
+    )
+    c1 = [
+        0.0 if bag is None else 100.0 * bag[0] / bag[1]
+        for bag in (process, message)
+    ]
+    expected = _mix(c1[0], c1[1], c2p, c2m, future, python_weights)
+
+    ffi, lib = native.MODULE.ffi, native.MODULE.lib
+    x = ffi.new("mix_ctx *", {
+        "n_process": int(process is not None),
+        "n_message": int(message is not None),
+        "process_total": 0 if process is None else process[1],
+        "message_total": 0 if message is None else message[1],
+        "t_need": t_need,
+        "b_need": b_need,
+        "normalize_second": normalize_second,
+        "w1p": weights[0], "w1m": weights[1],
+        "w2p": weights[2], "w2m": weights[3],
+    })
+    out = ffi.new("double[5]")
+    lib.mix(
+        x,
+        0 if process is None else process[0],
+        0 if message is None else message[0],
+        c2p,
+        c2m,
+        out,
+    )
+    assert _float_bits(list(out)) == _float_bits([
+        expected.c1p, expected.c1m, expected.penalty_2p,
+        expected.penalty_2m, expected.objective,
+    ])
+
+
+def test_build_compiles_without_fp_contraction(monkeypatch, tmp_path):
+    """A fused multiply-add rounds once where Python rounds twice, so
+    the module is compiled with ``-ffp-contract=off``."""
+    cffi = pytest.importorskip("cffi")
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def set_source(self, name, source, **kwargs):
+        seen.update(kwargs)
+        raise Stop
+
+    monkeypatch.setattr(cffi.FFI, "set_source", set_source)
+    with pytest.raises(Stop):
+        native_build.build("_native_probe", str(tmp_path / "probe.so"))
+    assert "-ffp-contract=off" in seen["extra_compile_args"]
+
+
+@needs_native
+def test_compiled_call_refuses_other_packing_policies():
+    """The C price packs best fit only; the ablations stay in Python."""
+    spec, compiled, design = _rank_start("small")
+    with pytest.raises(ValueError, match="best fit only"):
+        evaluate_key(
+            compiled.arrays,
+            spec.future,
+            ObjectiveWeights(binpack_policy="first-fit"),
+            compiled.signature(design),
+        )
+
+
+class _CountingLib:
+    """A compiled module's functions, counting each call by name."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self._lib, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+
+        return counted
+
+
+@needs_native
+@pytest.mark.parametrize("policy", ["best-fit", "first-fit"])
+def test_cold_engine_evaluation_makes_one_compiled_call(policy, monkeypatch):
+    """Under best fit a cold evaluation is one ``evaluate`` call that
+    allocates nothing once the scratch exists, and prices nothing in
+    Python; under first fit the kernel runs alone and pricing stays in
+    Python."""
+    start_spec, _, start = _start("uniform-baseline", "small", 1)
+    spec = dataclasses.replace(
+        start_spec, weights=ObjectiveWeights(binpack_policy=policy)
+    )
+    neighbour = _child(spec, start, np.random.default_rng(1))
+    priced = []
+    original = array_metrics.evaluate_state_delta
+
+    def spy(*args, **kwargs):
+        priced.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(array_metrics, "evaluate_state_delta", spy)
+    with EvaluationEngine(spec) as engine:
+        assert engine.evaluate(start) is not None
+        context = engine.compiled.arrays.kernel_context()
+        lib = context.lib = _CountingLib(context.lib)
+        allocations = []
+        alloc = context.alloc
+        context.alloc = lambda *args: allocations.append(args) or alloc(*args)
+        priced.clear()
+        assert engine.evaluate(neighbour) is not None
+    if policy == "best-fit":
+        assert lib.calls == {"evaluate": 1}
+        assert allocations == [] and priced == []
+    else:
+        assert lib.calls == {"kernel": 1}
+        assert len(priced) == 1
+
+
 def _c_best_fit(size_runs, bins):
-    """The C value-class walk ``price`` runs, on one bin multiset."""
+    """The C value-class walk ``evaluate`` prices with, on one bin
+    multiset."""
     ffi, lib = native.MODULE.ffi, native.MODULE.lib
     values = sorted(set(bins))
     pad = [0] * (len(bins) + 4)  # room for the walk's remainder entries

@@ -15,10 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.initial_mapping import InitialMapper
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.engine import CompiledSpec
+from repro.core.transformations import CandidateDesign, SwapPriorities
+from repro.engine import CompiledSpec, EvaluationEngine
 from repro.experiments.runner import run_portfolio, strategy_for_family
 from repro.gen import families
+from repro.model.mapping import Mapping
 from repro.sched.arrays import ArraySpec
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -100,3 +103,48 @@ def test_run_portfolio_keywords_and_result(spec, shards):
     if shards:
         assert len(result.shard_busy_seconds) == shards
         assert all(busy >= 0.0 for busy in result.shard_busy_seconds)
+
+
+@pytest.mark.parametrize(
+    "batch", [False, True], ids=["evaluate", "evaluate_many"]
+)
+def test_each_cold_evaluation_runs_the_kernel_span_once(
+    spec, monkeypatch, batch
+):
+    """The ``sched.kernel`` span wraps ``ArraySpec.run_kernel`` and
+    counts ``sched.kernel.ok`` from the state's ``success``: a cold
+    evaluation of each of N distinct designs runs it exactly once,
+    with ``success`` True exactly when the outcome is valid."""
+    compiled = CompiledSpec(spec)
+    mapping, _ = InitialMapper(spec.architecture).try_map_and_schedule(
+        spec.current, base=spec.base_schedule, compiled=compiled
+    )
+    start = CandidateDesign(mapping, dict(compiled.default_priorities))
+    pids = [p.id for p in spec.current.processes]
+    designs = [start] + [
+        SwapPriorities(a, b).apply(start) for a, b in zip(pids, pids[1:])
+    ]
+    # Every process on one node does not schedule on this spec.
+    crowded = Mapping(
+        spec.current,
+        spec.architecture,
+        {pid: spec.architecture.node_ids[0] for pid in pids},
+    )
+    designs.append(CandidateDesign(crowded, start.priorities))
+    assert len({compiled.signature(d) for d in designs}) == len(designs)
+    states = []
+    run_kernel = ArraySpec.run_kernel
+
+    def spy(self, st):
+        run_kernel(self, st)
+        states.append(st)
+
+    monkeypatch.setattr(ArraySpec, "run_kernel", spy)
+    with EvaluationEngine(spec) as engine:
+        if batch:
+            outcomes = engine.evaluate_many(designs)
+        else:
+            outcomes = [engine.evaluate(d) for d in designs]
+    assert len(states) == len(designs)
+    assert [st.success for st in states] == [o is not None for o in outcomes]
+    assert outcomes[0] is not None and outcomes[-1] is None
