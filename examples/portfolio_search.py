@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Budgeted, resumable portfolio search over one shared engine.
+"""Budgeted portfolio search over one shared engine, replayed from disk.
 
 Three acts on a medium-preset scenario family:
 
@@ -10,27 +10,21 @@ Three acts on a medium-preset scenario family:
 2. **Budget racing.**  The same race under a tight shared budget: the
    cheap member finishes naturally, the expensive one is cut mid-walk
    ("shared-budget") yet still reports a complete design.
-3. **Checkpoint + resume.**  A Metropolis walk is cut by a small step
-   budget, serialized to JSON, and resumed -- landing byte-identically
-   on the design of an uninterrupted run.
+3. **Replay.**  SA runs from its seed against a fresh sqlite result
+   store, then reruns from the same seed against the same file: the
+   warm rerun is served from disk and lands byte-identically on the
+   cold run's design.  A search is rerun, never resumed.
 
 Run:  python examples/portfolio_search.py
 """
 
-import numpy as np
+import tempfile
+from pathlib import Path
 
-from repro.core.initial_mapping import InitialMapper
-from repro.core.transformations import CandidateDesign
-from repro.engine import EvaluationEngine
-from repro.experiments.runner import run_portfolio
+from repro.engine import EngineConfig
+from repro.experiments.runner import family_strategy, run_portfolio
 from repro.gen import families
-from repro.search import (
-    Budget,
-    MetropolisAcceptor,
-    RandomMoveProposer,
-    SearchCheckpoint,
-    SearchLoop,
-)
+from repro.search import Budget
 
 FAMILY = "uniform-baseline"
 PRESET = "medium"
@@ -81,54 +75,24 @@ def main() -> None:
     )
     show_race(budgeted)
 
-    print("\nAct 3 -- cut a Metropolis walk, ship it as JSON, resume it:")
-
-    def walk(max_steps):
-        """A fresh, identically seeded walk bounded at ``max_steps``."""
-        return SearchLoop(
-            RandomMoveProposer(),
-            MetropolisAcceptor(temperature=5.0, cooling=0.995),
-            Budget(max_steps=max_steps),
-            name="walk",
+    print("\nAct 3 -- SA from its seed, then rerun against a warm store:")
+    with tempfile.TemporaryDirectory() as scratch:
+        store = EngineConfig(
+            cache_store="sqlite", cache_path=str(Path(scratch) / "sa.sqlite")
         )
-
-    with EvaluationEngine(spec) as engine:
-        mapper = InitialMapper(spec.architecture)
-        mapping, _ = mapper.try_map_and_schedule(
-            spec.current,
-            base=spec.base_schedule,
-            compiled=engine.compiled,
-        )
-        start = engine.evaluate(
-            CandidateDesign(mapping, dict(engine.compiled.default_priorities))
-        )
-
-        straight = walk(200).run(
-            spec, engine, start=start, rng=np.random.default_rng(7)
-        )
-        cut = walk(80).run(
-            spec, engine, start=start, rng=np.random.default_rng(7)
-        )
-        wire = cut.checkpoint.to_json()
-        print(
-            f"  cut at step {cut.checkpoint.steps} "
-            f"(incumbent {cut.incumbent.objective:.2f}); "
-            f"checkpoint is {len(wire)} bytes of JSON"
-        )
-        resumed = walk(200).resume(
-            spec, engine, SearchCheckpoint.from_json(wire)
-        )
-        print(
-            f"  resumed to step {resumed.stats.steps}: "
-            f"incumbent {resumed.incumbent.objective:.2f} vs "
-            f"uninterrupted {straight.incumbent.objective:.2f}"
-        )
-        same = (
-            resumed.incumbent.mapping.as_dict()
-            == straight.incumbent.mapping.as_dict()
-            and resumed.incumbent.priorities == straight.incumbent.priorities
-        )
-        print(f"  cut+resume == uninterrupted: {same}")
+        cold = family_strategy(
+            "SA", SEED, SA_ITERATIONS, engine=store
+        ).design(spec)
+        warm = family_strategy(
+            "SA", SEED, SA_ITERATIONS, engine=store
+        ).design(spec)
+    probes = warm.store_hits + warm.store_misses
+    print(
+        f"  cold: {cold.store_writes} rows written; "
+        f"warm: {warm.store_hits} of {probes} store probes served from disk"
+    )
+    same = warm.design_identity() == cold.design_identity()
+    print(f"  warm rerun == cold run: {same}")
 
 
 if __name__ == "__main__":

@@ -378,8 +378,9 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             # The other arm of the runner must produce the same winner:
             # a sharded race is checked against the in-process one and
             # vice versa.  A wall-clock budget cannot be sharded, so
-            # this axis only runs for deterministic budgets.
-            other = 0 if args.shards else 2
+            # this axis only runs for deterministic budgets.  A shard
+            # never idles, so one member races on one shard.
+            other = 0 if args.shards else min(2, len(args.strategies))
             checks.append((f"shards={other}", lambda: race(shards=other), 0))
         if shared_budget is None:
             # Without a contended budget every member's trajectory is
@@ -542,7 +543,9 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     run.add_argument("family", help="family name (see: scenarios list)")
     run.add_argument("--preset", help="preset name (default: smallest)")
-    run.add_argument("--seed", type=int, default=1, help="scenario seed")
+    run.add_argument(
+        "--seed", type=_nonnegative_int, default=1, help="scenario seed"
+    )
     run.add_argument(
         "--strategies", nargs="+", type=_strategy_name,
         default=["AH", "MH", "SA"], help="strategies to run",
@@ -582,7 +585,9 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     portfolio.add_argument("family", help="family name (see: scenarios list)")
     portfolio.add_argument("--preset", help="preset name (default: smallest)")
-    portfolio.add_argument("--seed", type=int, default=1, help="scenario seed")
+    portfolio.add_argument(
+        "--seed", type=_nonnegative_int, default=1, help="scenario seed"
+    )
     portfolio.add_argument(
         "--strategies", nargs="+", type=_strategy_name,
         default=["MH", "SA"],
@@ -627,9 +632,9 @@ def _add_scenarios_parser(subparsers) -> None:
         action="store_true",
         help=(
             "re-race as a repeat, on the other arm (shards=0 when "
-            "sharded, else shards=2) and (without a shared budget) in "
-            "reversed member order; fail unless the winning design is "
-            "byte-identical (the CI smoke gate)"
+            "sharded, else shards=2, or 1 for one member) and (without "
+            "a shared budget) in reversed member order; fail unless the "
+            "winning design is byte-identical (the CI smoke gate)"
         ),
     )
     _add_store_options(portfolio)
@@ -685,7 +690,9 @@ def _add_scenarios_parser(subparsers) -> None:
     smoke.add_argument(
         "--families", nargs="+", help="families to check (default: all)"
     )
-    smoke.add_argument("--seed", type=int, default=1, help="scenario seed")
+    smoke.add_argument(
+        "--seed", type=_nonnegative_int, default=1, help="scenario seed"
+    )
     smoke.add_argument(
         "--sa-iterations", type=_nonnegative_int,
         default=DEFAULT_FAMILY_SA_ITERATIONS,

@@ -344,8 +344,8 @@ def run_portfolio(
     ``shards=0`` (the default) races in-process over one shared
     engine; ``shards >= 1`` forks that many worker processes, each
     racing its share of the members, with the same designs and
-    accounting.  A negative shard count, or a wall-clock
-    ``shared_budget`` with shards, raises
+    accounting.  A negative shard count, more shards than members, or
+    a wall-clock ``shared_budget`` with shards, raises
     :class:`~repro.utils.errors.ConfigError`.
     """
     members = portfolio_members(strategies, seed, sa_iterations, member_budget)

@@ -14,9 +14,8 @@ underlying source-level invariants statically, on every commit:
   serialize < analysis < experiments``) holds at module level, stays
   acyclic, and no layer deep-imports another layer's ``_``-private
   modules;
-* **contract rules** (CON001..CON003): every transformation declares
-  its delta footprint, every acceptor/proposer carries the checkpoint
-  state pair, and hot paths stay free of I/O.
+* **contract rules** (CON001, CON003): every transformation declares
+  its delta footprint, and hot paths stay free of I/O.
 
 Run it as ``python -m repro.lint [paths]``.  Findings are suppressed
 inline with ``# repro: allow[RULE-ID] reason`` (the reason is

@@ -1,12 +1,10 @@
-"""Contract rules CON001..CON003: protocol obligations, statically.
+"""Contract rules CON001 and CON003: protocol obligations, statically.
 
-The delta kernel and the checkpoint machinery rely on duck-typed
-protocols whose omissions fail silently: a transformation without a
-``footprint()`` falls back to full rescheduling (correct but quietly
-slow -- or wrong once footprints gate cache keys), and an acceptor
-without the ``state_dict``/``load_state_dict`` pair breaks
-``SearchCheckpoint`` cut-and-resume byte-identity.  These rules make
-the obligations compile-time errors.
+The delta kernel relies on a duck-typed protocol whose omissions fail
+silently: a transformation without a ``footprint()`` falls back to
+full rescheduling (correct but quietly slow -- or wrong once
+footprints gate cache keys).  CON001 makes that obligation a
+compile-time error; CON003 keeps I/O out of the hot paths.
 """
 
 from __future__ import annotations
@@ -131,50 +129,6 @@ class TransformationFootprintRule(Rule):
         return members
 
 
-class CheckpointStatePairRule(Rule):
-    """CON002: acceptors/proposers carry the checkpoint state pair."""
-
-    id = "CON002"
-    description = (
-        "search policy without the state_dict/load_state_dict pair "
-        "used by SearchCheckpoint cut-and-resume"
-    )
-    hint = (
-        "add state_dict() and load_state_dict(state); return {} when "
-        "the policy is stateless"
-    )
-
-    def check(
-        self, module: ModuleInfo, project: Project, config: LintConfig
-    ) -> Iterator[Finding]:
-        if not config.is_kernel(module.layer):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or _is_protocol(node):
-                continue
-            methods = _method_names(node)
-            pair = {"state_dict", "load_state_dict"}
-            have = methods & pair
-            if "decide" in methods and have != pair:
-                missing = ", ".join(sorted(pair - have))
-                yield module.finding(
-                    self,
-                    node,
-                    f"acceptor `{node.name}` lacks {missing}(): "
-                    "checkpoints cannot restore its per-run state "
-                    "(cooling temperature, thresholds) and resumed "
-                    "searches diverge",
-                )
-            elif "propose" in methods and len(have) == 1:
-                missing = ", ".join(sorted(pair - have))
-                yield module.finding(
-                    self,
-                    node,
-                    f"proposer `{node.name}` defines half the "
-                    f"checkpoint pair; add {missing}()",
-                )
-
-
 class HotPathIORule(Rule):
     """CON003: no I/O inside scheduling/delta hot paths."""
 
@@ -224,7 +178,6 @@ class HotPathIORule(Rule):
 
 CONTRACT_RULES = (
     TransformationFootprintRule,
-    CheckpointStatePairRule,
     HotPathIORule,
 )
 

@@ -4,12 +4,13 @@ One search loop serves every optimization in the repository: a
 :class:`~repro.search.proposers.Proposer` generates moves, the shared
 evaluation engine prices them, an
 :class:`~repro.search.acceptors.Acceptor` decides where the walk goes,
-a :class:`~repro.search.budget.Budget` says when to stop, and a
-:class:`~repro.search.checkpoint.SearchCheckpoint` makes any search
-resumable.  :class:`~repro.search.portfolio.PortfolioRunner` races
-several configured strategies for one shared budget in deterministic
-lockstep, in-process or across forked shard processes; a dead shard's
-members rerun from their seed against the parent's verdict log.
+and a :class:`~repro.search.budget.Budget` says when to stop.  A search
+is replayed, never resumed: a seeded rerun repeats it exactly, and a
+warm result store serves the designs it already priced.
+:class:`~repro.search.portfolio.PortfolioRunner` races several
+configured strategies for one shared budget in deterministic lockstep,
+in-process or across forked shard processes; a dead shard's members
+rerun from their seed against the parent's verdict log.
 """
 
 from repro.search.acceptors import (
@@ -17,14 +18,8 @@ from repro.search.acceptors import (
     Acceptor,
     GreedyAcceptor,
     MetropolisAcceptor,
-    ThresholdAcceptor,
 )
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
-from repro.search.checkpoint import (
-    SearchCheckpoint,
-    design_from_dict,
-    design_to_dict,
-)
 from repro.search.loop import (
     EvalRequest,
     SearchEvent,
@@ -65,16 +60,12 @@ __all__ = [
     "PortfolioRunner",
     "Proposer",
     "RandomMoveProposer",
-    "SearchCheckpoint",
     "SearchEvent",
     "SearchLoop",
     "SearchOutcome",
     "SearchStats",
     "ShardEvent",
     "SharedBudgetExhausted",
-    "ThresholdAcceptor",
-    "design_from_dict",
-    "design_to_dict",
     "drive",
     "execute_request",
     "first_valid",

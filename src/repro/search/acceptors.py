@@ -9,17 +9,13 @@ concrete policies mirror the searches the kernel replaced:
 * :class:`MetropolisAcceptor` -- simulated annealing: accept downhill
   always, uphill with the Boltzmann probability at the current
   temperature; cools geometrically once per step.
-* :class:`ThresholdAcceptor` -- threshold accepting: take the first
-  move within ``threshold`` of the current objective (a deterministic
-  SA relative).
 * :class:`AcceptAny` -- take the first valid result (SA's
   temperature-calibration probe walks like this).
 
-Acceptors may hold mutable per-run state (the Metropolis temperature);
-``state_dict`` / ``load_state_dict`` expose it for checkpoints.  The
-stochastic acceptor draws from the loop's RNG in exactly the legacy
-order (a draw only for uphill proposals), preserving seeded
-byte-identical trajectories.
+Acceptors may hold mutable per-run state (the Metropolis temperature),
+so each run gets a fresh acceptor.  The stochastic acceptor draws from
+the loop's RNG in exactly the legacy order (a draw only for uphill
+proposals), preserving seeded byte-identical trajectories.
 """
 
 from __future__ import annotations
@@ -48,14 +44,6 @@ class Acceptor(Protocol):
         rng: Optional[np.random.Generator],
     ) -> Optional[EvaluatedDesign]:
         """The accepted result, or ``None`` to stay at ``current``."""
-        ...  # pragma: no cover - protocol
-
-    def state_dict(self) -> dict:
-        """Serializable mutable state (``{}`` for stateless policies)."""
-        ...  # pragma: no cover - protocol
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (checkpoint resume)."""
         ...  # pragma: no cover - protocol
 
 
@@ -87,12 +75,6 @@ class GreedyAcceptor:
             if evaluated.objective < target - self.min_improvement:
                 winner = evaluated
         return winner
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
 
 
 class MetropolisAcceptor:
@@ -151,54 +133,6 @@ class MetropolisAcceptor:
         )
         return accepted
 
-    def state_dict(self) -> dict:
-        return {"temperature": self.temperature}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.temperature = float(state["temperature"])
-
-
-class ThresholdAcceptor:
-    """Threshold accepting: the first move within ``threshold`` uphill.
-
-    A deterministic SA relative (Dueck & Scheuer): a move is taken when
-    it does not worsen the objective by more than ``threshold``, which
-    decays geometrically per step down to zero (pure descent).
-    """
-
-    terminal_on_reject = False
-
-    def __init__(self, threshold: float, decay: float = 1.0):
-        if threshold < 0:
-            raise ValueError(f"threshold must be non-negative, got {threshold}")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.threshold = threshold
-        self.decay = decay
-
-    def decide(
-        self,
-        current: EvaluatedDesign,
-        moves: Sequence[Transformation],
-        results: Sequence[Optional[EvaluatedDesign]],
-        rng: Optional[np.random.Generator],
-    ) -> Optional[EvaluatedDesign]:
-        accepted: Optional[EvaluatedDesign] = None
-        for evaluated in results:
-            if evaluated is None:
-                continue
-            if evaluated.objective < current.objective + self.threshold:
-                accepted = evaluated
-                break
-        self.threshold *= self.decay
-        return accepted
-
-    def state_dict(self) -> dict:
-        return {"threshold": self.threshold}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.threshold = float(state["threshold"])
-
 
 class AcceptAny:
     """Accept the first valid result unconditionally (probe walks)."""
@@ -216,9 +150,3 @@ class AcceptAny:
             if evaluated is not None:
                 return evaluated
         return None
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass

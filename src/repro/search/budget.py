@@ -4,9 +4,8 @@ A :class:`Budget` is a pure description of *how much* searching is
 allowed -- proposal steps, engine evaluations, wall-clock seconds,
 patience (steps since the incumbent last improved).  It holds no
 mutable state: the loop tracks its own progress counters and asks the
-budget for a stop verdict before every step, which is what makes a
-budgeted run resumable (a :class:`~repro.search.checkpoint.SearchCheckpoint`
-stores the counters, and the continuation keeps counting from there).
+budget for a stop verdict before every step, so one budget object can
+bound any number of runs.
 
 Budgets compose with ``&``: the combined budget stops as soon as any
 component would (the per-limit minimum).  ``Budget()`` is the identity
@@ -59,8 +58,7 @@ class BudgetProgress:
         Engine evaluations the search consumed (a neighbourhood step
         consumes one per generated move).
     seconds:
-        Wall-clock seconds spent searching, including time recorded by
-        earlier runs when resuming from a checkpoint.
+        Wall-clock seconds the loop has spent searching.
     stall:
         Steps since the incumbent last improved.
     """

@@ -6,9 +6,9 @@ probe, SA's polish phase, and any portfolio member -- is one
 :class:`SearchLoop`: a :class:`~repro.search.proposers.Proposer`
 generates moves, the evaluation engine prices them (cached, batched),
 an :class:`~repro.search.acceptors.Acceptor` decides where the walk
-goes, and a :class:`~repro.search.budget.Budget` says when to stop.  The loop tracks the best design seen (the
-*incumbent*) and returns it with full :class:`SearchStats` accounting
-and a resumable :class:`SearchCheckpoint`.
+goes, and a :class:`~repro.search.budget.Budget` says when to stop.
+The loop tracks the best design seen (the *incumbent*) and returns it
+with full :class:`SearchStats` accounting.
 
 The loop body is written as a *generator* (:meth:`SearchLoop.program`)
 that yields :class:`EvalRequest` batches and receives their results:
@@ -40,11 +40,6 @@ from repro.engine.engine import EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.search.acceptors import Acceptor
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
-from repro.search.checkpoint import (
-    SearchCheckpoint,
-    design_from_dict,
-    design_to_dict,
-)
 from repro.search.proposers import Proposer
 from repro.search.stats import SearchStats
 
@@ -145,7 +140,6 @@ class SearchOutcome:
     incumbent: EvaluatedDesign
     current: EvaluatedDesign
     stats: SearchStats
-    checkpoint: SearchCheckpoint
 
 
 @dataclass
@@ -176,93 +170,41 @@ class SearchLoop:
         self,
         spec: "DesignSpec",
         engine: EvaluationEngine,
-        start: Optional[EvaluatedDesign] = None,
+        start: EvaluatedDesign,
         rng: Optional[np.random.Generator] = None,
-        checkpoint: Optional[SearchCheckpoint] = None,
         observer: Optional[Callable[[SearchEvent], None]] = None,
     ) -> SearchOutcome:
         """Drive :meth:`program` against ``engine`` (standalone mode)."""
         return drive(
-            self.program(
-                spec,
-                start=start,
-                rng=rng,
-                checkpoint=checkpoint,
-                observer=observer,
-            ),
+            self.program(spec, start=start, rng=rng, observer=observer),
             engine,
         )
-
-    def resume(
-        self,
-        spec: "DesignSpec",
-        engine: EvaluationEngine,
-        checkpoint: SearchCheckpoint,
-        rng: Optional[np.random.Generator] = None,
-    ) -> SearchOutcome:
-        """Continue a checkpointed search exactly where it stopped."""
-        return self.run(spec, engine, checkpoint=checkpoint, rng=rng)
 
     # ------------------------------------------------------------------
     def program(
         self,
         spec: "DesignSpec",
-        start: Optional[EvaluatedDesign] = None,
+        start: EvaluatedDesign,
         rng: Optional[np.random.Generator] = None,
-        checkpoint: Optional[SearchCheckpoint] = None,
         observer: Optional[Callable[[SearchEvent], None]] = None,
     ) -> SearchProgram:
         """The loop body as a generator of :class:`EvalRequest` batches.
 
-        Exactly one of ``start`` (fresh search) and ``checkpoint``
-        (resumed search) must be provided.  A
-        :class:`SharedBudgetExhausted` thrown into an evaluation yield
-        (the portfolio runner's shared-budget cut) ends the loop
-        cleanly with the incumbent found so far.
+        The walk starts at ``start``.  A :class:`SharedBudgetExhausted`
+        thrown into an evaluation yield (the portfolio runner's
+        shared-budget cut) ends the loop cleanly with the incumbent
+        found so far.
         """
         budget = self.budget if self.budget is not None else Budget()
         stats = SearchStats()
-        base_seconds = 0.0
         stall = 0
-
-        if checkpoint is not None:
-            if start is not None:
-                raise ValueError("pass either start or checkpoint, not both")
-            rng = _restore_rng(rng, checkpoint.rng_state)
-            self.acceptor.load_state_dict(dict(checkpoint.acceptor_state))
-            stats = SearchStats.from_dict(checkpoint.stats.as_dict())
-            stats.stop_reason = ""
-            base_seconds = checkpoint.seconds
-            stall = checkpoint.stall
-            current_design = design_from_dict(checkpoint.current, spec)
-            incumbent_design = design_from_dict(checkpoint.incumbent, spec)
-            results = yield EvalRequest(designs=[current_design])
-            current = results[0]
-            if current is None:
-                raise ValueError(
-                    "checkpointed current design no longer evaluates as "
-                    "valid; the checkpoint does not match this spec"
-                )
-            if checkpoint.incumbent == checkpoint.current:
-                incumbent = current
-            else:
-                results = yield EvalRequest(designs=[incumbent_design])
-                incumbent = results[0]
-                if incumbent is None:
-                    raise ValueError(
-                        "checkpointed incumbent design no longer evaluates "
-                        "as valid; the checkpoint does not match this spec"
-                    )
-        else:
-            if start is None:
-                raise ValueError("pass a start design or a checkpoint")
-            current = start
-            incumbent = start
+        current = start
+        incumbent = start
 
         started = time.perf_counter()
 
         def elapsed() -> float:
-            return base_seconds + (time.perf_counter() - started)
+            return time.perf_counter() - started
 
         stop_reason: str
         while True:
@@ -313,37 +255,4 @@ class SearchLoop:
 
         stats.seconds = elapsed()
         stats.stop_reason = stop_reason
-        final_checkpoint = SearchCheckpoint(
-            current=design_to_dict(current.design),
-            incumbent=design_to_dict(incumbent.design),
-            incumbent_objective=incumbent.objective,
-            steps=stats.steps,
-            evaluations=stats.evaluations,
-            stall=stall,
-            seconds=stats.seconds,
-            rng_state=_rng_state(rng),
-            acceptor_state=self.acceptor.state_dict(),
-            stats=SearchStats.from_dict(stats.as_dict()),
-        )
-        return SearchOutcome(incumbent, current, stats, final_checkpoint)
-
-
-def _rng_state(rng: Optional[np.random.Generator]) -> Optional[dict]:
-    if rng is None:
-        return None
-    return rng.bit_generator.state
-
-
-def _restore_rng(
-    rng: Optional[np.random.Generator], state: Optional[dict]
-) -> Optional[np.random.Generator]:
-    """An RNG continuing exactly the checkpointed stream."""
-    if state is None:
-        return rng
-    if rng is None:
-        # The seed is irrelevant -- the bit-generator state is
-        # replaced on the next line -- but an unseeded default_rng()
-        # would draw OS entropy for nothing (and trip DET002).
-        rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
+        return SearchOutcome(incumbent, current, stats)

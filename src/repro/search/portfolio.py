@@ -187,6 +187,7 @@ class PortfolioRunner:
     shards:
         ``0`` races in-process over one shared engine; ``N >= 1`` forks
         N worker processes and assigns members round-robin by index.
+        ``N`` may not exceed the member count (a shard would idle).
     respawn_limit:
         Sharded races: times one member may respawn after shard deaths
         (rerunning from its seed against the race's verdict log) before
@@ -211,6 +212,11 @@ class PortfolioRunner:
         if shards < 0:
             raise ConfigError(
                 f"shards must be >= 0 (0 races in-process), got {shards!r}"
+            )
+        if shards > len(members):
+            raise ConfigError(
+                f"shards={shards} exceeds the {len(members)} member(s); "
+                "a shard without a member would idle"
             )
         budget = budget if budget is not None else Budget()
         if shards and budget.max_seconds is not None:

@@ -4,8 +4,9 @@
 observability story: the engine counts what the *evaluation* layer did
 (hits, misses, store traffic), this counts what the *search* layer did
 with it -- steps taken, proposals priced, moves accepted, and how many
-evaluations it took to reach the final incumbent.  Multi-phase strategies (SA's probe / walk / polish) merge
-their phase stats with :meth:`SearchStats.merged`.
+evaluations it took to reach the final incumbent.  Multi-phase
+strategies (SA's probe / walk / polish) merge their phase stats with
+:meth:`SearchStats.merged`.
 """
 
 from __future__ import annotations
@@ -51,23 +52,6 @@ class SearchStats:
     evaluations_to_incumbent: int = 0
     seconds: float = 0.0
     stop_reason: str = ""
-
-    def as_dict(self) -> dict:
-        """Plain-dict form (checkpoint serialization, bench records)."""
-        return {
-            "steps": self.steps,
-            "proposals": self.proposals,
-            "accepted": self.accepted,
-            "improvements": self.improvements,
-            "evaluations": self.evaluations,
-            "evaluations_to_incumbent": self.evaluations_to_incumbent,
-            "seconds": self.seconds,
-            "stop_reason": self.stop_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchStats":
-        return cls(**data)
 
     @classmethod
     def merged(

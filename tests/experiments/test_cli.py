@@ -188,6 +188,11 @@ class TestScenariosCli:
                 ["fig-quality", "--presets", "fig-10", "nope"],
                 "scenario family 'uniform-baseline' has no preset 'nope'",
             ),
+            (
+                ["scenarios", "portfolio", "uniform-baseline",
+                 "--strategies", "MH", "SA", "--shards", "3"],
+                "shards=3 exceeds the 2 member(s)",
+            ),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
@@ -221,6 +226,10 @@ class TestScenariosCli:
             (["scenarios", "sweep", "--strategies", "QQ"], "QQ"),
             (["fig-quality", "--seeds", "0"], "0"),
             (["fig-quality", "--seeds", "-1"], "-1"),
+            (["scenarios", "run", "uniform-baseline", "--seed", "-1"], "-1"),
+            (["scenarios", "portfolio", "uniform-baseline", "--seed", "-1"],
+             "-1"),
+            (["scenarios", "smoke", "--seed", "-1"], "-1"),
         ],
     )
     def test_bad_value_is_rejected_before_running(self, capsys, argv, bad):
@@ -259,6 +268,35 @@ class TestScenariosCli:
         assert 0 in shards
         out = capsys.readouterr().out
         assert "determinism checks passed (repeat, shards=0)" in out
+
+    def test_single_member_determinism_check_races_one_shard(
+        self, capsys, monkeypatch
+    ):
+        """Without ``--shards`` the cross-arm axis races one shard per
+        member, at most two: a lone member races on one shard, not
+        beside an idle one."""
+        import repro.experiments.cli as cli
+
+        shards = []
+        run_portfolio = cli.run_portfolio
+
+        def recording(*args, **kwargs):
+            shards.append(kwargs.get("shards"))
+            return run_portfolio(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_portfolio", recording)
+        code = main([
+            "scenarios", "portfolio", "uniform-baseline",
+            "--strategies", "SA", "--sa-iterations", "100",
+            "--check-determinism",
+        ])
+        assert code == 0
+        assert shards == [0, 0, 1, 0]
+        out = capsys.readouterr().out
+        assert (
+            "determinism checks passed (repeat, shards=1, reversed order)"
+            in out
+        )
 
     @pytest.mark.parametrize("name", ["XX", "SA@0", "SA@x", "MH@2"])
     def test_library_rejects_bad_strategy_names(self, name):

@@ -1,5 +1,5 @@
-"""Fixture pairs for CON001 (footprint contract), CON002 (checkpoint
-state pair), CON003 (hot-path I/O)."""
+"""Fixture pairs for CON001 (footprint contract) and CON003 (hot-path
+I/O)."""
 
 import textwrap
 
@@ -92,93 +92,6 @@ class TestTransformationFootprint:
         )
         findings = box.run().findings
         assert "CON001" not in rules_in(findings)
-
-
-class TestCheckpointStatePair:
-    def test_positive_acceptor_missing_both(self, box):
-        box.write(
-            "search/acceptors2.py",
-            snippet(
-                """
-                class GreedyAcceptor:
-                    def decide(self, current, moves, results, rng):
-                        return results[0]
-                """
-            ),
-        )
-        findings = box.run().findings
-        assert [f for f in findings if f.rule == "CON002"]
-
-    def test_positive_half_pair(self, box):
-        box.write(
-            "search/proposers2.py",
-            snippet(
-                """
-                class RoundRobinProposer:
-                    def propose(self, spec, current, rng):
-                        return []
-
-                    def state_dict(self):
-                        return {}
-                """
-            ),
-        )
-        findings = box.run().findings
-        con = [f for f in findings if f.rule == "CON002"]
-        assert len(con) == 1
-        assert "load_state_dict" in con[0].message
-
-    def test_negative_full_pair(self, box):
-        box.write(
-            "search/acceptors2.py",
-            snippet(
-                """
-                class GreedyAcceptor:
-                    def decide(self, current, moves, results, rng):
-                        return results[0]
-
-                    def state_dict(self):
-                        return {}
-
-                    def load_state_dict(self, state):
-                        pass
-                """
-            ),
-        )
-        findings = box.run().findings
-        assert "CON002" not in rules_in(findings)
-
-    def test_negative_protocol_definition(self, box):
-        box.write(
-            "search/protocols.py",
-            snippet(
-                """
-                from typing import Protocol
-
-                class Acceptor(Protocol):
-                    def decide(self, current, moves, results, rng):
-                        ...
-                """
-            ),
-        )
-        findings = box.run().findings
-        assert "CON002" not in rules_in(findings)
-
-    def test_negative_stateless_proposer(self, box):
-        # propose without either half of the pair is fine (stateless);
-        # only an *inconsistent* half-pair is flagged.
-        box.write(
-            "search/proposers2.py",
-            snippet(
-                """
-                class FullNeighbourhood:
-                    def propose(self, spec, current, rng):
-                        return []
-                """
-            ),
-        )
-        findings = box.run().findings
-        assert "CON002" not in rules_in(findings)
 
 
 class TestHotPathIO:

@@ -101,7 +101,7 @@ class TestListRules:
         for rule_id in [
             "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
             "LAY001", "LAY002", "LAY003",
-            "CON001", "CON002", "CON003",
+            "CON001", "CON003",
             "LINT001", "LINT002", "LINT003",
         ]:
             assert rule_id in out

@@ -1,4 +1,4 @@
-"""Acceptance-policy semantics (greedy, Metropolis, threshold, any)."""
+"""Acceptance-policy semantics (greedy, Metropolis, any)."""
 
 from dataclasses import dataclass
 
@@ -9,7 +9,6 @@ from repro.search.acceptors import (
     AcceptAny,
     GreedyAcceptor,
     MetropolisAcceptor,
-    ThresholdAcceptor,
 )
 
 
@@ -46,6 +45,12 @@ class TestGreedy:
         acceptor = GreedyAcceptor()
         results = designs(None, 9.0, None)
         assert acceptor.decide(CURRENT, [], results, None).objective == 9.0
+
+    def test_tie_keeps_first_in_move_order(self):
+        # An equal objective is no improvement over the winner so far,
+        # so cached and uncached runs pick the identical move.
+        results = designs(8.0, 8.0)
+        assert GreedyAcceptor().decide(CURRENT, [], results, None) is results[0]
 
     def test_terminal_on_reject(self):
         assert GreedyAcceptor.terminal_on_reject is True
@@ -90,43 +95,36 @@ class TestMetropolis:
             acceptor.decide(CURRENT, [], designs(9.0), rng)
         assert acceptor.temperature == 0.25
 
-    def test_state_round_trip(self):
-        acceptor = MetropolisAcceptor(temperature=3.5)
-        fresh = MetropolisAcceptor(temperature=999.0)
-        fresh.load_state_dict(acceptor.state_dict())
-        assert fresh.temperature == 3.5
+    def test_takes_first_acceptable_not_best(self):
+        acceptor = MetropolisAcceptor(temperature=1.0)
+        rng = np.random.default_rng(3)
+        accepted = acceptor.decide(CURRENT, [], designs(9.0, 5.0), rng)
+        assert accepted.objective == 9.0
+
+    def test_rejected_uphill_falls_through_to_later_downhill(self):
+        acceptor = MetropolisAcceptor(temperature=1e-9)
+        rng = np.random.default_rng(4)
+        reference = np.random.default_rng(4)
+        reference.random()
+        accepted = acceptor.decide(CURRENT, [], designs(12.0, 9.0), rng)
+        assert accepted.objective == 9.0
+        # Exactly one draw: the uphill test; the downhill one draws none.
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_zero_temperature_rejects_uphill_without_draw(self):
+        class ExplodingRng:
+            def random(self):  # pragma: no cover - must not be called
+                raise AssertionError("a frozen walk must not draw")
+
+        metropolis = MetropolisAcceptor.metropolis
+        assert metropolis(0.5, 0.0, ExplodingRng()) is False
+        assert metropolis(0.0, 0.0, ExplodingRng()) is True
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             MetropolisAcceptor(temperature=1.0).decide(
                 CURRENT, [], designs(11.0), None
             )
-
-
-class TestThreshold:
-    def test_accepts_within_threshold(self):
-        acceptor = ThresholdAcceptor(threshold=1.0)
-        assert acceptor.decide(CURRENT, [], designs(10.5), None) is not None
-
-    def test_rejects_beyond_threshold(self):
-        acceptor = ThresholdAcceptor(threshold=1.0)
-        assert acceptor.decide(CURRENT, [], designs(11.5), None) is None
-
-    def test_takes_first_acceptable_not_best(self):
-        acceptor = ThresholdAcceptor(threshold=1.0)
-        accepted = acceptor.decide(CURRENT, [], designs(10.5, 8.0), None)
-        assert accepted.objective == 10.5
-
-    def test_decay_per_step(self):
-        acceptor = ThresholdAcceptor(threshold=4.0, decay=0.5)
-        acceptor.decide(CURRENT, [], designs(None), None)
-        assert acceptor.threshold == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdAcceptor(threshold=-1.0)
-        with pytest.raises(ValueError):
-            ThresholdAcceptor(threshold=1.0, decay=0.0)
 
 
 class TestAcceptAny:

@@ -221,7 +221,7 @@ class Stall:
 
 class TestFailureInjection:
     @pytest.mark.parametrize("hard", [True, False], ids=["os-exit", "raise"])
-    def test_dead_shard_respawns_from_checkpoint(self, spec, tmp_path, hard):
+    def test_dead_shard_respawns_from_its_seed(self, spec, tmp_path, hard):
         """The respawned member reruns from its seed: the crash is
         invisible to the race outcome."""
         sentinel = str(tmp_path / "crashed")

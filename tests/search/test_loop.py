@@ -370,9 +370,41 @@ class TestStats:
         assert stats.accepted == stats.improvements
         assert stats.proposals == stats.evaluations
         assert stats.evaluations_to_incumbent <= stats.evaluations
+        assert stats.seconds > 0.0
         if outcome.incumbent is not start:
             assert stats.improvements > 0
         assert stats.stop_reason in ("budget:steps", "local-optimum")
+
+    def test_walk_stats_consistent(self, spec, evaluator, start):
+        outcome = SearchLoop(
+            RandomMoveProposer(),
+            MetropolisAcceptor(temperature=5.0, cooling=0.99),
+            Budget(max_steps=25),
+        ).run(spec, evaluator, start=start, rng=np.random.default_rng(5))
+        stats = outcome.stats
+        # A step budget is exact, and a walk prices one move per step.
+        assert stats.steps == 25
+        assert stats.stop_reason == "budget:steps"
+        assert stats.proposals == stats.evaluations == 25
+        assert stats.improvements <= stats.accepted <= stats.steps
+        assert stats.evaluations_to_incumbent <= stats.evaluations
+        assert stats.seconds > 0.0
+        assert outcome.incumbent.objective <= outcome.current.objective
+
+    def test_walk_cools_once_per_step(self, spec, evaluator, start):
+        """The loop calls the acceptor on every step, rejected and
+        invalid ones included, so the temperature follows the
+        geometric schedule step for step."""
+        acceptor = MetropolisAcceptor(temperature=5.0, cooling=0.9)
+        outcome = SearchLoop(
+            RandomMoveProposer(), acceptor, Budget(max_steps=30)
+        ).run(spec, evaluator, start=start, rng=np.random.default_rng(5))
+        assert outcome.stats.steps == 30
+        assert outcome.stats.accepted < 30
+        expected = 5.0
+        for _ in range(30):
+            expected *= 0.9
+        assert acceptor.temperature == expected
 
     def test_observer_sees_every_step(self, spec, evaluator, start):
         events = []

@@ -142,6 +142,11 @@ class TestRunnerValidation:
         with pytest.raises(ConfigError, match="shards must be >= 0"):
             run_portfolio(spec, ("MH",), seed=1, shards=-1)
 
+    def test_more_shards_than_members_rejected(self, spec):
+        # Rejected before any worker forks: a third shard would idle.
+        with pytest.raises(ConfigError, match="shards=3 exceeds the 2"):
+            run_portfolio(spec, ("MH", "SA"), seed=1, shards=3)
+
 
 class TestWinnerTieBreak:
     class _FakeMapping:

@@ -1,7 +1,9 @@
 """Every shipped example must run end-to-end and print its story."""
 
 import importlib.util
+import itertools
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,18 @@ class TestExamples:
         assert "AH:" in out and "MH:" in out and "SA:" in out
         assert "Mapping Heuristic schedule" in out
 
+    def test_package_quickstart(self, capsys):
+        """The ``Quickstart::`` block of the package docstring runs as
+        written and prints a valid design's metrics."""
+        import repro
+
+        lines = repro.__doc__.split("Quickstart::\n", 1)[1].splitlines()
+        block = itertools.takewhile(
+            lambda line: not line or line.startswith("    "), lines
+        )
+        exec(textwrap.dedent("\n".join(block)), {})
+        assert "C1P=" in capsys.readouterr().out
+
     def test_engineering_change(self, capsys):
         out = run_example("engineering_change.py", capsys)
         assert "modified ['engine-ctl'] at total cost 3.0" in out
@@ -69,7 +83,7 @@ class TestExamples:
         out = run_example("portfolio_search.py", capsys)
         assert "<-- winner" in out
         assert "shared-budget" in out
-        assert "cut+resume == uninterrupted: True" in out
+        assert "warm rerun == cold run: True" in out
 
     @pytest.mark.slow
     def test_future_proofing_sweep(self, capsys):
