@@ -109,10 +109,9 @@ def _scratch_evaluate(spec, compiled, scheduler, child):
     if not result.success:
         return None
     schedule = result.schedule
-    policy = spec.weights.binpack_policy
     return (
-        metric_c1p(schedule, spec.future, policy),
-        metric_c1m(schedule, spec.future, policy),
+        metric_c1p(schedule, spec.future),
+        metric_c1m(schedule, spec.future),
         metric_c2p(schedule, spec.future),
         metric_c2m(schedule, spec.future),
     )

@@ -1,16 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Result records of the reference-layer benchmarks.
 
-Every *timed* benchmark run writes
-``benchmarks/BENCH_engine.json``: one machine-readable record per
-benchmark (median wall time, scenario size and delta on/off taken from
-``extra_info``), so the performance trajectory is tracked across PRs
-as data instead of living only in prose.  ``--benchmark-disable``
-smoke runs leave the file untouched.
-
-Scale: laptop defaults (a few minutes for the whole directory).  The
-paper's figures are regenerated and timed through the CLI instead
-(``python -m repro.experiments all``, ``--paper-scale`` for the
-paper's sizes).
+``bench_delta``, ``bench_sched`` and ``bench_eval`` time the delta
+kernel, the array core and array pricing against the reference shapes
+they replaced.  Every *timed* run writes one machine-readable record
+per benchmark (median wall time plus ``extra_info``), so those
+comparisons stay diffable as data; ``--benchmark-disable`` smoke runs
+leave the files untouched.  The benchmark of record is ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -19,18 +14,9 @@ import json
 import platform
 from pathlib import Path
 
-import pytest
-
-from repro.gen.scenario import ScenarioParams, build_scenario
-
 #: Where the machine-readable benchmark results land (committed, so
 #: the perf trajectory across PRs is diffable).
 BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
-
-#: The search/portfolio trajectory record: repo-root, so the racing
-#: wall-clock claim (portfolio <= slowest single strategy) is checked
-#: where every PR's reviewer looks first.
-BENCH_SEARCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
 
 #: The scheduler-core trajectory record (bench_sched): repo-root, so
 #: the array-over-object speedup claim is diffable per PR.
@@ -69,45 +55,6 @@ def _write_results(path: Path, results, extra=None) -> None:
     if extra:
         payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _search_summary(rows) -> dict:
-    """The racing headline: portfolio wall vs the slowest solo member.
-
-    Computed over the *merged* rows (current session plus what the
-    file already held), so a partial re-run of one workload keeps the
-    summary consistent with the stored results instead of dropping it.
-    """
-    singles = [
-        row
-        for row in rows
-        if row["extra_info"].get("search_record") == "single"
-    ]
-    portfolios = [
-        row
-        for row in rows
-        if row["extra_info"].get("search_record") == "portfolio"
-    ]
-    if not singles or not portfolios:
-        return {}
-    slowest = max(row["median_seconds"] for row in singles)
-    portfolio = portfolios[0]
-    return {
-        "summary": {
-            "portfolio_median_seconds": portfolio["median_seconds"],
-            "slowest_single_median_seconds": slowest,
-            "portfolio_vs_slowest_single": portfolio["median_seconds"]
-            / slowest,
-            "portfolio_objective": portfolio["extra_info"].get("objective"),
-            "best_single_objective": min(
-                row["extra_info"].get("objective", float("inf"))
-                for row in singles
-            ),
-            "evaluations_to_incumbent": portfolio["extra_info"].get(
-                "evaluations_to_incumbent"
-            ),
-        }
-    }
 
 
 def _sched_summary(rows) -> dict:
@@ -159,15 +106,13 @@ def _eval_summary(rows) -> dict:
 def pytest_sessionfinish(session, exitstatus):
     """Persist per-bench medians after timed runs.
 
-    Engine benchmarks land in ``benchmarks/BENCH_engine.json``; the
-    ``bench_search`` workloads (tagged via ``search_record`` in their
-    ``extra_info``) land in the repo-root ``BENCH_search.json`` with
-    the portfolio-vs-single summary, and the ``bench_sched`` workloads
-    (tagged ``sched_record``) in the repo-root ``BENCH_sched.json``
-    with the array-core speedup summary and the ``bench_eval``
-    workloads (tagged ``eval_record``) in the repo-root
+    The ``bench_delta`` workloads land in
+    ``benchmarks/BENCH_engine.json``; the ``bench_sched`` workloads
+    (tagged ``sched_record`` in their ``extra_info``) in the repo-root
+    ``BENCH_sched.json`` with the array-core speedup summary, and the
+    ``bench_eval`` workloads (tagged ``eval_record``) in the repo-root
     ``BENCH_eval.json`` with the end-to-end evaluation summary.
-    ``--benchmark-disable`` smoke runs leave all four untouched.
+    ``--benchmark-disable`` smoke runs leave all three untouched.
     """
     benchmark_session = getattr(session.config, "_benchmarksession", None)
     if benchmark_session is None:
@@ -190,9 +135,6 @@ def pytest_sessionfinish(session, exitstatus):
         )
     if not rows:
         return
-    search_rows = [
-        row for row in rows if "search_record" in row["extra_info"]
-    ]
     sched_rows = [
         row for row in rows if "sched_record" in row["extra_info"]
     ]
@@ -202,18 +144,12 @@ def pytest_sessionfinish(session, exitstatus):
     engine_rows = [
         row
         for row in rows
-        if "search_record" not in row["extra_info"]
-        and "sched_record" not in row["extra_info"]
+        if "sched_record" not in row["extra_info"]
         and "eval_record" not in row["extra_info"]
     ]
     if engine_rows:
         _write_results(
             BENCH_RESULTS_PATH, _merge_rows(BENCH_RESULTS_PATH, engine_rows)
-        )
-    if search_rows:
-        merged = _merge_rows(BENCH_SEARCH_PATH, search_rows)
-        _write_results(
-            BENCH_SEARCH_PATH, merged, extra=_search_summary(merged)
         )
     if sched_rows:
         merged = _merge_rows(BENCH_SCHED_PATH, sched_rows)
@@ -225,25 +161,3 @@ def pytest_sessionfinish(session, exitstatus):
         _write_results(
             BENCH_EVAL_PATH, merged, extra=_eval_summary(merged)
         )
-
-#: Current-application sizes of the benchmark scenarios (paper: 40..320).
-BENCH_SIZES = (8, 16, 24)
-
-#: Existing-application size (paper: 400).
-BENCH_EXISTING = 40
-
-
-def bench_params(size: int) -> ScenarioParams:
-    """Scenario parameters of one benchmark cell."""
-    return ScenarioParams(
-        n_nodes=6,
-        hyperperiod=4800,
-        n_existing=BENCH_EXISTING,
-        n_current=size,
-    )
-
-
-@pytest.fixture(scope="session")
-def scenarios() -> dict:
-    """One scenario per benchmarked current-application size."""
-    return {size: build_scenario(bench_params(size), seed=1) for size in BENCH_SIZES}

@@ -7,8 +7,8 @@ Layers:
 * :mod:`~repro.core.future` -- the characterization of future
   applications (T_min, t_need, b_need, WCET and message-size
   distributions) from slide 10.
-* :mod:`~repro.core.binpack` -- best-fit (plus first-fit / worst-fit
-  for ablations) bin packing used by the first design criterion.
+* :mod:`~repro.core.binpack` -- the best-fit bin packing of the first
+  design criterion (slide 12).
 * :mod:`~repro.core.metrics` -- the four design metrics C1P, C1m, C2P,
   C2m and the objective function of slide 14.
 * :mod:`~repro.core.initial_mapping` -- Initial Mapping (IM) seeded by
@@ -21,7 +21,7 @@ Layers:
 """
 
 from repro.core.future import DiscreteDistribution, FutureCharacterization
-from repro.core.binpack import PackResult, best_fit, first_fit, worst_fit
+from repro.core.binpack import PackResult, best_fit
 from repro.core.metrics import (
     DesignMetrics,
     ObjectiveWeights,
@@ -58,8 +58,6 @@ __all__ = [
     "FutureCharacterization",
     "PackResult",
     "best_fit",
-    "first_fit",
-    "worst_fit",
     "DesignMetrics",
     "ObjectiveWeights",
     "evaluate_design",

@@ -19,18 +19,15 @@ candidate evaluation.  This module prices the state directly:
   its flat used vector differs from the base (or from its delta
   parent) -- one vectorized compare plus a handful of dict updates.
 * **Best-fit packing** runs over value histograms
-  (:func:`repro.core.binpack.best_fit_unplaced_total_hist`); the
-  ablation policies (first/worst-fit) rebuild the exact ordered
-  container lists of the object kernel via the geometry's start-order
-  permutation.
+  (:func:`repro.core.binpack.best_fit_unplaced_total_hist`).
 
-A cold best-fit evaluation with the compiled module loaded never
-reaches this module's pricing: :func:`evaluate_key` schedules, prices
+A cold evaluation with the compiled module loaded never reaches this
+module's pricing: :func:`evaluate_key` schedules, prices
 and mixes its packed key in one C call (``evaluate`` in
 ``sched/native.c``), whose mix follows :func:`_mix` operation by
 operation, so both price bit for bit alike.  The Python pricing below
-serves the Python pass, recorded passes, the first- and worst-fit
-ablations, and the tests as the oracle of that call.
+serves the Python pass, recorded passes, and the tests as the oracle
+of that call.
 
 Byte-identity with the pinned object kernel is by construction: every
 metric is computed from equal integer inputs with the same float
@@ -48,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.binpack import POLICIES, best_fit_unplaced_total_hist
+from repro.core.binpack import best_fit_unplaced_total_hist
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import (
     DesignMetrics,
@@ -143,23 +140,22 @@ def _run_length(bag: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 def _packing_runs(
     future: FutureCharacterization, horizon: int
 ) -> Tuple[
-    Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
-    Tuple[int, ...], Tuple[Tuple[int, int], ...], int, int,
+    Tuple[Tuple[int, int], ...], int, int,
+    Tuple[Tuple[int, int], ...], int,
 ]:
-    """:func:`repro.core.metrics._packing_inputs` plus RLE encodings.
+    """:func:`repro.core.metrics._packing_inputs`, RLE-encoded.
 
-    Returns ``(process bag, its runs, total, min, message bag, its
-    runs, total, min)``; the histogram best-fit kernels (Python and
-    compiled) consume the runs, the ablation policies the flat bags.
+    Returns ``(process runs, total, min, message runs, total)``: the
+    histogram best-fit kernels (Python and compiled) consume the runs.
     Cached per ``(future, horizon)`` like the object kernel's inputs.
     """
     (
         process_bag, process_total, process_min,
-        message_bag, message_total, message_min,
+        message_bag, message_total, _,
     ) = _packing_inputs(future, horizon)
     return (
-        process_bag, _run_length(process_bag), process_total, process_min,
-        message_bag, _run_length(message_bag), message_total, message_min,
+        _run_length(process_bag), process_total, process_min,
+        _run_length(message_bag), message_total,
     )
 
 
@@ -272,10 +268,9 @@ def evaluate_state_delta(
         weights = ObjectiveWeights()
     geom = arrays.metric_geometry(future.t_min)
     (
-        process_bag, process_runs, process_total, process_min,
-        message_bag, message_runs, message_total, message_min,
+        process_runs, process_total, process_min,
+        message_runs, message_total,
     ) = _packing_runs(future, arrays.horizon)
-    lean = weights.binpack_policy == "best-fit"
 
     runs_s = state.runs_s
     runs_e = state.runs_e
@@ -304,33 +299,18 @@ def evaluate_state_delta(
         window_free = list(geom.base_window_free)
         _patch_bus(resid_hist, window_free, used, geom.base_used, geom)
 
-    pack = POLICIES[weights.binpack_policy]
-
     if all_nodes_clean:
         assert parent_memo is not None
         c1p = parent_memo.c1p
-    elif process_bag:
-        if lean:
-            container_hist: Dict[int, int] = {}
-            for data in nodes:
-                for length in data.containers:
-                    if length >= process_min:
-                        container_hist[length] = (
-                            container_hist.get(length, 0) + 1
-                        )
-            unplaced_total = best_fit_unplaced_total_hist(
-                process_runs, container_hist, consume=True
-            )
-        else:
-            containers = [
-                length
-                for data in nodes
-                for length in data.containers
-                if length >= process_min
-            ]
-            unplaced_total = sum(
-                pack(process_bag, containers, decreasing=False).unplaced
-            )
+    elif process_runs:
+        container_hist: Dict[int, int] = {}
+        for data in nodes:
+            for length in data.containers:
+                if length >= process_min:
+                    container_hist[length] = container_hist.get(length, 0) + 1
+        unplaced_total = best_fit_unplaced_total_hist(
+            process_runs, container_hist, consume=True
+        )
         c1p = 100.0 * unplaced_total / process_total
     else:
         c1p = 0.0
@@ -340,19 +320,10 @@ def evaluate_state_delta(
         c1m = parent_memo.c1m
         c2m = parent_memo.c2m
     else:
-        if message_bag:
-            if lean:
-                unplaced_total = best_fit_unplaced_total_hist(
-                    message_runs, resid_hist
-                )
-            else:
-                residuals = (geom.caps_flat - used)[geom.start_order]
-                eligible = residuals[residuals >= message_min]
-                unplaced_total = sum(
-                    pack(
-                        message_bag, eligible.tolist(), decreasing=False
-                    ).unplaced
-                )
+        if message_runs:
+            unplaced_total = best_fit_unplaced_total_hist(
+                message_runs, resid_hist
+            )
             c1m = 100.0 * unplaced_total / message_total
         else:
             c1m = 0.0
@@ -375,29 +346,19 @@ def evaluate_key(
     """Schedule and price one packed key in one compiled call; ``None``
     when it does not schedule.
 
-    The cold best-fit evaluation when the compiled module loaded:
+    The cold evaluation when the compiled module loaded:
     :meth:`ArraySpec.run_kernel` runs a
     :class:`~repro.sched.native.NativePricedState`, whose metrics equal
     :func:`evaluate_state` on the Python pass bit for bit.  The
     objective's C inputs are built when ``future`` or ``weights`` is
     not the object the context was last bound with, so the hot path
     hashes no dataclass.
-
-    Raises
-    ------
-    ValueError
-        If ``weights`` packs with another policy than best fit.
     """
     context = arrays.kernel_context()
     if context.future is not future or context.weights is not weights:
-        if weights.binpack_policy != "best-fit":
-            raise ValueError(
-                "the compiled call packs best fit only, not "
-                f"{weights.binpack_policy!r}"
-            )
         (
-            _, process_runs, process_total, process_min,
-            _, message_runs, message_total, _,
+            process_runs, process_total, process_min,
+            message_runs, message_total,
         ) = _packing_runs(future, arrays.horizon)
         context.bind(
             future,

@@ -5,16 +5,16 @@ Metric C1 asks how much of the hypothetical largest future application
 processes (objects sized by WCET) are packed into processor slack gaps
 (bins sized by gap length); future messages into TDMA slot residuals.
 
-The paper uses a **best-fit** policy (slide 12).  First-fit and
-worst-fit are provided for the ablation benchmark
-``benchmarks/bench_ablation_binpack.py``.
+The paper uses a **best-fit** policy (slide 12), the only one here:
+:func:`best_fit` packs and records placements, and the metric kernels
+compute its unplaced total from the bags and bin multisets alone.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,37 +54,6 @@ class PackResult:
         if total == 0:
             return 0.0
         return self.unplaced_total / total
-
-
-def _pack(
-    objects: Sequence[int],
-    bins: Sequence[int],
-    choose: Callable[[List[int], int], int],
-    decreasing: bool = True,
-) -> PackResult:
-    """Shared packing loop.
-
-    ``choose(residuals, size)`` returns the index of the chosen bin or
-    ``-1`` when nothing fits.  Objects are processed in decreasing size
-    order by default (the classical decreasing variants).
-    """
-    for size in objects:
-        if size <= 0:
-            raise ValueError(f"object sizes must be positive, got {size}")
-    for cap in bins:
-        if cap < 0:
-            raise ValueError(f"bin capacities must be non-negative, got {cap}")
-    order = sorted(objects, reverse=True) if decreasing else list(objects)
-    residuals = list(bins)
-    result = PackResult(residuals=residuals)
-    for size in order:
-        idx = choose(residuals, size)
-        if idx < 0:
-            result.unplaced.append(size)
-        else:
-            residuals[idx] -= size
-            result.placed.append((size, idx))
-    return result
 
 
 def best_fit(
@@ -288,44 +257,3 @@ def best_fit_unplaced_total_hist(
                 break
         unplaced += size * count
     return unplaced
-
-
-def first_fit(
-    objects: Sequence[int], bins: Sequence[int], decreasing: bool = True
-) -> PackResult:
-    """First-fit (decreasing) packing: the first bin that fits."""
-
-    def choose(residuals: List[int], size: int) -> int:
-        for i, res in enumerate(residuals):
-            if res >= size:
-                return i
-        return -1
-
-    return _pack(objects, bins, choose, decreasing)
-
-
-def worst_fit(
-    objects: Sequence[int], bins: Sequence[int], decreasing: bool = True
-) -> PackResult:
-    """Worst-fit (decreasing) packing: the emptiest bin that fits.
-
-    Included as an intentionally slack-fragmenting policy for the
-    ablation study.
-    """
-
-    def choose(residuals: List[int], size: int) -> int:
-        best_idx = -1
-        best_res = -1
-        for i, res in enumerate(residuals):
-            if res >= size and res > best_res:
-                best_idx, best_res = i, res
-        return best_idx
-
-    return _pack(objects, bins, choose, decreasing)
-
-
-POLICIES: Dict[str, Callable[..., PackResult]] = {
-    "best-fit": best_fit,
-    "first-fit": first_fit,
-    "worst-fit": worst_fit,
-}

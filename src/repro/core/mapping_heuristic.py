@@ -51,7 +51,8 @@ class MappingHeuristic:
     ----------
     pool_size:
         Number of highest-potential candidate processes examined per
-        iteration (ablated in ``bench_ablation_candidates``).
+        iteration (a wider pool never ends worse, see
+        ``tests/core/test_strategies.py``).
     max_iterations:
         Upper bound on improvement iterations (each applies at most one
         move).

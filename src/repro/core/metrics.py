@@ -36,7 +36,7 @@ from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.binpack import POLICIES, best_fit_unplaced_total
+from repro.core.binpack import best_fit, best_fit_unplaced_total
 from repro.core.future import FutureCharacterization
 from repro.core.slack import bus_slack_containers, processor_slack_containers
 from repro.sched.schedule import SystemSchedule
@@ -47,11 +47,10 @@ from repro.utils.timemath import periodic_windows
 # first criterion
 # ----------------------------------------------------------------------
 def metric_c1p(
-    schedule: SystemSchedule,
-    future: FutureCharacterization,
-    policy: str = "best-fit",
+    schedule: SystemSchedule, future: FutureCharacterization
 ) -> float:
-    """C1P: % of future *process* demand that does not fit in the slack.
+    """C1P: % of future *process* demand that best fit cannot pack into
+    the slack.
 
     Parameters
     ----------
@@ -59,29 +58,24 @@ def metric_c1p(
         The candidate design (current + existing applications).
     future:
         The future-application characterization.
-    policy:
-        Bin-packing policy name (``best-fit`` is the paper's choice).
     """
     bag = future.future_process_bag(schedule.horizon)
     if not bag:
         return 0.0
     containers = processor_slack_containers(schedule)
-    result = POLICIES[policy](bag, containers)
-    return 100.0 * result.unplaced_fraction
+    return 100.0 * best_fit(bag, containers).unplaced_fraction
 
 
 def metric_c1m(
-    schedule: SystemSchedule,
-    future: FutureCharacterization,
-    policy: str = "best-fit",
+    schedule: SystemSchedule, future: FutureCharacterization
 ) -> float:
-    """C1m: % of future *message* demand that does not fit on the bus."""
+    """C1m: % of future *message* demand that best fit cannot pack into
+    the bus slot residuals."""
     bag = future.future_message_bag(schedule.horizon)
     if not bag:
         return 0.0
     containers = bus_slack_containers(schedule)
-    result = POLICIES[policy](bag, containers)
-    return 100.0 * result.unplaced_fraction
+    return 100.0 * best_fit(bag, containers).unplaced_fraction
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +117,6 @@ class ObjectiveWeights:
         When True (default) the penalties ``max(0, t_need - C2P)`` and
         ``max(0, b_need - C2m)`` are scaled to percentages of
         ``t_need`` / ``b_need`` so all terms are commensurate.
-    binpack_policy:
-        Bin-packing policy used by the first criterion.
     """
 
     w1p: float = 1.0
@@ -132,17 +124,11 @@ class ObjectiveWeights:
     w2p: float = 1.0
     w2m: float = 1.0
     normalize_second: bool = True
-    binpack_policy: str = "best-fit"
 
     def __post_init__(self) -> None:
         for name in ("w1p", "w1m", "w2p", "w2m"):
             if getattr(self, name) < 0:
                 raise ValueError(f"weight {name} must be non-negative")
-        if self.binpack_policy not in POLICIES:
-            raise ValueError(
-                f"unknown bin-packing policy {self.binpack_policy!r}; "
-                f"choose from {sorted(POLICIES)}"
-            )
 
 
 @dataclass
@@ -312,8 +298,8 @@ def _packing_inputs(
     search run, so every evaluation reuses one sorted copy.  The
     minimum sizes drive an exact container prefilter: a slack gap (or
     slot residual) smaller than the smallest future object can never
-    host anything, never influences any fit decision of the packing
-    policies, and is dropped before packing.
+    host anything, never influences any best-fit decision, and is
+    dropped before packing.
     """
     process_bag = tuple(
         sorted(future.future_process_bag(horizon), reverse=True)
@@ -428,13 +414,10 @@ def evaluate_design_delta(
             schedule, future.t_min
         )
 
-    # First criterion: bin-pack the future bags into the slack.  The
-    # packed value is a pure function of the container lists, so it is
-    # reused verbatim when every contributing resource is clean.  The
-    # default best-fit policy goes through the lean unplaced-total
-    # kernel; the ablation policies take the generic packer.
-    lean = weights.binpack_policy == "best-fit"
-    pack = POLICIES[weights.binpack_policy]
+    # First criterion: best-fit pack the future bags into the slack
+    # with the lean unplaced-total kernel.  The packed value is a pure
+    # function of the container lists, so it is reused verbatim when
+    # every contributing resource is clean.
     (
         process_bag,
         process_total,
@@ -452,12 +435,7 @@ def evaluate_design_delta(
             for length in node_data[node_id].containers
             if length >= process_min
         ]
-        if lean:
-            unplaced_total = best_fit_unplaced_total(process_bag, containers)
-        else:
-            unplaced_total = sum(
-                pack(process_bag, containers, decreasing=False).unplaced
-            )
+        unplaced_total = best_fit_unplaced_total(process_bag, containers)
         c1p = 100.0 * unplaced_total / process_total
     else:
         c1p = 0.0
@@ -467,14 +445,7 @@ def evaluate_design_delta(
     else:
         if message_bag:
             eligible = bus_residuals[bus_residuals >= message_min]
-            if lean:
-                unplaced_total = best_fit_unplaced_total(message_bag, eligible)
-            else:
-                unplaced_total = sum(
-                    pack(
-                        message_bag, eligible.tolist(), decreasing=False
-                    ).unplaced
-                )
+            unplaced_total = best_fit_unplaced_total(message_bag, eligible)
             c1m = 100.0 * unplaced_total / message_total
         else:
             c1m = 0.0

@@ -159,7 +159,7 @@ class DeltaEvaluator:
             parent_bus=parent.schedule.bus,
         )
         if timings is not None:
-            timings.metrics_ns += time.perf_counter_ns() - mid
+            timings.sched_ns += time.perf_counter_ns() - mid
         outcome = EvaluatedDesign(
             child, result.schedule, metrics, trace=result.trace, memo=memo
         )
@@ -220,7 +220,7 @@ class DeltaEvaluator:
             bus_clean=bus_clean,
         )
         if timings is not None:
-            timings.metrics_ns += time.perf_counter_ns() - mid
+            timings.sched_ns += time.perf_counter_ns() - mid
         outcome = EvaluatedDesign(
             child, None, metrics, trace=state, memo=memo,
             compiled=self.compiled, timings=timings,

@@ -113,12 +113,11 @@ class EngineCounters(NamedTuple):
     two snapshots subtract (``after - before``) to attribute engine
     work to a window of activity.
 
-    The ``*_ns`` fields are the stage-time buckets of the evaluation
-    pipeline (scheduling pass, metric pricing, schedule decode).  A
-    cold best-fit evaluation with the compiled pass loaded schedules
-    and prices in one C call, booked whole in ``sched_ns``, so
-    ``metrics_ns`` counts pricing in Python only.  They feed reporting
-    only, never a decision.
+    ``sched_ns`` and ``decode_ns`` are the stage-time buckets of the
+    evaluation pipeline: each candidate's pass plus its price on every
+    path (one C call with the compiled pass loaded, the pass and the
+    Python pricing otherwise), and the lazy schedule decodes.  They
+    feed reporting only, never a decision.
 
     The ``store_*`` fields are the persistent result store's
     accounting: probes past the resident tier (hits/misses), rows
@@ -130,7 +129,6 @@ class EngineCounters(NamedTuple):
     cache_hits: int
     cache_misses: int
     sched_ns: int = 0
-    metrics_ns: int = 0
     decode_ns: int = 0
     store_hits: int = 0
     store_misses: int = 0
@@ -290,7 +288,6 @@ class EvaluationEngine:
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             sched_ns=timings.sched_ns,
-            metrics_ns=timings.metrics_ns,
             decode_ns=timings.decode_ns,
             store_hits=store.hits,
             store_misses=store.misses,

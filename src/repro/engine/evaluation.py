@@ -8,13 +8,13 @@ exactly this function, which is what makes cached, uncached and
 sharded runs bit-identical.
 
 Under the array core the hot path never leaves the flat representation.
-With the compiled pass loaded, a cold best-fit evaluation is one C call
-that schedules, prices and mixes the packed key
-(:func:`~repro.core.array_metrics.evaluate_key`); otherwise the pass
-finishes as an :class:`~repro.sched.arrays.ArrayRunState` (a
-:class:`~repro.sched.native.NativeRunState` when the compiled pass
-loaded) and the metrics are priced directly on its columns
-(:mod:`repro.core.array_metrics`).  Either way the state is dropped --
+With the compiled pass loaded, a cold evaluation is one C call that
+schedules, prices and mixes the packed key
+(:func:`~repro.core.array_metrics.evaluate_key`); otherwise (the Python
+pass, or a recorded one) the pass finishes as an
+:class:`~repro.sched.arrays.ArrayRunState` and the metrics are priced
+directly on its columns (:mod:`repro.core.array_metrics`).  Either way
+the state is dropped --
 an outcome keeps its price, not its pass.  The object
 :class:`~repro.sched.schedule.SystemSchedule` is re-derived **lazily**:
 :attr:`EvaluatedDesign.schedule` re-runs the deterministic pass with
@@ -52,22 +52,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StageTimings:
     """Nanosecond wall-time buckets of the evaluation pipeline.
 
-    One mutable sink per engine: scheduling, metric pricing and
-    schedule decode accumulate separately, so the per-stage Amdahl
-    split of a search run is visible in the engine statistics without
-    a profiler.  A compiled best-fit evaluation schedules and prices in
-    one call, which ``sched_ns`` books whole; ``metrics_ns`` then
-    counts pricing in Python only.  Time recorded here feeds reporting
-    only -- never a scheduling decision.
+    One mutable sink per engine: ``sched_ns`` books each candidate's
+    pass plus its price on every path (the one compiled call, or the
+    pass and the Python pricing after it), and ``decode_ns`` the lazy
+    schedule decodes, so the split of a search run between evaluating
+    and decoding is visible in the engine statistics without a
+    profiler.  Time recorded here feeds reporting only -- never a
+    scheduling decision.
     """
 
-    __slots__ = ("sched_ns", "metrics_ns", "decode_ns")
+    __slots__ = ("sched_ns", "decode_ns")
 
-    def __init__(
-        self, sched_ns: int = 0, metrics_ns: int = 0, decode_ns: int = 0
-    ) -> None:
+    def __init__(self, sched_ns: int = 0, decode_ns: int = 0) -> None:
         self.sched_ns = sched_ns
-        self.metrics_ns = metrics_ns
         self.decode_ns = decode_ns
 
 
@@ -207,23 +204,20 @@ def evaluate_candidate(
     pass trace and metric memo, making it usable as the parent of
     :class:`~repro.engine.delta.DeltaEvaluator` evaluations; the
     metric *values* are identical either way.
-    ``timings`` (when given) accumulates per-stage wall time.
+    ``timings`` (when given) books the pass and its price, on every
+    path, in ``sched_ns``.
     ``key`` is ``compiled.signature(design)`` when the caller packed it
     already (an engine cache miss); the array core schedules from it,
-    and packs one itself when it is ``None``.  An unrecorded best-fit
+    and packs one itself when it is ``None``.  An unrecorded
     evaluation with the compiled pass loaded schedules and prices that
-    key in one C call, booked as scheduling time.
+    key in one C call.
     """
     if compiled.use_arrays:
         from repro.core.array_metrics import evaluate_key, evaluate_state_delta
 
         arrays = compiled.arrays
         start = time.perf_counter_ns()
-        if (
-            not record_trace
-            and native.MODULE is not None
-            and spec.weights.binpack_policy == "best-fit"
-        ):
+        if not record_trace and native.MODULE is not None:
             if key is None:
                 key = compiled.signature(design)
             metrics = evaluate_key(arrays, spec.future, spec.weights, key)
@@ -244,7 +238,7 @@ def evaluate_candidate(
             arrays, state, spec.future, spec.weights
         )
         if timings is not None:
-            timings.metrics_ns += time.perf_counter_ns() - mid
+            timings.sched_ns += time.perf_counter_ns() - mid
         if not record_trace:
             return EvaluatedDesign(
                 design, None, metrics, compiled=compiled, timings=timings
@@ -277,7 +271,7 @@ def evaluate_candidate(
         result.schedule, spec.future, spec.weights
     )
     if timings is not None:
-        timings.metrics_ns += time.perf_counter_ns() - mid
+        timings.sched_ns += time.perf_counter_ns() - mid
     if not record_trace:
         return EvaluatedDesign(design, result.schedule, metrics)
     return EvaluatedDesign(

@@ -108,7 +108,6 @@ def render_cache_statistics(records) -> str:
             t.store_writes,
             _rate_cell(t.store_hits, t.store_hits + t.store_misses),
             f"{t.sched_ns / 1e6:.1f}",
-            f"{t.metrics_ns / 1e6:.1f}",
             f"{t.decode_ns / 1e6:.1f}",
         )
         for name, t in engine_statistics(records).items()
@@ -117,7 +116,7 @@ def render_cache_statistics(records) -> str:
         [
             "strategy", "evaluations", "cache hits", "cache misses",
             "hit rate", "store hits", "store writes", "store rate",
-            "sched ms", "metrics ms", "decode ms",
+            "sched ms", "decode ms",
         ],
         rows,
         title="Evaluation engine statistics (all runs)",
@@ -147,6 +146,16 @@ def _nonnegative_float(value: str) -> float:
     if not parsed >= 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative number, got {value!r}"
+        )
+    return parsed
+
+
+def _fraction(value: str) -> float:
+    """A number in [0, 1]; NaN is refused (it would pass every gate)."""
+    parsed = float(value)
+    if not 0.0 <= parsed <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction in [0, 1], got {value!r}"
         )
     return parsed
 
@@ -231,7 +240,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
         c = result.counters
         stage_lines.append(
             f"  {name}: sched {c.sched_ns / 1e6:.1f} ms, "
-            f"metrics {c.metrics_ns / 1e6:.1f} ms, "
             f"decode {c.decode_ns / 1e6:.1f} ms"
         )
         if args.cache_store != "memory":
@@ -448,6 +456,11 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
 
 
 def _scenarios_smoke(args: argparse.Namespace) -> int:
+    if args.min_store_hit_rate is not None and args.cache_store != "sqlite":
+        raise ConfigError(
+            "--min-store-hit-rate needs --cache-store sqlite: the memory "
+            "store serves no probe from a persistent tier"
+        )
     results = run_family_smoke(
         family_names=args.families,
         seed=args.seed,
@@ -703,10 +716,11 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     _add_store_options(smoke)
     smoke.add_argument(
-        "--min-store-hit-rate", type=float,
+        "--min-store-hit-rate", type=_fraction,
         help=(
             "fail unless the sweep's aggregate store hit rate reaches "
-            "this fraction (the CI warm-restart gate's second run)"
+            "this fraction in [0, 1] (the CI warm-restart gate's second "
+            "run; needs --cache-store sqlite)"
         ),
     )
 

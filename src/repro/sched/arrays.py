@@ -195,9 +195,7 @@ class ArrayMetricGeometry:
     capacities and window membership over the flat (node-contiguous)
     occurrence layout, the *base* occupancy's residual histogram and
     per-window free bytes (so a candidate is priced by patching the
-    base at its few touched occurrences), and the start-order
-    permutation that reproduces the object kernel's occurrence order
-    for the order-sensitive ablation packing policies.
+    base at its few touched occurrences).
 
     Pure integers derived from the immutable lowering -- built once per
     ``T_min`` (one per spec in practice) and shared by every candidate.
@@ -206,7 +204,7 @@ class ArrayMetricGeometry:
     __slots__ = (
         "horizon", "t_min", "n_windows", "window_width", "window_lengths",
         "caps_flat", "win_flat", "base_used", "base_resid_hist",
-        "base_window_free", "start_order",
+        "base_window_free",
     )
 
     def __init__(self, spec: "ArraySpec", t_min: int) -> None:
@@ -227,7 +225,6 @@ class ArrayMetricGeometry:
         n_occ = spec.n_occ
         caps_flat = np.empty(n_occ, dtype=np.int64)
         win_flat = np.full(n_occ, -1, dtype=np.int64)
-        starts: List[Tuple[int, int]] = []
         round_length = spec.round_length
         static_cap = [0] * n_windows
         for n in range(len(spec.node_ids)):
@@ -239,17 +236,12 @@ class ArrayMetricGeometry:
                 i = base + r
                 caps_flat[i] = cap
                 start = r * round_length + offset
-                starts.append((start, i))
                 k = start // t_min
                 if start + length <= min((k + 1) * t_min, horizon):
                     win_flat[i] = k
                     static_cap[k] += cap
-        starts.sort()
         self.caps_flat = caps_flat
         self.win_flat = win_flat
-        self.start_order = np.array(
-            [i for _, i in starts], dtype=np.int64
-        )
         base_used = spec.base_bus_used_flat
         self.base_used = base_used
         base_resid = caps_flat - base_used

@@ -75,7 +75,7 @@ def hcp_priorities(application: Application, bus: TdmaBus) -> PriorityMap:
 def topological_priorities(application: Application) -> PriorityMap:
     """A structure-only fallback: depth from the sinks, ignoring time.
 
-    Used by tests and as a deliberately weak priority for ablations.
+    A deliberately weak priority; tests use it.
     """
     priorities: PriorityMap = {}
     for graph in application.graphs:

@@ -1,9 +1,9 @@
-"""Tests for the bin-packing policies of the first design criterion."""
+"""Tests for the best-fit bin packing of the first design criterion."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.binpack import POLICIES, best_fit, first_fit, worst_fit
+from repro.core.binpack import best_fit
 
 
 class TestBestFit:
@@ -64,30 +64,6 @@ class TestBestFit:
         assert result.unplaced == [1]
 
 
-class TestOtherPolicies:
-    def test_first_fit_takes_first(self):
-        result = first_fit([4], [10, 5])
-        assert result.residuals == [6, 5]
-
-    def test_worst_fit_takes_emptiest(self):
-        result = worst_fit([4], [10, 5])
-        assert result.residuals == [6, 5]
-        result = worst_fit([4], [5, 10])
-        assert result.residuals == [5, 6]
-
-    def test_worst_fit_fragments_more_than_best_fit(self):
-        """The ablation's premise: with mixed sizes, worst-fit wastes
-        the big bins on small objects and fails the big objects."""
-        objects = [8, 2, 2, 2, 2]
-        bins = [8, 4, 4]
-        assert best_fit(objects, bins).unplaced_total <= worst_fit(
-            objects, bins
-        ).unplaced_total
-
-    def test_policies_registry(self):
-        assert set(POLICIES) == {"best-fit", "first-fit", "worst-fit"}
-
-
 @st.composite
 def packing_instance(draw):
     objects = draw(st.lists(st.integers(1, 30), max_size=30))
@@ -99,21 +75,19 @@ class TestPackingProperties:
     @given(packing_instance())
     def test_conservation(self, instance):
         objects, bins = instance
-        for policy in POLICIES.values():
-            result = policy(objects, bins)
-            assert result.placed_total + result.unplaced_total == sum(objects)
+        result = best_fit(objects, bins)
+        assert result.placed_total + result.unplaced_total == sum(objects)
 
     @given(packing_instance())
     def test_no_bin_overflows(self, instance):
         objects, bins = instance
-        for policy in POLICIES.values():
-            result = policy(objects, bins)
-            used = [0] * len(bins)
-            for size, idx in result.placed:
-                used[idx] += size
-            for idx, cap in enumerate(bins):
-                assert used[idx] <= cap
-                assert result.residuals[idx] == cap - used[idx]
+        result = best_fit(objects, bins)
+        used = [0] * len(bins)
+        for size, idx in result.placed:
+            used[idx] += size
+        for idx, cap in enumerate(bins):
+            assert used[idx] <= cap
+            assert result.residuals[idx] == cap - used[idx]
 
     @given(packing_instance())
     def test_unplaced_objects_truly_do_not_fit(self, instance):

@@ -69,13 +69,6 @@ class TestC1PSlide12:
         s = SystemSchedule(arch1, 160)
         assert metric_c1p(s, future_fixed(160, 0, 1)) == 0.0
 
-    def test_policy_parameter(self, arch1):
-        s = SystemSchedule(arch1, 160)
-        s.place_process("X", 0, "N1", 0, 80)
-        fc = future_fixed(160, 80, 1)
-        assert metric_c1p(s, fc, policy="first-fit") == 0.0
-        assert metric_c1p(s, fc, policy="worst-fit") == 0.0
-
 
 class TestC1m:
     def test_all_messages_fit(self, arch1):
@@ -162,10 +155,6 @@ class TestObjective:
         with pytest.raises(ValueError):
             ObjectiveWeights(w1p=-1)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectiveWeights(binpack_policy="magic")
-
     def test_summary_renders(self, arch1):
         s = SystemSchedule(arch1, 200)
         fc = future_fixed(100, 40, 8, wcet=20)
@@ -198,10 +187,8 @@ class TestFastCoreMatchesReferenceMetrics:
     meaningful.
     """
 
-    @pytest.mark.parametrize("policy", ["best-fit", "first-fit", "worst-fit"])
-    def test_component_functions_agree(self, policy):
+    def test_component_functions_agree(self):
         from repro.core.metrics import (
-            ObjectiveWeights,
             evaluate_design,
             metric_c1m,
             metric_c1p,
@@ -221,10 +208,9 @@ class TestFastCoreMatchesReferenceMetrics:
         )
         assert outcome is not None
         _, schedule = outcome
-        weights = ObjectiveWeights(binpack_policy=policy)
-        metrics = evaluate_design(schedule, spec.future, weights)
-        assert metrics.c1p == metric_c1p(schedule, spec.future, policy)
-        assert metrics.c1m == metric_c1m(schedule, spec.future, policy)
+        metrics = evaluate_design(schedule, spec.future)
+        assert metrics.c1p == metric_c1p(schedule, spec.future)
+        assert metrics.c1m == metric_c1m(schedule, spec.future)
         assert metrics.c2p == metric_c2p(schedule, spec.future)
         assert metrics.c2m == metric_c2m(schedule, spec.future)
 

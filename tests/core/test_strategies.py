@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.adhoc import AdHocStrategy
 from repro.core.mapping_heuristic import MappingHeuristic
+from repro.core.metrics import ObjectiveWeights, evaluate_design
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.gen.scenario import ScenarioParams, build_scenario
 from repro.sched.list_scheduler import ListScheduler
@@ -15,6 +16,13 @@ def scenario():
     params = ScenarioParams(n_nodes=3, hyperperiod=2400,
                             n_existing=18, n_current=10)
     return build_scenario(params, seed=3)
+
+
+def six_node_scenario(n_current: int):
+    """Six nodes and 40 existing processes around ``n_current`` new ones."""
+    params = ScenarioParams(n_nodes=6, hyperperiod=4800,
+                            n_existing=40, n_current=n_current)
+    return build_scenario(params, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +104,30 @@ class TestMappingHeuristic:
             max_iterations=4, use_message_moves=False
         ).design(scenario.spec())
         assert result.valid
+
+    def test_larger_pool_never_worse(self):
+        """Examining the 64 highest-potential processes per step ends no
+        worse than examining only the best one."""
+        spec = six_node_scenario(8).spec()
+        small = MappingHeuristic(pool_size=1).design(spec)
+        large = MappingHeuristic(pool_size=64).design(spec)
+        assert large.objective <= small.objective + 1e-9
+
+    def test_second_criterion_weights_drive_c2(self):
+        """Optimising only the second criterion (slide 13) leaves a
+        C2P penalty no larger than optimising only the first does."""
+        scenario = six_node_scenario(16)
+        only_first = MappingHeuristic().design(
+            scenario.spec(ObjectiveWeights(w2p=0.0, w2m=0.0))
+        )
+        only_second = MappingHeuristic().design(
+            scenario.spec(ObjectiveWeights(w1p=0.0, w1m=0.0))
+        )
+        assert only_first.valid and only_second.valid
+        # Both priced under the balanced weights, so they compare.
+        first = evaluate_design(only_first.schedule, scenario.future)
+        second = evaluate_design(only_second.schedule, scenario.future)
+        assert second.penalty_2p <= first.penalty_2p + 1e-9
 
 
 class TestSimulatedAnnealing:

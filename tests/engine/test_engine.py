@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import time
 
 import pytest
 
@@ -291,3 +292,27 @@ class TestEngineCounters:
             )
         # Counters stay readable after close (stats recording).
         assert evaluator.counters() == after
+
+    def test_python_pricing_is_booked_as_sched_time(
+        self, spec, neighbourhood, monkeypatch
+    ):
+        """Without the compiled pass each cold candidate runs the
+        Python pass and is priced in Python; ``sched_ns`` books both,
+        so a slowed pricing shows in it."""
+        from repro.core import array_metrics
+
+        _, designs = neighbourhood
+        original = array_metrics.evaluate_state_delta
+        priced = []
+
+        def slowed(*args, **kwargs):
+            priced.append(args)
+            time.sleep(0.002)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(native, "MODULE", None)
+        monkeypatch.setattr(array_metrics, "evaluate_state_delta", slowed)
+        with EvaluationEngine(spec) as evaluator:
+            evaluator.evaluate_many(designs)
+        assert priced
+        assert evaluator.counters().sched_ns >= len(priced) * 2_000_000

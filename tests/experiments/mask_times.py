@@ -15,7 +15,7 @@ import re
 import sys
 
 TIME_COLUMNS = frozenset(
-    {"AH [s]", "MH [s]", "SA [s]", "sched ms", "metrics ms", "decode ms"}
+    {"AH [s]", "MH [s]", "SA [s]", "sched ms", "decode ms"}
 )
 RULE = re.compile(r"^-+(\+-+)*$")
 

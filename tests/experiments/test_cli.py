@@ -193,6 +193,11 @@ class TestScenariosCli:
                  "--strategies", "MH", "SA", "--shards", "3"],
                 "shards=3 exceeds the 2 member(s)",
             ),
+            (
+                ["scenarios", "smoke", "--families", "forkjoin",
+                 "--min-store-hit-rate", "0.9"],
+                "--min-store-hit-rate needs --cache-store sqlite",
+            ),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, argv, cause):
@@ -230,6 +235,12 @@ class TestScenariosCli:
             (["scenarios", "portfolio", "uniform-baseline", "--seed", "-1"],
              "-1"),
             (["scenarios", "smoke", "--seed", "-1"], "-1"),
+            (["scenarios", "smoke", "--families", "forkjoin",
+              "--min-store-hit-rate", "nan"], "nan"),
+            (["scenarios", "smoke", "--families", "forkjoin",
+              "--min-store-hit-rate", "1.5"], "1.5"),
+            (["scenarios", "smoke", "--families", "forkjoin",
+              "--min-store-hit-rate", "-0.1"], "-0.1"),
         ],
     )
     def test_bad_value_is_rejected_before_running(self, capsys, argv, bad):

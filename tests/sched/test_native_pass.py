@@ -504,19 +504,6 @@ def test_build_compiles_without_fp_contraction(monkeypatch, tmp_path):
     assert "-ffp-contract=off" in seen["extra_compile_args"]
 
 
-@needs_native
-def test_compiled_call_refuses_other_packing_policies():
-    """The C price packs best fit only; the ablations stay in Python."""
-    spec, compiled, design = _rank_start("small")
-    with pytest.raises(ValueError, match="best fit only"):
-        evaluate_key(
-            compiled.arrays,
-            spec.future,
-            ObjectiveWeights(binpack_policy="first-fit"),
-            compiled.signature(design),
-        )
-
-
 class _CountingLib:
     """A compiled module's functions, counting each call by name."""
 
@@ -535,16 +522,10 @@ class _CountingLib:
 
 
 @needs_native
-@pytest.mark.parametrize("policy", ["best-fit", "first-fit"])
-def test_cold_engine_evaluation_makes_one_compiled_call(policy, monkeypatch):
-    """Under best fit a cold evaluation is one ``evaluate`` call that
-    allocates nothing once the scratch exists, and prices nothing in
-    Python; under first fit the kernel runs alone and pricing stays in
-    Python."""
-    start_spec, _, start = _start("uniform-baseline", "small", 1)
-    spec = dataclasses.replace(
-        start_spec, weights=ObjectiveWeights(binpack_policy=policy)
-    )
+def test_cold_engine_evaluation_makes_one_compiled_call(monkeypatch):
+    """A cold evaluation is one ``evaluate`` call that allocates nothing
+    once the scratch exists, and prices nothing in Python."""
+    spec, _, start = _start("uniform-baseline", "small", 1)
     neighbour = _child(spec, start, np.random.default_rng(1))
     priced = []
     original = array_metrics.evaluate_state_delta
@@ -563,12 +544,8 @@ def test_cold_engine_evaluation_makes_one_compiled_call(policy, monkeypatch):
         context.alloc = lambda *args: allocations.append(args) or alloc(*args)
         priced.clear()
         assert engine.evaluate(neighbour) is not None
-    if policy == "best-fit":
-        assert lib.calls == {"evaluate": 1}
-        assert allocations == [] and priced == []
-    else:
-        assert lib.calls == {"kernel": 1}
-        assert len(priced) == 1
+    assert lib.calls == {"evaluate": 1}
+    assert allocations == [] and priced == []
 
 
 def _c_best_fit(size_runs, bins):

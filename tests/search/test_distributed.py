@@ -126,14 +126,14 @@ def assert_matches_pin(result, pin, shards):
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("shards", [0, 1, 2])
+    @pytest.mark.parametrize("shards", [0, 1, 2, 4])
     def test_free_race_matches_lockstep(self, spec, shards):
         result = race(spec, shards)
         assert_matches_pin(result, LOCKSTEP_PIN["free"], shards)
         assert result.shards == shards
         assert result.respawns == 0
 
-    @pytest.mark.parametrize("shards", [0, 1, 2])
+    @pytest.mark.parametrize("shards", [0, 1, 2, 4])
     def test_metered_race_matches_recorded_lockstep(self, spec, shards):
         result = race(spec, shards, budget=Budget(max_evaluations=200))
         assert_matches_pin(result, LOCKSTEP_PIN["metered"], shards)
@@ -163,6 +163,46 @@ class TestShardedEquivalence:
             )
         with pytest.raises(ConfigError, match="shards must be >= 0"):
             PortfolioRunner(members(), shards=-1)
+
+
+# ----------------------------------------------------------------------
+# sharding divides the race's work
+# ----------------------------------------------------------------------
+#: Four independently seeded SA walks, one per shard at 4 shards.
+SCALING_MEMBERS = ("SA", "SA@2", "SA@3", "SA@4")
+
+#: Lockstep cache misses over the busiest shard's, floor per shard count.
+SCALING_FLOORS = {2: 1.5, 4: 2.5}
+
+
+def scaling_race(spec, shards):
+    return run_portfolio(
+        spec, SCALING_MEMBERS, seed=1, sa_iterations=50, shards=shards
+    )
+
+
+@pytest.fixture(scope="module")
+def scaling_lockstep():
+    """``uniform-baseline``/``tiny`` seed 1 and its in-process race."""
+    spec = get_family("uniform-baseline").build("tiny", seed=1).spec()
+    return spec, scaling_race(spec, 0)
+
+
+class TestShardScaling:
+    """A shard solves only its own members' candidates, so the busiest
+    shard's cache misses bound the race's critical path.  Counted, not
+    timed: the wall-clock pair is perfbench's ``race_lockstep_s`` and
+    ``race_sharded_s``."""
+
+    @pytest.mark.parametrize("shards", sorted(SCALING_FLOORS))
+    def test_busiest_shard_solves_a_share(self, scaling_lockstep, shards):
+        spec, lockstep = scaling_lockstep
+        result = scaling_race(spec, shards)
+        assert len(result.shard_counters) == shards
+        assert result.evaluations == lockstep.evaluations
+        busiest = max(c.cache_misses for c in result.shard_counters)
+        speedup = lockstep.counters.cache_misses / busiest
+        assert speedup >= SCALING_FLOORS[shards]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,12 @@ from searchutil import small_scenario
 
 from repro.core.strategy import DesignResult
 from repro.engine import EngineConfig
-from repro.experiments.runner import run_portfolio, strategy_for_family
+from repro.experiments.runner import (
+    family_strategy,
+    run_portfolio,
+    strategy_for_family,
+)
+from repro.gen.families import get_family
 from repro.search.budget import Budget
 from repro.search.portfolio import (
     PortfolioRunner,
@@ -19,6 +24,10 @@ from repro.search.portfolio import (
 from repro.utils.errors import ConfigError
 
 SA_ITERS = 80
+
+#: SA iterations of the uncut MH + SA race on ``uniform-baseline``
+#: ``medium`` seed 1, where the two members' designs differ.
+MH_SA_ITERS = 300
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +40,19 @@ def race(spec):
     return run_portfolio(
         spec, ("AH", "MH", "SA"), seed=1, sa_iterations=SA_ITERS
     )
+
+
+@pytest.fixture(scope="module")
+def mh_sa():
+    """An uncut MH + SA race and each member's solo run, by name."""
+    medium = get_family("uniform-baseline").build("medium", seed=1).spec()
+    members = ("MH", "SA")
+    solo = {
+        name: family_strategy(name, 1, MH_SA_ITERS).design(medium)
+        for name in members
+    }
+    race = run_portfolio(medium, members, seed=1, sa_iterations=MH_SA_ITERS)
+    return race, solo
 
 
 class TestRace:
@@ -60,6 +82,26 @@ class TestRace:
         )
         # Sharing the engine means members hit each other's entries.
         assert race.cache_hits > 0
+
+    def test_winner_no_worse_than_best_solo(self, mh_sa):
+        race, solo = mh_sa
+        assert race.valid
+        assert race.objective <= min(r.objective for r in solo.values())
+
+    def test_evaluations_equal_solo_sum(self, mh_sa):
+        """Uncut racing keeps every member's solo trajectory, so the
+        race serves exactly the solo runs' requests."""
+        race, solo = mh_sa
+        assert race.evaluations == sum(r.evaluations for r in solo.values())
+
+    def test_race_solves_no_more_than_slowest_solo(self, mh_sa):
+        """The shared engine is what makes racing cheap: MH's descent
+        solves candidates SA's walk and polish reach again, so the race
+        solves (cache misses) no more candidates than its costliest
+        member alone -- 911 against SA's 911 here."""
+        race, solo = mh_sa
+        slowest = max(r.counters.cache_misses for r in solo.values())
+        assert race.counters.cache_misses <= slowest
 
 
 class TestDeterminism:
