@@ -22,10 +22,12 @@ candidate evaluation.  This module prices the state directly:
   (:func:`repro.core.binpack.best_fit_unplaced_total_hist`).
 
 A cold evaluation with the compiled module loaded never reaches this
-module's pricing: :func:`evaluate_key` schedules, prices
-and mixes its packed key in one C call (``evaluate`` in
-``sched/native.c``), whose mix follows :func:`_mix` operation by
-operation, so both price bit for bit alike.  The Python pricing below
+module's pricing:
+:func:`~repro.engine.evaluation.evaluate_key` schedules, prices and
+mixes its packed key in one C call (``evaluate`` in
+``sched/native.c``) on the objective :func:`bind_objective` set, whose
+mix follows :func:`_mix` operation by operation, so both price bit for
+bit alike.  The Python pricing below
 serves the Python pass, recorded passes, and the tests as the oracle
 of that call.
 
@@ -53,9 +55,7 @@ from repro.core.metrics import (
     _packing_inputs,
 )
 from repro.sched.arrays import ArrayMetricGeometry, ArrayRunState, ArraySpec
-from repro.sched.native import (
-    NativePricedState, NativeRunState, ObjectiveInputs,
-)
+from repro.sched.native import NativeRunState, ObjectiveInputs
 
 
 class ArrayNodeData:
@@ -337,48 +337,36 @@ def evaluate_state_delta(
     return _mix(c1p, c1m, c2p, c2m, future, weights), memo
 
 
-def evaluate_key(
+def bind_objective(
     arrays: ArraySpec,
     future: FutureCharacterization,
     weights: ObjectiveWeights,
-    key: bytes,
-) -> Optional[DesignMetrics]:
-    """Schedule and price one packed key in one compiled call; ``None``
-    when it does not schedule.
+) -> None:
+    """Bind the objective of ``future`` and ``weights`` to the compiled
+    pass's context, so a priced pass mixes it and returns its metrics
+    as one :class:`DesignMetrics`.
 
-    The cold evaluation when the compiled module loaded:
-    :meth:`ArraySpec.run_kernel` runs a
-    :class:`~repro.sched.native.NativePricedState`, whose metrics equal
-    :func:`evaluate_state` on the Python pass bit for bit.  The
-    objective's C inputs are built when ``future`` or ``weights`` is
-    not the object the context was last bound with, so the hot path
-    hashes no dataclass.
+    A context stays bound until another future or weights object is
+    bound; :func:`~repro.engine.evaluation.evaluate_key` compares the
+    context's ``future`` and ``weights`` with ``is`` and binds only on
+    a change, so the hot path hashes no dataclass and builds no inputs.
     """
-    context = arrays.kernel_context()
-    if context.future is not future or context.weights is not weights:
-        (
-            process_runs, process_total, process_min,
+    (
+        process_runs, process_total, process_min,
+        message_runs, message_total,
+    ) = _packing_runs(future, arrays.horizon)
+    arrays.kernel_context().bind(
+        future,
+        weights,
+        arrays.metric_geometry(future.t_min),
+        ObjectiveInputs(
+            process_min, process_runs, process_total,
             message_runs, message_total,
-        ) = _packing_runs(future, arrays.horizon)
-        context.bind(
-            future,
-            weights,
-            arrays.metric_geometry(future.t_min),
-            ObjectiveInputs(
-                process_min, process_runs, process_total,
-                message_runs, message_total,
-                future.t_need, future.b_need,
-                (weights.w1p, weights.w1m, weights.w2p, weights.w2m),
-                weights.normalize_second,
-            ),
-        )
-    st = NativePricedState(context, key)
-    arrays.run_kernel(st)
-    if not st.success:
-        return None
-    return DesignMetrics(
-        st.c1p, st.c1m, st.c2p, st.c2m,
-        st.penalty_2p, st.penalty_2m, st.objective,
+            future.t_need, future.b_need,
+            (weights.w1p, weights.w1m, weights.w2p, weights.w2m),
+            weights.normalize_second,
+        ),
+        DesignMetrics,
     )
 
 

@@ -56,10 +56,8 @@ class PackResult:
         return self.unplaced_total / total
 
 
-def best_fit(
-    objects: Sequence[int], bins: Sequence[int], decreasing: bool = True
-) -> PackResult:
-    """Best-fit (decreasing) packing: the tightest bin that still fits.
+def best_fit(objects: Sequence[int], bins: Sequence[int]) -> PackResult:
+    """Best-fit decreasing packing: the tightest bin that still fits.
 
     This is the policy of the paper's first criterion: it preserves
     large gaps for large future processes by consuming the snuggest
@@ -78,7 +76,7 @@ def best_fit(
     for cap in bins:
         if cap < 0:
             raise ValueError(f"bin capacities must be non-negative, got {cap}")
-    order = sorted(objects, reverse=True) if decreasing else list(objects)
+    order = sorted(objects, reverse=True)
     # Sorted (residual, bin index) pairs; ties broken by bin index so the
     # packing is deterministic.
     pool: List[Tuple[int, int]] = sorted((cap, i) for i, cap in enumerate(bins))

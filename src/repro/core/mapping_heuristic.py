@@ -148,7 +148,7 @@ class MappingHeuristic:
             self.name,
             valid=True,
             mapping=best.mapping,
-            priorities=best.priorities,
+            priorities=dict(best.priorities),
             message_delays=dict(best.design.message_delays),
             schedule=best.schedule,
             metrics=best.metrics,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -317,9 +317,13 @@ def _packing_inputs(
     )
 
 
-@dataclass(frozen=True)
-class DesignMetrics:
-    """The four metric values plus the combined objective for a design."""
+class DesignMetrics(NamedTuple):
+    """The four metric values plus the combined objective for a design.
+
+    One immutable record, built in a single step (a named tuple, so
+    the compiled pass's priced state makes one per valid candidate
+    without setting seven attributes one by one).
+    """
 
     c1p: float
     c1m: float

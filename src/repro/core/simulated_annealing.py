@@ -221,7 +221,7 @@ class SimulatedAnnealing:
             self.name,
             valid=True,
             mapping=best.mapping,
-            priorities=best.priorities,
+            priorities=dict(best.priorities),
             message_delays=dict(best.design.message_delays),
             schedule=best.schedule,
             metrics=best.metrics,

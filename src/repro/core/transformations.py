@@ -8,10 +8,10 @@ kinds of moves to the current application:
 * *moving a message to a different slack on the bus*.
 
 A candidate design here is the triple
-``(mapping, priorities, message_delays)`` wrapped in
-:class:`CandidateDesign`; the static cyclic schedule is a deterministic
-function of that triple (the list scheduler).  The paper's moves map to
-three concrete transformations:
+``(mapping, priorities, message_delays)``, held as one packed key in
+:class:`CandidateDesign`; the static cyclic schedule is a
+deterministic function of that triple (the list scheduler).  The
+paper's moves map to three concrete transformations:
 
 * :class:`RemapProcess` -- change the node a process is mapped to
   (moves the process, and implicitly its messages, to the slack of a
@@ -22,9 +22,10 @@ three concrete transformations:
 * :class:`DelayMessage` -- make a message skip feasible TDMA slot
   occurrences, moving it to a later slack on the bus.
 
-Every transformation is pure: ``apply`` returns fresh copies and leaves
-the input design untouched, so strategies can fan out many moves from
-one base design.
+Every transformation is pure: ``apply`` copies its parent's key and
+writes only the field it changes (one int32, two swapped float64
+slices or one int64), leaving the input design untouched, so
+strategies can fan out many moves from one base design.
 
 Every transformation also declares its **footprint**: the dirty set of
 processes, nodes and messages whose scheduling decisions the move can
@@ -38,11 +39,12 @@ handled by the divergence/resume machinery, not declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import FrozenSet, Iterable, List, Mapping as TMapping, Optional, Union
 
-from repro.model.mapping import Mapping
-from repro.sched.priorities import PriorityMap
+from repro.model.design_key import KeyLayout
+from repro.model.mapping import Mapping, ReadOnlyMapping
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,23 @@ class MoveFootprint:
     messages: FrozenSet[str] = frozenset()
 
 
-@dataclass
 class CandidateDesign:
     """A point in the search space of the optimization strategies.
+
+    The design *is* one packed key (:mod:`repro.model.design_key`): a
+    node index and a priority per process, a delay per message, under
+    the :class:`~repro.model.design_key.KeyLayout` that places them.
+    Designs are immutable.  A move copies its parent's key and writes
+    the one field it changes, so the search never copies a dict or
+    packs a key.
+
+    The edge constructor ``CandidateDesign(mapping, priorities[,
+    message_delays])`` keeps the objects it is given and packs them
+    once, when its key is first needed: under the layout of the first
+    :meth:`CompiledSpec.signature
+    <repro.engine.compiled_spec.CompiledSpec.signature>` that asks, or
+    under its mapping's own layout when a move is applied first.  Treat
+    those objects as handed over: edits made after that are not seen.
 
     Attributes
     ----------
@@ -88,19 +104,144 @@ class CandidateDesign:
         List-scheduling priorities (higher runs first among ready).
     message_delays:
         Per-message feasible-slot skips (absent means 0).
+
+    A design derived by a move holds its key only; these three are
+    then read-only views, decoded from the key on first read.  Only
+    the edges read them (results, design identity, the object-core
+    oracle and the delta kernel).
     """
 
-    mapping: Mapping
-    priorities: PriorityMap
-    message_delays: Dict[str, int] = field(default_factory=dict)
+    __slots__ = ("_layout", "_key", "_mapping", "_priorities", "_delays")
+
+    def __init__(
+        self,
+        mapping: Mapping,
+        priorities: TMapping[str, float],
+        message_delays: Optional[TMapping[str, int]] = None,
+    ) -> None:
+        self._layout: Optional[KeyLayout] = None
+        self._key: Optional[bytes] = None
+        self._mapping: Optional[Mapping] = mapping
+        self._priorities: Optional[TMapping[str, float]] = priorities
+        self._delays: Optional[TMapping[str, int]] = (
+            {} if message_delays is None else message_delays
+        )
+
+    # ------------------------------------------------------------------
+    # the key
+    # ------------------------------------------------------------------
+    @property
+    def layout(self) -> KeyLayout:
+        """The layout of :attr:`key`."""
+        layout = self._layout
+        if layout is None:
+            mapping = self._mapping
+            assert mapping is not None  # an edge design holds its views
+            layout = KeyLayout(mapping.application, mapping.architecture)
+            self.key_under(layout)
+        return layout
+
+    @property
+    def key(self) -> bytes:
+        """The packed design, under :attr:`layout`."""
+        key = self._key
+        if key is None:
+            key = self.key_under(self.layout)
+        return key
+
+    def key_under(self, layout: KeyLayout) -> bytes:
+        """This design's key in ``layout``.
+
+        The design's own key when its layout equals ``layout``; an
+        edge design not packed yet packs its views under ``layout``
+        and keeps the result.  Any other design is packed from its
+        decoded views.
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            If an edge design's mapping leaves a process unmapped.
+        """
+        own = self._layout
+        if own is layout:
+            return self._key  # type: ignore[return-value]
+        if own is None:
+            mapping, priorities, delays = (
+                self._mapping, self._priorities, self._delays
+            )
+            assert mapping is not None and priorities is not None
+            assert delays is not None  # an edge design holds its views
+            key = layout.pack(mapping, priorities, delays)
+            self._layout = layout
+            self._key = key
+            return key
+        if own == layout:
+            return self._key  # type: ignore[return-value]
+        return layout.pack(self.mapping, self.priorities, self.message_delays)
+
+    # ------------------------------------------------------------------
+    # the views
+    # ------------------------------------------------------------------
+    @property
+    def mapping(self) -> Mapping:
+        mapping = self._mapping
+        if mapping is None:
+            mapping = self._decode()
+        return mapping
+
+    @property
+    def priorities(self) -> TMapping[str, float]:
+        priorities = self._priorities
+        if priorities is None:
+            self._decode()
+            priorities = self._priorities
+        return priorities  # type: ignore[return-value]
+
+    @property
+    def message_delays(self) -> TMapping[str, int]:
+        delays = self._delays
+        if delays is None:
+            self._decode()
+            delays = self._delays
+        return delays  # type: ignore[return-value]
+
+    def _decode(self) -> Mapping:
+        layout = self._layout
+        assert layout is not None and self._key is not None
+        assignment, priorities, delays = layout.decode(self._key)
+        mapping = ReadOnlyMapping(
+            layout.application, layout.architecture, assignment
+        )
+        self._mapping = mapping
+        self._priorities = MappingProxyType(priorities)
+        self._delays = MappingProxyType(delays)
+        return mapping
 
     def copy(self) -> "CandidateDesign":
-        """An independent copy of the design point."""
+        """An edge design over writable copies of this design's views."""
         return CandidateDesign(
             self.mapping.copy(),
             dict(self.priorities),
             dict(self.message_delays),
         )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "edge" if self._layout is None else f"key of {len(self._key or b'')} bytes"
+        return f"CandidateDesign({state})"
+
+
+def _derived(layout: KeyLayout, key: bytes) -> CandidateDesign:
+    """The design ``key`` holds under ``layout`` (a move's child)."""
+    design = _new_design(CandidateDesign)
+    design._layout = layout
+    design._key = key
+    design._mapping = None
+    design._priorities = None
+    design._delays = None
+    return design
+
+
+_new_design = object.__new__
 
 
 @dataclass(frozen=True)
@@ -111,10 +252,18 @@ class RemapProcess:
     node_id: str
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
-        """Return a new design with the process remapped."""
-        out = design.copy()
-        out.mapping.assign(self.process_id, self.node_id)
-        return out
+        """Return a new design with the process remapped.
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            If the node is unknown or not allowed for the process.
+        """
+        layout = design.layout
+        return _derived(
+            layout,
+            layout.remapped(design.key, self.process_id, self.node_id),
+        )
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: the process, affected deliveries, both nodes.
@@ -157,13 +306,12 @@ class SwapPriorities:
     second: str
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
-        """Return a new design with the two priorities swapped."""
-        out = design.copy()
-        a = out.priorities.get(self.first, 0.0)
-        b = out.priorities.get(self.second, 0.0)
-        out.priorities[self.first] = b
-        out.priorities[self.second] = a
-        return out
+        """Return a new design with the two priorities swapped, bit for
+        bit (a priority the design leaves out is 0.0)."""
+        layout = design.layout
+        return _derived(
+            layout, layout.swapped(design.key, self.first, self.second)
+        )
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: only the two re-keyed processes (and their nodes)."""
@@ -195,14 +343,10 @@ class DelayMessage:
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
         """Return a new design with the message delay adjusted."""
-        out = design.copy()
-        current = out.message_delays.get(self.message_id, 0)
-        new = max(0, current + self.delta)
-        if new == 0:
-            out.message_delays.pop(self.message_id, None)
-        else:
-            out.message_delays[self.message_id] = new
-        return out
+        layout = design.layout
+        return _derived(
+            layout, layout.delayed(design.key, self.message_id, self.delta)
+        )
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: the sender (deliveries happen at its pop) + slot."""

@@ -17,17 +17,17 @@ separating problem *construction* from repeated *solving*:
 * the default HCP priorities are computed once;
 * the frozen base schedule is kept as a template; per-candidate
   evaluation only pays one ``copy()`` of it;
-* candidate signatures -- the memoization key of the evaluation cache
-  and the result store -- are packed here, by one ``struct`` layout
-  compiled per spec, so every cache tier agrees on identity; the same
-  packed key is the one lowering every scheduling pass reads.
+* the key layout of candidate designs -- the memoization key of the
+  evaluation cache and the result store -- is compiled here once, so
+  every cache tier agrees on identity; the same packed key is the one
+  lowering every scheduling pass reads.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro.model.design_key import KeyLayout
 from repro.sched.arrays import ArraySpec, resolve_engine_core
 from repro.sched.jobs import JobTable, expand_jobs
 from repro.sched.priorities import PriorityMap, hcp_priorities
@@ -188,28 +188,17 @@ class CompiledSpec:
         Per process, in sorted-id order: its node's index in
         architecture order (int32) and its priority (float64).  Then
         per message, in sorted-id order: its delay (int64).  All
-        little-endian, so the key is portable across machines.
+        little-endian, so the key is portable across machines (see
+        :mod:`repro.model.design_key`).
 
         That order is the array core's id order too:
-        :class:`~repro.sched.arrays.ArraySpec` numbers processes by
-        :attr:`key_pids` and messages by :attr:`key_mids`, so the key
-        *is* a candidate's lowering -- the compiled pass reads it as
-        it is, and the Python passes unpack it with :attr:`key_struct`.
+        :class:`~repro.sched.arrays.ArraySpec` numbers processes and
+        messages by :attr:`key_layout`'s ``pids`` and ``mids``, so the
+        key *is* a candidate's lowering -- the compiled pass reads it
+        as it is, and the Python passes unpack it with the layout's
+        ``struct``.
         """
-        pids = sorted(p.id for p in self.spec.current.processes)
-        mids = sorted(m.id for m in self.spec.current.messages)
-        self.key_pids: List[str] = pids
-        self.key_mids: List[str] = mids
-        self._key_node = {
-            nid: i for i, nid in enumerate(self.spec.architecture.node_ids)
-        }
-        split = 2 * len(pids)
-        self._key_split = split
-        self._key_delay_slot = {mid: split + i for i, mid in enumerate(mids)}
-        self._key_zeros: List[float] = [0] * (split + len(mids))
-        self.key_struct = struct.Struct(
-            "<" + "id" * len(pids) + f"{len(mids)}q"
-        )
+        self.key_layout = KeyLayout(self.spec.current, self.spec.architecture)
 
     def signature(self, design: "CandidateDesign") -> bytes:
         """Identity of ``design`` for memoization: one packed ``bytes``.
@@ -223,8 +212,12 @@ class CompiledSpec:
         float64 bits, so ``-0.0`` and ``0.0`` give different keys (a
         spurious miss, never a wrong hit).
 
-        This is the only code that reads a candidate's dicts: the key
-        is also what every scheduling pass of the array core lowers
+        A design built under an equal layout -- every design a move
+        derived in this problem -- already is its key, and is returned
+        as it is; only an edge design packs, once (see
+        :meth:`CandidateDesign.key_under
+        <repro.core.transformations.CandidateDesign.key_under>`).  The
+        key is also what every scheduling pass of the array core lowers
         from (see :meth:`_compile_signature`).
 
         Raises
@@ -232,21 +225,4 @@ class CompiledSpec:
         repro.utils.errors.MappingError
             If the mapping leaves a process unmapped.
         """
-        assignment = design.mapping.as_dict()
-        priorities = design.priorities
-        node = self._key_node
-        pids = self.key_pids
-        split = self._key_split
-        values = self._key_zeros.copy()
-        try:
-            values[0:split:2] = [node[assignment[pid]] for pid in pids]
-        except KeyError:
-            design.mapping.validate_complete()
-            raise
-        values[1:split:2] = [priorities.get(pid, 0.0) for pid in pids]
-        slot = self._key_delay_slot
-        for mid, delay in design.message_delays.items():
-            index = slot.get(mid)
-            if index is not None:
-                values[index] = delay
-        return self.key_struct.pack(*values)
+        return design.key_under(self.key_layout)

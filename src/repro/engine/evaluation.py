@@ -9,23 +9,23 @@ sharded runs bit-identical.
 
 Under the array core the hot path never leaves the flat representation.
 With the compiled pass loaded, a cold evaluation is one C call that
-schedules, prices and mixes the packed key
-(:func:`~repro.core.array_metrics.evaluate_key`); otherwise (the Python
-pass, or a recorded one) the pass finishes as an
+schedules, prices and mixes the packed key (:func:`evaluate_key`);
+otherwise (the Python pass, or a recorded one) the pass finishes as an
 :class:`~repro.sched.arrays.ArrayRunState` and the metrics are priced
 directly on its columns (:mod:`repro.core.array_metrics`).  Either way
-the state is dropped --
-an outcome keeps its price, not its pass.  The object
+the state is dropped -- an outcome keeps its price, not its pass.  The object
 :class:`~repro.sched.schedule.SystemSchedule` is re-derived **lazily**:
 :attr:`EvaluatedDesign.schedule` re-runs the deterministic pass with
 trace columns and decodes it on first access (accepted incumbents,
 serialization, verify, figures), while the thousands of rejected
 candidates per search never pay for it.
 
-Imports from :mod:`repro.core` are deferred to call time: the engine
-package sits between ``sched`` and ``core`` in the layer diagram
-(``core.strategy`` imports the engine), so importing core modules at
-module scope would be circular.
+Imports from :mod:`repro.core` are deferred to the calls that need
+them: the engine package sits between ``sched`` and ``core`` in the
+layer diagram (``core.strategy`` imports the engine), so importing
+core modules at module scope would be circular.  A cold compiled
+evaluation imports nothing: only binding an objective to the compiled
+pass, once per engine, reaches into core.
 """
 
 from __future__ import annotations
@@ -35,16 +35,19 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.sched import native
 from repro.sched.arrays import ArrayRunState
+from repro.sched.native import NativePricedState
 from repro.sched.schedule import SystemSchedule
 from repro.sched.trace import ScheduleTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Any, Union
-    from repro.core.metrics import DesignMetrics
+    from repro.core.future import FutureCharacterization
+    from repro.core.metrics import DesignMetrics, ObjectiveWeights
     from repro.core.strategy import DesignSpec
     from repro.core.transformations import CandidateDesign
     from repro.engine.compiled_spec import CompiledSpec
     from repro.model.mapping import Mapping
+    from repro.sched.arrays import ArraySpec
     from repro.sched.list_scheduler import ListScheduler
     from repro.sched.priorities import PriorityMap
 
@@ -106,7 +109,6 @@ class EvaluatedDesign:
         metrics: "DesignMetrics",
         trace: Optional["Union[ScheduleTrace, ArrayRunState]"] = None,
         memo: Optional["Any"] = None,
-        *,
         timings: Optional[StageTimings] = None,
         compiled: Optional["CompiledSpec"] = None,
     ) -> None:
@@ -152,7 +154,10 @@ class EvaluatedDesign:
     def _rederive(self, compiled: "CompiledSpec") -> SystemSchedule:
         """Re-run the (deterministic) array pass to rebuild the schedule."""
         arrays = compiled.arrays
-        state = arrays.schedule_design(self.design, record=False, columns=True)
+        state = arrays.schedule_design(
+            self.design, record=False, columns=True,
+            key=compiled.signature(self.design),
+        )
         if not state.success:
             raise ValueError(
                 "stored design no longer schedules; the result "
@@ -178,6 +183,34 @@ class EvaluatedDesign:
             f"EvaluatedDesign(objective={self.metrics.objective:.4f}, "
             f"schedule={decoded})"
         )
+
+
+def evaluate_key(
+    arrays: "ArraySpec",
+    future: "FutureCharacterization",
+    weights: "ObjectiveWeights",
+    key: bytes,
+) -> Optional["DesignMetrics"]:
+    """Schedule and price one packed key in one compiled call; ``None``
+    when it does not schedule.
+
+    The cold evaluation when the compiled module loaded:
+    :meth:`ArraySpec.run_kernel` runs a
+    :class:`~repro.sched.native.NativePricedState`, whose metrics equal
+    :func:`~repro.core.array_metrics.evaluate_state` on the Python pass
+    bit for bit.  The objective is bound to the compiled pass only when
+    ``future`` or ``weights`` is not the object the context holds (an
+    ``is`` test), once per engine; that is the only step that reaches
+    into :mod:`repro.core`.
+    """
+    context = arrays.kernel_context()
+    if context.future is not future or context.weights is not weights:
+        from repro.core.array_metrics import bind_objective
+
+        bind_objective(arrays, future, weights)
+    st = NativePricedState(context, key)
+    arrays.run_kernel(st)
+    return st.metrics
 
 
 def evaluate_candidate(
@@ -213,21 +246,21 @@ def evaluate_candidate(
     key in one C call.
     """
     if compiled.use_arrays:
-        from repro.core.array_metrics import evaluate_key, evaluate_state_delta
-
         arrays = compiled.arrays
         start = time.perf_counter_ns()
+        if key is None:
+            key = compiled.signature(design)
         if not record_trace and native.MODULE is not None:
-            if key is None:
-                key = compiled.signature(design)
             metrics = evaluate_key(arrays, spec.future, spec.weights, key)
             if timings is not None:
                 timings.sched_ns += time.perf_counter_ns() - start
             if metrics is None:
                 return None
             return EvaluatedDesign(
-                design, None, metrics, compiled=compiled, timings=timings
+                design, None, metrics, None, None, timings, compiled
             )
+        from repro.core.array_metrics import evaluate_state_delta
+
         state = arrays.schedule_design(design, record=record_trace, key=key)
         mid = time.perf_counter_ns()
         if timings is not None:
@@ -241,13 +274,12 @@ def evaluate_candidate(
             timings.sched_ns += time.perf_counter_ns() - mid
         if not record_trace:
             return EvaluatedDesign(
-                design, None, metrics, compiled=compiled, timings=timings
+                design, None, metrics, None, None, timings, compiled
             )
         # A recorded pass always runs the Python loop.
         assert isinstance(state, ArrayRunState)
         return EvaluatedDesign(
-            design, None, metrics, trace=state, memo=memo,
-            compiled=compiled, timings=timings,
+            design, None, metrics, state, memo, timings, compiled
         )
 
     from repro.core.metrics import evaluate_design_delta

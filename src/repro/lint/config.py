@@ -80,8 +80,10 @@ DEFAULT_FLOAT_EQ_MODULES: Tuple[str, ...] = (
     "repro.core.slack",
 )
 
-#: Function names treated as scheduling/delta hot paths (CON003); the
-#: last seven are the production path of every cold evaluation.
+#: Function names treated as scheduling/delta hot paths (CON003): from
+#: ``run_kernel`` on, the production path of every cold evaluation,
+#: then the search step that makes a candidate (the moves' ``apply``,
+#: ``random_move`` and the key readers and patchers).
 DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "run_pass",
     "resume_state",
@@ -96,6 +98,14 @@ DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "evaluate_candidate",
     "evaluate_key",
     "kernel_context",
+    "apply",
+    "random_move",
+    "key_under",
+    "node_at",
+    "delay_at",
+    "remapped",
+    "swapped",
+    "delayed",
 )
 
 

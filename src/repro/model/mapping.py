@@ -149,3 +149,34 @@ class Mapping:
             f"Mapping({self.application.name!r}, "
             f"{len(self._assignment)}/{self.application.process_count} mapped)"
         )
+
+
+class ReadOnlyMapping(Mapping):
+    """A mapping decoded from a design's packed key.
+
+    The key is the design, so this view refuses writes; derive a new
+    design with a ``RemapProcess`` instead, or take a writable
+    :meth:`copy`.  ``assignment`` is trusted: every node in a key was
+    checked against the process's allowed set when it was written.
+    """
+
+    def __init__(
+        self,
+        application: Application,
+        architecture: Architecture,
+        assignment: Dict[str, str],
+    ):
+        super().__init__(application, architecture)
+        self._assignment = assignment
+
+    def assign(self, process_id: str, node_id: str) -> None:
+        raise TypeError(
+            "a design's mapping is read-only: apply a RemapProcess or "
+            "edit a copy()"
+        )
+
+    def unassign(self, process_id: str) -> None:
+        raise TypeError(
+            "a design's mapping is read-only: apply a RemapProcess or "
+            "edit a copy()"
+        )

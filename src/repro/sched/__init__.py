@@ -11,20 +11,16 @@ on nodes and of messages in TDMA slots.  This subpackage provides:
   list scheduling of an application (expanded to all its periodic
   instances) around the frozen reservations, packing inter-node
   messages into TDMA slot occurrences.
-* :mod:`~repro.sched.priorities` -- priority functions, including the
-  Heterogeneous Critical Path (HCP) priority of Jorgensen & Madsen
-  (CODES'97) that seeds the paper's Initial Mapping.
+* :mod:`~repro.sched.priorities` -- the Heterogeneous Critical Path
+  (HCP) priority of Jorgensen & Madsen (CODES'97) that seeds the
+  paper's Initial Mapping.
 * :mod:`~repro.sched.render` -- ASCII Gantt charts of schedules for
   examples and debugging.
 """
 
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
 from repro.sched.list_scheduler import ListScheduler, ScheduleResult
-from repro.sched.priorities import (
-    hcp_priorities,
-    topological_priorities,
-    PriorityMap,
-)
+from repro.sched.priorities import hcp_priorities, PriorityMap
 from repro.sched.render import render_gantt
 from repro.sched.asap_alap import TimeBounds, alap_schedule, asap_schedule, time_bounds
 from repro.sched.verify import verify_design
@@ -35,7 +31,6 @@ __all__ = [
     "ListScheduler",
     "ScheduleResult",
     "hcp_priorities",
-    "topological_priorities",
     "PriorityMap",
     "render_gantt",
     "TimeBounds",

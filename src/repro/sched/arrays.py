@@ -330,17 +330,23 @@ class ArraySpec:
       ``out_messages`` (the object kernel's delivery order).
 
     Processes, nodes and messages are numbered in the packed key's
-    order, which :class:`~repro.engine.compiled_spec.CompiledSpec`
-    defines (``key_pids``, ``key_mids``): process ``p``'s node index
+    order, which the compiled spec's
+    :class:`~repro.model.design_key.KeyLayout` defines (``pids``,
+    ``mids``): process ``p``'s node index
     and priority are the key's ``p``-th pair, and ``edge_msg[t]`` is
     the key's delay slot of edge ``t``'s message.
     """
 
     def __init__(self, compiled: "CompiledSpec") -> None:
-        self.compiled = compiled
+        # No reference back to ``compiled``: the compiled spec holds
+        # this lowering, so a back-reference would make every engine's
+        # spec, lowering and C context a cycle only the full collector
+        # frees.  The key layout is all a pass needs of it.
+        self.key_layout = compiled.key_layout
         self.horizon = compiled.horizon
         self.architecture = compiled.architecture
         application = compiled.application
+        self.application = application
         table = compiled.job_table
 
         # --- dense ids -----------------------------------------------
@@ -348,7 +354,7 @@ class ArraySpec:
         self.node_index: Dict[str, int] = {
             nid: i for i, nid in enumerate(self.node_ids)
         }
-        self.pids: List[str] = list(compiled.key_pids)
+        self.pids: List[str] = list(self.key_layout.pids)
         self.pid_index: Dict[str, int] = {
             pid: i for i, pid in enumerate(self.pids)
         }
@@ -416,7 +422,7 @@ class ArraySpec:
             )
 
         # --- out-edge CSR (per job, in out_messages order) -----------
-        self.message_ids: List[str] = list(compiled.key_mids)
+        self.message_ids: List[str] = list(self.key_layout.mids)
         msg_index = {mid: m for m, mid in enumerate(self.message_ids)}
         out_ptr: List[int] = [0]
         edge_msg: List[int] = []
@@ -532,8 +538,9 @@ class ArraySpec:
         """Mapping/priorities/delays of one candidate, in index form.
 
         The Python passes' lowering: one unpacking of ``key``, the
-        design's packed signature, which is packed from ``design`` only
-        when the caller has none.  The key's orders are this spec's id
+        design's packed signature; without one, the design's own key
+        under this spec's layout is used (an edge design packs it
+        once).  The key's orders are this spec's id
         orders, so its fields are ``node_of``, the priorities and
         ``delays`` as they stand.
 
@@ -550,8 +557,8 @@ class ArraySpec:
             unmapped.
         """
         if key is None:
-            key = self.compiled.signature(design)
-        fields = self.compiled.key_struct.unpack(key)
+            key = design.key_under(self.key_layout)
+        fields = self.key_layout.struct.unpack(key)
         split = 2 * len(self.pids)
         prio = np.array(fields[1:split:2], dtype=np.float64)
         urg = self.job_deadline_f - prio[self.job_pid_np]
@@ -630,8 +637,9 @@ class ArraySpec:
         """Run one cold pass; the array analogue of ``try_schedule``.
 
         ``key`` is ``design``'s packed signature when the caller holds
-        it already (an engine cache miss); otherwise it is packed here,
-        once.  A pass without ``record`` or ``columns`` runs compiled,
+        it already (an engine cache miss); otherwise the design's own
+        key under this spec's layout is used (an edge design packs it
+        once).  A pass without ``record`` or ``columns`` runs compiled,
         reading the key as it is, when the native module loaded; every
         other pass runs the Python loop on the key's unpacking.
 
@@ -642,7 +650,7 @@ class ArraySpec:
             unmapped.
         """
         if key is None:
-            key = self.compiled.signature(design)
+            key = design.key_under(self.key_layout)
         st: Union[ArrayRunState, NativeRunState]
         if record or columns or native.MODULE is None:
             st = self.fresh_state(
@@ -745,7 +753,7 @@ class ArraySpec:
             if w < 0:
                 # Unreachable behind Mapping's allowed-node validation;
                 # delegate so the error matches the object core's.
-                self.compiled.application.process(pids[p]).wcet_on(
+                self.application.process(pids[p]).wcet_on(
                     node_ids[n]
                 )
             instance = job_instance[j]
@@ -875,7 +883,7 @@ class ArraySpec:
         if kind == native.FAIL_WCET:
             # Unreachable behind Mapping's allowed-node validation;
             # delegate so the error matches the object core's.
-            self.compiled.application.process(pid).wcet_on(self.node_ids[n])
+            self.application.process(pid).wcet_on(self.node_ids[n])
         if kind == native.FAIL_HORIZON:
             return _horizon_reason(pid, instance, self.node_ids[n])
         if kind == native.FAIL_DEADLINE:

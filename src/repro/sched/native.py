@@ -7,7 +7,7 @@ straight from its packed key (:meth:`CompiledSpec.signature
 <repro.engine.compiled_spec.CompiledSpec.signature>`).  ``evaluate``
 runs the same pass and then prices and mixes its result: the
 best-fit slide-14 objective of
-:func:`~repro.core.array_metrics.evaluate_key`, one call per cold
+:func:`~repro.engine.evaluation.evaluate_key`, one call per cold
 candidate.  This module builds and loads it and wraps it:
 
 * :class:`KernelContext` -- one spec's immutable lowering as C arrays,
@@ -16,7 +16,7 @@ candidate.  This module builds and loads it and wraps it:
 * :class:`NativeRunState` -- one ``kernel`` pass on one key, with its
   own buffer, whose busy runs and bus occupancy decode on demand;
 * :class:`NativePricedState` -- one ``evaluate`` call on the scratch,
-  which keeps the seven metric fields and no columns.
+  which keeps the seven metric fields as one record and no columns.
 
 The module is built and loaded when this file is imported, so a timed
 region never spans a compile.  The build runs ``native_build.py`` in a
@@ -189,7 +189,7 @@ class KernelContext:
     __slots__ = (
         "ffi", "lib", "alloc", "ptr", "key_size", "state_size", "n_jobs",
         "_keep", "_prices", "_log_cap", "_gap_room", "_mix_runs",
-        "scratch", "metrics", "future", "weights", "price", "mix",
+        "scratch", "metrics", "future", "weights", "price", "mix", "record",
     )
 
     def __init__(self, spec: "ArraySpec", module: ModuleType) -> None:
@@ -205,6 +205,7 @@ class KernelContext:
         self.weights: object = None
         self.price: Any = None
         self.mix: Any = None
+        self.record: Any = None
         self._mix_runs: Any = None
         n_nodes = len(spec.node_ids)
         base_ptr = [0]
@@ -213,7 +214,7 @@ class KernelContext:
         run_cap = max(len(runs) for runs in spec.base_runs_s) + spec.n_jobs
         n_jobs = spec.n_jobs
         n_pids = len(spec.pids)
-        self.key_size = spec.compiled.key_struct.size
+        self.key_size = spec.key_layout.struct.size
         self.n_jobs = n_jobs
 
         k = ffi.new("kernel_ctx *")
@@ -321,9 +322,13 @@ class KernelContext:
         weights: object,
         geom: "ArrayMetricGeometry",
         inputs: "ObjectiveInputs",
+        record: type,
     ) -> None:
         """Set the objective ``evaluate`` mixes, built from ``future``
-        and ``weights``; the first call builds the scratch state."""
+        and ``weights``; the first call builds the scratch state.
+
+        ``record`` is the tuple type a priced pass returns its seven
+        metric fields as (``DesignMetrics``), built in one step."""
         ffi = self.ffi
         if self.scratch is None:
             k = self.ptr
@@ -351,6 +356,7 @@ class KernelContext:
             "w1p": w1p, "w1m": w1m, "w2p": w2p, "w2m": w2m,
         })
         self._mix_runs = runs  # the arrays self.mix points into
+        self.record = record
         self.future = future
         self.weights = weights
 
@@ -488,19 +494,18 @@ class NativePricedState(NativeState):
 
     Runs ``evaluate`` on the context's scratch state, so its context
     must be bound (:meth:`KernelContext.bind`); the next call reuses
-    the scratch.  On success it holds the seven
-    :class:`~repro.core.metrics.DesignMetrics` fields, and never the
-    run or bus columns.
+    the scratch.  On success :attr:`metrics` holds the seven metric
+    fields as one record of the bound type, built in one step; it is
+    ``None`` otherwise.  The state never holds the run or bus columns.
     """
 
-    __slots__ = (
-        "c1p", "c1m", "c2p", "c2m", "penalty_2p", "penalty_2m", "objective",
-    )
+    __slots__ = ("metrics",)
 
     def __init__(self, context: KernelContext, key: bytes) -> None:
         if context.mix is None:
             raise ValueError("bind an objective before a priced pass")
         super().__init__(context, key, context.scratch)
+        self.metrics: Any = None
 
     def run(self) -> int:
         context = self.context
@@ -511,10 +516,13 @@ class NativePricedState(NativeState):
         self.scheduled = buf[_SCHEDULED]
         if kind == 0:
             self.success = True
-            self.c2p = buf[_C2P]
-            self.c2m = buf[_C2M]
-            (
-                self.c1p, self.c1m, self.penalty_2p, self.penalty_2m,
-                self.objective,
-            ) = context.ffi.unpack(context.metrics, 5)
+            c1p, c1m, pen2p, pen2m, objective = context.ffi.unpack(
+                context.metrics, 5
+            )
+            self.metrics = _new_record(context.record, (
+                c1p, c1m, buf[_C2P], buf[_C2M], pen2p, pen2m, objective,
+            ))
         return kind
+
+
+_new_record = tuple.__new__

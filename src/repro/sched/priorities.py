@@ -15,7 +15,7 @@ the same processor" transformation.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping as TMapping
+from typing import Dict
 
 from repro.model.application import Application
 from repro.model.process_graph import ProcessGraph
@@ -70,28 +70,3 @@ def hcp_priorities(application: Application, bus: TdmaBus) -> PriorityMap:
     for graph in application.graphs:
         priorities.update(graph_hcp_priorities(graph, bus))
     return priorities
-
-
-def topological_priorities(application: Application) -> PriorityMap:
-    """A structure-only fallback: depth from the sinks, ignoring time.
-
-    A deliberately weak priority; tests use it.
-    """
-    priorities: PriorityMap = {}
-    for graph in application.graphs:
-        for pid in reversed(graph.topological_order()):
-            succ = graph.successors(pid)
-            priorities[pid] = 1.0 + max(
-                (priorities[s] for s in succ), default=0.0
-            )
-    return priorities
-
-
-def normalized(priorities: TMapping[str, float]) -> PriorityMap:
-    """Scale priorities into [0, 1] (max becomes 1); empty map passes through."""
-    if not priorities:
-        return {}
-    top = max(priorities.values())
-    if top <= 0:
-        return {k: 0.0 for k in priorities}
-    return {k: v / top for k, v in priorities.items()}

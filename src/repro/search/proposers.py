@@ -16,7 +16,7 @@ the kernel's ``exhausted-neighbourhood`` stop reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.utils.timemath import periodic_windows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import DesignSpec
-    from repro.model.process_graph import Process
 
 
 class Proposer(Protocol):
@@ -64,7 +63,9 @@ def select_candidates(
     the binding window).  Larger WCETs win ties.
     """
     schedule = evaluated.schedule
-    mapping = evaluated.mapping
+    design = evaluated.design
+    layout = design.layout
+    key = design.key
     frag = slack_fragmentation(schedule)
     profile = window_slack_profile(schedule, spec.future.t_min)
     worst_index = {
@@ -75,8 +76,10 @@ def select_candidates(
     horizon = spec.effective_horizon()
 
     scored: List[Tuple[float, int, str]] = []
+    node_ids = layout.node_ids
+    index = layout.process_index
     for proc in spec.current.processes:
-        node_id = mapping.node_of(proc.id)
+        node_id = node_ids[layout.node_at(key, index[proc.id])]
         score = frag[node_id].fragmentation
         wcet = proc.wcet_on(node_id)
         worst = windows[worst_index[node_id]]
@@ -131,31 +134,43 @@ def generate_moves(
     pool_size: int = 8,
     use_message_moves: bool = True,
 ) -> List[Transformation]:
-    """The bounded high-potential neighbourhood of one design."""
+    """The bounded high-potential neighbourhood of one design.
+
+    Node indices and delays are read from the design's key; the
+    allowed nodes and out-messages come from its layout's tables.
+    """
     candidates = select_candidates(spec, evaluated, pool_size)
-    mapping = evaluated.mapping
+    design = evaluated.design
+    layout = design.layout
+    key = design.key
+    node_at = layout.node_at
+    node_ids = layout.node_ids
+    index = layout.process_index
     schedule = evaluated.schedule
     moves: List[Transformation] = []
 
     for pid in candidates:
-        process = spec.current.process(pid)
-        current_node = mapping.node_of(pid)
-        for node_id in process.allowed_nodes:
-            if node_id != current_node:
-                moves.append(RemapProcess(pid, node_id))
-        for neighbour in schedule_neighbours(spec, schedule, pid, current_node):
+        p = index[pid]
+        current = node_at(key, p)
+        for n in layout.allowed[p]:
+            if n != current:
+                moves.append(RemapProcess(pid, node_ids[n]))
+        for neighbour in schedule_neighbours(
+            spec, schedule, pid, node_ids[current]
+        ):
             moves.append(SwapPriorities(pid, neighbour))
 
     if use_message_moves:
-        delays = evaluated.design.message_delays
+        mids = layout.mids
         for pid in candidates:
-            graph = spec.current.graph_of(pid)
-            for msg in graph.out_messages(pid):
-                if mapping.node_of(msg.src) == mapping.node_of(msg.dst):
+            p = index[pid]
+            source = node_at(key, p)
+            for k, dst in layout.out_messages[p]:
+                if source == node_at(key, dst):
                     continue
-                moves.append(DelayMessage(msg.id, +1))
-                if delays.get(msg.id, 0) > 0:
-                    moves.append(DelayMessage(msg.id, -1))
+                moves.append(DelayMessage(mids[k], +1))
+                if layout.delay_at(key, k) > 0:
+                    moves.append(DelayMessage(mids[k], -1))
     return moves
 
 
@@ -189,13 +204,13 @@ class NeighbourhoodProposer:
 # random single moves (the Metropolis walk's move generator)
 # ----------------------------------------------------------------------
 def random_swap(
-    processes: List["Process"], rng: np.random.Generator
+    process_ids: Sequence[str], rng: np.random.Generator
 ) -> Optional[Transformation]:
     """A priority swap between two distinct random processes."""
-    if len(processes) < 2:
+    if len(process_ids) < 2:
         return None
-    i, j = rng.choice(len(processes), size=2, replace=False)
-    return SwapPriorities(processes[int(i)].id, processes[int(j)].id)
+    i, j = rng.choice(len(process_ids), size=2, replace=False)
+    return SwapPriorities(process_ids[int(i)], process_ids[int(j)])
 
 
 def random_move(
@@ -206,40 +221,44 @@ def random_move(
     """Draw one random transformation of the current design.
 
     The draw sequence is exactly the annealer's historical one (move
-    kind, then rejection-sampled operands), so seeded SA walks through
-    the kernel reproduce the legacy walks byte-for-byte.
+    kind, then rejection-sampled operands, over the application's
+    process and message orders), so seeded SA walks through the kernel
+    reproduce the legacy walks byte-for-byte.  Node indices and delays
+    are read from the design's key; the process and message lists and
+    the allowed nodes are its layout's tables, built once per spec.
     """
-    processes = spec.current.processes
+    design = current.design
+    layout = design.layout
+    key = design.key
+    processes = layout.processes
     if not processes:
         return None
+    node_at = layout.node_at
     roll = rng.random()
     if roll < 0.55:
         # Remap a random process to a random *other* allowed node.
+        allowed = layout.allowed
         for _ in range(8):
-            proc = processes[rng.integers(len(processes))]
-            options = [
-                n
-                for n in proc.allowed_nodes
-                if n != current.mapping.node_of(proc.id)
-            ]
+            p = processes[rng.integers(len(processes))]
+            node = node_at(key, p)
+            options = [n for n in allowed[p] if n != node]
             if options:
                 return RemapProcess(
-                    proc.id, options[rng.integers(len(options))]
+                    layout.pids[p],
+                    layout.node_ids[options[rng.integers(len(options))]],
                 )
-        return random_swap(processes, rng)
-    if roll < 0.85 or not spec.current.messages:
-        return random_swap(processes, rng)
+        return random_swap(layout.process_ids, rng)
+    messages = layout.messages
+    if roll < 0.85 or not messages:
+        return random_swap(layout.process_ids, rng)
     # Message-delay move on a random inter-node message.
-    messages = spec.current.messages
     for _ in range(8):
-        msg = messages[rng.integers(len(messages))]
-        if current.mapping.node_of(msg.src) != current.mapping.node_of(
-            msg.dst
-        ):
-            delay = current.design.message_delays.get(msg.id, 0)
+        k, src, dst = messages[rng.integers(len(messages))]
+        if node_at(key, src) != node_at(key, dst):
+            delay = layout.delay_at(key, k)
             delta = +1 if delay == 0 or rng.random() < 0.5 else -1
-            return DelayMessage(msg.id, delta)
-    return random_swap(processes, rng)
+            return DelayMessage(layout.mids[k], delta)
+    return random_swap(layout.process_ids, rng)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ class TestLeanUnplacedKernel:
 
         ordered = sorted(sizes, reverse=True)
         assert best_fit_unplaced_total(ordered, bins) == best_fit(
-            ordered, bins, decreasing=False
+            ordered, bins
         ).unplaced_total
 
     def test_equal_size_runs_drain_batched(self):
@@ -153,5 +153,5 @@ class TestLeanUnplacedKernel:
 
         ordered = [50, 50, 20, 20, 20, 2, 2]
         bins = [61, 55, 23]
-        reference = best_fit(ordered, bins, decreasing=False).unplaced_total
+        reference = best_fit(ordered, bins).unplaced_total
         assert best_fit_unplaced_total(ordered, bins) == reference

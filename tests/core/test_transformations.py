@@ -25,13 +25,57 @@ def design(fork_join_app, arch2) -> CandidateDesign:
 
 class TestCandidateDesign:
     def test_copy_is_deep(self, design):
-        clone = design.copy()
-        clone.mapping.assign("P0", "N2")
-        clone.priorities["P0"] = 99.0
-        clone.message_delays["m0"] = 1
-        assert design.mapping.node_of("P0") == "N1"
-        assert design.priorities["P0"] == 4.0
+        """A copy holds equal views of its own, never the original's
+        objects, and packs to the original's key."""
+        child = DelayMessage("m0", +1).apply(design)
+        for original in (design, child):
+            clone = original.copy()
+            for view in ("mapping", "priorities", "message_delays"):
+                assert getattr(clone, view) == getattr(original, view)
+                assert getattr(clone, view) is not getattr(original, view)
+            assert clone.key == original.key
         assert design.message_delays == {}
+        assert child.message_delays == {"m0": 1}
+
+
+class TestImmutability:
+    def test_decoded_views_cannot_change_the_key(self, design):
+        child = RemapProcess("P1", "N2").apply(
+            DelayMessage("m0", +1).apply(design)
+        )
+        key = child.key
+        with pytest.raises(TypeError):
+            child.mapping.assign("P1", "N1")
+        with pytest.raises(TypeError):
+            child.mapping.unassign("P1")
+        with pytest.raises(TypeError):
+            child.priorities["P0"] = 99.0
+        with pytest.raises(TypeError):
+            child.message_delays["m0"] = 0
+        writable = child.mapping.copy()
+        writable.assign("P1", "N1")
+        assert child.key == key
+        assert child.mapping.node_of("P1") == "N2"
+        assert child.priorities["P0"] == 4.0
+        assert child.message_delays == {"m0": 1}
+
+    def test_edge_design_packs_once(self, design):
+        """The edge constructor packs what it was given when its key is
+        first read; edits to those objects after that are not seen."""
+        key = design.key
+        design.priorities["P0"] = 99.0
+        assert design.key == key
+        assert SwapPriorities("P0", "P1").apply(design).priorities["P1"] == 4.0
+
+    def test_moves_leave_the_parent_key(self, design):
+        key = design.key
+        for move in (
+            RemapProcess("P1", "N2"),
+            SwapPriorities("P0", "P3"),
+            DelayMessage("m0", +2),
+        ):
+            assert move.apply(design).key != key
+        assert design.key == key
 
 
 class TestRemapProcess:
@@ -56,8 +100,10 @@ class TestSwapPriorities:
         assert design.priorities["P0"] == 4.0
 
     def test_swap_with_missing_defaults_zero(self, design):
-        del design.priorities["P3"]
-        out = SwapPriorities("P0", "P3").apply(design)
+        lacking = CandidateDesign(
+            design.mapping, {"P0": 4.0, "P1": 3.0, "P2": 2.0}
+        )
+        out = SwapPriorities("P0", "P3").apply(lacking)
         assert out.priorities["P0"] == 0.0
         assert out.priorities["P3"] == 4.0
 

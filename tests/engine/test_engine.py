@@ -4,6 +4,7 @@ import collections
 import gc
 import time
 
+import numpy as np
 import pytest
 
 from oracleutil import design_through_oracle
@@ -20,9 +21,12 @@ from repro.engine import (
     EngineCounters,
     EvaluationEngine,
 )
+from repro.gen import families
+from repro.model.mapping import Mapping
 from repro.sched import native
 from repro.sched.arrays import ArrayRunState, ArraySpec
 from repro.sched.priorities import hcp_priorities
+from repro.search import Budget, MetropolisAcceptor, RandomMoveProposer, SearchLoop
 from repro.search.loop import drive
 
 
@@ -93,6 +97,50 @@ class TestOneLowering:
                 outcomes = [engine.evaluate(d) for d in designs]
         assert any(outcome is not None for outcome in outcomes)
         assert calls == {"signature": len(designs)}
+
+
+class TestKeyBackedWalk:
+    """A walk patches keys: after Initial Mapping, an SA walk on
+    uniform-baseline/small packs one key from dicts -- the start
+    design's, the only one built from a mapping -- and builds no
+    ``Mapping``, however many steps it takes.  (Packing reads the
+    mapping with ``as_dict``; a decoded mapping view is a ``Mapping``
+    build too.)"""
+
+    STEPS = 200
+
+    def test_sa_walk_packs_once_and_builds_no_mapping(self, monkeypatch):
+        spec = families.get_family("uniform-baseline").build(
+            "small", seed=1
+        ).spec()
+        with EvaluationEngine(spec) as engine:
+            compiled = engine.compiled
+            mapping, _ = InitialMapper(spec.architecture).try_map_and_schedule(
+                spec.current, base=spec.base_schedule, compiled=compiled
+            )
+            calls = collections.Counter()
+            for name in ("__init__", "as_dict"):
+                original = getattr(Mapping, name)
+
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(Mapping, name, counted)
+            start = engine.evaluate(
+                CandidateDesign(mapping, dict(compiled.default_priorities))
+            )
+            walk = SearchLoop(
+                proposer=RandomMoveProposer(),
+                acceptor=MetropolisAcceptor(10.0),
+                budget=Budget(max_steps=self.STEPS),
+            )
+            outcome = walk.run(
+                spec, engine, start=start, rng=np.random.default_rng(1)
+            )
+            assert outcome.stats.steps == self.STEPS
+            assert engine.counters().cache_misses > self.STEPS // 2
+        assert calls == {"as_dict": 1}
 
 
 class TestColdOutcomes:

@@ -20,7 +20,6 @@ and the loading process never imports the build toolchain.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import json
 import math
@@ -38,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import array_metrics
-from repro.core.array_metrics import _mix, evaluate_key, evaluate_state
+from repro.core.array_metrics import _mix, evaluate_state
 from repro.core.binpack import best_fit
 from repro.core.future import FutureCharacterization
 from repro.core.initial_mapping import InitialMapper
@@ -47,6 +46,7 @@ from repro.core.strategy import DesignSpec
 from repro.core.transformations import CandidateDesign
 from repro.engine import EvaluationEngine
 from repro.engine.compiled_spec import CompiledSpec
+from repro.engine.evaluation import evaluate_key
 from repro.experiments.runner import strategy_for_family
 from repro.gen import families
 from repro.model.application import Application
@@ -94,9 +94,10 @@ def _python_state(arrays, design) -> ArrayRunState:
 
 
 def _bits(metrics):
+    """The seven fields in declaration order, floats as their bits."""
     return [
         value.hex() if isinstance(value, float) else value
-        for value in dataclasses.astuple(metrics)
+        for value in metrics
     ]
 
 
@@ -237,7 +238,7 @@ def test_compiled_ranks_equal_lexsort(preset, data):
     broken by static rank.  ``small`` has 20 jobs and ``paper-80`` 228,
     so both the short insertion-sorted runs and the merges run."""
     _, compiled, design = _rank_start(preset)
-    pids = compiled.key_pids
+    pids = compiled.key_layout.pids
     values = data.draw(
         st.lists(PRIORITY, min_size=len(pids), max_size=len(pids))
     )
@@ -357,7 +358,7 @@ def _mixed_outcome_spec(future):
 def _priced(arrays, spec, design):
     """One design's fused evaluation: failure reason, scheduled count
     and metric bits (``None`` when it does not schedule)."""
-    key = arrays.compiled.signature(design)
+    key = design.key_under(arrays.key_layout)
     metrics = evaluate_key(arrays, spec.future, spec.weights, key)
     _assert_scratch_holds_base(arrays)
     state = native.NativePricedState(arrays.kernel_context(), key)

@@ -1,15 +1,10 @@
-"""Tests for HCP and fallback priority functions."""
+"""Tests for the HCP priority function."""
 
 import pytest
 
 from repro.model.application import Application
 from repro.model.process_graph import Message, Process, ProcessGraph
-from repro.sched.priorities import (
-    graph_hcp_priorities,
-    hcp_priorities,
-    normalized,
-    topological_priorities,
-)
+from repro.sched.priorities import graph_hcp_priorities, hcp_priorities
 from repro.tdma.bus import Slot, TdmaBus
 
 
@@ -72,20 +67,3 @@ class TestApplicationLevel:
         app = Application("a", [chain(3)])
         prio = hcp_priorities(app, bus)
         assert set(prio) == {"P0", "P1", "P2"}
-
-    def test_topological_priorities(self):
-        app = Application("a", [chain(3)])
-        prio = topological_priorities(app)
-        assert prio == {"P0": 3.0, "P1": 2.0, "P2": 1.0}
-
-
-class TestNormalized:
-    def test_scales_to_unit(self):
-        out = normalized({"a": 5.0, "b": 10.0})
-        assert out == {"a": 0.5, "b": 1.0}
-
-    def test_empty(self):
-        assert normalized({}) == {}
-
-    def test_all_zero(self):
-        assert normalized({"a": 0.0}) == {"a": 0.0}
