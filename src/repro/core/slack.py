@@ -4,8 +4,9 @@ The design criteria consume a schedule through its *slack*: the free
 gaps on each processor and the residual bytes of each TDMA slot
 occurrence.  This module turns a :class:`repro.sched.SystemSchedule`
 into the container lists the bin-packing metric needs, and computes the
-fragmentation statistics the Mapping Heuristic uses to pick
-high-potential transformation candidates.
+per-node fragmentation statistics :mod:`repro.analysis` reports (the
+Mapping Heuristic scores the same expression from its kernel pass; see
+:class:`repro.search.proposers.Neighbourhood`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def bus_slack_containers(schedule: SystemSchedule, min_size: int = 1) -> List[in
 
 @dataclass(frozen=True)
 class FragmentationStats:
-    """Per-node slack shape statistics used by MH candidate selection.
+    """Per-node slack shape statistics.
 
     Attributes
     ----------
@@ -86,21 +87,3 @@ def slack_fragmentation(schedule: SystemSchedule) -> Dict[str, FragmentationStat
         out[node_id] = FragmentationStats(total, len(gaps), largest)
     return out
 
-
-def window_slack_profile(
-    schedule: SystemSchedule, window_length: int
-) -> Dict[str, List[int]]:
-    """Per-node slack inside each consecutive window of the horizon.
-
-    The second criterion's raw data: ``profile[node][w]`` is the free
-    time of ``node`` inside window ``w``.  MH uses the argmin windows
-    to find processes whose displacement would relieve the worst
-    window.
-    """
-    from repro.utils.timemath import periodic_windows
-
-    windows = periodic_windows(schedule.horizon, window_length)
-    return {
-        node_id: [schedule.slack_within(node_id, w) for w in windows]
-        for node_id in schedule.architecture.node_ids
-    }

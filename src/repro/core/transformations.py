@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import FrozenSet, Iterable, List, Mapping as TMapping, Optional, Union
+from typing import FrozenSet, Mapping as TMapping, Optional, Union
 
 from repro.model.design_key import KeyLayout
 from repro.model.mapping import Mapping, ReadOnlyMapping
@@ -364,16 +364,3 @@ class DelayMessage:
 
 Transformation = Union[RemapProcess, SwapPriorities, DelayMessage]
 
-
-def remap_moves(
-    mapping: Mapping, process_ids: Iterable[str]
-) -> List[RemapProcess]:
-    """All single-process remap moves for the given processes."""
-    moves: List[RemapProcess] = []
-    for pid in process_ids:
-        current = mapping.node_of(pid)
-        process = mapping.application.process(pid)
-        for node_id in process.allowed_nodes:
-            if node_id != current:
-                moves.append(RemapProcess(pid, node_id))
-    return moves

@@ -161,7 +161,8 @@ class DeltaEvaluator:
         if timings is not None:
             timings.sched_ns += time.perf_counter_ns() - mid
         outcome = EvaluatedDesign(
-            child, result.schedule, metrics, trace=result.trace, memo=memo
+            child, result.schedule, metrics, trace=result.trace, memo=memo,
+            compiled=self.compiled,
         )
         return outcome, True
 

@@ -93,8 +93,11 @@ class EvaluatedDesign:
     :attr:`schedule` is **lazy**: on first access it re-runs the
     deterministic pass with trace columns against the compiled spec
     and decodes it (a traced outcome decodes its own ``trace``, which
-    already has columns).  The decode is cached, so incumbents price
-    the conversion once; rejected candidates never do.
+    already has columns).  The decode is cached; a search never asks
+    for it (the neighbourhood proposer reads one kernel pass of the
+    key), so only results and other on-demand reads pay it.  An
+    object-core outcome carries its eager schedule and its compiled
+    spec too, so the proposer serves both cores alike.
     """
 
     __slots__ = (
@@ -164,6 +167,18 @@ class EvaluatedDesign:
                 "store and the compiled spec disagree"
             )
         return arrays.decode_schedule(state)
+
+    @property
+    def compiled(self) -> "CompiledSpec":
+        """The compiled spec this outcome was evaluated against.
+
+        Outcomes of both cores carry one; the neighbourhood proposer
+        schedules the design's key against it.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            raise ValueError("this outcome carries no compiled spec")
+        return compiled
 
     @property
     def objective(self) -> float:
@@ -305,7 +320,10 @@ def evaluate_candidate(
     if timings is not None:
         timings.sched_ns += time.perf_counter_ns() - mid
     if not record_trace:
-        return EvaluatedDesign(design, result.schedule, metrics)
+        return EvaluatedDesign(
+            design, result.schedule, metrics, compiled=compiled
+        )
     return EvaluatedDesign(
-        design, result.schedule, metrics, trace=result.trace, memo=memo
+        design, result.schedule, metrics, trace=result.trace, memo=memo,
+        compiled=compiled,
     )

@@ -744,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paper-scale",
         action="store_true",
         help=(
-            "use the paper's workload sizes (slow: `all` takes 4-5 "
+            "use the paper's workload sizes (slow: `all` takes about 3 "
             "minutes on a 2-core box)"
         ),
     )

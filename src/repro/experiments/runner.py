@@ -40,9 +40,8 @@ class ExperimentConfig:
 
     The defaults run the full suite in minutes on a laptop; the
     ``paper_scale`` preset (see :meth:`paper`) restores the paper's
-    workload sizes, and ``all`` then takes four to five minutes (two
-    runs, each alone on a 2-core box: 5 min 5 s and 4 min 21 s wall,
-    4 min 58 s and 4 min 17 s user).
+    workload sizes, and ``all`` then takes about three minutes (2 min
+    43 s wall, 2 min 41 s user, on a 2-core box).
     """
 
     #: ``uniform-baseline`` presets, one figure row each.

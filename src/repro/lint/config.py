@@ -83,7 +83,8 @@ DEFAULT_FLOAT_EQ_MODULES: Tuple[str, ...] = (
 #: Function names treated as scheduling/delta hot paths (CON003): from
 #: ``run_kernel`` on, the production path of every cold evaluation,
 #: then the search step that makes a candidate (the moves' ``apply``,
-#: ``random_move`` and the key readers and patchers).
+#: ``random_move`` and the key readers and patchers, and the
+#: neighbourhood scorer MH and SA's polish run once per step).
 DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "run_pass",
     "resume_state",
@@ -106,6 +107,9 @@ DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "remapped",
     "swapped",
     "delayed",
+    "generate_moves",
+    "rank_candidates",
+    "swap_neighbours",
 )
 
 

@@ -8,7 +8,7 @@ of MH and SA mutate it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping as TMapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping as TMapping, Optional, Tuple
 
 from repro.model.application import Application
 from repro.model.architecture import Architecture
@@ -105,12 +105,6 @@ class Mapping:
         """A plain-dict snapshot of the assignment."""
         return dict(self._assignment)
 
-    def wcet_of(self, process_id: str) -> int:
-        """WCET of the process on its assigned node."""
-        return self.application.process(process_id).wcet_on(
-            self.node_of(process_id)
-        )
-
     def is_complete(self) -> bool:
         """Whether every process of the application is mapped."""
         return len(self._assignment) == self.application.process_count
@@ -128,10 +122,6 @@ class Mapping:
                 f"incomplete; unmapped processes: {missing[:5]}"
                 + ("..." if len(missing) > 5 else "")
             )
-
-    def processes_on(self, node_id: str) -> Iterable[str]:
-        """Ids of processes mapped to ``node_id``."""
-        return [p for p, n in self._assignment.items() if n == node_id]
 
     def copy(self) -> "Mapping":
         """An independent copy sharing application and architecture."""

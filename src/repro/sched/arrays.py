@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -161,6 +162,20 @@ class ArrayRunState:
                 "pop": np.array(self.pop, dtype=np.int64),
             }
         return self._np
+
+    @property
+    def pop_order(self) -> List[int]:
+        """The jobs the pass placed, in pop order (needs ``columns``):
+        the view :class:`~repro.sched.native.NativeRunState` gives."""
+        return self.ev_job
+
+    @property
+    def job_start(self) -> List[int]:
+        """Each job's start time, from the ``ev_*`` columns."""
+        starts = [0] * self.total
+        for j, start in zip(self.ev_job, self.ev_start):
+            starts[j] = start
+        return starts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -531,6 +546,16 @@ class ArraySpec:
     def jobs_of(self, pid: str) -> List[int]:
         """Dense job indices of one process id (delta footprint lookup)."""
         return self._jobs_by_pid.get(pid, [])
+
+    @cached_property
+    def process_jobs(self) -> Tuple[Tuple[int, str, Tuple[int, ...]], ...]:
+        """Per process, in application order: its key index, its id and
+        its jobs (the neighbourhood scorer's table, built on first
+        use)."""
+        return tuple(
+            (self.pid_index[proc.id], proc.id, tuple(self.jobs_of(proc.id)))
+            for proc in self.application.processes
+        )
 
     def lower_candidate(
         self, design: "CandidateDesign", key: Optional[bytes] = None

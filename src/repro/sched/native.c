@@ -2,7 +2,7 @@
  *
  * Two entry points, called through the cffi binding in native.py:
  *
- *   kernel   -- the cold, columnless pass of ArraySpec.run_kernel, read
+ *   kernel   -- the cold pass of ArraySpec.run_kernel, read
  *               straight from the candidate's packed key: the heap
  *               ranks np.lexsort gives the Python pass, pop order over
  *               the rank heap, gap search with canonical run insertion,
@@ -10,7 +10,9 @@
  *               horizon / deadline / bus checks in the Python kernel's
  *               order.  On failure it reports a kind plus the job, the
  *               edge and the end time; Python formats the failure
- *               string.  Its state owns its buffers.
+ *               string.  It records two columns, the jobs in pop
+ *               order and each job's start, which the neighbourhood
+ *               proposer reads.  Its state owns its buffers.
  *   evaluate -- one cold best-fit evaluation on the context's scratch
  *               state: the same pass, then the slide-14 price (the
  *               best-fit unplaced totals of the future process and
@@ -50,7 +52,7 @@ typedef struct {
     /* state layout, in int64 words (see KernelContext in native.py) */
     i64 run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     i64 off_earliest, off_preds, off_heap, off_job_of_rank;
-    i64 off_node, off_delay, off_rank, off_sort, off_log;
+    i64 off_node, off_delay, off_rank, off_sort, off_pop, off_start, off_log;
 } kernel_ctx;
 
 /* The price geometry of one T_min and its scratch: per-window busy
@@ -194,6 +196,7 @@ static i64 pass(const kernel_ctx *k, const char *key, i64 *st, i64 *log,
     i64 *heap = st + k->off_heap, *job_of_rank = st + k->off_job_of_rank;
     i64 *node_of = st + k->off_node, *delays = st + k->off_delay;
     i64 *rank_of_job = st + k->off_rank;
+    i64 *pop = st + k->off_pop, *starts = st + k->off_start;
     ranked *order = (ranked *)(st + k->off_sort);
     i64 heap_n = 0, scheduled = 0;
 
@@ -286,7 +289,8 @@ static i64 pass(const kernel_ctx *k, const char *key, i64 *st, i64 *log,
             ee[idx] = end;
             run_n[n] = nr + 1;
         }
-        scheduled++;
+        pop[scheduled++] = j;
+        starts[j] = start;
 
         for (i64 t = k->out_ptr[j]; t < k->out_ptr[j + 1]; t++) {
             i64 dj = k->edge_dst[t], arrival;

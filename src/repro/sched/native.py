@@ -1,10 +1,11 @@
 """The compiled evaluation pass: schedule, price and mix in C.
 
-``native.c`` holds two entry points.  ``kernel`` is the cold,
-columnless pass of :meth:`ArraySpec.run_kernel
+``native.c`` holds two entry points.  ``kernel`` is the cold pass of
+:meth:`ArraySpec.run_kernel
 <repro.sched.arrays.ArraySpec.run_kernel>`, which reads a candidate
 straight from its packed key (:meth:`CompiledSpec.signature
-<repro.engine.compiled_spec.CompiledSpec.signature>`).  ``evaluate``
+<repro.engine.compiled_spec.CompiledSpec.signature>`) and records the
+jobs in pop order and each job's start.  ``evaluate``
 runs the same pass and then prices and mixes its result: the
 best-fit slide-14 objective of
 :func:`~repro.engine.evaluation.evaluate_key`, one call per cold
@@ -14,7 +15,8 @@ candidate.  This module builds and loads it and wraps it:
   built on the spec's first compiled pass, plus the scratch state and
   the bound objective of ``evaluate``, built on the first priced pass;
 * :class:`NativeRunState` -- one ``kernel`` pass on one key, with its
-  own buffer, whose busy runs and bus occupancy decode on demand;
+  own buffer, whose busy runs, bus occupancy, pop order and job starts
+  decode on demand;
 * :class:`NativePricedState` -- one ``evaluate`` call on the scratch,
   which keeps the seven metric fields as one record and no columns.
 
@@ -252,9 +254,10 @@ class KernelContext:
         # of an evaluate call), then the run columns, run counts, bus
         # occupancy, the loop scratch and the unpacked key: node
         # indices, delays, heap ranks and two (urgency, job) sort
-        # buffers of two words per job each.  The scratch state adds
-        # the log of written occurrences: each is logged once, and
-        # only a cross-node delivery writes one.
+        # buffers of two words per job each; then the jobs in pop
+        # order and each job's start.  The scratch state adds the log
+        # of written occurrences: each is logged once, and only a
+        # cross-node delivery writes one.
         k.run_cap = run_cap
         k.off_runs_s = _HEADER
         k.off_runs_e = k.off_runs_s + n_nodes * run_cap
@@ -268,7 +271,9 @@ class KernelContext:
         k.off_delay = k.off_node + n_pids
         k.off_rank = k.off_delay + spec.n_messages
         k.off_sort = k.off_rank + n_jobs
-        k.off_log = k.off_sort + 4 * n_jobs
+        k.off_pop = k.off_sort + 4 * n_jobs
+        k.off_start = k.off_pop + n_jobs
+        k.off_log = k.off_start + n_jobs
         self.state_size = k.off_log
         self._log_cap = min(spec.n_occ, len(spec.edge_dst))
         # Room of the gap histogram: a best-fit walk needs 2 * bins + 2
@@ -430,12 +435,14 @@ class NativeState:
 
 
 class NativeRunState(NativeState):
-    """One cold, columnless pass of the compiled kernel over one key.
+    """One cold pass of the compiled kernel over one key.
 
     Stands in for an :class:`~repro.sched.arrays.ArrayRunState` built
-    with ``record=False, columns=False`` and decodes the final busy
-    runs and bus occupancy from its buffer on demand.  The buffer is
-    allocated per state and never shared.
+    with ``record=False`` and decodes from its buffer on demand the
+    final busy runs and bus occupancy and the two placement columns a
+    Python pass with columns also gives: :attr:`pop_order` and
+    :attr:`job_start`.  The buffer is allocated per state and never
+    shared.
     """
 
     __slots__ = ()
@@ -453,6 +460,18 @@ class NativeRunState(NativeState):
         kind: int = buf[_KIND]
         self.success = kind == 0
         return kind
+
+    @property
+    def pop_order(self) -> List[int]:
+        """The jobs the pass placed, in pop order."""
+        k = self.context.ptr
+        return self.context.ffi.unpack(self.buf + k.off_pop, self.scheduled)
+
+    @property
+    def job_start(self) -> List[int]:
+        """Each job's start time (a successful pass places every job)."""
+        k = self.context.ptr
+        return self.context.ffi.unpack(self.buf + k.off_start, k.n_jobs)
 
     @property
     def rank_of_job(self) -> List[int]:

@@ -35,7 +35,8 @@ typedef struct {
     const int64_t *base_used;
     int64_t run_cap, off_runs_s, off_runs_e, off_run_n, off_bus;
     int64_t off_earliest, off_preds, off_heap, off_job_of_rank;
-    int64_t off_node, off_delay, off_rank, off_sort, off_log;
+    int64_t off_node, off_delay, off_rank, off_sort, off_pop, off_start,
+        off_log;
 } kernel_ctx;
 
 typedef struct {

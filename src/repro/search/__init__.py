@@ -36,12 +36,12 @@ from repro.search.portfolio import (
     first_valid,
 )
 from repro.search.proposers import (
+    Neighbourhood,
     NeighbourhoodProposer,
     Proposer,
     RandomMoveProposer,
     generate_moves,
     random_move,
-    schedule_neighbours,
     select_candidates,
 )
 from repro.search.stats import SearchStats
@@ -54,6 +54,7 @@ __all__ = [
     "EvalRequest",
     "GreedyAcceptor",
     "MetropolisAcceptor",
+    "Neighbourhood",
     "NeighbourhoodProposer",
     "PortfolioMemberOutcome",
     "PortfolioResult",
@@ -71,6 +72,5 @@ __all__ = [
     "first_valid",
     "generate_moves",
     "random_move",
-    "schedule_neighbours",
     "select_candidates",
 ]

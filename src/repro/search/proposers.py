@@ -6,8 +6,10 @@ proposers are the neighbourhood enumeration that used to live inside
 ``core.improvement`` (the Mapping Heuristic's high-potential
 neighbourhood, also SA's polish phase) and the random-move generator
 that used to live inside ``core.simulated_annealing`` (the Metropolis
-walk).  Both are lifted verbatim so seeded searches reproduce the
-pre-refactor trajectories byte-for-byte.
+walk).  Both propose exactly the moves, in the order, the pre-refactor
+loops did, so seeded searches reproduce their trajectories
+byte-for-byte; the neighbourhood now scores its candidates from one
+kernel pass of the current design's key instead of a decoded schedule.
 
 An empty proposal list terminates the search (nothing left to try) --
 the kernel's ``exhausted-neighbourhood`` stop reason.
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.slack import slack_fragmentation, window_slack_profile
 from repro.core.transformations import (
     DelayMessage,
     RemapProcess,
@@ -28,11 +29,13 @@ from repro.core.transformations import (
     Transformation,
 )
 from repro.engine.evaluation import EvaluatedDesign
-from repro.sched.schedule import SystemSchedule
-from repro.utils.timemath import periodic_windows
+from repro.sched import native
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from typing import Union
     from repro.core.strategy import DesignSpec
+    from repro.sched.arrays import ArrayRunState
+    from repro.sched.native import NativeRunState
 
 
 class Proposer(Protocol):
@@ -51,81 +54,137 @@ class Proposer(Protocol):
 # ----------------------------------------------------------------------
 # high-potential neighbourhood (the Mapping Heuristic's move generator)
 # ----------------------------------------------------------------------
+class Neighbourhood:
+    """One design's placement, read the way its neighbourhood is scored.
+
+    One kernel pass on the design's packed key against the compiled
+    spec its outcome carries -- the compiled pass when the module
+    loaded, otherwise the Python pass with columns, which gives the
+    same view -- yields the per-node busy runs, the jobs in pop order
+    and each job's start.  Candidates and swap partners are read from
+    those and from per-spec tables (:attr:`ArraySpec.process_jobs
+    <repro.sched.arrays.ArraySpec.process_jobs>`, the metric geometry's
+    ``T_min`` windows); no object schedule is decoded.  Outcomes of
+    both cores carry their compiled spec, so one path serves both.
+    """
+
+    __slots__ = ("t_min", "arrays", "node_of", "state", "job_start", "_by_node")
+
+    def __init__(self, spec: "DesignSpec", evaluated: EvaluatedDesign) -> None:
+        compiled = evaluated.compiled
+        arrays = compiled.arrays
+        design = evaluated.design
+        key = compiled.signature(design)
+        state = arrays.schedule_design(
+            design, columns=native.MODULE is None, key=key
+        )
+        if not state.success:
+            raise ValueError(
+                "the current design no longer schedules; its outcome "
+                "and the compiled spec disagree"
+            )
+        layout = arrays.key_layout
+        self.t_min = spec.future.t_min
+        self.arrays = arrays
+        self.node_of: Sequence[int] = layout.struct.unpack(key)[
+            0:layout.split:2
+        ]
+        self.state: "Union[ArrayRunState, NativeRunState]" = state
+        self.job_start: List[int] = state.job_start
+        self._by_node: Optional[List[List[int]]] = None
+
+    def rank_candidates(self, pool_size: int) -> List[str]:
+        """Top current-application processes by improvement potential.
+
+        Scoring follows the two design criteria: a process scores its
+        node's slack fragmentation (criterion 1 -- moving it may
+        coalesce gaps) plus 1 if any of its instances executes inside
+        the node's worst ``T_min`` window (criterion 2 -- moving it
+        directly relieves the binding window).  Larger WCETs, then
+        smaller ids, win ties.  The fragmentation is
+        ``1.0 - largest / total`` over the node's gaps, the expression
+        of :class:`~repro.core.slack.FragmentationStats`, and the worst
+        window is the first of least slack.
+        """
+        from repro.core.array_metrics import _node_data
+
+        arrays = self.arrays
+        geom = arrays.metric_geometry(self.t_min)
+        width = geom.window_width
+        lengths = geom.window_lengths
+        frag: List[float] = []
+        worst: List[Tuple[int, int]] = []
+        state = self.state
+        for runs_s, runs_e in zip(state.runs_s, state.runs_e):
+            data = _node_data(runs_s, runs_e, geom)
+            gaps = data.containers
+            total = sum(gaps)
+            frag.append(1.0 - max(gaps) / total if total else 0.0)
+            w = data.window_slacks.index(data.window_min)
+            worst.append((w * width, w * width + lengths[w]))
+
+        wcet = arrays.wcet
+        node_of = self.node_of
+        job_start = self.job_start
+        scored: List[Tuple[float, int, str]] = []
+        for p, pid, jobs in arrays.process_jobs:
+            n = node_of[p]
+            duration = wcet[p][n]
+            low, high = worst[n]
+            score = frag[n]
+            for j in jobs:
+                start = job_start[j]
+                if start < high and low < start + duration:
+                    score += 1.0
+                    break
+            scored.append((score, duration, pid))
+        scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
+        return [pid for _, _, pid in scored[:pool_size]]
+
+    def swap_neighbours(self, p: int) -> List[str]:
+        """Current-application processes placed next to process ``p``
+        (key index) on its node.
+
+        Swapping priorities with a schedule neighbour realizes "move the
+        process to a different slack on the *same* processor": the two
+        trade places in the list-scheduling order.  A node's current
+        jobs are ordered by ``(start, end)`` with pop order breaking
+        ties, as ``SystemSchedule.entries_on`` orders them; starts on
+        one node are distinct (its jobs never overlap and every WCET is
+        positive), so a stable sort of the pop order by start is that
+        order.
+        """
+        by_node = self._by_node
+        if by_node is None:
+            job_pid = self.arrays.job_pid
+            node_of = self.node_of
+            by_node = [[] for _ in self.arrays.node_ids]
+            for j in self.state.pop_order:
+                by_node[node_of[job_pid[j]]].append(j)
+            for jobs in by_node:
+                jobs.sort(key=self.job_start.__getitem__)
+            self._by_node = by_node
+        owner = self.arrays.job_pid
+        entries = by_node[self.node_of[p]]
+        last = len(entries) - 1
+        partners: List[int] = []
+        for i, j in enumerate(entries):
+            if owner[j] != p:
+                continue
+            if i > 0 and owner[entries[i - 1]] != p:
+                partners.append(owner[entries[i - 1]])
+            if i < last and owner[entries[i + 1]] != p:
+                partners.append(owner[entries[i + 1]])
+        pids = self.arrays.pids
+        return [pids[q] for q in dict.fromkeys(partners)]
+
+
 def select_candidates(
     spec: "DesignSpec", evaluated: EvaluatedDesign, pool_size: int
 ) -> List[str]:
-    """Top current-application processes by improvement potential.
-
-    Scoring follows the two design criteria: a process scores its
-    node's slack fragmentation (criterion 1 -- moving it may coalesce
-    gaps) plus 1 if any of its instances executes inside the node's
-    worst ``T_min`` window (criterion 2 -- moving it directly relieves
-    the binding window).  Larger WCETs win ties.
-    """
-    schedule = evaluated.schedule
-    design = evaluated.design
-    layout = design.layout
-    key = design.key
-    frag = slack_fragmentation(schedule)
-    profile = window_slack_profile(schedule, spec.future.t_min)
-    worst_index = {
-        node_id: min(range(len(slacks)), key=lambda i: slacks[i])
-        for node_id, slacks in profile.items()
-    }
-    windows = periodic_windows(schedule.horizon, spec.future.t_min)
-    horizon = spec.effective_horizon()
-
-    scored: List[Tuple[float, int, str]] = []
-    node_ids = layout.node_ids
-    index = layout.process_index
-    for proc in spec.current.processes:
-        node_id = node_ids[layout.node_at(key, index[proc.id])]
-        score = frag[node_id].fragmentation
-        wcet = proc.wcet_on(node_id)
-        worst = windows[worst_index[node_id]]
-        period = spec.current.graph_of(proc.id).period
-        for instance in range(horizon // period):
-            entry = schedule.entry_of(proc.id, instance)
-            if entry is not None and entry.interval.overlaps(worst):
-                score += 1.0
-                break
-        scored.append((score, wcet, proc.id))
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    return [pid for _, _, pid in scored[:pool_size]]
-
-
-def schedule_neighbours(
-    spec: "DesignSpec",
-    schedule: SystemSchedule,
-    process_id: str,
-    node_id: str,
-) -> List[str]:
-    """Current-app processes scheduled adjacent to ``process_id``.
-
-    Swapping priorities with a schedule neighbour realizes "move the
-    process to a different slack on the *same* processor": the two
-    trade places in the list-scheduling order.
-    """
-    entries = [
-        e
-        for e in schedule.entries_on(node_id)
-        if not e.frozen and e.process_id in spec.current
-    ]
-    neighbours: List[str] = []
-    for i, entry in enumerate(entries):
-        if entry.process_id != process_id:
-            continue
-        if i > 0 and entries[i - 1].process_id != process_id:
-            neighbours.append(entries[i - 1].process_id)
-        if i + 1 < len(entries) and entries[i + 1].process_id != process_id:
-            neighbours.append(entries[i + 1].process_id)
-    seen = set()
-    unique: List[str] = []
-    for n in neighbours:
-        if n not in seen:
-            seen.add(n)
-            unique.append(n)
-    return unique
+    """Top current-application processes by improvement potential; see
+    :meth:`Neighbourhood.rank_candidates`."""
+    return Neighbourhood(spec, evaluated).rank_candidates(pool_size)
 
 
 def generate_moves(
@@ -136,17 +195,18 @@ def generate_moves(
 ) -> List[Transformation]:
     """The bounded high-potential neighbourhood of one design.
 
-    Node indices and delays are read from the design's key; the
-    allowed nodes and out-messages come from its layout's tables.
+    Candidates and swap partners come from one :class:`Neighbourhood`
+    pass; node indices and delays are read from the design's key, and
+    the allowed nodes and out-messages from its layout's tables.
     """
-    candidates = select_candidates(spec, evaluated, pool_size)
+    neighbourhood = Neighbourhood(spec, evaluated)
+    candidates = neighbourhood.rank_candidates(pool_size)
     design = evaluated.design
     layout = design.layout
     key = design.key
     node_at = layout.node_at
     node_ids = layout.node_ids
     index = layout.process_index
-    schedule = evaluated.schedule
     moves: List[Transformation] = []
 
     for pid in candidates:
@@ -155,9 +215,7 @@ def generate_moves(
         for n in layout.allowed[p]:
             if n != current:
                 moves.append(RemapProcess(pid, node_ids[n]))
-        for neighbour in schedule_neighbours(
-            spec, schedule, pid, node_ids[current]
-        ):
+        for neighbour in neighbourhood.swap_neighbours(p):
             moves.append(SwapPriorities(pid, neighbour))
 
     if use_message_moves:

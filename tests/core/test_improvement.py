@@ -13,11 +13,9 @@ from repro.engine import EvaluationEngine
 from repro.gen.scenario import ScenarioParams, build_scenario
 from repro.sched.priorities import hcp_priorities
 from repro.core.initial_mapping import InitialMapper
-from repro.search.proposers import (
-    generate_moves,
-    schedule_neighbours,
-    select_candidates,
-)
+from repro.search.proposers import generate_moves, select_candidates
+
+from oracleutil import schedule_neighbours
 
 
 @pytest.fixture(scope="module")

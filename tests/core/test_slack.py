@@ -7,9 +7,10 @@ from repro.core.slack import (
     bus_slack_containers,
     processor_slack_containers,
     slack_fragmentation,
-    window_slack_profile,
 )
 from repro.sched.schedule import SystemSchedule
+
+from oracleutil import window_slack_profile
 
 
 @pytest.fixture

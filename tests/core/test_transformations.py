@@ -2,12 +2,13 @@
 
 import pytest
 
+from moveutil import remap_moves
+
 from repro.core.transformations import (
     CandidateDesign,
     DelayMessage,
     RemapProcess,
     SwapPriorities,
-    remap_moves,
 )
 from repro.model.mapping import Mapping
 from repro.utils.errors import MappingError

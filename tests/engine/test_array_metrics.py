@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracleutil import ObjectOracle, oracle_identity, production_identity
+from moveutil import remap_moves
 from repro.core.binpack import best_fit, best_fit_unplaced_total_hist
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
@@ -36,7 +37,6 @@ from repro.core.transformations import (
     DelayMessage,
     RemapProcess,
     SwapPriorities,
-    remap_moves,
 )
 from repro.engine import EngineConfig, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec

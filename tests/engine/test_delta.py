@@ -20,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from moveutil import remap_moves
+
 from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
@@ -29,7 +31,6 @@ from repro.core.transformations import (
     DelayMessage,
     RemapProcess,
     SwapPriorities,
-    remap_moves,
 )
 from repro.engine import EngineConfig, EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec

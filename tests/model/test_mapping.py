@@ -70,15 +70,6 @@ class TestQueries:
         assert dict(m.items()) == {"P1": "N1", "P2": "N2"}
         assert dict(iter(m)) == m.as_dict()
 
-    def test_wcet_of(self, app, arch):
-        m = Mapping(app, arch, {"P1": "N2"})
-        assert m.wcet_of("P1") == 8
-
-    def test_processes_on(self, app, arch):
-        m = Mapping(app, arch, {"P1": "N2", "P2": "N2"})
-        assert sorted(m.processes_on("N2")) == ["P1", "P2"]
-        assert list(m.processes_on("N1")) == []
-
     def test_is_complete(self, app, arch):
         m = Mapping(app, arch, {"P1": "N1"})
         assert not m.is_complete()

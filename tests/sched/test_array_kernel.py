@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracleutil import oracle_identity, production_identity
+from moveutil import remap_moves
 from repro.core.initial_mapping import InitialMapper
 from repro.core.simulated_annealing import SimulatedAnnealing
 from repro.core.transformations import (
@@ -24,7 +25,6 @@ from repro.core.transformations import (
     DelayMessage,
     RemapProcess,
     SwapPriorities,
-    remap_moves,
 )
 from repro.engine import evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec

@@ -1,17 +1,18 @@
 """The compiled evaluation pass, pinned to the Python pass.
 
-:mod:`repro.sched.native` runs the cold, columnless kernel -- straight
-from the candidate's packed key -- and, for a cold best-fit
+:mod:`repro.sched.native` runs the cold kernel -- straight from the
+candidate's packed key -- and, for a cold best-fit
 evaluation, the pass, its price and the objective mix in one call.
 The Python kernel and pricing stay in src as the differential oracle:
 on every registered family, presets ``tiny``/``small``/``medium`` and
 seeds 1-3, a seeded stream of SA moves plus random priority (ties,
 signed zeros, infinities, NaN, fractions) and delay changes must give
 equal verdicts, failure strings, final busy runs and bus occupancy,
-and bit-identical metrics; random float64 priority vectors must give
-the heap ranks of ``np.lexsort``; the C mix must equal ``_mix`` bit for
-bit; and the scratch state's bus region must hold the base occupancy
-after every call, whatever the pass's outcome.  Plus the fallback
+pop order and job starts, and bit-identical metrics; random float64
+priority vectors must give the heap ranks of ``np.lexsort``; the C mix
+must equal ``_mix`` bit for bit; and the scratch state's bus region
+must hold the base occupancy after every call, whatever the pass's
+outcome.  Plus the fallback
 contract: without the module (no compiler, or a big-endian host) one
 ``RuntimeWarning`` is emitted and the seeded designs still reproduce,
 and the loading process never imports the build toolchain.
@@ -87,8 +88,11 @@ def _cells():
 
 
 def _python_state(arrays, design) -> ArrayRunState:
-    """The oracle: the Python loop on a cold, columnless state."""
-    st = arrays.fresh_state(arrays.lower_candidate(design), record=False)
+    """The oracle: the Python loop on a cold state with columns, whose
+    pop order and starts the compiled pass's two columns must equal."""
+    st = arrays.fresh_state(
+        arrays.lower_candidate(design), record=False, columns=True
+    )
     arrays.run_kernel(st)
     return st
 
@@ -148,6 +152,9 @@ def _assert_same_pass(fast, slow):
     assert fast.runs_s == slow.runs_s
     assert fast.runs_e == slow.runs_e
     assert np.array_equal(fast.bus_used, slow.bus_used)
+    if fast.success:
+        assert fast.pop_order == slow.pop_order
+        assert fast.job_start == slow.job_start
 
 
 def _assert_scratch_holds_base(arrays):
